@@ -18,7 +18,6 @@ from .core import (
     rj,
     rj_pv,
 )
-from .quadrature import oracle, oracle_rj_pv, oracle_with_error
 from .asym import (
     CASE_TAGS,
     Enclosure,
@@ -38,6 +37,22 @@ from .bounds import INEQ_TAGS, Bracket, bracket, theta_of
 from .dispatch import EvalReport, EvalRequest, evaluate, plan
 
 __version__ = "0.1.0"
+
+# The quadrature oracle needs scipy; it is imported on first use so that the
+# reference evaluators, the case catalog and the dispatcher load with the
+# standard library alone.
+_LAZY = ("oracle", "oracle_rj_pv", "oracle_with_error")
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        from . import quadrature
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
 
 __all__ = [
     "ConvergenceError",

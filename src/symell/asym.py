@@ -17,7 +17,9 @@ Cases whose displayed formula covers only one side (C2c, F1b) are paired
 with the best same-family endpoint so the return type stays uniform.  G1a's
 displayed upper bound requires 5a < z; outside that the enclosure keeps the
 displayed lower endpoint, takes the reference evaluator's value as upper
-endpoint, and carries a note.
+endpoint, and carries a note.  An enclosure whose endpoints or estimate are
+not finite (float64 overflow or underflow in the case formula) also carries
+a note; it certifies nothing.
 """
 
 from __future__ import annotations
@@ -970,20 +972,24 @@ def enclose(tag: str, *args: float) -> Enclosure:
     case.gate(*vals)
     if case.build is not None:
         lo, hi, note = case.build(*vals)
-        est = 0.5 * (lo + hi)
-        return Enclosure(widen_down(lo), widen_up(hi), est, tag,
-                         case.strict[0], case.strict[1], note)
-    s_lo, s_hi = case.bracket(*vals)
-    v1 = case.value(vals, s_lo)
-    v2 = case.value(vals, s_hi)
-    if v1 <= v2:
-        lo, hi = v1, v2
         sl, sh = case.strict
     else:
-        lo, hi = v2, v1
-        sh, sl = case.strict
-    est = 0.5 * (v1 + v2)
-    return Enclosure(widen_down(lo), widen_up(hi), est, tag, sl, sh)
+        s_lo, s_hi = case.bracket(*vals)
+        v1 = case.value(vals, s_lo)
+        v2 = case.value(vals, s_hi)
+        if v1 <= v2:
+            lo, hi = v1, v2
+            sl, sh = case.strict
+        else:
+            lo, hi = v2, v1
+            sh, sl = case.strict
+        note = None
+    est = 0.5 * (lo + hi)
+    lo, hi = widen_down(lo), widen_up(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(est)):
+        # overflow or underflow inside the case formula: no certificate
+        note = "enclosure is not finite at these arguments"
+    return Enclosure(lo, hi, est, tag, sl, sh, note)
 
 
 def theta_recover(tag: str, args, true_value: float) -> float:

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: eval, asym, bounds-check, verify, table, identities.
-stdout carries data only; diagnostics go to stderr.  Exit codes: 0 success,
+stdout carries data only; diagnostics go to stderr.  ``asym``, ``verify``
+and ``identities`` import the harness (numpy, scipy) when they run; the
+other subcommands need only the standard library.  Exit codes: 0 success,
 1 verification violations, 2 domain error, 3 tolerance unachievable,
 4 regime error, 64 malformed usage.
 """
@@ -14,7 +16,7 @@ import os
 import re
 import sys
 
-from . import asym, bounds, core, dispatch, harness
+from . import asym, bounds, core, dispatch
 from ._fmt import dumps, plain
 from .errors import ConvergenceError, DomainError, RegimeError, ToleranceError
 
@@ -98,7 +100,9 @@ def _build_parser() -> _Parser:
 def _cmd_eval(args) -> int:
     kind = _EVAL_KINDS[args.kind]
     vals = tuple(args.values)
-    arity = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "K": 1, "E": 1}[kind]
+    arity = dispatch._ARITY[kind]
+    # checked here, not only by EvalRequest: the principal-value branches
+    # below index vals[3] before any request is built
     if len(vals) != arity:
         print(f"error: {args.kind} takes {arity} arguments, got {len(vals)}",
               file=sys.stderr)
@@ -150,6 +154,8 @@ def _enc_dict(enc: asym.Enclosure) -> dict:
 
 
 def _cmd_asym(args) -> int:
+    from . import harness
+
     tag = args.case
     vals = tuple(args.values)
     if len(vals) != asym.case_arity(tag):
@@ -273,6 +279,8 @@ def _parse_ratios(spec: str) -> tuple[float, ...]:
 
 
 def _cmd_verify(args) -> int:
+    from . import harness
+
     seed = args.seed
     if seed is None:
         env = os.environ.get("SEED")
@@ -363,6 +371,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    from . import harness
+
     rep = harness.run_identities(args.seed, args.n)
     if args.json:
         print(dumps(rep.to_dict()))

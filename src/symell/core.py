@@ -20,7 +20,10 @@ ground truth lives in :mod:`symell.oracle` and deliberately shares no code
 with this module.
 
 All functions return plain finite floats and raise
-:class:`~symell.errors.DomainError` on invalid input.
+:class:`~symell.errors.DomainError` on invalid input.  Where float64
+overflows or underflows inside rf, rd or rj (arguments near the ends of
+the range) they raise :class:`~symell.errors.ConvergenceError` instead of
+hanging or leaking an arithmetic exception.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import sys
 from dataclasses import dataclass
 
 from ._util import cbrt
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "Scalar",
@@ -213,6 +216,20 @@ def rc_pv(x: float, y_abs: float) -> float:
 # duplication iterations
 # --------------------------------------------------------------------------
 
+# Cap on duplication steps.  Arguments whose mean and spread are normal
+# floats converge in under 20 steps.  An infinite stopping threshold q (the
+# mean or the spread overflows) would loop forever, so it is refused before
+# the loop.  With q finite the loop ends by step 513 at the latest, when the
+# power of four f overflows; a run past the cap (underflow) is refused after
+# it.  Neither check costs anything per step, and neither fires for
+# arguments in 1e-30..1e30.
+_MAX_STEPS = 100
+_MAX_F = 4.0 ** _MAX_STEPS  # f after _MAX_STEPS steps
+
+
+def _range_error(name: str, detail: object) -> ConvergenceError:
+    return ConvergenceError(f"{name}: float64 range exceeded ({detail})")
+
 
 def _rf_core(x: float, y: float, z: float) -> float:
     a0 = (x + y + z) / 3.0
@@ -220,6 +237,8 @@ def _rf_core(x: float, y: float, z: float) -> float:
     if dev == 0.0:
         return 1.0 / math.sqrt(a0)
     q = (3.0 * _EPS) ** -0.125 * dev
+    if not q < math.inf:
+        raise _range_error("rf", "argument mean or spread overflows")
     am, f = a0, 1.0
     xm, ym, zm = x, y, z
     while q >= f * abs(am):
@@ -230,6 +249,8 @@ def _rf_core(x: float, y: float, z: float) -> float:
         zm = 0.25 * (zm + lam)
         am = 0.25 * (am + lam)
         f *= 4.0
+    if f > _MAX_F:
+        raise _range_error("rf", f"no convergence in {_MAX_STEPS} duplication steps")
     xx = (a0 - x) / (f * am)
     yy = (a0 - y) / (f * am)
     zz = -xx - yy
@@ -254,6 +275,8 @@ def _rd_core(x: float, y: float, z: float) -> float:
     if dev == 0.0:
         return a0 ** -1.5
     q = (0.25 * _EPS) ** (-1.0 / 6.0) * dev
+    if not q < math.inf:
+        raise _range_error("rd", "argument mean or spread overflows")
     am, f, acc = a0, 1.0, 0.0
     xm, ym, zm = x, y, z
     while q >= f * abs(am):
@@ -265,6 +288,8 @@ def _rd_core(x: float, y: float, z: float) -> float:
         zm = 0.25 * (zm + lam)
         am = 0.25 * (am + lam)
         f *= 4.0
+    if f > _MAX_F:
+        raise _range_error("rd", f"no convergence in {_MAX_STEPS} duplication steps")
     xx = (a0 - x) / (f * am)
     yy = (a0 - y) / (f * am)
     zz = -(xx + yy) / 3.0
@@ -291,6 +316,8 @@ def _rj_core(x: float, y: float, z: float, p: float) -> float:
     if dev == 0.0:
         return a0 ** -1.5
     q = (0.25 * _EPS) ** (-1.0 / 6.0) * dev
+    if not q < math.inf:
+        raise _range_error("rj", "argument mean or spread overflows")
     am, f, f3, acc = a0, 1.0, 1.0, 0.0
     xm, ym, zm, pm = x, y, z, p
     while q >= f * abs(am):
@@ -306,6 +333,8 @@ def _rj_core(x: float, y: float, z: float, p: float) -> float:
         am = 0.25 * (am + lam)
         f *= 4.0
         f3 *= 64.0
+    if f > _MAX_F:
+        raise _range_error("rj", f"no convergence in {_MAX_STEPS} duplication steps")
     xx = (a0 - x) / (f * am)
     yy = (a0 - y) / (f * am)
     zz = (a0 - z) / (f * am)
@@ -337,7 +366,10 @@ def rf(x: float, y: float, z: float) -> float:
     a, b, c = sorted(args.astuple())
     if a == 0.0 and b == 0.0:
         raise DomainError("rf diverges when two arguments vanish")
-    return _rf_core(a, b, c)
+    try:
+        return _rf_core(a, b, c)
+    except ArithmeticError as exc:
+        raise _range_error("rf", exc) from exc
 
 
 def rd(x: float, y: float, z: float) -> float:
@@ -352,7 +384,10 @@ def rd(x: float, y: float, z: float) -> float:
     if z <= 0.0:
         raise DomainError(f"rd requires z > 0, got z={z}")
     a, b = sorted((x, y))
-    return _rd_core(a, b, z)
+    try:
+        return _rd_core(a, b, z)
+    except ArithmeticError as exc:
+        raise _range_error("rd", exc) from exc
 
 
 def rj(x: float, y: float, z: float, p: float) -> float:
@@ -373,7 +408,10 @@ def rj(x: float, y: float, z: float, p: float) -> float:
         return rd(a, c, b)
     if p == a:
         return rd(b, c, a)
-    return _rj_core(a, b, c, p)
+    try:
+        return _rj_core(a, b, c, p)
+    except ArithmeticError as exc:
+        raise _range_error("rj", exc) from exc
 
 
 def rj_pv(x: float, y: float, z: float, p: float) -> float:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import asym, core
-from .errors import DomainError, ToleranceError
+from .errors import ConvergenceError, DomainError, ToleranceError
 
 __all__ = ["EvalRequest", "EvalReport", "PlanStep", "evaluate", "plan"]
 
@@ -214,10 +214,11 @@ def _candidates(req: EvalRequest) -> list[_Candidate]:
                 if asym.case_ratio(tag, *cargs) > _RATIO_MAX:
                     continue
                 enc = asym.enclose(tag, *cargs)
-            except (DomainError, ValueError, ZeroDivisionError, OverflowError):
+            except (DomainError, ValueError, ZeroDivisionError, OverflowError,
+                    ConvergenceError):
                 continue
             if enc.note is not None:
-                continue  # endpoint fell back to the reference evaluator
+                continue  # a reference-evaluator or non-finite endpoint
             hw = 0.5 * enc.rel_width()
             if not math.isfinite(hw):
                 continue

@@ -14,4 +14,10 @@ class ToleranceError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The adaptive quadrature scheme could not meet its accuracy target."""
+    """A numerical scheme could not produce a result it can vouch for.
+
+    Raised by the quadrature oracle when the adaptive scheme misses its
+    accuracy target or its integrand leaves the float64 range, and by the
+    duplication evaluators (rf, rd, rj and what builds on them) when float64
+    overflows or underflows inside the iteration.
+    """

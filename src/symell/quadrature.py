@@ -187,7 +187,7 @@ def oracle(kind: str, args) -> float:
     """Evaluate the defining integral of ``kind`` at ``args`` by quadrature.
 
     Target relative error 1e-10; raises ConvergenceError when the adaptive
-    scheme cannot certify it.
+    scheme cannot certify it or the integrand leaves the float64 range.
     """
     return oracle_with_error(kind, args)[0]
 
@@ -202,7 +202,12 @@ def oracle_with_error(kind: str, args) -> tuple[float, float]:
     for v in vals:
         if not math.isfinite(v):
             raise DomainError(f"oracle arguments must be finite, got {vals}")
-    return fn(*vals)
+    try:
+        return fn(*vals)
+    except ArithmeticError as exc:
+        # the rescaled integrand left the float64 range, e.g. a product of
+        # tiny arguments underflowed to zero in a denominator
+        raise ConvergenceError(f"{kind} quadrature integrand at {vals}: {exc}") from exc
 
 
 def oracle_rj_pv(x: float, y: float, z: float, p: float) -> float:
@@ -222,16 +227,18 @@ def oracle_rj_pv(x: float, y: float, z: float, p: float) -> float:
     def g(t):
         return 1.0 / math.sqrt((t + xn) * (t + yn) * (t + zn))
 
-    res = quad(g, 0.0, 2.0 * qn, weight="cauchy", wvar=qn, epsabs=0.0,
-               epsrel=1e-12, limit=400, full_output=1)
-    head, e1 = res[0], res[1]
-
     # tail: t = 2q/u, u in (0, 1]
     def tail(u):
         t = 2.0 * qn / u
         return g(t) * 2.0 / (u * (2.0 - u))
 
-    res2 = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400, full_output=1)
+    try:
+        res = quad(g, 0.0, 2.0 * qn, weight="cauchy", wvar=qn, epsabs=0.0,
+                   epsrel=1e-12, limit=400, full_output=1)
+        res2 = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400, full_output=1)
+    except ArithmeticError as exc:
+        raise ConvergenceError(f"principal-value quadrature integrand: {exc}") from exc
+    head, e1 = res[0], res[1]
     tail_val, e2 = res2[0], res2[1]
     value = 1.5 * (head + tail_val)
     err = 1.5 * (e1 + e2)

@@ -308,6 +308,13 @@ def test_case_ratio_definitions():
     assert case_ratio("J2a", 1.0, 1.0, 1.0, 0.001) == pytest.approx(0.001)
 
 
+def test_non_finite_enclosure_carries_note():
+    enc = enclose("J2a", 1e300, 1e300, 1e300, 1e-300)
+    assert math.isnan(enc.estimate)
+    assert enc.note is not None
+    assert enclose("J2a", 1.0, 2.0, 3.0, 1e-5).note is None
+
+
 def test_family_wrappers_reject_foreign_tags():
     with pytest.raises(DomainError):
         approx_rc(1.0, 2.0, "F1a")

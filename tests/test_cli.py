@@ -59,6 +59,20 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "rc", "1", "2", "3")
         assert code == 64
 
+    def test_wrong_arity_before_principal_value(self, capsys):
+        code, _, err = run(capsys, "eval", "rj", "1", "2", "-3")
+        assert code == 64
+        assert "rj takes 4 arguments, got 3" in err
+
+    @pytest.mark.parametrize("values", [
+        ("rd", "5e-324", "1e-320", "1e-320"),  # a divisor underflows to zero
+        ("rf", "1e308", "1.7e308", "1.5e308"),  # the argument mean overflows
+    ])
+    def test_float64_extremes_exit_domain(self, spawn, values):
+        res = spawn("-m", "symell.cli", "eval", *values, timeout=30)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
     def test_unknown_flag_exit(self, capsys):
         code, _, _ = run(capsys, "eval", "rc", "1", "2", "--bogus")
         assert code == 64
@@ -91,6 +105,11 @@ class TestAsym:
         code, _, err = run(capsys, "asym", "G1a", "1", "1", "4")
         assert code == 4
         assert "5a < z" in err
+
+    def test_non_finite_enclosure_exit(self, capsys):
+        code, _, err = run(capsys, "asym", "J2a", "1e300", "1e300", "1e300", "1e-300")
+        assert code == 4
+        assert "not finite" in err
 
     def test_gate_violation_exit(self, capsys):
         code, _, _ = run(capsys, "asym", "C2a", "1", "3")

@@ -304,3 +304,34 @@ class TestArgumentTypes:
         m = MeanStats.of_j4(1.0, 1.0)
         assert m.b == pytest.approx(math.sqrt(9.0) / 2.0)
         assert m.d == pytest.approx(1.0)
+
+
+_CALL = """
+from symell import core
+try:
+    print(repr(core.{call}))
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
+class TestFloat64Extremes:
+    """Near the ends of float64 the duplication cores raise ConvergenceError.
+
+    Each call runs in a child with a time limit, because a loop that never
+    ends is one way to fail.  In the first three the argument mean or the
+    stopping threshold overflows, in the next two a divisor underflows to
+    zero, and the last needs more than the step cap.
+    """
+
+    @pytest.mark.parametrize("call", [
+        "rf(1e308, 1.7e308, 1.5e308)",
+        "rd(1e308, 1e308, 1e308)",
+        "rg(0.0, 5e-324, 1e307)",
+        "rd(5e-324, 1e-320, 1e-320)",
+        "rj(1e-320, 2e-320, 1.0, 3e-320)",
+        "rf(0.0, 5e-324, 5e-324)",
+    ])
+    def test_convergence_error(self, spawn, call):
+        res = spawn("-c", _CALL.format(call=call), timeout=30)
+        assert res.stdout.strip() == "ConvergenceError", res.stderr

@@ -1,0 +1,84 @@
+"""Import budget of the stdlib-only paths and the lazy oracle names.
+
+``import symell``, ``evaluate`` and ``symell eval`` run on the standard
+library alone; numpy and scipy load on first use of the quadrature oracle
+or the verification harness.  The budget is checked from inside a fresh
+process, which prints the heavy modules it ended up holding.
+"""
+
+import pytest
+
+import symell
+from symell import quadrature
+
+_HEAVY = ('print(sorted(m for m in sys.modules '
+          'if m.split(".")[0] in ("numpy", "scipy")))')
+
+_EVALUATE = f"""
+import sys
+import symell
+symell.evaluate(symell.EvalRequest("RF", (1.0, 2.0, 4.0), 1e-9))
+{_HEAVY}
+"""
+
+_CLI_EVAL = f"""
+import runpy, sys
+sys.argv = ["symell", "eval", "rj", "1e-8", "2e-8", "1", "3", "--json"]
+try:
+    runpy.run_module("symell.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+{_HEAVY}
+"""
+
+_ORACLE = f"""
+import sys
+import symell
+symell.oracle("RF", (1.0, 2.0, 4.0))
+{_HEAVY}
+"""
+
+
+class TestImportBudget:
+    def test_evaluate_loads_no_numpy_or_scipy(self, spawn):
+        res = spawn("-c", _EVALUATE)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
+    def test_cli_eval_loads_no_numpy_or_scipy(self, spawn):
+        res = spawn("-c", _CLI_EVAL)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.strip().splitlines()
+        assert '"method"' in lines[0]  # the eval JSON came first
+        assert lines[-1] == "[]"
+
+    def test_oracle_loads_scipy_on_first_use(self, spawn):
+        # the probe sees heavy modules when they are there
+        res = spawn("-c", _ORACLE)
+        assert res.returncode == 0, res.stderr
+        assert "'scipy.integrate'" in res.stdout
+
+
+class TestLazyOracleNames:
+    @pytest.mark.parametrize("name", ["oracle", "oracle_with_error", "oracle_rj_pv"])
+    def test_resolves_to_quadrature(self, name):
+        assert getattr(symell, name) is getattr(quadrature, name)
+        assert name in dir(symell)
+
+    def test_same_values(self):
+        assert symell.oracle("RF", (1.0, 2.0, 4.0)) == quadrature.oracle("RF", (1.0, 2.0, 4.0))
+        assert (symell.oracle_with_error("RJ", (1.0, 2.0, 3.0, 4.0))
+                == quadrature.oracle_with_error("RJ", (1.0, 2.0, 3.0, 4.0)))
+        assert (symell.oracle_rj_pv(1.0, 2.0, 3.0, -1.0)
+                == quadrature.oracle_rj_pv(1.0, 2.0, 3.0, -1.0))
+
+    def test_star_import_binds_all(self):
+        ns: dict = {}
+        exec("from symell import *", ns)
+        missing = [n for n in symell.__all__ if n not in ns]
+        assert missing == []
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            symell.no_such_name
+        assert getattr(symell, "no_such_name", None) is None

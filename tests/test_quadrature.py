@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symell import DomainError, oracle, oracle_with_error
+from symell import ConvergenceError, DomainError, oracle, oracle_rj_pv, oracle_with_error
 from symell import core
 
 
@@ -21,6 +21,14 @@ def test_error_estimate_is_honest():
 def test_unknown_kind():
     with pytest.raises(DomainError):
         oracle("RX", (1, 2))
+
+
+def test_integrand_underflow_is_typed():
+    # (t + x)(t + y)(t + z) underflows to 0 near t = 0
+    with pytest.raises(ConvergenceError):
+        oracle("RF", (1e-300, 2e-300, 1))
+    with pytest.raises(ConvergenceError):
+        oracle_rj_pv(1e-300, 2e-300, 1.0, -1.0)
 
 
 def test_domain_checks():
