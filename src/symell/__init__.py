@@ -2,10 +2,6 @@
 
 from .errors import ConvergenceError, DomainError, RegimeError, ToleranceError
 from .core import (
-    MeanStats,
-    Scalar,
-    Sym3Args,
-    Sym4Args,
     agm,
     legendre_e,
     legendre_k,
@@ -59,10 +55,6 @@ __all__ = [
     "DomainError",
     "RegimeError",
     "ToleranceError",
-    "MeanStats",
-    "Scalar",
-    "Sym3Args",
-    "Sym4Args",
     "agm",
     "legendre_e",
     "legendre_k",

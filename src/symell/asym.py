@@ -49,6 +49,7 @@ __all__ = [
     "case_ratio",
     "enclose",
     "has_symbol",
+    "kind_cases",
     "recover_sigma",
     "sym_bracket",
     "theta_recover",
@@ -140,7 +141,8 @@ def _register(case: _Case):
     _CASES[case.tag] = case
 
 
-def _affine(tag, kind, arity, cost, gate, ratio, bracket, ab, strict=(True, True)):
+def _affine(tag, kind, arity, cost, gate, ratio, bracket, ab, strict=(True, True),
+            build=None):
     """Case whose formula is value = A + B*sym."""
 
     def value(args, s):
@@ -159,7 +161,7 @@ def _affine(tag, kind, arity, cost, gate, ratio, bracket, ab, strict=(True, True
         return math.inf if b == 0.0 else 1.0 / abs(b)
 
     _register(_Case(tag, kind, arity, cost, strict, gate, ratio, bracket, value,
-                    recover, deriv))
+                    recover, deriv, build))
 
 
 def _log_theta(tag, kind, arity, cost, gate, ratio, bracket, abk, strict=(True, True)):
@@ -837,24 +839,8 @@ def _g1a_build(x, y, z):
     return lo, ref, "upper endpoint requires 5a < z; reference value used instead"
 
 
-def _g1a_value(args, s):
-    av, bv = _g1a_ab(*args)
-    return av + bv * s
-
-
-def _g1a_recover(args, v):
-    av, bv = _g1a_ab(*args)
-    return (v - av) / bv
-
-
-def _g1a_deriv(args, v):
-    _, bv = _g1a_ab(*args)
-    return 1.0 / abs(bv)
-
-
-_register(_Case("G1a", "RG", 3, 1, (True, True), _g1a_gate, _f1_ratio,
-                bracket=_g1a_bracket, value=_g1a_value, recover=_g1a_recover,
-                deriv=_g1a_deriv, build=_g1a_build))
+_affine("G1a", "RG", 3, 1, gate=_g1a_gate, ratio=_f1_ratio,
+        bracket=_g1a_bracket, ab=_g1a_ab, build=_g1a_build)
 
 
 def _g1b_gate(x, y, z):
@@ -926,26 +912,11 @@ _affine("G2", "RG", 3, 2, gate=_g2_gate, ratio=_d2_ratio,
 # public interface
 # --------------------------------------------------------------------------
 
-CASE_TAGS = (
-    "C1", "C2a", "C2b", "C2c",
-    "F1a", "F1b", "F1c", "F1d", "F1e", "F1f", "F2a",
-    "D1", "D2a", "D2b", "D2c", "D3", "D4",
-    "J1a", "J1b", "J2a", "J2b", "J3", "J4a", "J4b", "J4c", "J5", "J6a",
-    "J6complete",
-    "G1a", "G1b", "G1c", "G2",
-)
+CASE_TAGS = tuple(_CASES)
 
-assert set(CASE_TAGS) == set(_CASES)
-
-_FAMILY = {
-    "approx_rc": ("C1", "C2a", "C2b", "C2c"),
-    "approx_rf": ("F1a", "F1b", "F1c", "F1d", "F2a"),
-    "approx_rd": ("D1", "D2a", "D2b", "D2c", "D3", "D4"),
-    "approx_rj": ("J1a", "J1b", "J2a", "J2b", "J3", "J4a", "J4b", "J4c", "J5",
-                  "J6a", "J6complete"),
-    "approx_rg": ("G1a", "G1b", "G2"),
-    "approx_k": ("F1e", "F1f"),
-}
+# case tags by the kind of integral they approximate, in catalog order
+_KIND_CASES = {kind: tuple(t for t, c in _CASES.items() if c.kind == kind)
+               for kind in dict.fromkeys(c.kind for c in _CASES.values())}
 
 
 def _case(tag: str) -> _Case:
@@ -1041,8 +1012,9 @@ def case_cost(tag: str) -> int:
     return _case(tag).cost
 
 
-def case_strictness(tag: str) -> tuple[bool, bool]:
-    return _case(tag).strict
+def kind_cases(kind: str) -> tuple[str, ...]:
+    """Tags of the cases that approximate integrals of ``kind``."""
+    return _KIND_CASES.get(kind, ())
 
 
 def case_ratio(tag: str, *args: float) -> float:
@@ -1070,34 +1042,36 @@ def _safe_ratio(case, vals):
         return math.inf
 
 
-def _family_call(fname, tag, *args):
-    if tag not in _FAMILY[fname]:
-        raise DomainError(f"{fname} does not handle case {tag!r}; expected one of {_FAMILY[fname]}")
+def _family_call(kind, tag, *args):
+    tags = kind_cases(kind)
+    if tag not in tags:
+        raise DomainError(
+            f"approx_{kind.lower()} does not handle case {tag!r}; expected one of {tags}")
     return enclose(tag, *args)
 
 
 def approx_rc(x: float, y: float, case: str) -> Enclosure:
-    return _family_call("approx_rc", case, x, y)
+    return _family_call("RC", case, x, y)
 
 
 def approx_rf(x: float, y: float, z: float, case: str) -> Enclosure:
-    return _family_call("approx_rf", case, x, y, z)
+    return _family_call("RF", case, x, y, z)
 
 
 def approx_rd(x: float, y: float, z: float, case: str) -> Enclosure:
-    return _family_call("approx_rd", case, x, y, z)
+    return _family_call("RD", case, x, y, z)
 
 
 def approx_rj(x: float, y: float, z: float, p: float, case: str) -> Enclosure:
-    return _family_call("approx_rj", case, x, y, z, p)
+    return _family_call("RJ", case, x, y, z, p)
 
 
 def approx_rg(x: float, y: float, z: float, case: str) -> Enclosure:
-    return _family_call("approx_rg", case, x, y, z)
+    return _family_call("RG", case, x, y, z)
 
 
 def approx_k(kprime: float, case: str) -> Enclosure:
-    return _family_call("approx_k", case, kprime)
+    return _family_call("K", case, kprime)
 
 
 def approx_e(kprime: float) -> Enclosure:

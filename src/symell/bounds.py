@@ -36,22 +36,22 @@ _ARITY = {
     "A8": 4, "A9": 4, "A10": 4, "AY": 4, "AZ": 4,
 }
 
-# (lo_strict, hi_strict, equality condition description)
+# (lo_strict, hi_strict)
 _STRICT = {
-    "A1": (True, True, None),
-    "A2": (True, True, None),
-    "A3": (True, True, None),
-    "A4": (True, True, None),
-    "A5": (False, False, "x == y"),
-    "A6": (False, False, "x == y"),
-    "A6a": (False, False, "x == y"),
-    "A7": (True, True, None),
-    "A8": (True, True, None),
-    "A9": (True, True, None),
-    "A10": (True, True, None),
-    "AX": (False, False, "x == y"),
-    "AY": (True, False, "x == y == z"),
-    "AZ": (False, False, "x == y == z"),
+    "A1": (True, True),
+    "A2": (True, True),
+    "A3": (True, True),
+    "A4": (True, True),
+    "A5": (False, False),
+    "A6": (False, False),
+    "A6a": (False, False),
+    "A7": (True, True),
+    "A8": (True, True),
+    "A9": (True, True),
+    "A10": (True, True),
+    "AX": (False, False),
+    "AY": (True, False),
+    "AZ": (False, False),
 }
 
 # inequalities whose middle involves no division by t; t = 0 is allowed
@@ -73,12 +73,7 @@ def arity(tag: str) -> int:
 
 def strictness(tag: str) -> tuple[bool, bool]:
     _check_tag(tag)
-    return _STRICT[tag][:2]
-
-
-def equality_condition(tag: str) -> str | None:
-    _check_tag(tag)
-    return _STRICT[tag][2]
+    return _STRICT[tag]
 
 
 def _check_tag(tag: str) -> None:
@@ -211,8 +206,7 @@ def _br_a1(t, x):
 
 
 def _br_a2(t, x):
-    b = _br_a1(x, t)
-    return Bracket(b.lo, b.mid, b.hi)
+    return _br_a1(x, t)
 
 
 def _br_a3(t, x):

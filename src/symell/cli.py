@@ -4,8 +4,8 @@ Subcommands: eval, asym, bounds-check, verify, table, identities.
 stdout carries data only; diagnostics go to stderr.  ``asym``, ``verify``
 and ``identities`` import the harness (numpy, scipy) when they run; the
 other subcommands need only the standard library.  Exit codes: 0 success,
-1 verification violations, 2 domain error, 3 tolerance unachievable,
-4 regime error, 64 malformed usage.
+1 verification violations, 2 domain or convergence error, 3 tolerance
+unachievable, 4 regime error, 64 malformed usage.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ EXIT_DOMAIN = 2
 EXIT_TOLERANCE = 3
 EXIT_REGIME = 4
 EXIT_USAGE = 64
-
-_EVAL_KINDS = {"rc": "RC", "rf": "RF", "rd": "RD", "rj": "RJ", "rg": "RG",
-               "k": "K", "e": "E"}
 
 # accept scientific notation in negative positionals (argparse's default
 # matcher only covers plain decimals)
@@ -52,7 +49,7 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("eval", help="evaluate an integral at a requested tolerance")
-    p.add_argument("kind", choices=sorted(_EVAL_KINDS))
+    p.add_argument("kind", choices=sorted(k.lower() for k in dispatch.KINDS))
     p.add_argument("values", nargs="+", type=float)
     p.add_argument("--rel-tol", type=float, default=1e-9)
     p.add_argument("--json", action="store_true")
@@ -98,9 +95,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_eval(args) -> int:
-    kind = _EVAL_KINDS[args.kind]
+    kind = args.kind.upper()
     vals = tuple(args.values)
-    arity = dispatch._ARITY[kind]
+    arity = dispatch._KIND[kind][0]
     # checked here, not only by EvalRequest: the principal-value branches
     # below index vals[3] before any request is built
     if len(vals) != arity:
@@ -332,7 +329,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _table_rows(function: str, grid: list[float]) -> tuple[list[str], list[list]]:
-    tags = ("F1e", "F1f") if function == "K" else ("G1c",)
+    tags = asym.kind_cases(function)
     header = ["kprime", "reference"]
     for tag in tags:
         header += [f"{tag}_lo", f"{tag}_hi", f"{tag}_theta"]

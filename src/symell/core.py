@@ -16,7 +16,7 @@ rf, rd and rj use the standard duplication iteration (argument averaging
 until the Taylor expansion about the common limit converges); rc is pure
 closed forms.  Symmetric arguments are canonicalized by sorting before
 evaluation, so permutation symmetry is bit-exact.  The quadrature-based
-ground truth lives in :mod:`symell.oracle` and deliberately shares no code
+ground truth lives in :mod:`symell.quadrature` and deliberately shares no code
 with this module.
 
 All functions return plain finite floats and raise
@@ -30,16 +30,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from ._util import cbrt
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "Scalar",
-    "Sym3Args",
-    "Sym4Args",
-    "MeanStats",
     "rc",
     "rc_pv",
     "rf",
@@ -53,9 +47,6 @@ __all__ = [
     "legendre_e",
 ]
 
-# All evaluators return plain finite floats.
-Scalar = float
-
 _EPS = sys.float_info.epsilon
 
 
@@ -66,96 +57,20 @@ def _as_finite(name: str, v) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class Sym3Args:
-    """Validated argument triple: nonnegative, finite, at most one zero."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, _as_finite(name, getattr(self, name)))
-        if min(self.x, self.y, self.z) < 0.0:
-            raise DomainError(f"arguments must be nonnegative, got {self.astuple()}")
-        if sum(1 for v in self.astuple() if v == 0.0) > 1:
-            raise DomainError(f"at most one argument may be zero, got {self.astuple()}")
-
-    def astuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
-class Sym4Args:
-    """Sym3Args plus a nonzero fourth argument (negative p = principal value)."""
-
-    x: float
-    y: float
-    z: float
-    p: float
-
-    def __post_init__(self):
-        Sym3Args(self.x, self.y, self.z)
-        object.__setattr__(self, "p", _as_finite("p", self.p))
-        if self.p == 0.0:
-            raise DomainError("p must be nonzero")
-
-    def astuple(self) -> tuple[float, float, float, float]:
-        return (self.x, self.y, self.z, self.p)
-
-
-@dataclass(frozen=True)
-class MeanStats:
-    """Symmetric means of two or three positive variables.
-
-    For three variables the Maclaurin chain h <= g <= b <= a holds, with
-    equality iff all variables are equal; for two variables h <= g <= a.
-    ``b`` is the second-order (Maclaurin) mean sqrt((xy+xz+yz)/3), ``lam``
-    the sum of pairwise geometric means, and ``d`` the shifted mean
-    (z+2p)/3 carried only by the J4 constructor.
-    """
-
-    a: float
-    g: float
-    h: float
-    b: float | None = None
-    lam: float | None = None
-    d: float | None = None
-
-    @classmethod
-    def of_pair(cls, x: float, y: float) -> "MeanStats":
-        if x <= 0.0 or y <= 0.0:
-            raise DomainError("means require positive variables")
-        return cls(a=(x + y) / 2.0, g=math.sqrt(x * y), h=2.0 * x * y / (x + y))
-
-    @classmethod
-    def of_triple(cls, x: float, y: float, z: float) -> "MeanStats":
-        if min(x, y, z) <= 0.0:
-            raise DomainError("means require positive variables")
-        s2 = x * y + x * z + y * z
-        return cls(
-            a=(x + y + z) / 3.0,
-            g=cbrt(x * y * z),
-            h=3.0 / (1.0 / x + 1.0 / y + 1.0 / z),
-            b=math.sqrt(s2 / 3.0),
-            lam=math.sqrt(x * y) + math.sqrt(x * z) + math.sqrt(y * z),
-        )
-
-    @classmethod
-    def of_j4(cls, z: float, p: float) -> "MeanStats":
-        """Means of the small pair (z, p) in the J4 regime, with b and d."""
-        if z < 0.0 or p <= 0.0:
-            raise DomainError("of_j4 requires z >= 0 and p > 0")
-        stats = cls.of_triple(p, p, z) if z > 0.0 else None
-        return cls(
-            a=(z + p) / 2.0,
-            g=math.sqrt(z * p),
-            h=(2.0 * z * p / (z + p)) if z > 0.0 else 0.0,
-            b=math.sqrt(3.0 * p * (p + 2.0 * z)) / 2.0,
-            d=(z + 2.0 * p) / 3.0,
-            lam=None if stats is None else stats.lam,
-        )
+def _sym_args(x, y, z, p=None) -> tuple[float, ...]:
+    """(x, y, z[, p]) as finite floats: x, y, z nonnegative with at most one
+    zero, and p, when given, nonzero (negative p = principal value)."""
+    xyz = (_as_finite("x", x), _as_finite("y", y), _as_finite("z", z))
+    if min(xyz) < 0.0:
+        raise DomainError(f"arguments must be nonnegative, got {xyz}")
+    if xyz.count(0.0) > 1:
+        raise DomainError(f"at most one argument may be zero, got {xyz}")
+    if p is None:
+        return xyz
+    p = _as_finite("p", p)
+    if p == 0.0:
+        raise DomainError("p must be nonzero")
+    return xyz + (p,)
 
 
 # --------------------------------------------------------------------------
@@ -318,6 +233,8 @@ def _rj_core(x: float, y: float, z: float, p: float) -> float:
     q = (0.25 * _EPS) ** (-1.0 / 6.0) * dev
     if not q < math.inf:
         raise _range_error("rj", "argument mean or spread overflows")
+    if not abs(delta) < math.inf:
+        raise _range_error("rj", "(p-x)(p-y)(p-z) overflows")
     am, f, f3, acc = a0, 1.0, 1.0, 0.0
     xm, ym, zm, pm = x, y, z, p
     while q >= f * abs(am):
@@ -362,10 +279,7 @@ def _rj_core(x: float, y: float, z: float, p: float) -> float:
 
 def rf(x: float, y: float, z: float) -> float:
     """Symmetric integral of the first kind; relative error <= 1e-12."""
-    args = Sym3Args(x, y, z)
-    a, b, c = sorted(args.astuple())
-    if a == 0.0 and b == 0.0:
-        raise DomainError("rf diverges when two arguments vanish")
+    a, b, c = sorted(_sym_args(x, y, z))
     try:
         return _rf_core(a, b, c)
     except ArithmeticError as exc:
@@ -395,13 +309,10 @@ def rj(x: float, y: float, z: float, p: float) -> float:
 
     Delegates exactly to rd when p coincides with one of x, y, z.
     """
-    args = Sym4Args(x, y, z, p)
-    if args.p < 0.0:
+    x, y, z, p = _sym_args(x, y, z, p)
+    if p < 0.0:
         raise DomainError("rj requires p > 0; use rj_pv for negative p")
-    a, b, c = sorted((args.x, args.y, args.z))
-    if a == 0.0 and b == 0.0:
-        raise DomainError("rj diverges when two of x, y, z vanish")
-    p = args.p
+    a, b, c = sorted((x, y, z))
     if p == c:
         return rd(a, b, c)
     if p == b:
@@ -420,13 +331,13 @@ def rj_pv(x: float, y: float, z: float, p: float) -> float:
     The arguments are permuted so the middle one sits in the y slot, which
     makes (z-y)(y-x) >= 0 and hence q >= y > 0 in the shifted evaluation.
     """
-    args = Sym4Args(x, y, z, p)
-    if args.p >= 0.0:
+    x, y, z, p = _sym_args(x, y, z, p)
+    if p >= 0.0:
         raise DomainError("rj_pv requires p < 0")
-    if min(args.x, args.y, args.z) <= 0.0:
+    if min(x, y, z) <= 0.0:
         raise DomainError("rj_pv requires strictly positive x, y, z")
-    lo, med, hi = sorted((args.x, args.y, args.z))
-    pabs = -args.p
+    lo, med, hi = sorted((x, y, z))
+    pabs = -p
     q = med + (hi - med) * (med - lo) / (med + pabs)
     u = lo * hi + pabs * q
     term = 3.0 * math.sqrt(lo * med * hi / u) * rc(u, pabs * q)

@@ -17,14 +17,13 @@ for rc).  Requests no method can certify raise ToleranceError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import asym, core
 from .errors import ConvergenceError, DomainError, ToleranceError
 
 __all__ = ["EvalRequest", "EvalReport", "PlanStep", "evaluate", "plan"]
-
-KINDS = ("RC", "RF", "RD", "RJ", "RG", "K", "E")
 
 _REL_TOL_MIN = 1e-14
 _REL_TOL_MAX = 1e-1
@@ -39,18 +38,19 @@ _GUAR_ELEMENTARY = 1e-14
 _GUAR_RC = 1e-13
 _GUAR_REFERENCE = 1e-12
 
-_ASYM_FOR = {
-    "RC": ("C1", "C2a", "C2b", "C2c"),
-    "RF": ("F1a", "F1b", "F1c", "F1d", "F2a"),
-    "RD": ("D1", "D2a", "D2b", "D2c", "D3", "D4"),
-    "RJ": ("J1a", "J1b", "J2a", "J2b", "J3", "J4a", "J4b", "J4c", "J5", "J6a",
-           "J6complete"),
-    "RG": ("G1a", "G1b", "G2"),
-    "K": ("F1e", "F1f"),
-    "E": ("G1c",),
+# kind -> (arity, reference evaluator, its guarantee).  The evaluator is
+# named, not bound, so each call looks it up on core.
+_KIND = {
+    "RC": (2, "rc", _GUAR_RC),
+    "RF": (3, "rf", _GUAR_REFERENCE),
+    "RD": (3, "rd", _GUAR_REFERENCE),
+    "RJ": (4, "rj", _GUAR_REFERENCE),
+    "RG": (3, "rg", _GUAR_REFERENCE),
+    "K": (1, "legendre_k", _GUAR_REFERENCE),
+    "E": (1, "legendre_e", _GUAR_REFERENCE),
 }
 
-_ARITY = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "K": 1, "E": 1}
+KINDS = tuple(_KIND)
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,9 @@ class EvalRequest:
         if self.kind not in KINDS:
             raise DomainError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         vals = tuple(float(a) for a in self.args)
-        if len(vals) != _ARITY[self.kind]:
-            raise DomainError(f"{self.kind} takes {_ARITY[self.kind]} arguments, got {len(vals)}")
+        arity = _KIND[self.kind][0]
+        if len(vals) != arity:
+            raise DomainError(f"{self.kind} takes {arity} arguments, got {len(vals)}")
         for v in vals:
             if not math.isfinite(v):
                 raise DomainError(f"arguments must be finite, got {vals}")
@@ -84,9 +85,6 @@ class PlanStep:
     guaranteed_rel_err: float
     predicted_rel_halfwidth: float | None = None
 
-    def label(self) -> str:
-        return f"asym({self.case})" if self.method == "asym" else self.method
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -101,7 +99,22 @@ class EvalReport:
 
 
 def _closed_form(kind: str, args) -> tuple[float, float] | None:
-    """(value, guarantee) for exact argument patterns, else None."""
+    """(value, guarantee) for exact argument patterns, else None.
+
+    A value that float64 cannot hold to its guarantee (it overflows, or
+    underflows below the normal range) raises ConvergenceError.
+    """
+    try:
+        cf = _pattern(kind, args)
+    except ArithmeticError as exc:
+        raise ConvergenceError(f"{kind} closed form at {args}: {exc}") from exc
+    if cf is not None and not (math.isfinite(cf[0]) and cf[0] >= sys.float_info.min):
+        raise ConvergenceError(
+            f"{kind} closed form at {args} is {cf[0]!r}, outside the normal float64 range")
+    return cf
+
+
+def _pattern(kind: str, args) -> tuple[float, float] | None:
     if kind == "RC":
         return core.rc(*args), _GUAR_RC
     if kind == "RF":
@@ -136,7 +149,7 @@ def _closed_form(kind: str, args) -> tuple[float, float] | None:
         for i, v in enumerate((x, y, z)):
             if v == p:
                 rest = [w for j, w in enumerate((x, y, z)) if j != i]
-                sub = _closed_form("RD", (rest[0], rest[1], p))
+                sub = _pattern("RD", (rest[0], rest[1], p))
                 if sub is not None:
                     return sub
                 break
@@ -165,22 +178,12 @@ def _closed_form(kind: str, args) -> tuple[float, float] | None:
     return None
 
 
-def _reference(kind: str, args) -> tuple[float, float]:
-    if kind == "RC":
-        return core.rc(*args), _GUAR_RC
-    if kind == "RF":
-        return core.rf(*args), _GUAR_REFERENCE
-    if kind == "RD":
-        return core.rd(*args), _GUAR_REFERENCE
-    if kind == "RJ":
-        if args[3] <= 0.0:
-            raise DomainError("dispatch handles p > 0 only; use rj_pv for principal values")
-        return core.rj(*args), _GUAR_REFERENCE
-    if kind == "RG":
-        return core.rg(*args), _GUAR_REFERENCE
-    if kind == "K":
-        return core.legendre_k(*args), _GUAR_REFERENCE
-    return core.legendre_e(*args), _GUAR_REFERENCE
+def reference(kind: str, args) -> tuple[float, float]:
+    """(value, guarantee) of the kind's reference evaluator at ``args``."""
+    if kind == "RJ" and args[3] <= 0.0:
+        raise DomainError("dispatch handles p > 0 only; use rj_pv for principal values")
+    _, name, guar = _KIND[kind]
+    return getattr(core, name)(*args), guar
 
 
 def _case_args(kind: str, args) -> tuple:
@@ -196,20 +199,21 @@ def _case_args(kind: str, args) -> tuple:
 class _Candidate:
     step: PlanStep
     enclosure: asym.Enclosure | None = field(default=None, compare=False)
+    value: float | None = None        # a closed form's value
 
 
 def _candidates(req: EvalRequest) -> list[_Candidate]:
     out: list[_Candidate] = []
     cf = _closed_form(req.kind, req.args)
     if cf is not None:
-        out.append(_Candidate(PlanStep("closed_form", None, 0, cf[1])))
+        out.append(_Candidate(PlanStep("closed_form", None, 0, cf[1]), value=cf[0]))
     try:
         cargs = _case_args(req.kind, req.args)
     except DomainError:
         cargs = None
     asym_cands: list[_Candidate] = []
     if cargs is not None:
-        for tag in _ASYM_FOR[req.kind]:
+        for tag in asym.kind_cases(req.kind):
             try:
                 if asym.case_ratio(tag, *cargs) > _RATIO_MAX:
                     continue
@@ -226,8 +230,7 @@ def _candidates(req: EvalRequest) -> list[_Candidate]:
             asym_cands.append(_Candidate(step, enc))
     asym_cands.sort(key=lambda c: (c.step.cost, c.step.predicted_rel_halfwidth, c.step.case))
     out.extend(asym_cands)
-    out.append(_Candidate(PlanStep("reference", None, 9,
-                                   _GUAR_RC if req.kind == "RC" else _GUAR_REFERENCE)))
+    out.append(_Candidate(PlanStep("reference", None, 9, _KIND[req.kind][2])))
     return out
 
 
@@ -243,12 +246,11 @@ def evaluate(req: EvalRequest) -> EvalReport:
         if step.guaranteed_rel_err > req.rel_tol:
             continue
         if step.method == "closed_form":
-            value, guar = _closed_form(req.kind, req.args)
-            return EvalReport(value, "closed_form", None, guar)
+            return EvalReport(cand.value, "closed_form", None, step.guaranteed_rel_err)
         if step.method == "asym":
             enc = cand.enclosure
             return EvalReport(enc.estimate, "asym", step.case, step.guaranteed_rel_err, enc)
-        value, guar = _reference(req.kind, req.args)
+        value, guar = reference(req.kind, req.args)
         return EvalReport(value, "reference", None, guar)
     raise ToleranceError(
         f"no method certifies rel_tol={req.rel_tol:g} for {req.kind}{req.args}")

@@ -30,7 +30,7 @@ from importlib import resources
 import numpy as np
 from scipy.integrate import quad
 
-from . import asym, bounds, core
+from . import asym, bounds, core, dispatch
 from . import quadrature as quad_oracle
 from ._util import equal_within_band
 from .errors import DomainError, RegimeError
@@ -217,55 +217,26 @@ def sample_args(tag: str, ratio: float, rng) -> tuple:
     raise DomainError(f"no sampler for case {tag!r}")
 
 
+def _kind_route(tag: str, args) -> tuple[str, tuple, float]:
+    """(kind, arguments, factor) of the integral a case approximates: a K
+    or E case takes k', so K is RF(0, k'^2, 1) and E is 2 RG(0, k'^2, 1)."""
+    kind = asym.case_kind(tag)
+    if kind not in ("K", "E"):
+        return kind, args, 1.0
+    kp = args[0]
+    return ("RF", (0.0, kp * kp, 1.0), 1.0) if kind == "K" else ("RG", (0.0, kp * kp, 1.0), 2.0)
+
+
 def reference_value(tag: str, args) -> float:
     """Reference evaluator matched to a case's kind (duplication route)."""
-    kind = asym.case_kind(tag)
-    if kind == "RC":
-        return core.rc(*args)
-    if kind == "RF":
-        return core.rf(*args)
-    if kind == "RD":
-        return core.rd(*args)
-    if kind == "RJ":
-        return core.rj(*args)
-    if kind == "RG":
-        return core.rg(*args)
-    kp = args[0]
-    if kind == "K":
-        return core.rf(0.0, kp * kp, 1.0)
-    return 2.0 * core.rg(0.0, kp * kp, 1.0)
+    kind, args, factor = _kind_route(tag, args)
+    return factor * dispatch.reference(kind, args)[0]
 
 
 def _oracle_value(tag: str, args) -> tuple[float, float]:
-    kind = asym.case_kind(tag)
-    if kind == "K":
-        kp = args[0]
-        return quad_oracle.oracle_with_error("RF", (0.0, kp * kp, 1.0))
-    if kind == "E":
-        kp = args[0]
-        v, e = quad_oracle.oracle_with_error("RG", (0.0, kp * kp, 1.0))
-        return 2.0 * v, 2.0 * e
-    return quad_oracle.oracle_with_error(kind, args)
-
-
-def _case_rng(campaign: Campaign, ratio_index: int):
-    return np.random.default_rng(
-        np.random.SeedSequence([campaign.seed, _case_index(campaign.case), ratio_index]))
-
-
-def _case_index(tag: str) -> int:
-    try:
-        return asym.CASE_TAGS.index(tag)
-    except ValueError:
-        return 997 + hash(tag) % 1000
-
-
-def _extra_gate_ok(tag: str, args) -> bool:
-    # regime conditions the harness imposes beyond the library gates
-    if tag == "G1a":
-        x, y, z = args
-        return 5.0 * (x + y) / 2.0 < z
-    return True
+    kind, args, factor = _kind_route(tag, args)
+    value, err = quad_oracle.oracle_with_error(kind, args)
+    return factor * value, factor * err
 
 
 def _theta_classify(tag, args, report):
@@ -292,41 +263,54 @@ def _theta_classify(tag, args, report):
         report.violations += 1
 
 
-def run_containment(campaign: Campaign, check_theta: bool = True) -> CampaignReport:
-    """Sample in-regime tuples and assert the oracle lies in every enclosure."""
+def _enclosures(campaign: Campaign, report: CampaignReport):
+    """Yield (ratio, args, enclosure) for each in-regime sample.
+
+    Counts gated and evaluated samples on ``report`` and records the largest
+    finite relative width per ratio.
+    """
     tag = campaign.case
     if tag not in asym.CASE_TAGS:
         raise DomainError(f"unknown case {tag!r}")
-    report = CampaignReport(tag, "containment", campaign.seed, campaign.ratios,
-                            campaign.samples)
-    t0 = time.perf_counter()
+    index = asym.CASE_TAGS.index(tag)
     for ri, ratio in enumerate(campaign.ratios):
-        rng = _case_rng(campaign, ri)
+        rng = np.random.default_rng(np.random.SeedSequence([campaign.seed, index, ri]))
         wmax = 0.0
         for _ in range(campaign.samples):
             args = sample_args(tag, ratio, rng)
-            if not _extra_gate_ok(tag, args):
-                report.gated += 1
-                continue
             try:
                 enc = asym.enclose(tag, *args)
             except RegimeError:
                 report.gated += 1
                 continue
+            if enc.note is not None and math.isfinite(enc.width):
+                # the case left its displayed bound (G1a without 5a < z)
+                report.gated += 1
+                continue
             report.evaluated += 1
-            value, err = _oracle_value(tag, args)
-            if not enc.contains(value, containment_slack(err, value)):
-                report.violations += 1
-                if len(report.violation_samples) < _MAX_RECORDED:
-                    report.violation_samples.append(
-                        {"kind": "containment", "ratio": ratio, "args": list(args),
-                         "oracle": value, "lo": enc.lo, "hi": enc.hi})
+            yield ratio, args, enc
             rw = enc.rel_width()
             if math.isfinite(rw):
                 wmax = max(wmax, rw)
-            if check_theta and asym.has_symbol(tag) and ratio in THETA_RATIOS:
-                _theta_classify(tag, args, report)
         report.max_rel_width[ratio] = wmax
+
+
+def run_containment(campaign: Campaign, check_theta: bool = True) -> CampaignReport:
+    """Sample in-regime tuples and assert the oracle lies in every enclosure."""
+    tag = campaign.case
+    report = CampaignReport(tag, "containment", campaign.seed, campaign.ratios,
+                            campaign.samples)
+    t0 = time.perf_counter()
+    for ratio, args, enc in _enclosures(campaign, report):
+        value, err = _oracle_value(tag, args)
+        if not enc.contains(value, containment_slack(err, value)):
+            report.violations += 1
+            if len(report.violation_samples) < _MAX_RECORDED:
+                report.violation_samples.append(
+                    {"kind": "containment", "ratio": ratio, "args": list(args),
+                     "oracle": value, "lo": enc.lo, "hi": enc.hi})
+        if check_theta and asym.has_symbol(tag) and ratio in THETA_RATIOS:
+            _theta_classify(tag, args, report)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -337,27 +321,10 @@ def run_order_fit(case: str, ratios=_DEFAULT_RATIOS, seed: int = 42,
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) < 4 or max(ratios) / min(ratios) < 1e3:
         raise DomainError("order fit needs >= 4 ratios spanning >= 3 decades")
-    campaign = Campaign(case, ratios, samples, seed)
     report = CampaignReport(case, "order", seed, ratios, samples)
     t0 = time.perf_counter()
-    for ri, ratio in enumerate(ratios):
-        rng = _case_rng(campaign, ri)
-        wmax = 0.0
-        for _ in range(samples):
-            args = sample_args(case, ratio, rng)
-            if not _extra_gate_ok(case, args):
-                report.gated += 1
-                continue
-            try:
-                enc = asym.enclose(case, *args)
-            except RegimeError:
-                report.gated += 1
-                continue
-            report.evaluated += 1
-            rw = enc.rel_width()
-            if math.isfinite(rw):
-                wmax = max(wmax, rw)
-        report.max_rel_width[ratio] = wmax
+    for _ in _enclosures(Campaign(case, ratios, samples, seed), report):
+        pass
     xs = np.log([r for r in ratios if report.max_rel_width[r] > 0.0])
     ys = np.log([report.max_rel_width[r] for r in ratios if report.max_rel_width[r] > 0.0])
     report.slope = float(np.polyfit(xs, ys, 1)[0])

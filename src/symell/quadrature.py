@@ -21,8 +21,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = ["oracle", "oracle_with_error", "oracle_rj_pv", "KINDS"]
 
-KINDS = ("RC", "RF", "RD", "RJ", "RG", "Rm1")
-
 _TARGET_REL = 1e-10
 
 
@@ -181,6 +179,8 @@ _DISPATCH = {
     "RG": _rg_integral,
     "Rm1": _rm1_integral,
 }
+
+KINDS = tuple(_DISPATCH)
 
 
 def oracle(kind: str, args) -> float:

@@ -67,6 +67,9 @@ class TestEval:
     @pytest.mark.parametrize("values", [
         ("rd", "5e-324", "1e-320", "1e-320"),  # a divisor underflows to zero
         ("rf", "1e308", "1.7e308", "1.5e308"),  # the argument mean overflows
+        ("rd", "5e-324", "5e-324", "5e-324"),  # a closed form overflows
+        ("rj", "5e-324", "5e-324", "5e-324", "5e-324"),
+        ("rd", "1e308", "1e308", "1e308"),  # a closed form underflows to 0
     ])
     def test_float64_extremes_exit_domain(self, spawn, values):
         res = spawn("-m", "symell.cli", "eval", *values, timeout=30)

@@ -23,7 +23,6 @@ from symell import (
     rj,
     rj_pv,
 )
-from symell.core import MeanStats, Sym3Args, Sym4Args
 
 mp.mp.dps = 30
 
@@ -277,33 +276,25 @@ class TestAuxiliary:
 
 
 class TestArgumentTypes:
-    def test_sym3_rejects_two_zeros(self):
-        with pytest.raises(DomainError):
-            Sym3Args(0.0, 0.0, 1.0)
+    def test_rf_rejects_two_zeros(self):
+        with pytest.raises(DomainError, match=r"at most one argument may be zero, "
+                                              r"got \(0\.0, 0\.0, 1\.0\)"):
+            rf(0, 0, 1)
 
-    def test_sym4_rejects_zero_p(self):
-        with pytest.raises(DomainError):
-            Sym4Args(1.0, 2.0, 3.0, 0.0)
+    def test_rj_rejects_zero_p(self):
+        with pytest.raises(DomainError, match="^p must be nonzero$"):
+            rj(1, 2, 3, 0)
 
-    def test_mean_chain_three_variables(self, rng):
-        for _ in range(300):
-            x, y, z = np.exp(rng.uniform(-4, 4, 3) * np.log(10))
-            m = MeanStats.of_triple(x, y, z)
-            assert m.h <= m.g * (1 + 1e-14)
-            assert m.g <= m.b * (1 + 1e-14)
-            assert m.b <= m.a * (1 + 1e-14)
-        eq = MeanStats.of_triple(3.0, 3.0, 3.0)
-        assert eq.h == pytest.approx(eq.a, rel=1e-15)
-
-    def test_mean_chain_two_variables(self):
-        m = MeanStats.of_pair(1.0, 4.0)
-        assert m.h <= m.g <= m.a
-        assert m.g == 2.0
-
-    def test_j4_means(self):
-        m = MeanStats.of_j4(1.0, 1.0)
-        assert m.b == pytest.approx(math.sqrt(9.0) / 2.0)
-        assert m.d == pytest.approx(1.0)
+    def test_checks_keep_their_order(self):
+        # finiteness by name first, then signs, then the zero count, then p
+        with pytest.raises(DomainError, match="^y must be finite, got nan$"):
+            rj(-1.0, math.nan, 0.0, 0.0)
+        with pytest.raises(DomainError, match="nonnegative"):
+            rj(-1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match="at most one"):
+            rj(1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match="^p must be finite, got inf$"):
+            rj_pv(1.0, 2.0, 3.0, math.inf)
 
 
 _CALL = """
@@ -321,7 +312,8 @@ class TestFloat64Extremes:
     Each call runs in a child with a time limit, because a loop that never
     ends is one way to fail.  In the first three the argument mean or the
     stopping threshold overflows, in the next two a divisor underflows to
-    zero, and the last needs more than the step cap.
+    zero, the sixth needs more than the step cap, and in the last two rj's
+    (p-x)(p-y)(p-z) overflows.
     """
 
     @pytest.mark.parametrize("call", [
@@ -331,6 +323,8 @@ class TestFloat64Extremes:
         "rd(5e-324, 1e-320, 1e-320)",
         "rj(1e-320, 2e-320, 1.0, 3e-320)",
         "rf(0.0, 5e-324, 5e-324)",
+        "rj(1e200, 1e201, 1e202, 1e-200)",
+        "rj(1e300, 2e300, 3e300, 1e-300)",
     ])
     def test_convergence_error(self, spawn, call):
         res = spawn("-c", _CALL.format(call=call), timeout=30)

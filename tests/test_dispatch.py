@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symell import (
+    ConvergenceError,
     DomainError,
     EvalReport,
     EvalRequest,
@@ -16,7 +17,7 @@ from symell import (
 
 
 def labels(steps):
-    return [s.label() for s in steps]
+    return [f"asym({s.case})" if s.method == "asym" else s.method for s in steps]
 
 
 class TestClosedForms:
@@ -48,6 +49,27 @@ class TestClosedForms:
     def test_legendre_endpoints(self):
         assert evaluate(EvalRequest("K", (0.0,), 1e-12)).value == pytest.approx(math.pi / 2)
         assert evaluate(EvalRequest("E", (1.0,), 1e-12)).value == 1.0
+
+
+class TestClosedFormRange:
+    """A closed form whose value float64 cannot hold raises ConvergenceError."""
+
+    @pytest.mark.parametrize("kind,args", [
+        ("RD", (5e-324, 5e-324, 5e-324)),
+        ("RJ", (5e-324, 5e-324, 5e-324, 5e-324)),
+        ("RD", (1e308, 1e308, 1e308)),
+        ("RD", (0.0, 1e308, 1e308)),
+    ])
+    def test_raises(self, kind, args):
+        req = EvalRequest(kind, args, 1e-6)
+        with pytest.raises(ConvergenceError):
+            evaluate(req)
+        with pytest.raises(ConvergenceError):
+            plan(req)
+
+    def test_normal_values_still_closed(self):
+        rep = evaluate(EvalRequest("RD", (1e200, 1e200, 1e200), 1e-12))
+        assert (rep.method, rep.value) == ("closed_form", 1e-300)
 
 
 class TestAsymptoticPath:
