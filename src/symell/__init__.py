@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 # The quadrature oracle needs scipy; it is imported on first use so that the
 # reference evaluators, the case catalog and the dispatcher load with the
 # standard library alone.
-_LAZY = ("oracle", "oracle_rj_pv", "oracle_with_error")
+_LAZY = ("oracle", "oracle_batch", "oracle_rj_pv", "oracle_with_error")
 
 
 def __getattr__(name):
@@ -67,6 +67,7 @@ __all__ = [
     "rj",
     "rj_pv",
     "oracle",
+    "oracle_batch",
     "oracle_rj_pv",
     "oracle_with_error",
     "CASE_TAGS",

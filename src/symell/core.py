@@ -21,9 +21,10 @@ with this module.
 
 All functions return plain finite floats and raise
 :class:`~symell.errors.DomainError` on invalid input.  Where float64
-overflows or underflows inside rf, rd or rj (arguments near the ends of
-the range) they raise :class:`~symell.errors.ConvergenceError` instead of
-hanging or leaking an arithmetic exception.
+overflows or underflows inside rf, rd, rj or rg (arguments near the ends of
+the range), or rd and rj would return a value below the normal float64
+range, they raise :class:`~symell.errors.ConvergenceError` instead of
+hanging, leaking an arithmetic exception or returning 0 or NaN.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
+_MIN_NORMAL = sys.float_info.min
 
 
 def _as_finite(name: str, v) -> float:
@@ -299,9 +301,12 @@ def rd(x: float, y: float, z: float) -> float:
         raise DomainError(f"rd requires z > 0, got z={z}")
     a, b = sorted((x, y))
     try:
-        return _rd_core(a, b, z)
+        value = _rd_core(a, b, z)
     except ArithmeticError as exc:
         raise _range_error("rd", exc) from exc
+    if not value >= _MIN_NORMAL:
+        raise _range_error("rd", f"value {value!r} is below the normal range")
+    return value
 
 
 def rj(x: float, y: float, z: float, p: float) -> float:
@@ -320,9 +325,12 @@ def rj(x: float, y: float, z: float, p: float) -> float:
     if p == a:
         return rd(b, c, a)
     try:
-        return _rj_core(a, b, c, p)
+        value = _rj_core(a, b, c, p)
     except ArithmeticError as exc:
         raise _range_error("rj", exc) from exc
+    if not value >= _MIN_NORMAL:
+        raise _range_error("rj", f"value {value!r} is below the normal range")
+    return value
 
 
 def rj_pv(x: float, y: float, z: float, p: float) -> float:
@@ -363,6 +371,8 @@ def rg(x: float, y: float, z: float) -> float:
     if b == 0.0:
         return math.sqrt(c) / 2.0
     two_rg = c * rf(a, b, c) - (c - a) * (c - b) / 3.0 * rd(a, b, c) + math.sqrt(a * b / c)
+    if not math.isfinite(two_rg):
+        raise _range_error("rg", f"three-term sum is {two_rg!r}")
     return two_rg / 2.0
 
 

@@ -6,7 +6,8 @@ reference evaluator.  A case's predicted half-width comes from the same
 bracket formulas the enclosure uses, so "meets tolerance" is a guarantee
 rather than a heuristic.  Asymptotic cases are considered only when their
 regime ratio is at most 1e-2 — the territory the containment campaigns
-certify; anything outside falls through silently to the reference path.
+certify; anything outside falls through silently to the reference path,
+as does an enclosure that carries a note or whose upper end is not positive.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
 through the branchy rc evaluation 1e-13; asymptotic = relative half-width
@@ -221,8 +222,10 @@ def _candidates(req: EvalRequest) -> list[_Candidate]:
             except (DomainError, ValueError, ZeroDivisionError, OverflowError,
                     ConvergenceError):
                 continue
-            if enc.note is not None:
-                continue  # a reference-evaluator or non-finite endpoint
+            if enc.note is not None or enc.hi <= 0.0:
+                # a reference-evaluator or non-finite endpoint, or rounding
+                # in the case formula cancelled a positive integral
+                continue
             hw = 0.5 * enc.rel_width()
             if not math.isfinite(hw):
                 continue

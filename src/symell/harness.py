@@ -233,10 +233,15 @@ def reference_value(tag: str, args) -> float:
     return factor * dispatch.reference(kind, args)[0]
 
 
-def _oracle_value(tag: str, args) -> tuple[float, float]:
-    kind, args, factor = _kind_route(tag, args)
-    value, err = quad_oracle.oracle_with_error(kind, args)
-    return factor * value, factor * err
+def _oracle_values(tag: str, rows) -> list[tuple[float, float]]:
+    """Oracle (value, error estimate) at each of a case's argument rows, as
+    one batch: every row of a case takes the same kind route."""
+    routes = [_kind_route(tag, args) for args in rows]
+    if not routes:
+        return []
+    kind, _, factor = routes[0]
+    return [(factor * value, factor * err) for value, err in
+            quad_oracle.oracle_batch(kind, [args for _, args, _ in routes])]
 
 
 def _theta_classify(tag, args, report):
@@ -301,8 +306,9 @@ def run_containment(campaign: Campaign, check_theta: bool = True) -> CampaignRep
     report = CampaignReport(tag, "containment", campaign.seed, campaign.ratios,
                             campaign.samples)
     t0 = time.perf_counter()
-    for ratio, args, enc in _enclosures(campaign, report):
-        value, err = _oracle_value(tag, args)
+    samples = list(_enclosures(campaign, report))
+    values = _oracle_values(tag, [args for _, args, _ in samples])
+    for (ratio, args, enc), (value, err) in zip(samples, values):
         if not enc.contains(value, containment_slack(err, value)):
             report.violations += 1
             if len(report.violation_samples) < _MAX_RECORDED:
@@ -542,19 +548,23 @@ def _id_agm_rf_complete(rng):
     return None
 
 
-def _id_log_kernel_bracket(rng):
-    z = _lu(rng, 1e-3, 1e3)
-    s = 0.01 * z * _lu(rng, 1e-4, 1.0)
-    x = s * _lu(rng, 0.01, 1.0)
-    y = s - x if s > x else 0.5 * s
-    a, g = (x + y) / 2.0, math.sqrt(x * y)
-    level = math.log(2.0 * z / (a + g))
-    lo, hi = level / (z - g), level / (z - a)
-    v, err = quad_oracle.oracle_with_error("Rm1", (x, y, z))
-    slack = containment_slack(err, v)
-    if not (lo - slack <= v <= hi + slack):
-        return f"log-kernel bracket violated at {(x, y, z)}"
-    return None
+def _id_log_kernel_bracket(rng, count):
+    """Messages of ``count`` draws; their oracle values come as one batch."""
+    rows, brackets = [], []
+    for _ in range(count):
+        z = _lu(rng, 1e-3, 1e3)
+        s = 0.01 * z * _lu(rng, 1e-4, 1.0)
+        x = s * _lu(rng, 0.01, 1.0)
+        y = s - x if s > x else 0.5 * s
+        a, g = (x + y) / 2.0, math.sqrt(x * y)
+        level = math.log(2.0 * z / (a + g))
+        rows.append((x, y, z))
+        brackets.append((level / (z - g), level / (z - a)))
+    for args, (lo, hi), (v, err) in zip(rows, brackets,
+                                        quad_oracle.oracle_batch("Rm1", rows)):
+        slack = containment_slack(err, v)
+        yield None if lo - slack <= v <= hi + slack else \
+            f"log-kernel bracket violated at {args}"
 
 
 def _log_derivative_lhs(x, y, z):
@@ -612,6 +622,8 @@ IDENTITY_TAGS = tuple(_IDENTITIES)
 
 # quadrature-backed identities are costly; cap their per-identity sample count
 _SLOW_IDENTITIES = {"log-derivative-shift": 10000, "log-kernel-bracket": 10000}
+# identities that take (rng, count) and yield one message per draw
+_BATCHED_IDENTITIES = {"log-kernel-bracket"}
 
 
 def run_identities(seed: int, n: int, which=None) -> CampaignReport:
@@ -628,8 +640,8 @@ def run_identities(seed: int, n: int, which=None) -> CampaignReport:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 4242, ti]))
         count = min(n, _SLOW_IDENTITIES.get(t, n))
         fn = _IDENTITIES[t]
-        for _ in range(count):
-            msg = fn(rng)
+        msgs = fn(rng, count) if t in _BATCHED_IDENTITIES else (fn(rng) for _ in range(count))
+        for msg in msgs:
             report.evaluated += 1
             if msg is not None:
                 report.violations += 1

@@ -4,8 +4,16 @@ Every kind is evaluated directly from its defining integral over [0, inf):
 the arguments are first rescaled by their maximum (using homogeneity), the
 half-line is split at t = 1, and each piece is mapped to [0, 1] with a
 substitution that absorbs the endpoint behaviour exactly (t = u**2 on the
-head, t = v**-2 on the tail).  Adaptive Gauss-Kronrod quadrature does the
-rest, with break points placed at the argument scales.
+head, t = v**-2 on the tail).
+
+A fixed-node rule then evaluates a whole batch of argument rows at once.
+The head is cut into panels graded geometrically from min sqrt(a) / 64 up
+to 1, so every argument scale sqrt(a) sits on the mesh; the tail is one
+panel.  Each panel gets Gauss-Legendre rules with n and 2n nodes; the
+2n-node value is returned, and |I_2n - I_n| summed over head and tail is
+its error estimate.  A row whose estimate misses the 1e-10 relative target,
+or whose value is not finite, falls back to adaptive Gauss-Kronrod (scipy
+``quad``) on the same integrands, with break points at the argument scales.
 
 This module intentionally shares no evaluation code with
 :mod:`symell.core`; it is the independent side of every dual-route check.
@@ -15,13 +23,26 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["oracle", "oracle_with_error", "oracle_rj_pv", "KINDS"]
+__all__ = ["oracle", "oracle_batch", "oracle_with_error", "oracle_rj_pv", "KINDS"]
 
 _TARGET_REL = 1e-10
+
+_PANELS = 24     # head panels: [0, lo] and 23 geometric ones from lo to 1
+_GRADE = 64.0    # lo = min sqrt(a) / _GRADE over the positive arguments
+_NODES = 10      # nodes per panel of the coarse level; the fine one has 2n
+_CHUNK = 16      # rows evaluated together: larger node arrays fall out of cache
+
+
+_X_COARSE, _W_COARSE = leggauss(_NODES)
+_X_FINE, _W_FINE = leggauss(2 * _NODES)
+_X = np.concatenate([_X_COARSE, _X_FINE])   # the nodes of both levels on [-1, 1]
+_GRADING = np.linspace(1.0, 0.0, _PANELS)
 
 
 def _quad(f, points=None, limit=200):
@@ -62,152 +83,190 @@ def _check_triple(x, y, z):
     _require(sum(1 for v in (x, y, z) if v == 0.0) <= 1, "at most one argument may be zero")
 
 
-def _rc_integral(x, y):
+# --------------------------------------------------------------------------
+# integrands of the rescaled arguments (max 1): head in u with t = u**2,
+# tail in v with t = v**-2.  They take floats (the quad fallback) or
+# broadcasting arrays (the fixed-node rule).
+# --------------------------------------------------------------------------
+
+
+def _rc_check(x, y):
     _require(x >= 0.0 and y > 0.0, "RC requires x >= 0 and y > 0")
-    s = max(x, y)
-    xn, yn = x / s, y / s
-
-    def head(u):
-        t = u * u
-        return u / (math.sqrt(t + xn) * (t + yn))
-
-    def tail(v):
-        w = v * v
-        return 1.0 / (math.sqrt(1.0 + xn * w) * (1.0 + yn * w))
-
-    val, err = _integrate(head, tail, (xn, yn))
-    return val / math.sqrt(s), err / math.sqrt(s)
 
 
-def _rf_integral(x, y, z):
-    _check_triple(x, y, z)
-    s = max(x, y, z)
-    xn, yn, zn = x / s, y / s, z / s
-
-    def head(u):
-        t = u * u
-        return u / math.sqrt((t + xn) * (t + yn) * (t + zn))
-
-    def tail(v):
-        w = v * v
-        return 1.0 / math.sqrt((1.0 + xn * w) * (1.0 + yn * w) * (1.0 + zn * w))
-
-    val, err = _integrate(head, tail, (xn, yn, zn))
-    return val / math.sqrt(s), err / math.sqrt(s)
+def _rc_head(u, x, y):
+    t = u * u
+    return u / (np.sqrt(t + x) * (t + y))
 
 
-def _rd_integral(x, y, z):
+def _rc_tail(v, x, y):
+    w = v * v
+    return 1.0 / (np.sqrt(1.0 + x * w) * (1.0 + y * w))
+
+
+def _rf_head(u, x, y, z):
+    t = u * u
+    return u / np.sqrt((t + x) * (t + y) * (t + z))
+
+
+def _rf_tail(v, x, y, z):
+    w = v * v
+    return 1.0 / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
+
+
+def _rd_check(x, y, z):
     _require(x >= 0.0 and y >= 0.0 and (x > 0.0 or y > 0.0), "RD requires x, y >= 0, not both 0")
     _require(z > 0.0, "RD requires z > 0")
-    s = max(x, y, z)
-    xn, yn, zn = x / s, y / s, z / s
-
-    def head(u):
-        t = u * u
-        return 3.0 * u / (math.sqrt((t + xn) * (t + yn)) * (t + zn) ** 1.5)
-
-    def tail(v):
-        w = v * v
-        return 3.0 * w / (math.sqrt((1.0 + xn * w) * (1.0 + yn * w)) * (1.0 + zn * w) ** 1.5)
-
-    val, err = _integrate(head, tail, (xn, yn, zn))
-    return val / s ** 1.5, err / s ** 1.5
 
 
-def _rj_integral(x, y, z, p):
+def _rd_head(u, x, y, z):
+    t = u * u
+    return 3.0 * u / (np.sqrt((t + x) * (t + y)) * (t + z) ** 1.5)
+
+
+def _rd_tail(v, x, y, z):
+    w = v * v
+    return 3.0 * w / (np.sqrt((1.0 + x * w) * (1.0 + y * w)) * (1.0 + z * w) ** 1.5)
+
+
+def _rj_check(x, y, z, p):
     _check_triple(x, y, z)
     _require(p > 0.0, "RJ oracle requires p > 0")
-    s = max(x, y, z, p)
-    xn, yn, zn, pn = x / s, y / s, z / s, p / s
-
-    def head(u):
-        t = u * u
-        return 3.0 * u / (math.sqrt((t + xn) * (t + yn) * (t + zn)) * (t + pn))
-
-    def tail(v):
-        w = v * v
-        return 3.0 * w / (
-            math.sqrt((1.0 + xn * w) * (1.0 + yn * w) * (1.0 + zn * w)) * (1.0 + pn * w)
-        )
-
-    val, err = _integrate(head, tail, (xn, yn, zn, pn))
-    return val / s ** 1.5, err / s ** 1.5
 
 
-def _rg_integral(x, y, z):
+def _rj_head(u, x, y, z, p):
+    t = u * u
+    return 3.0 * u / (np.sqrt((t + x) * (t + y) * (t + z)) * (t + p))
+
+
+def _rj_tail(v, x, y, z, p):
+    w = v * v
+    return 3.0 * w / (np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w)) * (1.0 + p * w))
+
+
+def _rg_check(x, y, z):
     _require(min(x, y, z) >= 0.0, "RG requires nonnegative arguments")
-    s = max(x, y, z)
-    _require(s > 0.0, "RG requires at least one positive argument")
-    xn, yn, zn = x / s, y / s, z / s
-
-    def head(u):
-        t = u * u
-        num = sum(a / (t + a) for a in (xn, yn, zn) if a > 0.0)
-        return 0.5 * u ** 3 * num / math.sqrt((t + xn) * (t + yn) * (t + zn))
-
-    def tail(v):
-        w = v * v
-        num = sum(a / (1.0 + a * w) for a in (xn, yn, zn))
-        return 0.5 * num / math.sqrt((1.0 + xn * w) * (1.0 + yn * w) * (1.0 + zn * w))
-
-    val, err = _integrate(head, tail, (xn, yn, zn))
-    return val * math.sqrt(s), err * math.sqrt(s)
+    _require(max(x, y, z) > 0.0, "RG requires at least one positive argument")
 
 
-def _rm1_integral(x, y, z):
+def _rg_head(u, x, y, z):
+    t = u * u
+    num = x / (t + x) + y / (t + y) + z / (t + z)
+    return 0.5 * u ** 3 * num / np.sqrt((t + x) * (t + y) * (t + z))
+
+
+def _rg_tail(v, x, y, z):
+    w = v * v
+    num = x / (1.0 + x * w) + y / (1.0 + y * w) + z / (1.0 + z * w)
+    return 0.5 * num / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
+
+
+def _rm1_check(x, y, z):
     _require(min(x, y, z) > 0.0, "Rm1 requires positive arguments")
-    s = max(x, y, z)
-    xn, yn, zn = x / s, y / s, z / s
-
-    def head(u):
-        t = u * u
-        return 2.0 * u / (math.sqrt((t + xn) * (t + yn)) * (t + zn))
-
-    def tail(v):
-        w = v * v
-        return 2.0 * v / (math.sqrt((1.0 + xn * w) * (1.0 + yn * w)) * (1.0 + zn * w))
-
-    val, err = _integrate(head, tail, (xn, yn, zn))
-    return val / s, err / s
 
 
-_DISPATCH = {
-    "RC": _rc_integral,
-    "RF": _rf_integral,
-    "RD": _rd_integral,
-    "RJ": _rj_integral,
-    "RG": _rg_integral,
-    "Rm1": _rm1_integral,
+def _rm1_head(u, x, y, z):
+    t = u * u
+    return 2.0 * u / (np.sqrt((t + x) * (t + y)) * (t + z))
+
+
+def _rm1_tail(v, x, y, z):
+    w = v * v
+    return 2.0 * v / (np.sqrt((1.0 + x * w) * (1.0 + y * w)) * (1.0 + z * w))
+
+
+# kind -> (argument check, head, tail, degree d): the integral at arguments
+# s * a (max a = 1) is s**-d times the integral at a
+_KIND = {
+    "RC": (_rc_check, _rc_head, _rc_tail, 0.5),
+    "RF": (_check_triple, _rf_head, _rf_tail, 0.5),
+    "RD": (_rd_check, _rd_head, _rd_tail, 1.5),
+    "RJ": (_rj_check, _rj_head, _rj_tail, 1.5),
+    "RG": (_rg_check, _rg_head, _rg_tail, -0.5),
+    "Rm1": (_rm1_check, _rm1_head, _rm1_tail, 1.0),
 }
 
-KINDS = tuple(_DISPATCH)
+KINDS = tuple(_KIND)
+
+
+def _fixed_rule(head, tail, a):
+    """(value, error estimate) arrays of the two-level rule for the rows of
+    rescaled arguments ``a`` (shape rows x arity)."""
+    pos = np.where(a > 0.0, a, 1.0)
+    lo = np.sqrt(pos.min(axis=1)) / _GRADE
+    edges = np.zeros((len(a), _PANELS + 1))
+    edges[:, 1:] = lo[:, None] ** _GRADING
+    half = 0.5 * np.diff(edges, axis=1)
+    u = (edges[:, :-1] + half)[:, :, None] + half[:, :, None] * _X
+    fh = head(u, *(a[:, i, None, None] for i in range(a.shape[1])))
+    ft = tail(0.5 + 0.5 * _X, *(a[:, i, None] for i in range(a.shape[1])))
+    n = _NODES
+    h_coarse = ((fh[:, :, :n] * _W_COARSE).sum(axis=2) * half).sum(axis=1)
+    h_fine = ((fh[:, :, n:] * _W_FINE).sum(axis=2) * half).sum(axis=1)
+    t_coarse = 0.5 * (ft[:, :n] * _W_COARSE).sum(axis=1)
+    t_fine = 0.5 * (ft[:, n:] * _W_FINE).sum(axis=1)
+    return h_fine + t_fine, abs(h_fine - h_coarse) + abs(t_fine - t_coarse)
+
+
+def _checked_row(check, args):
+    vals = tuple(float(a) for a in args)
+    for v in vals:
+        if not math.isfinite(v):
+            raise DomainError(f"oracle arguments must be finite, got {vals}")
+    check(*vals)
+    return vals
+
+
+def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
+    """(value, error estimate) of the defining integral of ``kind`` at each
+    argument row, by the fixed-node rule with ``quad`` as the fallback.
+
+    Every row is checked before any is integrated, so an invalid row raises
+    DomainError first; otherwise the first row (in order) that cannot be
+    certified to relative error 1e-10 raises ConvergenceError.
+    """
+    try:
+        check, head, tail, degree = _KIND[kind]
+    except KeyError:
+        raise DomainError(f"unknown oracle kind {kind!r}; expected one of {KINDS}") from None
+    vals = [_checked_row(check, args) for args in rows]
+    out = []
+    for start in range(0, len(vals), _CHUNK):
+        chunk = vals[start:start + _CHUNK]
+        scale = [max(v) for v in chunk]
+        a = np.array(chunk) / np.array(scale)[:, None]
+        with np.errstate(all="ignore"):
+            values, errs = _fixed_rule(head, tail, a)
+        for row, s, an, value, err in zip(chunk, scale, a.tolist(), values.tolist(),
+                                          errs.tolist()):
+            try:
+                if not (math.isfinite(value) and err <= _TARGET_REL * abs(value)):
+                    with np.errstate(divide="raise", over="raise", invalid="raise"):
+                        value, err = _integrate(lambda u: head(u, *an),
+                                                lambda v: tail(v, *an), an)
+                out.append((value / s ** degree, err / s ** degree))
+            except ArithmeticError as exc:
+                # the rescaled integrand or the scale factor left the float64
+                # range, e.g. a product of tiny arguments underflowed to zero
+                # in a denominator
+                raise ConvergenceError(f"{kind} quadrature integrand at {row}: {exc}") from exc
+    return out
 
 
 def oracle(kind: str, args) -> float:
     """Evaluate the defining integral of ``kind`` at ``args`` by quadrature.
 
-    Target relative error 1e-10; raises ConvergenceError when the adaptive
-    scheme cannot certify it or the integrand leaves the float64 range.
+    Target relative error 1e-10; raises ConvergenceError when neither the
+    fixed-node rule nor the adaptive fallback can certify it, or when the
+    integrand leaves the float64 range.
     """
     return oracle_with_error(kind, args)[0]
 
 
 def oracle_with_error(kind: str, args) -> tuple[float, float]:
-    """Like :func:`oracle` but also returns the quadrature error estimate."""
-    try:
-        fn = _DISPATCH[kind]
-    except KeyError:
-        raise DomainError(f"unknown oracle kind {kind!r}; expected one of {KINDS}") from None
-    vals = tuple(float(a) for a in args)
-    for v in vals:
-        if not math.isfinite(v):
-            raise DomainError(f"oracle arguments must be finite, got {vals}")
-    try:
-        return fn(*vals)
-    except ArithmeticError as exc:
-        # the rescaled integrand left the float64 range, e.g. a product of
-        # tiny arguments underflowed to zero in a denominator
-        raise ConvergenceError(f"{kind} quadrature integrand at {vals}: {exc}") from exc
+    """Like :func:`oracle` but also returns the quadrature error estimate;
+    the one-row case of :func:`oracle_batch`."""
+    return oracle_batch(kind, [args])[0]
 
 
 def oracle_rj_pv(x: float, y: float, z: float, p: float) -> float:

@@ -70,6 +70,9 @@ class TestEval:
         ("rd", "5e-324", "5e-324", "5e-324"),  # a closed form overflows
         ("rj", "5e-324", "5e-324", "5e-324", "5e-324"),
         ("rd", "1e308", "1e308", "1e308"),  # a closed form underflows to 0
+        ("rd", "1e-320", "1e-300", "1e300"),  # the reference value underflows
+        ("rj", "1e300", "2e-300", "0", "1e300"),
+        ("rg", "5e-324", "2e300", "2e-300"),  # the three-term sum is not finite
     ])
     def test_float64_extremes_exit_domain(self, spawn, values):
         res = spawn("-m", "symell.cli", "eval", *values, timeout=30)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from symell import (
+    ConvergenceError,
     DomainError,
     agm,
     legendre_e,
@@ -329,3 +330,24 @@ class TestFloat64Extremes:
     def test_convergence_error(self, spawn, call):
         res = spawn("-c", _CALL.format(call=call), timeout=30)
         assert res.stdout.strip() == "ConvergenceError", res.stderr
+
+
+class TestValueRange:
+    """rd and rj refuse a value below the normal float64 range, and rg a
+    three-term sum that is not finite, instead of returning 0, -inf or NaN."""
+
+    @pytest.mark.parametrize("fn,args", [
+        (rd, (1e-320, 1e-300, 1e300)),       # true value about 2e-447
+        (rj, (1e300, 2e-300, 0.0, 1e300)),   # through rd: p equals z
+        (rg, (5e-324, 2e300, 2e-300)),       # was NaN; mpmath gives 7.07e149
+        (rg, (1.0, 2.0, 1e200)),             # was -inf; mpmath gives 5e99
+    ])
+    def test_convergence_error(self, fn, args):
+        with pytest.raises(ConvergenceError):
+            fn(*args)
+
+    def test_normal_values_kept(self):
+        assert rel(rd(1e200, 2e200, 3e200), mp.elliprd(1e200, 2e200, 3e200)) <= 1e-12
+        assert rel(rj(1e50, 2e50, 3e50, 4e50),
+                   mp.elliprj(1e50, 2e50, 3e50, 4e50)) <= 1e-12
+        assert rel(rg(1.0, 2.0, 1e150), mp.elliprg(1.0, 2.0, 1e150)) <= 1e-12

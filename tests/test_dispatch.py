@@ -72,6 +72,28 @@ class TestClosedFormRange:
         assert (rep.method, rep.value) == ("closed_form", 1e-300)
 
 
+class TestReferenceRange:
+    """A reference value below the normal float64 range raises
+    ConvergenceError instead of carrying the reference guarantee."""
+
+    @pytest.mark.parametrize("kind,args", [
+        ("RD", (1e-320, 1e-300, 1e300)),
+        ("RJ", (1e300, 2e-300, 0.0, 1e300)),
+        ("RG", (5e-324, 2e300, 2e-300)),
+    ])
+    def test_raises(self, kind, args):
+        with pytest.raises(ConvergenceError):
+            evaluate(EvalRequest(kind, args, 1e-6))
+
+    def test_negative_enclosure_falls_through(self):
+        # x * y overflows in the D2b formula, whose enclosure came out
+        # negative; mpmath gives rd = 9.5436373562855...e-39 here
+        rep = evaluate(EvalRequest("RD", (2e200, 1e200, 5e-324), 1e-6))
+        assert rep.method == "reference"
+        assert rep.value == pytest.approx(9.543637356285588e-39, rel=1e-12)
+        assert "asym(D2b)" not in labels(plan(EvalRequest("RD", (2e200, 1e200, 5e-324), 1e-6)))
+
+
 class TestAsymptoticPath:
     def test_deep_regime_selects_enclosure(self):
         req = EvalRequest("RF", (1e-9, 2e-9, 1.0), 1e-6)

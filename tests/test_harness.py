@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from symell import DomainError
+from symell import DomainError, asym, quadrature
 from symell.harness import (
     Campaign,
     IDENTITY_TAGS,
@@ -51,6 +52,22 @@ def test_containment_gating_reported():
     assert rep.violations == 0
 
 
+def test_non_positive_enclosure_is_a_violation(monkeypatch):
+    # a case formula that comes out negative is checked against the oracle,
+    # not gated: every integral in the catalog is positive
+    real = asym.enclose
+
+    def negated(tag, *args):
+        enc = real(tag, *args)
+        return dataclasses.replace(enc, lo=-enc.hi, hi=-enc.lo, estimate=-enc.estimate)
+
+    monkeypatch.setattr(asym, "enclose", negated)
+    rep = run_containment(Campaign("F1a", (1e-3,), samples=10, seed=11), check_theta=False)
+    assert (rep.evaluated, rep.gated, rep.violations) == (10, 0, 10)
+    assert {s["kind"] for s in rep.violation_samples} == {"containment"}
+    assert all(s["hi"] < 0.0 for s in rep.violation_samples)
+
+
 def test_order_fit_matches_expected_table():
     for tag in ("C1", "F1a", "D2a", "D2c", "G1b"):
         rep = run_order_fit(tag, (1e-3, 1e-4, 1e-5, 1e-6, 1e-7), seed=42, samples=60)
@@ -93,6 +110,18 @@ def test_identities_subset_selection():
     assert rep.evaluated == 10
     with pytest.raises(DomainError):
         run_identities(seed=1, n=5, which=("no-such-identity",))
+
+
+def test_batched_identity_reports_each_draw(monkeypatch):
+    # the log-kernel bracket takes its oracle values as one batch; a value
+    # outside every bracket is reported once per draw, in draw order
+    clean = run_identities(seed=2, n=12, which=("log-kernel-bracket",))
+    assert (clean.evaluated, clean.violations) == (12, 0)
+    monkeypatch.setattr(quadrature, "oracle_batch",
+                        lambda kind, rows: [(-1.0, 0.0)] * len(rows))
+    rep = run_identities(seed=2, n=12, which=("log-kernel-bracket",))
+    assert (rep.evaluated, rep.violations) == (12, 12)
+    assert rep.violation_samples[0]["detail"].startswith("log-kernel bracket violated at (")
 
 
 def test_bounds_fuzz_clean():

@@ -60,7 +60,8 @@ class TestImportBudget:
 
 
 class TestLazyOracleNames:
-    @pytest.mark.parametrize("name", ["oracle", "oracle_with_error", "oracle_rj_pv"])
+    @pytest.mark.parametrize("name", ["oracle", "oracle_with_error", "oracle_rj_pv",
+                                      "oracle_batch"])
     def test_resolves_to_quadrature(self, name):
         assert getattr(symell, name) is getattr(quadrature, name)
         assert name in dir(symell)
