@@ -388,16 +388,8 @@ _affine("F2a", "RF", 3, 1,
 # ---- RD cases --------------------------------------------------------------
 
 
-def _d12_dom(x, y, z):
-    _nonneg("x", x)
-    _nonneg("y", y)
-    _pos("z", z)
-    if x == 0.0 and y == 0.0:
-        raise DomainError("at most one of x, y may vanish")
-
-
 def _d1_gate(x, y, z):
-    _d12_dom(x, y, z)
+    _f1_dom(x, y, z)
     a, g = _ag(x, y)
     _gate(g < z and a < z, f"D1 requires g < z and a < z, got a={a}, g={g}, z={z}")
 

@@ -19,43 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ._util import cbrt, equal_within_band
 from .errors import DomainError
 
 __all__ = ["INEQ_TAGS", "THETA_TAGS", "Bracket", "bracket", "theta_of",
            "arity", "strictness", "equal_within_band"]
-
-INEQ_TAGS = ("A1", "A2", "A3", "A4", "A5", "A6", "A6a", "A7", "A8", "A9",
-             "A10", "AX", "AY", "AZ")
-THETA_TAGS = ("A3", "A4", "A5", "A6a", "A7", "A8")
-
-_ARITY = {
-    "A1": 2, "A2": 2, "A3": 2, "A4": 2,
-    "A5": 3, "A6": 3, "A6a": 3, "A7": 3, "AX": 3,
-    "A8": 4, "A9": 4, "A10": 4, "AY": 4, "AZ": 4,
-}
-
-# (lo_strict, hi_strict)
-_STRICT = {
-    "A1": (True, True),
-    "A2": (True, True),
-    "A3": (True, True),
-    "A4": (True, True),
-    "A5": (False, False),
-    "A6": (False, False),
-    "A6a": (False, False),
-    "A7": (True, True),
-    "A8": (True, True),
-    "A9": (True, True),
-    "A10": (True, True),
-    "AX": (False, False),
-    "AY": (True, False),
-    "AZ": (False, False),
-}
-
-# inequalities whose middle involves no division by t; t = 0 is allowed
-_T_ZERO_OK = ("AX", "AY", "AZ")
 
 
 @dataclass(frozen=True)
@@ -65,25 +35,36 @@ class Bracket:
     hi: float
 
 
+class _Ineq(NamedTuple):
+    bracket: Callable[..., Bracket]
+    arity: int                  # total argument count, the leading t included
+    strict: tuple[bool, bool]   # (lo < mid, mid < hi) strict
+    t_zero_ok: bool             # the middle has no division by t
+    theta: Callable[..., float] | None   # solved error factor of an equality form
+
+
 def arity(tag: str) -> int:
     """Total argument count (the leading t plus the variables)."""
-    _check_tag(tag)
-    return _ARITY[tag]
+    return _ineq(tag).arity
 
 
 def strictness(tag: str) -> tuple[bool, bool]:
-    _check_tag(tag)
-    return _STRICT[tag]
+    return _ineq(tag).strict
 
 
-def _check_tag(tag: str) -> None:
-    if tag not in _ARITY:
-        raise DomainError(f"unknown inequality tag {tag!r}; expected one of {INEQ_TAGS}")
+def _ineq(tag: str) -> _Ineq:
+    try:
+        return _INEQ[tag]
+    except KeyError:
+        raise DomainError(f"unknown inequality tag {tag!r}; expected one of {INEQ_TAGS}") from None
 
 
-def _validate(tag: str, vals) -> None:
+def _checked(tag: str, ineq: _Ineq, args) -> tuple[float, ...]:
+    vals = tuple(float(a) for a in args)
+    if len(vals) != ineq.arity:
+        raise DomainError(f"{tag} takes {ineq.arity} arguments (t first), got {len(vals)}")
     t = vals[0]
-    if tag in _T_ZERO_OK:
+    if ineq.t_zero_ok:
         if t < 0.0:
             raise DomainError(f"{tag} requires t >= 0, got t={t}")
     elif t <= 0.0:
@@ -94,6 +75,7 @@ def _validate(tag: str, vals) -> None:
     for v in vals:
         if not math.isfinite(v):
             raise DomainError(f"{tag} requires finite arguments, got {vals}")
+    return vals
 
 
 def _ag(x: float, y: float) -> tuple[float, float]:
@@ -174,26 +156,12 @@ def _theta_a8(t, x, y, z):
     return (sp + z * (t + x + y) / (sp + g)) / (t + z)
 
 
-_THETA = {
-    "A3": _theta_a3,
-    "A4": _theta_a4,
-    "A5": _theta_a5,
-    "A6a": _theta_a6a,
-    "A7": _theta_a7,
-    "A8": _theta_a8,
-}
-
-
 def theta_of(tag: str, *args: float) -> float:
     """Solve an equality-form inequality for its error factor."""
-    _check_tag(tag)
-    if tag not in _THETA:
+    ineq = _ineq(tag)
+    if ineq.theta is None:
         raise DomainError(f"{tag} has no equality form; theta_of supports {THETA_TAGS}")
-    vals = tuple(float(a) for a in args)
-    if len(vals) != _ARITY[tag]:
-        raise DomainError(f"{tag} takes {_ARITY[tag]} arguments (t first), got {len(vals)}")
-    _validate(tag, vals)
-    return _THETA[tag](*vals)
+    return ineq.theta(*_checked(tag, ineq, args))
 
 
 # -- bracket evaluators ------------------------------------------------------
@@ -320,33 +288,34 @@ def _br_az(t, x, y, z):
     return Bracket(lo, mid, hi)
 
 
-_BRACKETS = {
-    "A1": _br_a1,
-    "A2": _br_a2,
-    "A3": _br_a3,
-    "A4": _br_a4,
-    "A5": _br_a5,
-    "A6": _br_a6,
-    "A6a": _br_a6a,
-    "A7": _br_a7,
-    "A8": _br_a8,
-    "A9": _br_a9,
-    "A10": _br_a10,
-    "AX": _br_ax,
-    "AY": _br_ay,
-    "AZ": _br_az,
-}
-
-
 def bracket(tag: str, *args: float) -> Bracket:
     """Evaluate (lower bound, exact middle, upper bound) for one inequality.
 
     Arguments are positional with t first, then the variables in the order
     the inequality names them (t, x[, y[, z]]).
     """
-    _check_tag(tag)
-    vals = tuple(float(a) for a in args)
-    if len(vals) != _ARITY[tag]:
-        raise DomainError(f"{tag} takes {_ARITY[tag]} arguments (t first), got {len(vals)}")
-    _validate(tag, vals)
-    return _BRACKETS[tag](*vals)
+    ineq = _ineq(tag)
+    return ineq.bracket(*_checked(tag, ineq, args))
+
+
+# one row per inequality (fields as in _Ineq); the order is the tag order of
+# INEQ_TAGS, which seeds the fuzz campaigns and spans CLI ranges like A1:A10
+_INEQ = {
+    "A1":  _Ineq(_br_a1,   2, (True, True),   False, None),
+    "A2":  _Ineq(_br_a2,   2, (True, True),   False, None),
+    "A3":  _Ineq(_br_a3,   2, (True, True),   False, _theta_a3),
+    "A4":  _Ineq(_br_a4,   2, (True, True),   False, _theta_a4),
+    "A5":  _Ineq(_br_a5,   3, (False, False), False, _theta_a5),
+    "A6":  _Ineq(_br_a6,   3, (False, False), False, None),
+    "A6a": _Ineq(_br_a6a,  3, (False, False), False, _theta_a6a),
+    "A7":  _Ineq(_br_a7,   3, (True, True),   False, _theta_a7),
+    "A8":  _Ineq(_br_a8,   4, (True, True),   False, _theta_a8),
+    "A9":  _Ineq(_br_a9,   4, (True, True),   False, None),
+    "A10": _Ineq(_br_a10,  4, (True, True),   False, None),
+    "AX":  _Ineq(_br_ax,   3, (False, False), True,  None),
+    "AY":  _Ineq(_br_ay,   4, (True, False),  True,  None),
+    "AZ":  _Ineq(_br_az,   4, (False, False), True,  None),
+}
+
+INEQ_TAGS = tuple(_INEQ)
+THETA_TAGS = tuple(tag for tag, ineq in _INEQ.items() if ineq.theta is not None)

@@ -43,6 +43,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# the argparse types of option values turn text into numbers, so a malformed
+# number is a usage error; the commands check the numbers (DomainError, exit 2)
+def _number(text: str, cast=float):
+    try:
+        return cast(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {cast.__name__}: {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="symell",
                   description="Symmetric elliptic integrals with certified enclosures.")
@@ -68,17 +77,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--cases", default="all",
                    help="'all', comma list, or colon range of case/inequality tags; "
                         "'identities' runs the identity suite")
-    p.add_argument("--ratios", default="1e-2:1e-7",
+    p.add_argument("--ratios", type=_ratios_arg, default="1e-2:1e-7",
                    help="colon range of decades (1e-2:1e-7) or comma list")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=int, default=os.environ.get("SEED") or "42",
                    help="campaign seed (flag beats the SEED environment variable)")
     p.add_argument("--out", default="verify_report",
                    help="output prefix; writes <out>.json and <out>.csv")
 
     p = sub.add_parser("table", help="enclosure table for the complete integrals")
     p.add_argument("--function", choices=("K", "E"), required=True)
-    p.add_argument("--kprime-grid", default="",
+    p.add_argument("--kprime-grid", type=_grid_arg, default="",
                    help="comma list, or lo:hi:n for n log-spaced points")
     p.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
 
@@ -262,26 +271,29 @@ def _parse_cases(spec: str) -> tuple[list[str], list[str], bool]:
     return cases, ineqs, identities
 
 
-def _parse_ratios(spec: str) -> tuple[float, ...]:
+def _ratios_arg(spec: str) -> tuple[bool, list[float]]:
+    """(True, [lo, hi]) for a colon range of decades, else (False, ratios)."""
     if ":" in spec:
-        lo_s, _, hi_s = spec.partition(":")
-        lo, hi = float(lo_s), float(hi_s)
+        return True, [_number(v) for v in spec.split(":", 1)]
+    return False, [_number(r) for r in spec.split(",") if r.strip()]
+
+
+def _parse_ratios(spec: tuple[bool, list[float]]) -> tuple[float, ...]:
+    span, vals = spec
+    if span:
+        lo, hi = vals
         if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
             raise DomainError("ratio endpoints must lie in (0, 1)")
         a = round(math.log10(lo))
         b = round(math.log10(hi))
         step = -1 if b < a else 1
         return tuple(10.0 ** e for e in range(a, b + step, step))
-    return tuple(float(r) for r in spec.split(",") if r.strip())
+    return tuple(vals)
 
 
 def _cmd_verify(args) -> int:
     from . import harness
 
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("SEED")
-        seed = int(env) if env else 42
     cases, ineqs, identities = _parse_cases(args.cases)
     ratios = _parse_ratios(args.ratios)
     reports = []
@@ -289,13 +301,13 @@ def _cmd_verify(args) -> int:
     # on; slopes are not comparable across grids (logarithmic corrections)
     fit_ratios, fit_samples = harness.order_fit_settings()
     for tag in cases:
-        camp = harness.Campaign(tag, ratios, args.samples, seed)
+        camp = harness.Campaign(tag, ratios, args.samples, args.seed)
         reports.append(harness.run_containment(camp))
-        reports.append(harness.run_order_fit(tag, fit_ratios, seed, fit_samples))
+        reports.append(harness.run_order_fit(tag, fit_ratios, args.seed, fit_samples))
     for tag in ineqs:
-        reports.append(harness.run_bounds_fuzz(tag, max(args.samples, 1000), seed))
+        reports.append(harness.run_bounds_fuzz(tag, max(args.samples, 1000), args.seed))
     if identities:
-        reports.append(harness.run_identities(seed, args.samples))
+        reports.append(harness.run_identities(args.seed, args.samples))
     harness.write_report_json(reports, f"{args.out}.json")
     harness.write_report_csv(reports, f"{args.out}.csv")
     bad = [r for r in reports if not r.ok]
@@ -312,20 +324,33 @@ def _cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _grid_arg(spec: str) -> tuple[bool, list]:
+    """(True, [lo, hi, n]) for n log-spaced points, else (False, points)."""
     spec = spec.strip()
-    if not spec:
-        return []
     if spec.count(":") == 2:
-        lo_s, hi_s, n_s = spec.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
-        if n < 1:
-            raise DomainError("grid count must be >= 1")
-        if n == 1:
-            return [lo]
-        step = (math.log(hi) - math.log(lo)) / (n - 1)
-        return [math.exp(math.log(lo) + i * step) for i in range(n)]
-    return [float(v) for v in spec.split(",") if v.strip()]
+        lo, hi, n = spec.split(":")
+        return True, [_number(lo), _number(hi), _number(n, int)]
+    return False, [_number(v) for v in spec.split(",") if v.strip()]
+
+
+def _check_kprime(kp: float) -> None:
+    if not 0.0 < kp < 1.0:
+        raise DomainError(f"k' grid values must lie in (0, 1), got {kp}")
+
+
+def _parse_grid(spec: tuple[bool, list]) -> list[float]:
+    span, vals = spec
+    if not span:
+        return vals
+    lo, hi, n = vals
+    if n < 1:
+        raise DomainError("grid count must be >= 1")
+    if n == 1:
+        return [lo]
+    _check_kprime(lo)
+    _check_kprime(hi)
+    step = (math.log(hi) - math.log(lo)) / (n - 1)
+    return [math.exp(math.log(lo) + i * step) for i in range(n)]
 
 
 def _table_rows(function: str, grid: list[float]) -> tuple[list[str], list[list]]:
@@ -335,8 +360,7 @@ def _table_rows(function: str, grid: list[float]) -> tuple[list[str], list[list]
         header += [f"{tag}_lo", f"{tag}_hi", f"{tag}_theta"]
     rows = []
     for kp in grid:
-        if not 0.0 < kp < 1.0:
-            raise DomainError(f"k' grid values must lie in (0, 1), got {kp}")
+        _check_kprime(kp)
         k = math.sqrt((1.0 - kp) * (1.0 + kp))
         ref = core.legendre_k(k) if function == "K" else core.legendre_e(k)
         row: list = [kp, ref]

@@ -16,8 +16,9 @@ class ToleranceError(ValueError):
 class ConvergenceError(RuntimeError):
     """A numerical scheme could not produce a result it can vouch for.
 
-    Raised by the quadrature oracle when the adaptive scheme misses its
-    accuracy target or its integrand leaves the float64 range, and by the
-    duplication evaluators (rf, rd, rj and what builds on them) when float64
-    overflows or underflows inside the iteration.
+    Raised by the quadrature oracle when its fixed-node rule misses the
+    accuracy target on the finest panel count, or the integrand or the
+    scaled value leaves the float64 range, and by the duplication evaluators
+    (rf, rd, rj and what builds on them) when float64 overflows or
+    underflows inside the iteration.
     """

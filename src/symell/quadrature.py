@@ -7,13 +7,15 @@ substitution that absorbs the endpoint behaviour exactly (t = u**2 on the
 head, t = v**-2 on the tail).
 
 A fixed-node rule then evaluates a whole batch of argument rows at once.
-The head is cut into panels graded geometrically from min sqrt(a) / 64 up
-to 1, so every argument scale sqrt(a) sits on the mesh; the tail is one
+The head is cut into 24 panels graded geometrically from min sqrt(a) / 64
+up to 1, so every argument scale sqrt(a) sits on the mesh; the tail is one
 panel.  Each panel gets Gauss-Legendre rules with n and 2n nodes; the
 2n-node value is returned, and |I_2n - I_n| summed over head and tail is
-its error estimate.  A row whose estimate misses the 1e-10 relative target,
-or whose value is not finite, falls back to adaptive Gauss-Kronrod (scipy
-``quad``) on the same integrands, with break points at the argument scales.
+its error estimate.  The rows whose estimate misses the 1e-10 relative
+target, or whose value is not finite, are run again together with twice as
+many head panels, up to 384; a row still uncertified there raises
+ConvergenceError.  This is the only integration route of the defining
+integrals; scipy ``quad`` serves only the principal-value oracle.
 
 This module intentionally shares no evaluation code with
 :mod:`symell.core`; it is the independent side of every dual-route check.
@@ -33,7 +35,9 @@ __all__ = ["oracle", "oracle_batch", "oracle_with_error", "oracle_rj_pv", "KINDS
 
 _TARGET_REL = 1e-10
 
-_PANELS = 24     # head panels: [0, lo] and 23 geometric ones from lo to 1
+# head panels of each try: [0, lo] and P - 1 geometric ones from lo to 1;
+# a row goes on to the next count only while it misses the target
+_PANELS = (24, 48, 96, 192, 384)
 _GRADE = 64.0    # lo = min sqrt(a) / _GRADE over the positive arguments
 _NODES = 10      # nodes per panel of the coarse level; the fine one has 2n
 _CHUNK = 16      # rows evaluated together: larger node arrays fall out of cache
@@ -42,35 +46,7 @@ _CHUNK = 16      # rows evaluated together: larger node arrays fall out of cache
 _X_COARSE, _W_COARSE = leggauss(_NODES)
 _X_FINE, _W_FINE = leggauss(2 * _NODES)
 _X = np.concatenate([_X_COARSE, _X_FINE])   # the nodes of both levels on [-1, 1]
-_GRADING = np.linspace(1.0, 0.0, _PANELS)
-
-
-def _quad(f, points=None, limit=200):
-    res = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=limit,
-               points=points, full_output=1)
-    ok = len(res) == 3
-    return res[0], res[1], ok
-
-
-def _head_points(args):
-    pts = sorted({math.sqrt(a) for a in args if 0.0 < a < 1.0})
-    return pts or None
-
-
-def _integrate(head, tail, args):
-    pts = _head_points(args)
-    v1, e1, ok1 = _quad(head, points=pts)
-    v2, e2, ok2 = _quad(tail)
-    value, err = v1 + v2, e1 + e2
-    if not (ok1 and ok2) or err > _TARGET_REL * abs(value):
-        v1, e1, ok1 = _quad(head, points=pts, limit=800)
-        v2, e2, ok2 = _quad(tail, limit=800)
-        value, err = v1 + v2, e1 + e2
-        if not (ok1 and ok2) or err > _TARGET_REL * abs(value):
-            raise ConvergenceError(
-                f"quadrature error estimate {err:.3e} exceeds target for value {value:.6e}"
-            )
-    return value, err
+_GRADING = {p: np.linspace(1.0, 0.0, p) for p in _PANELS}
 
 
 def _require(cond, msg):
@@ -85,8 +61,8 @@ def _check_triple(x, y, z):
 
 # --------------------------------------------------------------------------
 # integrands of the rescaled arguments (max 1): head in u with t = u**2,
-# tail in v with t = v**-2.  They take floats (the quad fallback) or
-# broadcasting arrays (the fixed-node rule).
+# tail in v with t = v**-2.  They take broadcasting arrays of nodes and
+# argument columns.
 # --------------------------------------------------------------------------
 
 
@@ -189,13 +165,13 @@ _KIND = {
 KINDS = tuple(_KIND)
 
 
-def _fixed_rule(head, tail, a):
-    """(value, error estimate) arrays of the two-level rule for the rows of
-    rescaled arguments ``a`` (shape rows x arity)."""
+def _fixed_rule(head, tail, a, panels):
+    """(value, error estimate) arrays of the two-level rule on ``panels``
+    head panels for the rows of rescaled arguments ``a`` (rows x arity)."""
     pos = np.where(a > 0.0, a, 1.0)
     lo = np.sqrt(pos.min(axis=1)) / _GRADE
-    edges = np.zeros((len(a), _PANELS + 1))
-    edges[:, 1:] = lo[:, None] ** _GRADING
+    edges = np.zeros((len(a), panels + 1))
+    edges[:, 1:] = lo[:, None] ** _GRADING[panels]
     half = 0.5 * np.diff(edges, axis=1)
     u = (edges[:, :-1] + half)[:, :, None] + half[:, :, None] * _X
     fh = head(u, *(a[:, i, None, None] for i in range(a.shape[1])))
@@ -206,6 +182,26 @@ def _fixed_rule(head, tail, a):
     t_coarse = 0.5 * (ft[:, :n] * _W_COARSE).sum(axis=1)
     t_fine = 0.5 * (ft[:, n:] * _W_FINE).sum(axis=1)
     return h_fine + t_fine, abs(h_fine - h_coarse) + abs(t_fine - t_coarse)
+
+
+def _certified(value, err):
+    return np.isfinite(value) & (err <= _TARGET_REL * np.abs(value))
+
+
+def _refined_rule(head, tail, a):
+    """(value, error estimate, certified) arrays for the rows ``a``: the rows
+    that miss the target are run again, together, on twice the head panels
+    until they meet it or the last panel count is spent."""
+    with np.errstate(all="ignore"):
+        value, err = _fixed_rule(head, tail, a, _PANELS[0])
+        ok = _certified(value, err)
+        for panels in _PANELS[1:]:
+            if ok.all():
+                break
+            miss = np.flatnonzero(~ok)
+            value[miss], err[miss] = _fixed_rule(head, tail, a[miss], panels)
+            ok = _certified(value, err)
+    return value, err, ok
 
 
 def _checked_row(check, args):
@@ -219,11 +215,12 @@ def _checked_row(check, args):
 
 def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
     """(value, error estimate) of the defining integral of ``kind`` at each
-    argument row, by the fixed-node rule with ``quad`` as the fallback.
+    argument row, by the fixed-node rule with panel doubling.
 
     Every row is checked before any is integrated, so an invalid row raises
     DomainError first; otherwise the first row (in order) that cannot be
-    certified to relative error 1e-10 raises ConvergenceError.
+    certified to relative error 1e-10 on 384 head panels, or whose value
+    leaves the float64 range when scaled back, raises ConvergenceError.
     """
     try:
         check, head, tail, degree = _KIND[kind]
@@ -235,30 +232,27 @@ def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
         chunk = vals[start:start + _CHUNK]
         scale = [max(v) for v in chunk]
         a = np.array(chunk) / np.array(scale)[:, None]
-        with np.errstate(all="ignore"):
-            values, errs = _fixed_rule(head, tail, a)
-        for row, s, an, value, err in zip(chunk, scale, a.tolist(), values.tolist(),
-                                          errs.tolist()):
+        values, errs, oks = _refined_rule(head, tail, a)
+        for row, s, value, err, ok in zip(chunk, scale, values.tolist(), errs.tolist(),
+                                          oks.tolist()):
+            if not ok:
+                raise ConvergenceError(
+                    f"{kind} quadrature at {row}: error estimate {err:.3e} misses the "
+                    f"target for value {value:.6e} on {_PANELS[-1]} head panels")
             try:
-                if not (math.isfinite(value) and err <= _TARGET_REL * abs(value)):
-                    with np.errstate(divide="raise", over="raise", invalid="raise"):
-                        value, err = _integrate(lambda u: head(u, *an),
-                                                lambda v: tail(v, *an), an)
                 out.append((value / s ** degree, err / s ** degree))
             except ArithmeticError as exc:
-                # the rescaled integrand or the scale factor left the float64
-                # range, e.g. a product of tiny arguments underflowed to zero
-                # in a denominator
-                raise ConvergenceError(f"{kind} quadrature integrand at {row}: {exc}") from exc
+                # the scale factor left the float64 range
+                raise ConvergenceError(f"{kind} quadrature at {row}: {exc}") from exc
     return out
 
 
 def oracle(kind: str, args) -> float:
     """Evaluate the defining integral of ``kind`` at ``args`` by quadrature.
 
-    Target relative error 1e-10; raises ConvergenceError when neither the
-    fixed-node rule nor the adaptive fallback can certify it, or when the
-    integrand leaves the float64 range.
+    Target relative error 1e-10; raises ConvergenceError when the fixed-node
+    rule cannot certify it on 384 head panels, e.g. because the integrand
+    left the float64 range, or when the scaled value leaves that range.
     """
     return oracle_with_error(kind, args)[0]
 

@@ -174,6 +174,17 @@ class TestTable:
         code, _, _ = run(capsys, "table", "--function", "K", "--kprime-grid", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["a,b", "0.1:0.5:x"])
+    def test_malformed_grid_is_usage(self, capsys, grid):
+        code, _, err = run(capsys, "table", "--function", "K", "--kprime-grid", grid)
+        assert code == 64
+        assert "argument --kprime-grid: invalid" in err
+
+    def test_grid_endpoint_out_of_range_exit(self, capsys):
+        code, _, err = run(capsys, "table", "--function", "K", "--kprime-grid", "0:0.5:3")
+        assert code == 2
+        assert "k' grid values must lie in (0, 1), got 0.0" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "--function", "K",
                            "--kprime-grid", "0.01:0.1:3", "--format", "json")
@@ -208,6 +219,18 @@ class TestVerify:
         assert code == 0
         doc = json.loads((tmp_path / "rep.json").read_text())
         assert doc["reports"][0]["seed"] == 123
+
+    def test_malformed_ratios_is_usage(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify", "--ratios", "abc", "--out", str(tmp_path / "rep"))
+        assert code == 64
+        assert "argument --ratios: invalid float: 'abc'" in err
+
+    def test_malformed_seed_env_is_usage(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SEED", "abc")
+        code, _, err = run(capsys, "verify", "--cases", "C1", "--out", str(tmp_path / "rep"))
+        assert code == 64
+        assert "argument --seed: invalid int value: 'abc'" in err
+        assert not (tmp_path / "rep.json").exists()
 
     def test_bad_selector_exit(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", "--cases", "XX", "--out",

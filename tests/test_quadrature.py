@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -58,7 +60,7 @@ def test_rg_with_zero_argument():
 
 
 # --------------------------------------------------------------------------
-# the batched fixed-node rule and its quad fallback
+# the batched fixed-node rule and its panel doubling
 # --------------------------------------------------------------------------
 
 _MP_REF = {
@@ -73,23 +75,40 @@ _MP_REF = {
 }
 
 
+_ARITY = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "Rm1": 3}
+
+
 def _mp_value(kind, args):
     with mp.workdps(40):
         return float(_MP_REF[kind](*(mp.mpf(a) for a in args)))
 
 
 @pytest.fixture
-def count_quad(monkeypatch):
-    """Number of scipy quad calls made by the oracle so far."""
-    calls = []
-    real = quadrature.quad
+def panel_counts(monkeypatch):
+    """Head panel counts of the fixed-node rule runs so far, one per row."""
+    counts = []
+    real = quadrature._fixed_rule
 
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return real(*args, **kwargs)
+    def recording(head, tail, a, panels):
+        counts.extend([panels] * len(a))
+        return real(head, tail, a, panels)
 
-    monkeypatch.setattr(quadrature, "quad", counting)
-    return lambda: len(calls)
+    monkeypatch.setattr(quadrature, "_fixed_rule", recording)
+    return counts
+
+
+@pytest.fixture
+def no_quad(monkeypatch):
+    """Fail any call of scipy quad through the quadrature module."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy quad called")
+
+    monkeypatch.setattr(quadrature, "quad", refuse)
+
+
+def _assert_honest(kind, args, value, err):
+    true = _mp_value(kind, args)
+    assert abs(value - true) <= max(4.0 * err, 2e-13 * abs(value)), (kind, args, value, true)
 
 
 def _campaign_rows():
@@ -111,16 +130,15 @@ def _campaign_rows():
     return rows
 
 
-def test_batch_error_estimate_is_honest(count_quad):
+def test_batch_error_estimate_is_honest(panel_counts):
     rows = _campaign_rows()
     assert set(rows) == set(quadrature.KINDS)
     for kind, batch in rows.items():
         for args, (value, err) in zip(batch, oracle_batch(kind, batch)):
-            true = _mp_value(kind, args)
-            assert abs(value - true) <= max(4.0 * err, 2e-13 * abs(value)), (kind, args)
+            _assert_honest(kind, args, value, err)
             assert err <= 1e-10 * abs(value)
-    # the campaign rows never need the fallback
-    assert count_quad() == 0
+    # the campaign rows never need more than the first panel count
+    assert set(panel_counts) == {24}
 
 
 def test_batch_rows_equal_one_row_calls():
@@ -131,21 +149,53 @@ def test_batch_rows_equal_one_row_calls():
     assert oracle_batch("RF", []) == []
 
 
-def test_forced_fallback_takes_quad(count_quad):
-    # the pole of (t + p) at p = 1e-30 is too sharp for the fixed panels
-    value, err = oracle_with_error("RJ", (1.0, 2.0, 3.0, 1e-30))
-    assert count_quad() > 0
-    assert abs(value - _mp_value("RJ", (1.0, 2.0, 3.0, 1e-30))) <= max(4.0 * err, 2e-13 * value)
-    before = count_quad()
+def test_sharp_pole_row_is_refined(panel_counts, no_quad):
+    # the pole of (t + p) at p = 1e-30 is too sharp for the first 24 panels
+    args = (1.0, 2.0, 3.0, 1e-30)
+    value, err = oracle_with_error("RJ", args)
+    _assert_honest("RJ", args, value, err)
+    assert max(panel_counts) > 24
+    panel_counts.clear()
     oracle_with_error("RJ", (1.0, 2.0, 3.0, 1e-3))
-    assert count_quad() == before
+    assert panel_counts == [24]
 
 
-def test_batch_mixes_fine_and_fallback_rows(count_quad):
-    rows = [(1.0, 2.0, 4.0, 3.0), (1.0, 2.0, 3.0, 1e-30), (1e-3, 2.0, 5.0, 7.0)]
+def test_batch_mixes_fine_and_refined_rows(panel_counts, no_quad):
+    rows = [(1.0, 2.0, 4.0, 3.0), (1.0, 2.0, 3.0, 1e-30), (1e-3, 2.0, 5.0, 7.0),
+            (8.130592002746585e-08, 2.1530578149271714e-11, 1.2820260685739767e-36,
+             5.1496630363401775e-17)]
     batch = oracle_batch("RJ", rows)
-    assert count_quad() > 0
+    assert panel_counts[:4] == [24] * 4 and len(panel_counts) > 4
     assert batch == [oracle_with_error("RJ", args) for args in rows]
+
+
+# rows where the quad fallback of the first fixed-node oracle was dishonest
+@pytest.mark.parametrize("kind, args", [
+    ("RD", (0.09832583294902476, 1.6380176824183885e-39, 1.1810760391621617e-38)),
+    ("RF", (4.501531775713857e-10, 2.2557579298299387e-31, 0.00014519348391965926)),
+    ("RJ", (8.130592002746585e-08, 2.1530578149271714e-11, 1.2820260685739767e-36,
+            5.1496630363401775e-17)),
+])
+def test_wide_range_rows_are_honest(kind, args):
+    _assert_honest(kind, args, *oracle_with_error(kind, args))
+
+
+def test_wide_range_sweep_is_honest():
+    # 100 log-uniform rows per kind, 25 each with arguments down to 1e-3,
+    # 1e-10, 1e-20 and 1e-40
+    rng = np.random.default_rng(11)
+    answered = 0
+    for kind in quadrature.KINDS:
+        rows = [tuple(float(v) for v in 10.0 ** rng.uniform(lo, 0.0, _ARITY[kind]))
+                for lo in (-3, -10, -20, -40) for _ in range(25)]
+        for args in rows:
+            try:
+                value, err = oracle_with_error(kind, args)
+            except ConvergenceError:
+                continue
+            answered += 1
+            _assert_honest(kind, args, value, err)
+    assert answered >= 0.95 * 100 * len(quadrature.KINDS)
 
 
 def test_batch_with_failing_row_raises():
@@ -156,3 +206,19 @@ def test_batch_with_failing_row_raises():
         oracle_batch("RF", [(1e-300, 2e-300, 1.0), (0.0, 0.0, 1.0)])
     with pytest.raises(DomainError):
         oracle_batch("RF", [(1.0, 2.0, math.inf)])
+
+
+def test_oracle_shares_no_code_with_the_evaluators():
+    # the oracle is the independent route: of symell it may import only errors
+    tree = ast.parse(Path(quadrature.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                imported.update(f"symell.{name}" for name in names)
+            else:
+                imported.add(node.module)
+    assert {m for m in imported if m.split(".")[0] == "symell"} == {"symell.errors"}
