@@ -104,11 +104,6 @@ def _sp_minus_t(t, x, y):
     return (t * (x + y) + x * y) / (_sqrt_prod2(t, x, y) + t)
 
 
-def _sp_minus_g(t, x, y, g):
-    # sqrt((t+x)(t+y)) - g
-    return t * (t + x + y) / (_sqrt_prod2(t, x, y) + g)
-
-
 def _mid_a9(t, x, y, z):
     # 1/t^{3/2} - ((t+x)(t+y)(t+z))^{-1/2}
     s = math.log1p(x / t) + math.log1p(y / t) + math.log1p(z / t)

@@ -15,7 +15,10 @@ of asserted, because inverting a formula whose error coefficient is
 ~ratio**2 is numerically meaningless at the extreme ratios.
 
 Sample lists are pre-generated from the seed, so reports are reproducible
-regardless of evaluation order.
+regardless of evaluation order.  The inequality fuzz and the identity
+suite draw their arguments in seeded blocks, one numpy call per block; a
+block holds the same values, in the same order, as one scalar draw per
+value, so their reports are identical to those of scalar draws.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import starmap
 
 import numpy as np
 from scipy.integrate import quad
@@ -59,6 +63,7 @@ THETA_RATIOS = (1e-2, 1e-3, 1e-4, 1e-5)
 
 _ILLCOND_FRACTION = 0.02
 _MAX_RECORDED = 10
+_BLOCK = 4096   # rows per numpy call of a block draw; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,18 @@ def containment_slack(err_estimate: float, value: float) -> float:
 
 def _lu(rng, lo, hi):
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def _block_sizes(count):
+    return (min(_BLOCK, count - start) for start in range(0, count, _BLOCK))
+
+
+def _lu_rows(rng, lo, hi, count, k):
+    """``count`` rows of ``k`` values drawn as by :func:`_lu`, one numpy call
+    per block.  A block fills row by row with the scalar call's arithmetic,
+    so the rows hold the stream of ``count * k`` scalar ``_lu`` calls."""
+    for size in _block_sizes(count):
+        yield from np.exp(rng.uniform(np.log(lo), np.log(hi), (size, k))).tolist()
 
 
 def _small_pair(rng, m):
@@ -384,6 +401,22 @@ def derive_order_table(seed: int = 42, ratios=_DEFAULT_RATIOS[1:],
 # --------------------------------------------------------------------------
 
 
+def _on_rows(k, check):
+    """Identity ``check(*row)`` on rows of ``k`` draws from [1e-3, 1e3]."""
+    return lambda rng, count: starmap(check, _lu_rows(rng, 1e-3, 1e3, count, k))
+
+
+def _on_modulus(check):
+    """Identity ``check(k)`` on moduli drawn uniformly from [0.05, 0.995]."""
+    return lambda rng, count: (check(k) for size in _block_sizes(count)
+                               for k in rng.uniform(0.05, 0.995, size).tolist())
+
+
+def _per_draw(check):
+    """Identity ``check(rng)`` that makes its own draws, one tuple per call."""
+    return lambda rng, count: (check(rng) for _ in range(count))
+
+
 def _triple(rng):
     return (_lu(rng, 1e-3, 1e3), _lu(rng, 1e-3, 1e3), _lu(rng, 1e-3, 1e3))
 
@@ -393,9 +426,7 @@ def _rel_err(a, b):
     return abs(a - b) / scale if scale > 0.0 else 0.0
 
 
-def _id_perm_symmetry(rng):
-    x, y, z = _triple(rng)
-    p = _lu(rng, 1e-3, 1e3)
+def _id_perm_symmetry(x, y, z, p):
     perms = [(x, y, z), (x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x)]
     rf0 = core.rf(x, y, z)
     rg0 = core.rg(x, y, z)
@@ -430,22 +461,19 @@ def _id_homogeneity(rng):
     return None
 
 
-def _id_reduce_rc(rng):
-    x, y, _ = _triple(rng)
+def _id_reduce_rc(x, y, _):
     if _rel_err(core.rf(x, y, y), core.rc(x, y)) > 1e-13:
         return f"rf(x,y,y) vs rc mismatch at {(x, y)}"
     return None
 
 
-def _id_reduce_rd(rng):
-    x, y, z = _triple(rng)
+def _id_reduce_rd(x, y, z):
     if core.rj(x, y, z, z) != core.rd(x, y, z):
         return f"rj(x,y,z,z) vs rd mismatch at {(x, y, z)}"
     return None
 
 
-def _id_rg_three_term(rng):
-    x, y, z = _triple(rng)
+def _id_rg_three_term(x, y, z):
     lhs = 6.0 * core.rg(x, y, z)
     rhs = (x * (y + z) * core.rd(y, z, x) + y * (z + x) * core.rd(z, x, y)
            + z * (x + y) * core.rd(x, y, z))
@@ -454,8 +482,7 @@ def _id_rg_three_term(rng):
     return None
 
 
-def _id_rg_complete_pair(rng):
-    x, y, _ = _triple(rng)
+def _id_rg_complete_pair(x, y, _):
     lhs = 6.0 * core.rg(x, y, 0.0)
     rhs = x * y * (core.rd(0.0, x, y) + core.rd(0.0, y, x))
     if _rel_err(lhs, rhs) > 1e-11:
@@ -463,8 +490,7 @@ def _id_rg_complete_pair(rng):
     return None
 
 
-def _id_rd_cyclic(rng):
-    x, y, z = _triple(rng)
+def _id_rd_cyclic(x, y, z):
     lhs = core.rd(x, y, z) + core.rd(z, x, y) + core.rd(z, y, x)
     rhs = 3.0 / math.sqrt(x * y * z)
     if _rel_err(lhs, rhs) > 1e-11:
@@ -485,8 +511,7 @@ def _id_rg_decomposition(rng):
     return None
 
 
-def _id_legendre_k_minus_e(rng):
-    k = float(rng.uniform(0.05, 0.995))
+def _id_legendre_k_minus_e(k):
     kk = 1.0 - k * k
     lhs = core.legendre_k(k) - core.legendre_e(k)
     rhs = k * k / 3.0 * core.rd(0.0, kk, 1.0)
@@ -495,8 +520,7 @@ def _id_legendre_k_minus_e(rng):
     return None
 
 
-def _id_legendre_e_complement(rng):
-    k = float(rng.uniform(0.05, 0.995))
+def _id_legendre_e_complement(k):
     kk = 1.0 - k * k
     lhs = core.legendre_e(k) - kk * core.legendre_k(k)
     rhs = k * k * kk / 3.0 * core.rd(0.0, 1.0, kk)
@@ -505,8 +529,7 @@ def _id_legendre_e_complement(rng):
     return None
 
 
-def _id_rf_between_rc(rng):
-    x, y, z = _triple(rng)
+def _id_rf_between_rc(x, y, z):
     v = core.rf(x, y, z)
     lo = core.rc(x, 0.5 * (y + z))
     hi = core.rc(x, math.sqrt(y * z))
@@ -539,8 +562,7 @@ def _id_agm_chain(rng):
     return None
 
 
-def _id_agm_rf_complete(rng):
-    x, y, _ = _triple(rng)
+def _id_agm_rf_complete(x, y, _):
     lhs = core.rf(x, y, 0.0)
     rhs = math.pi / (2.0 * core.agm(math.sqrt(x), math.sqrt(y)))
     if _rel_err(lhs, rhs) > 1e-12:
@@ -600,30 +622,30 @@ def _id_log_derivative_shift(rng):
     return None
 
 
+# every identity is fn(rng, count), yielding one message per draw: None
+# when the identity holds, else a description of the miss
 _IDENTITIES = {
-    "perm-symmetry": _id_perm_symmetry,
-    "homogeneity": _id_homogeneity,
-    "reduce-rc": _id_reduce_rc,
-    "reduce-rd": _id_reduce_rd,
-    "rg-three-term": _id_rg_three_term,
-    "rg-complete-pair": _id_rg_complete_pair,
-    "rd-cyclic": _id_rd_cyclic,
-    "rg-decomposition": _id_rg_decomposition,
-    "legendre-k-minus-e": _id_legendre_k_minus_e,
-    "legendre-e-complement": _id_legendre_e_complement,
-    "rf-between-rc": _id_rf_between_rc,
-    "agm-chain": _id_agm_chain,
-    "agm-rf-complete": _id_agm_rf_complete,
+    "perm-symmetry": _on_rows(4, _id_perm_symmetry),
+    "homogeneity": _per_draw(_id_homogeneity),
+    "reduce-rc": _on_rows(3, _id_reduce_rc),
+    "reduce-rd": _on_rows(3, _id_reduce_rd),
+    "rg-three-term": _on_rows(3, _id_rg_three_term),
+    "rg-complete-pair": _on_rows(3, _id_rg_complete_pair),
+    "rd-cyclic": _on_rows(3, _id_rd_cyclic),
+    "rg-decomposition": _per_draw(_id_rg_decomposition),
+    "legendre-k-minus-e": _on_modulus(_id_legendre_k_minus_e),
+    "legendre-e-complement": _on_modulus(_id_legendre_e_complement),
+    "rf-between-rc": _on_rows(3, _id_rf_between_rc),
+    "agm-chain": _per_draw(_id_agm_chain),
+    "agm-rf-complete": _on_rows(3, _id_agm_rf_complete),
     "log-kernel-bracket": _id_log_kernel_bracket,
-    "log-derivative-shift": _id_log_derivative_shift,
+    "log-derivative-shift": _per_draw(_id_log_derivative_shift),
 }
 
 IDENTITY_TAGS = tuple(_IDENTITIES)
 
 # quadrature-backed identities are costly; cap their per-identity sample count
 _SLOW_IDENTITIES = {"log-derivative-shift": 10000, "log-kernel-bracket": 10000}
-# identities that take (rng, count) and yield one message per draw
-_BATCHED_IDENTITIES = {"log-kernel-bracket"}
 
 
 def run_identities(seed: int, n: int, which=None) -> CampaignReport:
@@ -639,9 +661,7 @@ def run_identities(seed: int, n: int, which=None) -> CampaignReport:
     for ti, t in enumerate(tags):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 4242, ti]))
         count = min(n, _SLOW_IDENTITIES.get(t, n))
-        fn = _IDENTITIES[t]
-        msgs = fn(rng, count) if t in _BATCHED_IDENTITIES else (fn(rng) for _ in range(count))
-        for msg in msgs:
+        for msg in _IDENTITIES[t](rng, count):
             report.evaluated += 1
             if msg is not None:
                 report.violations += 1
@@ -660,14 +680,14 @@ def run_bounds_fuzz(tag: str, n: int = 100000, seed: int = 42) -> CampaignReport
     """Fuzz one Appendix inequality; violations outside the 4-ulp band count."""
     if tag not in bounds.INEQ_TAGS:
         raise DomainError(f"unknown inequality {tag!r}")
+    if n < 1:
+        raise DomainError("n must be >= 1")
     report = CampaignReport(tag, "bounds", seed, (), n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 777, bounds.INEQ_TAGS.index(tag)]))
     nargs = bounds.arity(tag)
     strict_lo, strict_hi = bounds.strictness(tag)
     t0 = time.perf_counter()
-    for i in range(n):
-        t = _lu(rng, 1e-6, 1e6)
-        vals = [_lu(rng, 1e-6, 1e6) for _ in range(nargs - 1)]
+    for i, (t, *vals) in enumerate(_lu_rows(rng, 1e-6, 1e6, n, nargs)):
         equal_probe = i % 10 == 9
         if equal_probe and nargs >= 3:
             vals = [vals[0]] * (nargs - 1) if i % 20 == 19 else [vals[0], vals[0]] + vals[2:]

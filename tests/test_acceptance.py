@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from symell import core, dispatch, oracle_with_error
+from symell import core, dispatch, oracle_batch
 from symell.asym import (
     CASE_TAGS,
     case_kind,
@@ -42,23 +42,38 @@ def _lu(rng, lo, hi, size=None):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
 
 
+def _oracle_in_order(requests):
+    """Oracle (value, error estimate) for each (kind, args) request, in
+    request order, from one oracle_batch call per kind."""
+    out = [None] * len(requests)
+    by_kind = {}
+    for i, (kind, _) in enumerate(requests):
+        by_kind.setdefault(kind, []).append(i)
+    for kind, idx in by_kind.items():
+        for i, row in zip(idx, oracle_batch(kind, [requests[i][1] for i in idx])):
+            out[i] = row
+    return out
+
+
 def test_criterion_1_dual_oracle_agreement():
     """criterion 1: dual-oracle agreement to 1e-9 on 1000 tuples per function"""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
-    worst = {}
+    rows = []
     for _ in range(1000):
         x, y, z, p = (float(v) for v in _lu(rng, 1e-3, 1e3, 4))
-        for name, mine, kind, args in (
+        rows += [
             ("RC", core.rc(x, y), "RC", (x, y)),
             ("RF", core.rf(x, y, z), "RF", (x, y, z)),
             ("RD", core.rd(x, y, z), "RD", (x, y, z)),
             ("RJ", core.rj(x, y, z, p), "RJ", (x, y, z, p)),
             ("RG", core.rg(x, y, z), "RG", (x, y, z)),
-        ):
-            ref, _ = oracle_with_error(kind, args)
-            rel = abs(mine - ref) / abs(ref)
-            worst[name] = max(worst.get(name, 0.0), rel)
+        ]
+    worst = {}
+    refs = _oracle_in_order([(kind, args) for _, _, kind, args in rows])
+    for (name, mine, _, _), (ref, _) in zip(rows, refs):
+        rel = abs(mine - ref) / abs(ref)
+        worst[name] = max(worst.get(name, 0.0), rel)
     elapsed = time.perf_counter() - t0
     assert all(v <= 1e-9 for v in worst.values()), worst
     assert elapsed < 120.0, f"dual-oracle run took {elapsed:.1f}s"
@@ -192,7 +207,7 @@ def test_criterion_9_dispatcher_soundness():
                "J5": "RJ", "J6a": "RJ", "G1a": "RG", "G2": "RG"}
     tags = list(regimes)
     tols = (1e-3, 1e-6, 1e-9)
-    checked = 0
+    requests, reports = [], []
     for i in range(10000):
         tol = tols[i % 3]
         if i % 5 == 0:
@@ -205,8 +220,11 @@ def test_criterion_9_dispatcher_soundness():
             kind = regimes[tag]
             ratio = 10.0 ** float(rng.uniform(-9, -2))
             args = sample_args(tag, ratio, rng)
-        rep = dispatch.evaluate(dispatch.EvalRequest(kind, args, tol))
-        ref, err = oracle_with_error(kind, args)
+        requests.append((kind, args))
+        reports.append((tol, dispatch.evaluate(dispatch.EvalRequest(kind, args, tol))))
+    checked = 0
+    for (kind, args), (tol, rep), (ref, err) in zip(requests, reports,
+                                                    _oracle_in_order(requests)):
         achieved = abs(rep.value - ref) / abs(ref)
         assert achieved <= tol + 4.0 * err / abs(ref), (kind, args, tol, achieved)
         checked += 1

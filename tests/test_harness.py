@@ -1,9 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from symell import DomainError, asym, quadrature
+from symell import DomainError, asym, bounds, harness, quadrature
 from symell.harness import (
     Campaign,
     IDENTITY_TAGS,
@@ -128,6 +129,57 @@ def test_bounds_fuzz_clean():
     for tag in ("A1", "A5", "AZ"):
         rep = run_bounds_fuzz(tag, n=3000, seed=42)
         assert rep.violations == 0
+
+
+def test_bounds_fuzz_rejects_empty_runs():
+    # a campaign that checks nothing must not report a pass
+    for n in (0, -3):
+        with pytest.raises(DomainError, match="n must be >= 1"):
+            run_bounds_fuzz("A1", n=n, seed=1)
+
+
+def test_block_draws_reproduce_scalar_stream():
+    # the fuzz and identity campaigns draw their arguments in blocks; their
+    # reports equal scalar draws only while numpy's array uniform and exp
+    # give the scalar calls' values bit for bit, which this pins
+    count = harness._BLOCK + 5   # crosses a block boundary
+    for k in (2, 3, 4):
+        for lo, hi in ((1e-6, 1e6), (1e-3, 1e3)):
+            seq = np.random.SeedSequence([42, k, int(hi)])
+            rng_block, rng_scalar = np.random.default_rng(seq), np.random.default_rng(seq)
+            rows = list(harness._lu_rows(rng_block, lo, hi, count, k))
+            flat = [v for row in rows for v in row]
+            assert len(rows) == count and all(len(row) == k for row in rows)
+            assert flat == [harness._lu(rng_scalar, lo, hi) for _ in range(count * k)]
+    rng_block, rng_scalar = np.random.default_rng(7), np.random.default_rng(7)
+    moduli = list(harness._on_modulus(lambda k: k)(rng_block, count))
+    assert moduli == [float(rng_scalar.uniform(0.05, 0.995)) for _ in range(count)]
+
+
+def test_bounds_fuzz_replays_scalar_loop(monkeypatch):
+    # every inequality sees the tuples of the scalar loop the block draw
+    # replaced, equal probes included
+    seen = []
+    real = bounds.bracket
+
+    def recording(tag, *args):
+        seen.append((tag, args))
+        return real(tag, *args)
+
+    monkeypatch.setattr(bounds, "bracket", recording)
+    n, seed = 200, 3
+    expected = []
+    for index, tag in enumerate(bounds.INEQ_TAGS):
+        run_bounds_fuzz(tag, n=n, seed=seed)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 777, index]))
+        nargs = bounds.arity(tag)
+        for i in range(n):
+            t = harness._lu(rng, 1e-6, 1e6)
+            vals = [harness._lu(rng, 1e-6, 1e6) for _ in range(nargs - 1)]
+            if i % 10 == 9 and nargs >= 3:
+                vals = [vals[0]] * (nargs - 1) if i % 20 == 19 else [vals[0], vals[0]] + vals[2:]
+            expected.append((tag, (t, *vals)))
+    assert seen == expected
 
 
 def test_report_writers(tmp_path):
