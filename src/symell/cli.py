@@ -107,12 +107,13 @@ def _cmd_eval(args) -> int:
     kind = args.kind.upper()
     vals = tuple(args.values)
     arity = dispatch._KIND[kind][0]
-    # checked here, not only by EvalRequest: the principal-value branches
-    # below index vals[3] before any request is built
+    # checked here, before EvalRequest: a wrong count is a usage error (64),
+    # not a domain error (2)
     if len(vals) != arity:
         print(f"error: {args.kind} takes {arity} arguments, got {len(vals)}",
               file=sys.stderr)
         return EXIT_USAGE
+    req = dispatch.EvalRequest(kind, vals, args.rel_tol)
     # negative final argument routes to the principal-value evaluators
     if kind == "RC" and vals[1] < 0.0:
         value = core.rc_pv(vals[0], -vals[1])
@@ -121,7 +122,11 @@ def _cmd_eval(args) -> int:
         value = core.rj_pv(*vals)
         report = dispatch.EvalReport(value, "reference", None, 1e-12)
     else:
-        report = dispatch.evaluate(dispatch.EvalRequest(kind, vals, args.rel_tol))
+        report = dispatch.evaluate(req)
+    # evaluate meets rel_tol by construction; a principal value's guarantee is fixed
+    if report.guaranteed_rel_err > req.rel_tol:
+        raise ToleranceError(f"the {kind} principal value is certified to "
+                             f"{report.guaranteed_rel_err:g}, not rel_tol={req.rel_tol:g}")
     if args.json:
         enc = None
         if report.enclosure is not None:

@@ -1,13 +1,17 @@
 """Tolerance-driven evaluation: cheapest method that certifies the request.
 
 Method ladder: closed forms (exact argument patterns), then asymptotic
-enclosures ordered by (cost class, predicted half-width), then the
-reference evaluator.  A case's predicted half-width comes from the same
-bracket formulas the enclosure uses, so "meets tolerance" is a guarantee
-rather than a heuristic.  Asymptotic cases are considered only when their
-regime ratio is at most 1e-2 — the territory the containment campaigns
-certify; anything outside falls through silently to the reference path,
-as does an enclosure that carries a note or whose upper end is not positive.
+enclosures by cost class, then the reference evaluator.  One lazy walk
+serves both entry points: it builds enclosures one cost class at a time,
+cheapest first, and orders a class by predicted half-width; ``evaluate``
+stops at the first step that certifies the request, and ``plan`` lists
+every step.  A case's predicted half-width comes from the same bracket
+formulas the enclosure uses, so "meets tolerance" is a guarantee rather
+than a heuristic, and the narrowest step of a class certifies if any of
+it does.  Asymptotic cases are considered only when their regime ratio is
+at most 1e-2 — the territory the containment campaigns certify; anything
+outside falls through silently to the reference path, as does an
+enclosure that carries a note or whose upper end is not positive.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
 through the branchy rc evaluation 1e-13; asymptotic = relative half-width
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import asym, core
 from .errors import ConvergenceError, DomainError, ToleranceError
@@ -34,6 +38,9 @@ _RATIO_MAX = 1e-2
 
 # guarantee margin covering auxiliary core terms inside enclosure endpoints
 _ASYM_MARGIN = 2e-13
+
+# what a case's ratio or enclosure may raise outside its territory
+_SKIP = (DomainError, ValueError, ZeroDivisionError, OverflowError, ConvergenceError)
 
 _GUAR_ELEMENTARY = 1e-14
 _GUAR_RC = 1e-13
@@ -196,64 +203,57 @@ def _case_args(kind: str, args) -> tuple:
     return args
 
 
-@dataclass
-class _Candidate:
-    step: PlanStep
-    enclosure: asym.Enclosure | None = field(default=None, compare=False)
-    value: float | None = None        # a closed form's value
-
-
-def _candidates(req: EvalRequest) -> list[_Candidate]:
-    out: list[_Candidate] = []
+def _walk(req: EvalRequest):
+    """(method, case, cost, guarantee, half-width, value or enclosure) per step."""
     cf = _closed_form(req.kind, req.args)
     if cf is not None:
-        out.append(_Candidate(PlanStep("closed_form", None, 0, cf[1]), value=cf[0]))
+        yield "closed_form", None, 0, cf[1], None, cf[0]
     try:
         cargs = _case_args(req.kind, req.args)
+        tags = asym.kind_cases(req.kind)
     except DomainError:
-        cargs = None
-    asym_cands: list[_Candidate] = []
-    if cargs is not None:
-        for tag in asym.kind_cases(req.kind):
+        tags = ()
+    classes: dict[int, list[str]] = {}
+    for tag in tags:
+        try:
+            if asym.case_ratio(tag, *cargs) > _RATIO_MAX:
+                continue
+        except _SKIP:
+            continue
+        classes.setdefault(asym.case_cost(tag), []).append(tag)
+    for cost in sorted(classes):
+        steps = []
+        for tag in classes[cost]:
             try:
-                if asym.case_ratio(tag, *cargs) > _RATIO_MAX:
-                    continue
                 enc = asym.enclose(tag, *cargs)
-            except (DomainError, ValueError, ZeroDivisionError, OverflowError,
-                    ConvergenceError):
+            except _SKIP:
                 continue
             if enc.note is not None or enc.hi <= 0.0:
-                # a reference-evaluator or non-finite endpoint, or rounding
-                # in the case formula cancelled a positive integral
+                # a reference or non-finite endpoint, or a cancelled integral
                 continue
             hw = 0.5 * enc.rel_width()
-            if not math.isfinite(hw):
-                continue
-            step = PlanStep("asym", tag, asym.case_cost(tag), hw + _ASYM_MARGIN, hw)
-            asym_cands.append(_Candidate(step, enc))
-    asym_cands.sort(key=lambda c: (c.step.cost, c.step.predicted_rel_halfwidth, c.step.case))
-    out.extend(asym_cands)
-    out.append(_Candidate(PlanStep("reference", None, 9, _KIND[req.kind][2])))
-    return out
+            if math.isfinite(hw):
+                steps.append((hw, tag, enc))
+        for hw, tag, enc in sorted(steps, key=lambda s: s[:2]):
+            yield "asym", tag, cost, hw + _ASYM_MARGIN, hw, enc
+    yield "reference", None, 9, _KIND[req.kind][2], None, None
 
 
 def plan(req: EvalRequest) -> list[PlanStep]:
-    """Deterministic candidate ordering for a request."""
-    return [c.step for c in _candidates(req)]
+    """Every step of the request's walk, in the order evaluate tries them."""
+    return [PlanStep(*s[:5]) for s in _walk(req)]
 
 
 def evaluate(req: EvalRequest) -> EvalReport:
     """Evaluate with the cheapest method whose guarantee meets the tolerance."""
-    for cand in _candidates(req):
-        step = cand.step
-        if step.guaranteed_rel_err > req.rel_tol:
+    for method, case, _, guar, _, got in _walk(req):
+        if guar > req.rel_tol:
             continue
-        if step.method == "closed_form":
-            return EvalReport(cand.value, "closed_form", None, step.guaranteed_rel_err)
-        if step.method == "asym":
-            enc = cand.enclosure
-            return EvalReport(enc.estimate, "asym", step.case, step.guaranteed_rel_err, enc)
+        if method == "closed_form":
+            return EvalReport(got, method, None, guar)
+        if method == "asym":
+            return EvalReport(got.estimate, method, case, guar, got)
         value, guar = reference(req.kind, req.args)
-        return EvalReport(value, "reference", None, guar)
+        return EvalReport(value, method, None, guar)
     raise ToleranceError(
         f"no method certifies rel_tol={req.rel_tol:g} for {req.kind}{req.args}")

@@ -42,6 +42,16 @@ class TestEval:
         assert float(out.split()[0]) == pytest.approx(core.rj_pv(1, 2, 3, -0.5), rel=1e-15)
         assert out.split()[1] == "reference"
 
+    @pytest.mark.parametrize("values,tol,exit_code", [
+        (("rc", "1", "-2"), "1e-14", 3),  # rc_pv is certified to 1e-13
+        (("rj", "1", "2", "4", "-1"), "1e-14", 3),  # rj_pv to 1e-12
+        (("rj", "1", "2", "4", "-1"), "0.9", 2),  # outside [1e-14, 0.1], as for rf
+    ])
+    def test_principal_value_honours_rel_tol(self, capsys, values, tol, exit_code):
+        code, out, err = run(capsys, "eval", *values, "--rel-tol", tol)
+        assert code == exit_code
+        assert out == "" and err.startswith("error: ")
+
     def test_scientific_negative_token(self, capsys):
         code, out, _ = run(capsys, "eval", "rj", "1", "2", "3", "-5e-1")
         assert code == 0

@@ -9,6 +9,7 @@ from symell import (
     EvalReport,
     EvalRequest,
     ToleranceError,
+    asym,
     core,
     evaluate,
     oracle,
@@ -18,6 +19,45 @@ from symell import (
 
 def labels(steps):
     return [f"asym({s.case})" if s.method == "asym" else s.method for s in steps]
+
+
+_ARITY = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "K": 1, "E": 1}
+
+
+def _mixed_batch(rng, rounds):
+    """(kind, args) of every kind: generic magnitudes 1e-3..1e3, a deep
+    regime with ratio 1e-9..1e-3, and equal arguments (a closed form)."""
+    def lu(n):
+        return tuple(float(v) for v in np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n)))
+
+    for _ in range(rounds):
+        for kind, n in _ARITY.items():
+            ratio = 10.0 ** float(rng.uniform(-9, -3))
+            if kind in ("K", "E"):
+                yield kind, (float(rng.uniform(0.01, 0.99)),)
+                yield kind, (math.sqrt(1.0 - ratio),)
+                yield kind, (0.0,)
+                continue
+            yield kind, lu(n)
+            vals = list(lu(n))
+            for i in rng.choice(n, int(rng.integers(1, n)), replace=False):
+                vals[i] *= ratio
+            yield kind, tuple(vals)
+            yield kind, lu(1) * n
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Tags of the enclosures built while the test runs, in call order."""
+    tags = []
+    enclose = asym.enclose
+
+    def counting(tag, *args):
+        tags.append(tag)
+        return enclose(tag, *args)
+
+    monkeypatch.setattr(asym, "enclose", counting)
+    return tags
 
 
 class TestClosedForms:
@@ -129,6 +169,38 @@ class TestAsymptoticPath:
         assert rep.case in ("F1e", "F1f")
 
 
+class TestLazyWalk:
+    """evaluate builds enclosures one cost class at a time and stops at the
+    first step that certifies the request."""
+
+    @pytest.mark.parametrize("kind,args", [
+        ("RF", (2.0, 2.0, 2.0)),
+        ("RD", (0.0, 2.0, 2.0)),  # D4 is in ratio and listed by plan
+    ])
+    def test_closed_form_builds_no_enclosure(self, built, kind, args):
+        rep = evaluate(EvalRequest(kind, args, 1e-12))
+        assert rep.method == "closed_form"
+        assert built == []
+
+    @pytest.mark.parametrize("kind,args,case", [
+        ("RF", (1e-9, 2e-9, 1.0), "F1d"),
+        ("RD", (1.0, 1.0, 1e-8), "D2a"),  # D2b and D2c (cost 2) are in ratio
+    ])
+    def test_cost_one_pick_builds_cost_one_only(self, built, kind, args, case):
+        rep = evaluate(EvalRequest(kind, args, 1e-6))
+        assert (rep.method, rep.case) == ("asym", case)
+        assert built and {asym.case_cost(t) for t in built} == {1}
+
+    def test_cost_two_pick_builds_no_cost_three(self, built):
+        req = EvalRequest("RJ", (700.0, 150.0, 0.25, 0.003), 1e-3)
+        rep = evaluate(req)
+        # the cost-1 steps J4a (2.3e-3) and J2a miss; J4c (cost 2) certifies
+        assert (rep.method, rep.case) == ("asym", "J4c")
+        assert {asym.case_cost(t) for t in built} == {1, 2}
+        assert "J2b" not in built
+        assert "asym(J2b)" in labels(plan(req))  # cost 3 and in ratio
+
+
 class TestContract:
     def test_determinism(self):
         req = EvalRequest("RD", (1e-7, 2e-7, 1.0), 1e-6)
@@ -151,6 +223,24 @@ class TestContract:
             evaluate(EvalRequest("RD", (1.0, 1.0, -1.0), 1e-6))
         with pytest.raises(DomainError):
             evaluate(EvalRequest("RJ", (1.0, 1.0, 1.0, -1.0), 1e-6))
+
+    def test_evaluate_takes_first_certifying_step(self, rng):
+        seen = set()
+        for kind, args in _mixed_batch(rng, 4):
+            # 1e-14 is beyond every step but the elementary closed forms
+            for tol in (1e-3, 1e-6, 1e-9, 1e-12, 1e-14):
+                req = EvalRequest(kind, args, tol)
+                first = next((s for s in plan(req) if s.guaranteed_rel_err <= tol), None)
+                if first is None:
+                    with pytest.raises(ToleranceError):
+                        evaluate(req)
+                    seen.add("refused")
+                    continue
+                rep = evaluate(req)
+                assert (rep.method, rep.case, rep.guaranteed_rel_err) == \
+                    (first.method, first.case, first.guaranteed_rel_err), req
+                seen.add(rep.method)
+        assert seen == {"closed_form", "asym", "reference", "refused"}
 
     def test_report_invariants(self):
         rep = evaluate(EvalRequest("RF", (1e-8, 1e-8, 1.0), 1e-6))
