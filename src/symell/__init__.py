@@ -17,7 +17,6 @@ from .core import (
 from .asym import (
     CASE_TAGS,
     Enclosure,
-    Regime,
     approx_e,
     approx_k,
     approx_rc,
@@ -72,7 +71,6 @@ __all__ = [
     "oracle_with_error",
     "CASE_TAGS",
     "Enclosure",
-    "Regime",
     "approx_e",
     "approx_k",
     "approx_rc",

@@ -7,11 +7,13 @@ whenever the case's preconditions hold; the interval is widened outward by
 8 ulps per endpoint to absorb evaluation rounding, and the estimate is the
 interval midpoint.
 
-The catalog is a registry of small case descriptors.  Most formulas are
-affine in their error symbol; the C2/F1e/F1f family is affine in
-log(symbol) instead, and J1b is a multiplicative form.  theta_recover
-inverts a case formula for the realized error symbol given the true value,
-which must land inside the stated bracket (the bracket-realization tests).
+The catalog is a registry of case rows: kind, cost, gate, smallness ratio,
+argument sampler, bracket and formula; the arity and the reference route
+follow from the kind.  Most formulas are affine in their error symbol; the
+C2/F1e/F1f family is affine in log(symbol) instead, and J1b is a
+multiplicative form.  theta_recover inverts a case formula for the realized
+error symbol given the true value, which must land inside the stated
+bracket (the bracket-realization tests).
 
 Cases whose displayed formula covers only one side (C2c, F1b) are paired
 with the best same-family endpoint so the return type stays uniform.  G1a's
@@ -35,7 +37,7 @@ from .errors import DomainError, RegimeError
 __all__ = [
     "CASE_TAGS",
     "Enclosure",
-    "Regime",
+    "KIND_ARITY",
     "approx_e",
     "approx_k",
     "approx_rc",
@@ -43,7 +45,6 @@ __all__ = [
     "approx_rf",
     "approx_rg",
     "approx_rj",
-    "case_arity",
     "case_cost",
     "case_kind",
     "case_ratio",
@@ -51,6 +52,8 @@ __all__ = [
     "has_symbol",
     "kind_cases",
     "recover_sigma",
+    "reference_route",
+    "sample_case",
     "sym_bracket",
     "theta_recover",
 ]
@@ -78,15 +81,6 @@ class Enclosure:
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= value <= self.hi + slack
-
-
-@dataclass(frozen=True)
-class Regime:
-    """Smallness ratio of a case at given arguments, plus the gate verdict."""
-
-    ratio: float
-    ok: bool
-    detail: str = ""
 
 
 def _pos(name, v):
@@ -117,16 +111,19 @@ def _rf_complete(x, y):
 # case descriptors
 # --------------------------------------------------------------------------
 
+# arguments of each kind of integral; a K or E case takes k' alone
+KIND_ARITY = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "K": 1, "E": 1}
+
 
 @dataclass(frozen=True)
 class _Case:
     tag: str
     kind: str
-    arity: int
     cost: int
     strict: tuple[bool, bool]
     gate: Callable
     ratio: Callable
+    sample: Callable             # (ratio, s, w, lu, coin) -> args, see sample_case
     bracket: Callable            # args -> (sym_lo, sym_hi)
     value: Callable              # (args, sym) -> float
     recover: Callable | None     # (args, value) -> sym, None for one-sided
@@ -141,7 +138,7 @@ def _register(case: _Case):
     _CASES[case.tag] = case
 
 
-def _affine(tag, kind, arity, cost, gate, ratio, bracket, ab, strict=(True, True),
+def _affine(tag, kind, cost, gate, ratio, sample, bracket, ab, strict=(True, True),
             build=None):
     """Case whose formula is value = A + B*sym."""
 
@@ -160,11 +157,11 @@ def _affine(tag, kind, arity, cost, gate, ratio, bracket, ab, strict=(True, True
         _, b = ab(*args)
         return math.inf if b == 0.0 else 1.0 / abs(b)
 
-    _register(_Case(tag, kind, arity, cost, strict, gate, ratio, bracket, value,
+    _register(_Case(tag, kind, cost, strict, gate, ratio, sample, bracket, value,
                     recover, deriv, build))
 
 
-def _log_theta(tag, kind, arity, cost, gate, ratio, bracket, abk, strict=(True, True)):
+def _log_theta(tag, kind, cost, gate, ratio, sample, bracket, abk, strict=(True, True)):
     """Case whose formula is value = A + B*log(kappa*sym)."""
 
     def value(args, s):
@@ -180,8 +177,21 @@ def _log_theta(tag, kind, arity, cost, gate, ratio, bracket, abk, strict=(True, 
         theta = math.exp((v - a) / b) / kappa
         return abs(theta / b)
 
-    _register(_Case(tag, kind, arity, cost, strict, gate, ratio, bracket, value,
+    _register(_Case(tag, kind, cost, strict, gate, ratio, sample, bracket, value,
                     recover, deriv))
+
+
+# ---- argument samplers -----------------------------------------------------
+# sample(r, s, w, lu, coin) is an in-regime argument tuple with the case ratio
+# pinned to r, given a magnitude s drawn log-uniformly over [1e-3, 1e3], a
+# shape factor w over [0.1, 10], and the draws lu(lo, hi), log-uniform, and
+# coin(), uniform on [0, 1).  Within-group factors span at most two decades.
+
+
+def _small_pair(m, lu, coin):
+    """Two values with the larger pinned to m, skew at most two decades."""
+    u = lu(0.01, 1.0)
+    return (m, m * u) if coin() < 0.5 else (m * u, m)
 
 
 # ---- RC cases --------------------------------------------------------------
@@ -198,9 +208,10 @@ def _c1_ab(x, y):
 
 
 _affine(
-    "C1", "RC", 2, 1,
+    "C1", "RC", 1,
     gate=_c1_gate,
     ratio=lambda x, y: x / y,
+    sample=lambda r, s, *_: (r * s, s),
     bracket=lambda x, y: (1.0 / (1.0 + math.sqrt(x / y)), 1.0),
     ab=_c1_ab,
     strict=(False, False),
@@ -213,15 +224,20 @@ def _c2_gate(x, y):
     _gate(y < 2.0 * x, f"C2 requires 0 < y < 2x, got ({x}, {y})")
 
 
+def _c2_sample(r, s, *_):
+    return (s, r * s)
+
+
 def _c2a_abk(x, y):
     inv = 1.0 / (2.0 * math.sqrt(x))
     return inv * math.log(4.0 * x / y), inv * y / (2.0 * x - y), x / y
 
 
 _log_theta(
-    "C2a", "RC", 2, 1,
+    "C2a", "RC", 1,
     gate=_c2_gate,
     ratio=lambda x, y: y / x,
+    sample=_c2_sample,
     bracket=lambda x, y: (1.0, 4.0),
     abk=_c2a_abk,
 )
@@ -235,9 +251,10 @@ def _c2b_abk(x, y):
 
 
 _log_theta(
-    "C2b", "RC", 2, 1,
+    "C2b", "RC", 1,
     gate=_c2_gate,
     ratio=lambda x, y: y / x,
+    sample=_c2_sample,
     bracket=lambda x, y: (1.0, 4.0),
     abk=_c2b_abk,
 )
@@ -250,9 +267,8 @@ def _c2c_build(x, y):
     return lo, hi, None
 
 
-_register(_Case("C2c", "RC", 2, 1, (True, True), _c2_gate,
-                lambda x, y: y / x,
-                bracket=lambda x, y: (1.0, 4.0),
+_register(_Case("C2c", "RC", 1, (True, True), _c2_gate, lambda x, y: y / x,
+                sample=_c2_sample, bracket=lambda x, y: (1.0, 4.0),
                 value=None, recover=None, build=_c2c_build))
 
 
@@ -277,6 +293,10 @@ def _f1_ratio(x, y, z):
     return max(x, y) / z
 
 
+def _f1_sample(r, s, w, lu, coin):
+    return (*_small_pair(r * s, lu, coin), s)
+
+
 def _f1_bracket(x, y, z):
     a, g = _ag(x, y)
     l2 = math.log(2.0 * z / (a + g))
@@ -290,7 +310,7 @@ def _f1a_ab(x, y, z):
     return l8 / (2.0 * math.sqrt(z)), 1.0 / (4.0 * z ** 1.5)
 
 
-_affine("F1a", "RF", 3, 1, gate=_f1_gate, ratio=_f1_ratio,
+_affine("F1a", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
         bracket=_f1_bracket, ab=_f1a_ab)
 
 
@@ -303,7 +323,7 @@ def _f1b_build(x, y, z):
     return lo, hi, None
 
 
-_register(_Case("F1b", "RF", 3, 1, (True, True), _f1_gate, _f1_ratio,
+_register(_Case("F1b", "RF", 1, (True, True), _f1_gate, _f1_ratio, _f1_sample,
                 bracket=_f1_bracket, value=None, recover=None, build=_f1b_build))
 
 
@@ -325,7 +345,7 @@ def _f1c_ab(x, y, z):
     return l8 / (2.0 * math.sqrt(z)), a / (4.0 * z ** 1.5)
 
 
-_affine("F1c", "RF", 3, 1, gate=_f1cd_gate, ratio=_f1_ratio,
+_affine("F1c", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
         bracket=_f1cd_bracket, ab=_f1c_ab)
 
 
@@ -337,7 +357,7 @@ def _f1d_ab(x, y, z):
     return av, bv
 
 
-_affine("F1d", "RF", 3, 1, gate=_f1cd_gate, ratio=_f1_ratio,
+_affine("F1d", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
         bracket=_f1cd_bracket, ab=_f1d_ab)
 
 
@@ -345,12 +365,16 @@ def _kprime_gate(kp):
     _gate(0.0 < kp < 1.0, f"requires 0 < k' < 1, got {kp}")
 
 
+def _kprime_sample(r, *_):
+    return (math.sqrt(r),)
+
+
 def _f1e_abk(kp):
     return math.log(4.0 / kp), kp * kp / (4.0 - kp * kp), 1.0 / kp
 
 
-_log_theta("F1e", "K", 1, 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-           bracket=lambda kp: (1.0, 4.0), abk=_f1e_abk)
+_log_theta("F1e", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
+           sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), abk=_f1e_abk)
 
 
 def _f1f_abk(kp):
@@ -360,8 +384,8 @@ def _f1f_abk(kp):
     return a, b, 1.0 / kp
 
 
-_log_theta("F1f", "K", 1, 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-           bracket=lambda kp: (1.0, 4.0), abk=_f1f_abk)
+_log_theta("F1f", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
+           sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), abk=_f1f_abk)
 
 
 def _f2a_gate(x, y, z):
@@ -372,14 +396,20 @@ def _f2a_gate(x, y, z):
     _gate(z < g, f"F2a requires z < g, got z={z}, g={g}")
 
 
+def _d2_sample(r, s, w, *_):
+    x, y = s * w, s / w
+    return (x, y, r * math.sqrt(x * y))
+
+
 def _f2a_ab(x, y, z):
     _, g = _ag(x, y)
     return _rf_complete(x, y) - math.sqrt(z) / g, math.pi * z / (4.0 * g ** 1.5)
 
 
-_affine("F2a", "RF", 3, 1,
+_affine("F2a", "RF", 1,
         gate=_f2a_gate,
         ratio=lambda x, y, z: z / math.sqrt(x * y),
+        sample=_d2_sample,
         bracket=lambda x, y, z: (1.0 / (1.0 + math.sqrt(z / math.sqrt(x * y))),
                                  (x + y) / (2.0 * math.sqrt(x * y))),
         ab=_f2a_ab)
@@ -401,7 +431,7 @@ def _d1_ab(x, y, z):
         pre * math.log(2.0 * z / (a + g)) / z
 
 
-_affine("D1", "RD", 3, 1, gate=_d1_gate, ratio=_f1_ratio,
+_affine("D1", "RD", 1, gate=_d1_gate, ratio=_f1_ratio, sample=_f1_sample,
         bracket=lambda x, y, z: (
             math.sqrt(x * y) / (1.0 - math.sqrt(x * y) / z),
             1.5 * ((x + y) / 2.0) / (1.0 - (x + y) / (2.0 * z))),
@@ -426,7 +456,7 @@ def _d2a_ab(x, y, z):
     return pre, -pre * (math.pi / 2.0) * math.sqrt(z / g)
 
 
-_affine("D2a", "RD", 3, 1, gate=_d2_gate, ratio=_d2_ratio,
+_affine("D2a", "RD", 1, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
         bracket=lambda x, y, z: (
             1.0 - (4.0 / math.pi) * math.sqrt(z / math.sqrt(x * y)),
             (x + y) / (2.0 * math.sqrt(x * y))),
@@ -447,7 +477,7 @@ def _d2b_bracket(x, y, z):
     return 1.0 / (math.sqrt(2.0 / 3.0) + s), 1.5 * a / (g * (1.0 + s))
 
 
-_affine("D2b", "RD", 3, 2, gate=_d2_gate, ratio=_d2_ratio,
+_affine("D2b", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
         bracket=_d2b_bracket, ab=_d2b_ab)
 
 
@@ -465,7 +495,7 @@ def _d2c_bracket(x, y, z):
     return 1.0 / (1.0 + math.sqrt(z / a)), r ** 1.5 * (3.0 - 1.0 / (r * r))
 
 
-_affine("D2c", "RD", 3, 2, gate=_d2_gate, ratio=_d2_ratio,
+_affine("D2c", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
         bracket=_d2c_bracket, ab=_d2c_ab)
 
 
@@ -489,8 +519,9 @@ def _d3_ab(x, y, z):
     return (3.0 / math.sqrt(x)) / (g + z), -3.0 / (4.0 * x ** 1.5)
 
 
-_affine("D3", "RD", 3, 1, gate=_d3_gate,
+_affine("D3", "RD", 1, gate=_d3_gate,
         ratio=lambda x, y, z: max(y, z) / x,
+        sample=lambda r, s, w, lu, coin: (s, *_small_pair(r * s, lu, coin)),
         bracket=_d3_bracket, ab=_d3_ab)
 
 
@@ -511,8 +542,9 @@ def _d4_ab(x, y, z):
     return rd(0.0, y, z) - t, t * (math.pi / 4.0) * math.sqrt(x / a)
 
 
-_affine("D4", "RD", 3, 2, gate=_d4_gate,
+_affine("D4", "RD", 2, gate=_d4_gate,
         ratio=lambda x, y, z: x / math.sqrt(y * z),
+        sample=lambda r, s, w, *_: (r * math.sqrt(s * w * (s / w)), s * w, s / w),
         bracket=_d4_bracket, ab=_d4_ab)
 
 
@@ -553,8 +585,13 @@ def _j1a_ab(x, y, z, p):
     return (3.0 / p) * rf(x, y, z) - c, c
 
 
-_affine("J1a", "RJ", 4, 2, gate=_j1a_gate,
-        ratio=lambda x, y, z, p: max(x, y, z) / p,
+def _j1a_sample(r, s, w, lu, _):
+    x, y, z = s * w, s / w, s * lu(0.2, 5.0)
+    return (x, y, z, max(x, y, z) / r)
+
+
+_affine("J1a", "RJ", 2, gate=_j1a_gate,
+        ratio=lambda x, y, z, p: max(x, y, z) / p, sample=_j1a_sample,
         bracket=_j1a_bracket, ab=_j1a_ab)
 
 
@@ -585,8 +622,9 @@ def _j1b_deriv(args, v):
     return abs(p * _j1b_c(x, y, p) / (v * v))
 
 
-_register(_Case("J1b", "RJ", 4, 1, (False, False), _j1b_gate,
+_register(_Case("J1b", "RJ", 1, (False, False), _j1b_gate,
                 lambda x, y, z, p: max(x, y) / p,
+                sample=lambda r, s, w, *_: (s * w, s / w, 0.0, max(s * w, s / w) / r),
                 bracket=lambda x, y, z, p: (math.sqrt(x * y), (x + y) / 2.0),
                 value=_j1b_value, recover=_j1b_recover, deriv=_j1b_deriv))
 
@@ -604,6 +642,11 @@ def _j2_ratio(x, y, z, p):
     return p * (1.0 / x + 1.0 / y + 1.0 / z) / 3.0
 
 
+def _j2_sample(r, s, w, lu, _):
+    x, y, z = s * w, s / w, s * lu(0.2, 5.0)
+    return (x, y, z, r * (3.0 / (1.0 / x + 1.0 / y + 1.0 / z)))
+
+
 def _j2a_bracket(x, y, z, p):
     g = cbrt(x * y * z)
     h = 3.0 / (1.0 / x + 1.0 / y + 1.0 / z)
@@ -616,7 +659,7 @@ def _j2a_ab(x, y, z, p):
     return pre * (math.log(4.0 * g / p) - 2.0), pre
 
 
-_affine("J2a", "RJ", 4, 1, gate=_j2_gate, ratio=_j2_ratio,
+_affine("J2a", "RJ", 1, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample,
         bracket=_j2a_bracket, ab=_j2a_ab)
 
 
@@ -634,7 +677,7 @@ def _j2b_ab(x, y, z, p):
     return av, 0.75 * p / s
 
 
-_affine("J2b", "RJ", 4, 3, gate=_j2_gate, ratio=_j2_ratio,
+_affine("J2b", "RJ", 3, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample,
         bracket=_j2b_bracket, ab=_j2b_ab)
 
 
@@ -657,8 +700,10 @@ def _j3_ab(x, y, z, p):
     return av, pre * math.log(2.0 * p / (a + g)) / p
 
 
-_affine("J3", "RJ", 4, 1, gate=_j3_gate,
+_affine("J3", "RJ", 1, gate=_j3_gate,
         ratio=lambda x, y, z, p: max(x, y) / min(z, p),
+        sample=lambda r, s, w, lu, coin: (
+            *_small_pair(r * min(s * w, s / w), lu, coin), s * w, s / w),
         bracket=_j3_bracket, ab=_j3_ab)
 
 
@@ -674,13 +719,18 @@ def _j4_ratio(x, y, z, p):
     return max(z, p) / math.sqrt(x * y)
 
 
+def _j4_sample(r, s, w, lu, coin):
+    x, y = s * w, s / w
+    return (x, y, *_small_pair(r * math.sqrt(x * y), lu, coin))
+
+
 def _j4a_ab(x, y, z, p):
     _, g = _ag(x, y)
     return (3.0 / g) * rc(z, p), \
         -(3.0 / (g - p)) * (rc(z, g) - (p / g) * rc(z, p))
 
 
-_affine("J4a", "RJ", 4, 1, gate=_j4_gate, ratio=_j4_ratio,
+_affine("J4a", "RJ", 1, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample,
         bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
         ab=_j4a_ab, strict=(False, False))
 
@@ -700,7 +750,8 @@ def _j4b_ab(x, y, z, p):
     return c, -c * math.sqrt(p) / (math.sqrt(g) + math.sqrt(p))
 
 
-_affine("J4b", "RJ", 4, 1, gate=_j4b_gate, ratio=lambda x, y, z, p: p / math.sqrt(x * y),
+_affine("J4b", "RJ", 1, gate=_j4b_gate, ratio=lambda x, y, z, p: p / math.sqrt(x * y),
+        sample=lambda r, s, w, *_: (s * w, s / w, 0.0, r * math.sqrt(s * w * (s / w))),
         bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
         ab=_j4b_ab, strict=(False, False))
 
@@ -720,7 +771,7 @@ def _j4c_ab(x, y, z, p):
     return av, 1.5 * math.pi / (x * y)
 
 
-_affine("J4c", "RJ", 4, 2, gate=_j4_gate, ratio=_j4_ratio,
+_affine("J4c", "RJ", 2, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample,
         bracket=_j4c_bracket, ab=_j4c_ab)
 
 
@@ -743,8 +794,13 @@ def _j5_ab(x, y, z, p):
     return rj(0.0, y, z, p) - t, t * (math.pi / 4.0) * math.sqrt(x / g)
 
 
-_affine("J5", "RJ", 4, 3, gate=_j5_gate,
-        ratio=lambda x, y, z, p: x / min(y, z, p),
+def _j5_sample(r, s, w, lu, _):
+    y, z, p = s * w, s / w, s * lu(0.2, 5.0)
+    return (r * min(y, z, p), y, z, p)
+
+
+_affine("J5", "RJ", 3, gate=_j5_gate,
+        ratio=lambda x, y, z, p: x / min(y, z, p), sample=_j5_sample,
         bracket=_j5_bracket, ab=_j5_ab)
 
 
@@ -771,8 +827,10 @@ def _j6a_ab(x, y, z, p):
     return (3.0 / math.sqrt(x)) * _j6_rc_term(y, z, p), -0.75 / math.sqrt(x)
 
 
-_affine("J6a", "RJ", 4, 1, gate=_j6a_gate,
+_affine("J6a", "RJ", 1, gate=_j6a_gate,
         ratio=lambda x, y, z, p: max(y, z, p) / x,
+        sample=lambda r, s, w, lu, coin: (
+            s, *_small_pair(r * s, lu, coin), r * s * lu(0.1, 1.0)),
         bracket=_j6a_bracket, ab=_j6a_ab)
 
 
@@ -794,8 +852,9 @@ def _j6complete_ab(x, y, z, p):
     return (3.0 / math.sqrt(x * p)) * rc(p, z), -0.75 / x ** 1.5
 
 
-_affine("J6complete", "RJ", 4, 1, gate=_j6complete_gate,
+_affine("J6complete", "RJ", 1, gate=_j6complete_gate,
         ratio=lambda x, y, z, p: max(z, p) / x,
+        sample=lambda r, s, w, lu, coin: (s, 0.0, *_small_pair(r * s, lu, coin)),
         bracket=_j6complete_bracket, ab=_j6complete_ab)
 
 
@@ -831,7 +890,7 @@ def _g1a_build(x, y, z):
     return lo, ref, "upper endpoint requires 5a < z; reference value used instead"
 
 
-_affine("G1a", "RG", 3, 1, gate=_g1a_gate, ratio=_f1_ratio,
+_affine("G1a", "RG", 1, gate=_g1a_gate, ratio=_f1_ratio, sample=_f1_sample,
         bracket=_g1a_bracket, ab=_g1a_ab, build=_g1a_build)
 
 
@@ -855,7 +914,8 @@ def _g1b_ab(x, y, z):
     return av, c * y / (2.0 * z)
 
 
-_affine("G1b", "RG", 3, 1, gate=_g1b_gate, ratio=lambda x, y, z: y / z,
+_affine("G1b", "RG", 1, gate=_g1b_gate, ratio=lambda x, y, z: y / z,
+        sample=lambda r, s, *_: (0.0, r * s, s),
         bracket=_g1b_bracket, ab=_g1b_ab)
 
 
@@ -871,8 +931,8 @@ def _g1c_ab(kp):
     return 1.0 + 0.5 * k2 * (math.log(4.0 / kp) - 0.5), 0.5 * k2 * k2
 
 
-_affine("G1c", "E", 1, 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-        bracket=_g1c_bracket, ab=_g1c_ab)
+_affine("G1c", "E", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
+        sample=_kprime_sample, bracket=_g1c_bracket, ab=_g1c_ab)
 
 
 def _g2_gate(x, y, z):
@@ -896,7 +956,7 @@ def _g2_ab(x, y, z):
     return rg(x, y, 0.0), math.pi * z / 8.0
 
 
-_affine("G2", "RG", 3, 2, gate=_g2_gate, ratio=_d2_ratio,
+_affine("G2", "RG", 2, gate=_g2_gate, ratio=_d2_ratio, sample=_d2_sample,
         bracket=_g2_bracket, ab=_g2_ab)
 
 
@@ -920,8 +980,9 @@ def _case(tag: str) -> _Case:
 
 def _checked_args(case: _Case, args) -> tuple[float, ...]:
     vals = tuple(float(a) for a in args)
-    if len(vals) != case.arity:
-        raise DomainError(f"{case.tag} takes {case.arity} arguments, got {len(vals)}")
+    arity = KIND_ARITY[case.kind]
+    if len(vals) != arity:
+        raise DomainError(f"{case.tag} takes {arity} arguments, got {len(vals)}")
     for v in vals:
         if not math.isfinite(v):
             raise DomainError(f"{case.tag} arguments must be finite, got {vals}")
@@ -996,10 +1057,6 @@ def case_kind(tag: str) -> str:
     return _case(tag).kind
 
 
-def case_arity(tag: str) -> int:
-    return _case(tag).arity
-
-
 def case_cost(tag: str) -> int:
     return _case(tag).cost
 
@@ -1016,22 +1073,21 @@ def case_ratio(tag: str, *args: float) -> float:
     return case.ratio(*vals)
 
 
-def regime(tag: str, *args: float) -> Regime:
-    """Ratio plus gate verdict without raising."""
-    case = _case(tag)
-    vals = _checked_args(case, args)
-    try:
-        case.gate(*vals)
-    except (RegimeError, DomainError) as exc:
-        return Regime(ratio=_safe_ratio(case, vals), ok=False, detail=str(exc))
-    return Regime(ratio=case.ratio(*vals), ok=True)
+def sample_case(tag: str, ratio: float, lu, coin) -> tuple:
+    """One in-regime argument tuple of case ``tag`` with its ratio pinned,
+    from the draws ``lu(lo, hi)`` and ``coin()``; s is drawn before w."""
+    return _case(tag).sample(ratio, lu(1e-3, 1e3), lu(0.1, 10.0), lu, coin)
 
 
-def _safe_ratio(case, vals):
-    try:
-        return case.ratio(*vals)
-    except (ValueError, ZeroDivisionError):
-        return math.inf
+def reference_route(kind: str, args) -> tuple[str, tuple, float]:
+    """(kind, arguments, factor) of the integral that cases of ``kind``
+    approximate at ``args``: a K or E case takes k', so K is RF(0, k'^2, 1)
+    and E is 2 RG(0, k'^2, 1)."""
+    if kind == "K":
+        return "RF", (0.0, args[0] * args[0], 1.0), 1.0
+    if kind == "E":
+        return "RG", (0.0, args[0] * args[0], 1.0), 2.0
+    return kind, args, 1.0
 
 
 def _family_call(kind, tag, *args):

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: eval, asym, bounds-check, verify, table, identities.
-stdout carries data only; diagnostics go to stderr.  ``asym``, ``verify``
-and ``identities`` import the harness (numpy, scipy) when they run; the
-other subcommands need only the standard library.  Exit codes: 0 success,
-1 verification violations, 2 domain or convergence error, 3 tolerance
-unachievable, 4 regime error, 64 malformed usage.
+stdout carries data only; diagnostics go to stderr.  ``verify`` and
+``identities`` import the harness (numpy, scipy) when they run; the other
+subcommands, ``asym`` among them, need only the standard library.  Exit
+codes: 0 success, 1 verification violations, 2 domain or convergence
+error, 3 tolerance unachievable, 4 regime error, 64 malformed usage.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
 def _cmd_eval(args) -> int:
     kind = args.kind.upper()
     vals = tuple(args.values)
-    arity = dispatch._KIND[kind][0]
+    arity = asym.KIND_ARITY[kind]
     # checked here, before EvalRequest: a wrong count is a usage error (64),
     # not a domain error (2)
     if len(vals) != arity:
@@ -165,21 +165,19 @@ def _enc_dict(enc: asym.Enclosure) -> dict:
 
 
 def _cmd_asym(args) -> int:
-    from . import harness
-
     tag = args.case
     vals = tuple(args.values)
-    if len(vals) != asym.case_arity(tag):
-        print(f"error: {tag} takes {asym.case_arity(tag)} arguments, got {len(vals)}",
-              file=sys.stderr)
+    arity = asym.KIND_ARITY[asym.case_kind(tag)]
+    if len(vals) != arity:
+        print(f"error: {tag} takes {arity} arguments, got {len(vals)}", file=sys.stderr)
         return EXIT_USAGE
     enc = asym.enclose(tag, *vals)
     if enc.note is not None:
         print(f"error: {tag}: {enc.note}", file=sys.stderr)
         return EXIT_REGIME
-    reference = harness.reference_value(tag, vals)
+    reference = dispatch.case_reference(asym.case_kind(tag), vals)
     theta = asym.theta_recover(tag, vals, reference) if asym.has_symbol(tag) else None
-    reg = asym.regime(tag, *vals)
+    ratio = asym.case_ratio(tag, *vals)
     if args.json:
         doc = {
             "case": tag,
@@ -191,7 +189,7 @@ def _cmd_asym(args) -> int:
             "strict_hi": enc.strict_hi,
             "theta": theta,
             "reference": reference,
-            "ratio": reg.ratio,
+            "ratio": ratio,
             "contains_reference": enc.contains(reference, 2e-13 * abs(reference)),
         }
         print(dumps(doc))
@@ -199,7 +197,7 @@ def _cmd_asym(args) -> int:
         parts = [f"estimate={plain(enc.estimate)}", f"lo={plain(enc.lo)}",
                  f"hi={plain(enc.hi)}",
                  f"theta={'none' if theta is None else plain(theta)}",
-                 f"ratio={plain(reg.ratio)}"]
+                 f"ratio={plain(ratio)}"]
         print(" ".join(parts))
     return EXIT_OK
 
@@ -366,8 +364,7 @@ def _table_rows(function: str, grid: list[float]) -> tuple[list[str], list[list]
     rows = []
     for kp in grid:
         _check_kprime(kp)
-        k = math.sqrt((1.0 - kp) * (1.0 + kp))
-        ref = core.legendre_k(k) if function == "K" else core.legendre_e(k)
+        ref = dispatch.case_reference(function, (kp,))
         row: list = [kp, ref]
         for tag in tags:
             enc = asym.enclose(tag, kp)

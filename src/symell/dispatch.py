@@ -46,16 +46,16 @@ _GUAR_ELEMENTARY = 1e-14
 _GUAR_RC = 1e-13
 _GUAR_REFERENCE = 1e-12
 
-# kind -> (arity, reference evaluator, its guarantee).  The evaluator is
-# named, not bound, so each call looks it up on core.
+# kind -> (reference evaluator, its guarantee); the arity is asym.KIND_ARITY.
+# The evaluator is named, not bound, so each call looks it up on core.
 _KIND = {
-    "RC": (2, "rc", _GUAR_RC),
-    "RF": (3, "rf", _GUAR_REFERENCE),
-    "RD": (3, "rd", _GUAR_REFERENCE),
-    "RJ": (4, "rj", _GUAR_REFERENCE),
-    "RG": (3, "rg", _GUAR_REFERENCE),
-    "K": (1, "legendre_k", _GUAR_REFERENCE),
-    "E": (1, "legendre_e", _GUAR_REFERENCE),
+    "RC": ("rc", _GUAR_RC),
+    "RF": ("rf", _GUAR_REFERENCE),
+    "RD": ("rd", _GUAR_REFERENCE),
+    "RJ": ("rj", _GUAR_REFERENCE),
+    "RG": ("rg", _GUAR_REFERENCE),
+    "K": ("legendre_k", _GUAR_REFERENCE),
+    "E": ("legendre_e", _GUAR_REFERENCE),
 }
 
 KINDS = tuple(_KIND)
@@ -71,7 +71,7 @@ class EvalRequest:
         if self.kind not in KINDS:
             raise DomainError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         vals = tuple(float(a) for a in self.args)
-        arity = _KIND[self.kind][0]
+        arity = asym.KIND_ARITY[self.kind]
         if len(vals) != arity:
             raise DomainError(f"{self.kind} takes {arity} arguments, got {len(vals)}")
         for v in vals:
@@ -190,8 +190,14 @@ def reference(kind: str, args) -> tuple[float, float]:
     """(value, guarantee) of the kind's reference evaluator at ``args``."""
     if kind == "RJ" and args[3] <= 0.0:
         raise DomainError("dispatch handles p > 0 only; use rj_pv for principal values")
-    _, name, guar = _KIND[kind]
+    name, guar = _KIND[kind]
     return getattr(core, name)(*args), guar
+
+
+def case_reference(kind: str, args) -> float:
+    """Reference value of the integral that cases of ``kind`` approximate."""
+    kind, args, factor = asym.reference_route(kind, args)
+    return factor * reference(kind, args)[0]
 
 
 def _case_args(kind: str, args) -> tuple:
@@ -236,7 +242,7 @@ def _walk(req: EvalRequest):
                 steps.append((hw, tag, enc))
         for hw, tag, enc in sorted(steps, key=lambda s: s[:2]):
             yield "asym", tag, cost, hw + _ASYM_MARGIN, hw, enc
-    yield "reference", None, 9, _KIND[req.kind][2], None, None
+    yield "reference", None, 9, _KIND[req.kind][1], None, None
 
 
 def plan(req: EvalRequest) -> list[PlanStep]:

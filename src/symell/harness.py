@@ -1,12 +1,12 @@
 """Verification campaigns: containment fuzzing, order fits, identity suites.
 
 A campaign pins a case's smallness ratio to each grid value, samples the
-remaining degrees of freedom log-uniformly (magnitudes over [1e-3, 1e3],
-within-group shape factors spanning at most two decades), and checks that
-the quadrature oracle lands inside every enclosure.  Containment is
-asserted up to the oracle's own uncertainty: slack = max(4 * quadrature
-error estimate, 2e-13 * |value|), since the sharpest enclosures at ratio
-1e-7 are narrower than anything float64 quadrature can resolve.
+remaining degrees of freedom with the case's sampler in the ``asym``
+registry, and checks that the quadrature oracle lands inside every
+enclosure.  Containment is asserted up to the oracle's own uncertainty:
+slack = max(4 * quadrature error estimate, 2e-13 * |value|), since the
+sharpest enclosures at ratio 1e-7 are narrower than anything float64
+quadrature can resolve.
 
 Bracket-realization statistics recover the error symbol from the reference
 value per sample; samples whose recovery is ill-conditioned (symbol
@@ -151,7 +151,7 @@ def containment_slack(err_estimate: float, value: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# per-case argument samplers
+# argument draws
 # --------------------------------------------------------------------------
 
 
@@ -171,89 +171,20 @@ def _lu_rows(rng, lo, hi, count, k):
         yield from np.exp(rng.uniform(np.log(lo), np.log(hi), (size, k))).tolist()
 
 
-def _small_pair(rng, m):
-    """Two values with the larger pinned to m, skew at most two decades."""
-    u = _lu(rng, 0.01, 1.0)
-    return (m, m * u) if rng.random() < 0.5 else (m * u, m)
-
-
 def sample_args(tag: str, ratio: float, rng) -> tuple:
     """Draw one in-regime argument tuple with the case ratio pinned."""
-    s = _lu(rng, 1e-3, 1e3)
-    w = _lu(rng, 0.1, 10.0)
-    if tag == "C1":
-        return (ratio * s, s)
-    if tag in ("C2a", "C2b", "C2c"):
-        return (s, ratio * s)
-    if tag in ("F1a", "F1b", "F1c", "F1d", "D1", "G1a"):
-        x, y = _small_pair(rng, ratio * s)
-        return (x, y, s)
-    if tag in ("F1e", "F1f", "G1c"):
-        return (math.sqrt(ratio),)
-    if tag in ("F2a", "D2a", "D2b", "D2c", "G2"):
-        x, y = s * w, s / w
-        return (x, y, ratio * math.sqrt(x * y))
-    if tag == "D3":
-        y, z = _small_pair(rng, ratio * s)
-        return (s, y, z)
-    if tag == "D4":
-        y, z = s * w, s / w
-        return (ratio * math.sqrt(y * z), y, z)
-    if tag == "J1a":
-        x, y, z = s * w, s / w, s * _lu(rng, 0.2, 5.0)
-        return (x, y, z, max(x, y, z) / ratio)
-    if tag == "J1b":
-        x, y = s * w, s / w
-        return (x, y, 0.0, max(x, y) / ratio)
-    if tag in ("J2a", "J2b"):
-        x, y, z = s * w, s / w, s * _lu(rng, 0.2, 5.0)
-        h = 3.0 / (1.0 / x + 1.0 / y + 1.0 / z)
-        return (x, y, z, ratio * h)
-    if tag == "J3":
-        z, p = s * w, s / w
-        x, y = _small_pair(rng, ratio * min(z, p))
-        return (x, y, z, p)
-    if tag in ("J4a", "J4c"):
-        x, y = s * w, s / w
-        z, p = _small_pair(rng, ratio * math.sqrt(x * y))
-        return (x, y, z, p)
-    if tag == "J4b":
-        x, y = s * w, s / w
-        return (x, y, 0.0, ratio * math.sqrt(x * y))
-    if tag == "J5":
-        y, z, p = s * w, s / w, s * _lu(rng, 0.2, 5.0)
-        return (ratio * min(y, z, p), y, z, p)
-    if tag == "J6a":
-        y, z = _small_pair(rng, ratio * s)
-        return (s, y, z, ratio * s * _lu(rng, 0.1, 1.0))
-    if tag == "J6complete":
-        z, p = _small_pair(rng, ratio * s)
-        return (s, 0.0, z, p)
-    if tag == "G1b":
-        return (0.0, ratio * s, s)
-    raise DomainError(f"no sampler for case {tag!r}")
-
-
-def _kind_route(tag: str, args) -> tuple[str, tuple, float]:
-    """(kind, arguments, factor) of the integral a case approximates: a K
-    or E case takes k', so K is RF(0, k'^2, 1) and E is 2 RG(0, k'^2, 1)."""
-    kind = asym.case_kind(tag)
-    if kind not in ("K", "E"):
-        return kind, args, 1.0
-    kp = args[0]
-    return ("RF", (0.0, kp * kp, 1.0), 1.0) if kind == "K" else ("RG", (0.0, kp * kp, 1.0), 2.0)
+    return asym.sample_case(tag, ratio, lambda lo, hi: _lu(rng, lo, hi), rng.random)
 
 
 def reference_value(tag: str, args) -> float:
     """Reference evaluator matched to a case's kind (duplication route)."""
-    kind, args, factor = _kind_route(tag, args)
-    return factor * dispatch.reference(kind, args)[0]
+    return dispatch.case_reference(asym.case_kind(tag), args)
 
 
 def _oracle_values(tag: str, rows) -> list[tuple[float, float]]:
     """Oracle (value, error estimate) at each of a case's argument rows, as
     one batch: every row of a case takes the same kind route."""
-    routes = [_kind_route(tag, args) for args in rows]
+    routes = [asym.reference_route(asym.case_kind(tag), args) for args in rows]
     if not routes:
         return []
     kind, _, factor = routes[0]

@@ -24,6 +24,7 @@ This module intentionally shares no evaluation code with
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -241,6 +242,14 @@ def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
                     f"target for value {value:.6e} on {_PANELS[-1]} head panels")
             try:
                 out.append((value / s ** degree, err / s ** degree))
+            except OverflowError:
+                # s ** degree is past float64, its square root is not
+                half = s ** (0.5 * degree)
+                value, err = value / half / half, err / half / half
+                if not value >= sys.float_info.min:
+                    raise ConvergenceError(f"{kind} quadrature at {row}: value {value!r} "
+                                           "is below the normal float64 range") from None
+                out.append((value, err))
             except ArithmeticError as exc:
                 # the scale factor left the float64 range
                 raise ConvergenceError(f"{kind} quadrature at {row}: {exc}") from exc

@@ -15,6 +15,7 @@ import pytest
 from symell import core, dispatch, oracle_batch
 from symell.asym import (
     CASE_TAGS,
+    KIND_ARITY,
     case_kind,
     enclose,
     recover_sigma,
@@ -213,7 +214,7 @@ def test_criterion_9_dispatcher_soundness():
         if i % 5 == 0:
             # generic magnitudes, usually served by the reference path
             kind = ("RC", "RF", "RD", "RJ", "RG")[(i // 5) % 5]
-            n = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3}[kind]
+            n = KIND_ARITY[kind]
             args = tuple(float(v) for v in _lu(rng, 1e-3, 1e3, n))
         else:
             tag = tags[i % len(tags)]

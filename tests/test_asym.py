@@ -19,7 +19,8 @@ from symell import (
     oracle_with_error,
     theta_recover,
 )
-from symell.asym import CASE_TAGS, case_kind, has_symbol, recover_sigma, sym_bracket
+from symell.asym import (CASE_TAGS, case_kind, has_symbol, recover_sigma,
+                         reference_route, sym_bracket)
 from symell.harness import containment_slack, sample_args
 
 
@@ -291,14 +292,9 @@ class TestContainmentSmoke:
                 if tag == "G1a" and 5.0 * (args[0] + args[1]) / 2.0 >= args[2]:
                     continue
                 enc = enclose(tag, *args)
-                kind = case_kind(tag)
-                if kind == "K":
-                    v, err = oracle_with_error("RF", (0.0, args[0] ** 2, 1.0))
-                elif kind == "E":
-                    w, err = oracle_with_error("RG", (0.0, args[0] ** 2, 1.0))
-                    v, err = 2.0 * w, 2.0 * err
-                else:
-                    v, err = oracle_with_error(kind, args)
+                kind, oracle_args, factor = reference_route(case_kind(tag), args)
+                v, err = oracle_with_error(kind, oracle_args)
+                v, err = factor * v, factor * err
                 assert enc.contains(v, containment_slack(err, v)), (tag, ratio, args)
 
 

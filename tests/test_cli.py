@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from symell.cli import main
@@ -194,6 +195,27 @@ class TestTable:
         code, _, err = run(capsys, "table", "--function", "K", "--kprime-grid", "0:0.5:3")
         assert code == 2
         assert "k' grid values must lie in (0, 1), got 0.0" in err
+
+    @pytest.mark.parametrize("function", ["K", "E"])
+    @pytest.mark.parametrize("kp", [1e-4, 1e-3, 1e-2])
+    def test_reference_is_accurate_at_small_kprime(self, capsys, function, kp):
+        # the reference comes from k' itself; a round trip through the
+        # modulus k loses about log10(1/k'^2) digits
+        code, out, _ = run(capsys, "table", "--function", function,
+                           "--kprime-grid", repr(kp), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        cells = dict(zip(doc["columns"], doc["rows"][0]))
+        ref = cells["reference"]
+        with mpmath.workdps(40):
+            m = 1 - mpmath.mpf(kp) ** 2
+            true = float(mpmath.ellipk(m) if function == "K" else mpmath.ellipe(m))
+        assert abs(ref - true) <= 1e-12 * true
+        for tag in ("F1e", "F1f") if function == "K" else ("G1c",):
+            slack = 2e-13 * abs(ref)
+            assert cells[f"{tag}_lo"] - slack <= ref <= cells[f"{tag}_hi"] + slack, tag
+        if function == "K":
+            assert 1.0 <= cells["F1e_theta"] <= 4.0
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "--function", "K",

@@ -1,7 +1,7 @@
 """Import budget of the stdlib-only paths and the lazy oracle names.
 
-``import symell``, ``evaluate`` and ``symell eval`` run on the standard
-library alone; numpy and scipy load on first use of the quadrature oracle
+``import symell``, ``evaluate`` and ``symell eval``, ``asym`` and ``table``
+run on the standard library alone; numpy and scipy load on first use of the quadrature oracle
 or the verification harness.  The budget is checked from inside a fresh
 process, which prints the heavy modules it ended up holding.
 """
@@ -21,15 +21,16 @@ symell.evaluate(symell.EvalRequest("RF", (1.0, 2.0, 4.0), 1e-9))
 {_HEAVY}
 """
 
-_CLI_EVAL = f"""
+_CLI = """
 import runpy, sys
-sys.argv = ["symell", "eval", "rj", "1e-8", "2e-8", "1", "3", "--json"]
+sys.argv = ["symell", *{argv!r}]
 try:
     runpy.run_module("symell.cli", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-{_HEAVY}
-"""
+""" + _HEAVY
+
+_CLI_EVAL = _CLI.format(argv="eval rj 1e-8 2e-8 1 3 --json".split())
 
 _ORACLE = f"""
 import sys
@@ -50,6 +51,15 @@ class TestImportBudget:
         assert res.returncode == 0, res.stderr
         lines = res.stdout.strip().splitlines()
         assert '"method"' in lines[0]  # the eval JSON came first
+        assert lines[-1] == "[]"
+
+    @pytest.mark.parametrize("argv", ["asym F1a 0.01 0.01 1",
+                                      "table --function K --kprime-grid 0.1"])
+    def test_cli_asym_and_table_load_no_numpy_or_scipy(self, spawn, argv):
+        res = spawn("-c", _CLI.format(argv=argv.split()))
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.strip().splitlines()
+        assert len(lines) >= 2  # the command's output came first
         assert lines[-1] == "[]"
 
     def test_oracle_loads_scipy_on_first_use(self, spawn):

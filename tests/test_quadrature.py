@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from symell import ConvergenceError, DomainError, oracle, oracle_rj_pv, oracle_with_error
-from symell import core, harness, quadrature
+from symell import asym, core, harness, quadrature
 from symell.asym import CASE_TAGS
 from symell.quadrature import oracle_batch
 
@@ -119,7 +119,8 @@ def _campaign_rows():
         for ri, ratio in enumerate(harness._DEFAULT_RATIOS):
             rng = np.random.default_rng([5, index, ri])
             for _ in range(2):
-                kind, args, _ = harness._kind_route(tag, harness.sample_args(tag, ratio, rng))
+                args = harness.sample_args(tag, ratio, rng)
+                kind, args, _ = asym.reference_route(asym.case_kind(tag), args)
                 rows.setdefault(kind, []).append(args)
     rng = np.random.default_rng(6)
     for _ in range(20):
@@ -169,15 +170,24 @@ def test_batch_mixes_fine_and_refined_rows(panel_counts, no_quad):
     assert batch == [oracle_with_error("RJ", args) for args in rows]
 
 
-# rows where the quad fallback of the first fixed-node oracle was dishonest
+# rows where the quad fallback of the first fixed-node oracle was dishonest,
+# then two whose scale factor s ** 1.5 overflows although the value is in range
 @pytest.mark.parametrize("kind, args", [
     ("RD", (0.09832583294902476, 1.6380176824183885e-39, 1.1810760391621617e-38)),
     ("RF", (4.501531775713857e-10, 2.2557579298299387e-31, 0.00014519348391965926)),
     ("RJ", (8.130592002746585e-08, 2.1530578149271714e-11, 1.2820260685739767e-36,
             5.1496630363401775e-17)),
+    ("RD", (1.83e183, 3.90e226, 4.18e127)),
+    ("RJ", (4.51e184, 4.33e19, 5.24e214, 2.56e111)),
 ])
 def test_wide_range_rows_are_honest(kind, args):
     _assert_honest(kind, args, *oracle_with_error(kind, args))
+
+
+def test_value_below_the_normal_range_is_typed():
+    # s ** 1.5 overflows and the rescaled value underflows: no answer, not 0
+    with pytest.raises(ConvergenceError, match="below the normal float64 range"):
+        oracle("RD", (1e300, 1e300, 1e300))
 
 
 def test_wide_range_sweep_is_honest():
