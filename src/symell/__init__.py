@@ -33,7 +33,7 @@ from .dispatch import EvalReport, EvalRequest, evaluate, plan
 
 __version__ = "0.1.0"
 
-# The quadrature oracle needs scipy; it is imported on first use so that the
+# The quadrature oracle needs numpy; it is imported on first use so that the
 # reference evaluators, the case catalog and the dispatcher load with the
 # standard library alone.
 _LAZY = ("oracle", "oracle_batch", "oracle_rj_pv", "oracle_with_error")

@@ -32,7 +32,7 @@ from typing import Callable
 
 from ._util import cbrt, widen_down, widen_up
 from .core import agm, rc, rd, rf, rg, rj
-from .errors import DomainError, RegimeError
+from .errors import ConvergenceError, DomainError, RegimeError
 
 __all__ = [
     "CASE_TAGS",
@@ -170,12 +170,16 @@ def _log_theta(tag, kind, cost, gate, ratio, sample, bracket, abk, strict=(True,
 
     def recover(args, v):
         a, b, kappa = abk(*args)
-        return math.exp((v - a) / b) / kappa
+        try:
+            return math.exp((v - a) / b) / kappa
+        except OverflowError:
+            raise ConvergenceError(f"{tag} error symbol at {args} is past float64") from None
 
     def deriv(args, v):
-        a, b, kappa = abk(*args)
-        theta = math.exp((v - a) / b) / kappa
-        return abs(theta / b)
+        try:
+            return abs(recover(args, v) / abk(*args)[1])
+        except ConvergenceError:
+            return math.inf
 
     _register(_Case(tag, kind, cost, strict, gate, ratio, sample, bracket, value,
                     recover, deriv))

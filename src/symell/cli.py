@@ -2,7 +2,7 @@
 
 Subcommands: eval, asym, bounds-check, verify, table, identities.
 stdout carries data only; diagnostics go to stderr.  ``verify`` and
-``identities`` import the harness (numpy, scipy) when they run; the other
+``identities`` import the harness (numpy) when they run; the other
 subcommands, ``asym`` among them, need only the standard library.  Exit
 codes: 0 success, 1 verification violations, 2 domain or convergence
 error, 3 tolerance unachievable, 4 regime error, 64 malformed usage.
@@ -164,6 +164,14 @@ def _enc_dict(enc: asym.Enclosure) -> dict:
 # --------------------------------------------------------------------------
 
 
+def _theta(tag: str, vals: tuple, reference: float) -> float | None:
+    """The case's error symbol at the reference; None if it has none or it is past float64."""
+    try:
+        return asym.theta_recover(tag, vals, reference) if asym.has_symbol(tag) else None
+    except ConvergenceError:
+        return None
+
+
 def _cmd_asym(args) -> int:
     tag = args.case
     vals = tuple(args.values)
@@ -176,7 +184,7 @@ def _cmd_asym(args) -> int:
         print(f"error: {tag}: {enc.note}", file=sys.stderr)
         return EXIT_REGIME
     reference = dispatch.case_reference(asym.case_kind(tag), vals)
-    theta = asym.theta_recover(tag, vals, reference) if asym.has_symbol(tag) else None
+    theta = _theta(tag, vals, reference)
     ratio = asym.case_ratio(tag, *vals)
     if args.json:
         doc = {
@@ -368,7 +376,7 @@ def _table_rows(function: str, grid: list[float]) -> tuple[list[str], list[list]
         row: list = [kp, ref]
         for tag in tags:
             enc = asym.enclose(tag, kp)
-            row += [enc.lo, enc.hi, asym.theta_recover(tag, (kp,), ref)]
+            row += [enc.lo, enc.hi, _theta(tag, (kp,), ref)]
         rows.append(row)
     return header, rows
 
@@ -384,7 +392,7 @@ def _cmd_table(args) -> int:
     sep = "," if args.format == "csv" else "\t"
     print(sep.join(header))
     for row in rows:
-        print(sep.join(plain(v) for v in row))
+        print(sep.join("" if v is None else plain(v) for v in row))
     return EXIT_OK
 
 

@@ -32,7 +32,6 @@ from importlib import resources
 from itertools import starmap
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import asym, bounds, core, dispatch
 from . import quadrature as quad_oracle
@@ -520,37 +519,16 @@ def _id_log_kernel_bracket(rng, count):
             f"log-kernel bracket violated at {args}"
 
 
-def _log_derivative_lhs(x, y, z):
-    def deriv(t):
-        p1, p2, p3 = t + x, t + y, t + z
-        prod = p1 * p2 * p3
-        return -0.5 * prod ** -1.5 * (p1 * p2 + p1 * p3 + p2 * p3)
-
-    def head(u):
-        return 4.0 * u * math.log(u) * deriv(u * u)
-
-    def tail(v):
-        return -4.0 * math.log(v) * deriv(1.0 / (v * v)) / v ** 3
-
-    pts = sorted({math.sqrt(a) for a in (x, y, z) if 0.0 < a < 1.0}) or None
-    v1 = quad(head, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=400,
-              points=pts, full_output=1)[0]
-    v2 = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=400,
-              full_output=1)[0]
-    return v1 + v2
-
-
-def _id_log_derivative_shift(rng):
-    x = _lu(rng, 1e-2, 1e2)
-    y = _lu(rng, 1e-2, 1e2)
-    z = _lu(rng, 1e-2, 1e2)
-    lhs = _log_derivative_lhs(x, y, z)
-    lam = math.sqrt(x * y) + math.sqrt(x * z) + math.sqrt(y * z)
-    rhs = (x * y * z) ** -0.5 * math.log(lam * lam / (4.0 * x * y * z)) \
-        - (4.0 / 3.0) * core.rj(x + lam, y + lam, z + lam, lam)
-    if _rel_err(lhs, rhs) > 1e-8:
-        return f"log-derivative identity off by {_rel_err(lhs, rhs):.2e}"
-    return None
+def _id_log_derivative_shift(rng, count):
+    """Messages of ``count`` draws; one oracle batch gives M = lhs + log(max) / sqrt(xyz)."""
+    rows = list(_lu_rows(rng, 1e-2, 1e2, count, 3))
+    for (x, y, z), (m, _) in zip(rows, quad_oracle.oracle_batch("Mlog", rows)):
+        lhs = m - math.log(max(x, y, z)) * (x * y * z) ** -0.5
+        lam = math.sqrt(x * y) + math.sqrt(x * z) + math.sqrt(y * z)
+        rhs = (x * y * z) ** -0.5 * math.log(lam * lam / (4.0 * x * y * z)) \
+            - (4.0 / 3.0) * core.rj(x + lam, y + lam, z + lam, lam)
+        yield f"log-derivative identity off by {_rel_err(lhs, rhs):.2e}" \
+            if _rel_err(lhs, rhs) > 1e-8 else None
 
 
 # every identity is fn(rng, count), yielding one message per draw: None
@@ -570,7 +548,7 @@ _IDENTITIES = {
     "agm-chain": _per_draw(_id_agm_chain),
     "agm-rf-complete": _on_rows(3, _id_agm_rf_complete),
     "log-kernel-bracket": _id_log_kernel_bracket,
-    "log-derivative-shift": _per_draw(_id_log_derivative_shift),
+    "log-derivative-shift": _id_log_derivative_shift,
 }
 
 IDENTITY_TAGS = tuple(_IDENTITIES)

@@ -1,6 +1,6 @@
 """Quadrature ground truth for the defining integrals.
 
-Every kind is evaluated directly from its defining integral over [0, inf):
+Every kind is evaluated directly from its integral over [0, inf):
 the arguments are first rescaled by their maximum (using homogeneity), the
 half-line is split at t = 1, and each piece is mapped to [0, 1] with a
 substitution that absorbs the endpoint behaviour exactly (t = u**2 on the
@@ -14,8 +14,11 @@ panel.  Each panel gets Gauss-Legendre rules with n and 2n nodes; the
 its error estimate.  The rows whose estimate misses the 1e-10 relative
 target, or whose value is not finite, are run again together with twice as
 many head panels, up to 384; a row still uncertified there raises
-ConvergenceError.  This is the only integration route of the defining
-integrals; scipy ``quad`` serves only the principal-value oracle.
+ConvergenceError.  This rule, :func:`quad`, is the only integration route.
+
+Two more integrals take the same route: the principal value of RJ at p < 0,
+whose pole is subtracted off, and the log-derivative integral of the identity
+suite, integrated by parts so that no logarithm is left.
 
 This module intentionally shares no evaluation code with
 :mod:`symell.core`; it is the independent side of every dual-route check.
@@ -28,7 +31,6 @@ import sys
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, DomainError
 
@@ -83,7 +85,7 @@ def _rc_tail(v, x, y):
 
 def _rf_head(u, x, y, z):
     t = u * u
-    return u / np.sqrt((t + x) * (t + y) * (t + z))
+    return u / (np.sqrt(t + x) * np.sqrt(t + y) * np.sqrt(t + z))
 
 
 def _rf_tail(v, x, y, z):
@@ -98,7 +100,7 @@ def _rd_check(x, y, z):
 
 def _rd_head(u, x, y, z):
     t = u * u
-    return 3.0 * u / (np.sqrt((t + x) * (t + y)) * (t + z) ** 1.5)
+    return 3.0 * u / (np.sqrt(t + x) * np.sqrt(t + y) * (t + z) ** 1.5)
 
 
 def _rd_tail(v, x, y, z):
@@ -113,7 +115,7 @@ def _rj_check(x, y, z, p):
 
 def _rj_head(u, x, y, z, p):
     t = u * u
-    return 3.0 * u / (np.sqrt((t + x) * (t + y) * (t + z)) * (t + p))
+    return 3.0 * u / (np.sqrt(t + x) * np.sqrt(t + y) * np.sqrt(t + z) * (t + p))
 
 
 def _rj_tail(v, x, y, z, p):
@@ -129,7 +131,7 @@ def _rg_check(x, y, z):
 def _rg_head(u, x, y, z):
     t = u * u
     num = x / (t + x) + y / (t + y) + z / (t + z)
-    return 0.5 * u ** 3 * num / np.sqrt((t + x) * (t + y) * (t + z))
+    return 0.5 * u ** 3 * num / (np.sqrt(t + x) * np.sqrt(t + y) * np.sqrt(t + z))
 
 
 def _rg_tail(v, x, y, z):
@@ -138,13 +140,13 @@ def _rg_tail(v, x, y, z):
     return 0.5 * num / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
 
 
-def _rm1_check(x, y, z):
-    _require(min(x, y, z) > 0.0, "Rm1 requires positive arguments")
+def _positive_check(x, y, z):
+    _require(min(x, y, z) > 0.0, "arguments must be positive")
 
 
 def _rm1_head(u, x, y, z):
     t = u * u
-    return 2.0 * u / (np.sqrt((t + x) * (t + y)) * (t + z))
+    return 2.0 * u / (np.sqrt(t + x) * np.sqrt(t + y) * (t + z))
 
 
 def _rm1_tail(v, x, y, z):
@@ -152,15 +154,54 @@ def _rm1_tail(v, x, y, z):
     return 2.0 * v / (np.sqrt((1.0 + x * w) * (1.0 + y * w)) * (1.0 + z * w))
 
 
+def _rsqrt3(x, y, z):
+    return 1.0 / (np.sqrt(x) * np.sqrt(y) * np.sqrt(z))
+
+
+def _rjpv_check(x, y, z, q):
+    _require(min(x, y, z) > 0.0, "principal-value oracle requires positive x, y, z")
+    _require(q > 0.0, "principal-value oracle requires p < 0")
+
+
+def _rjpv_head(u, x, y, z, q):
+    t = u * u
+    g = _rsqrt3(t + x, t + y, t + z)
+    return 3.0 * u * (g - _rsqrt3(q + x, q + y, q + z) * 2.0 * q / (t + q)) / (t - q)
+
+
+def _rjpv_tail(v, x, y, z, q):
+    w = v * v
+    g = v / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
+    return 3.0 * v * (g - _rsqrt3(q + x, q + y, q + z) * 2.0 * q / (1.0 + q * w)) / (1.0 - q * w)
+
+
+def _mlog_head(u, x, y, z):
+    t = u * u
+    log_ratio = np.log1p(t / x) + np.log1p(t / y) + np.log1p(t / z)
+    return -2.0 * np.expm1(-0.5 * log_ratio) / u * _rsqrt3(x, y, z)
+
+
+def _mlog_tail(v, x, y, z):
+    w = v * v
+    return -2.0 * w / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
+
+
 # kind -> (argument check, head, tail, degree d): the integral at arguments
-# s * a (max a = 1) is s**-d times the integral at a
+# s * a (max a = 1) is s**-d times the integral at a.  With g(t) = ((t + x)(t + y)(t + z))**-0.5:
+# - RJpv (x, y, z, q) = PV int 1.5 g(t) / (t - q) dt = RJ(x, y, z, -q).  Less
+#   g(q) 2q / (t**2 - q**2), whose PV is 0, it is regular at t = q; a node on the
+#   pole gives NaN and is refined.  The row carries q for the rescale and the mesh.
+# - Mlog (x, y, z) = int log(t / m) g'(t) dt, m = max = 1, by parts: -(g(t) - g(0)) / t
+#   on the head, with expm1 so that nothing cancels, and -g(t) / t on the tail.
 _KIND = {
     "RC": (_rc_check, _rc_head, _rc_tail, 0.5),
     "RF": (_check_triple, _rf_head, _rf_tail, 0.5),
     "RD": (_rd_check, _rd_head, _rd_tail, 1.5),
     "RJ": (_rj_check, _rj_head, _rj_tail, 1.5),
     "RG": (_rg_check, _rg_head, _rg_tail, -0.5),
-    "Rm1": (_rm1_check, _rm1_head, _rm1_tail, 1.0),
+    "Rm1": (_positive_check, _rm1_head, _rm1_tail, 1.0),
+    "RJpv": (_rjpv_check, _rjpv_head, _rjpv_tail, 1.5),
+    "Mlog": (_positive_check, _mlog_head, _mlog_tail, 1.5),
 }
 
 KINDS = tuple(_KIND)
@@ -189,7 +230,7 @@ def _certified(value, err):
     return np.isfinite(value) & (err <= _TARGET_REL * np.abs(value))
 
 
-def _refined_rule(head, tail, a):
+def quad(head, tail, a):
     """(value, error estimate, certified) arrays for the rows ``a``: the rows
     that miss the target are run again, together, on twice the head panels
     until they meet it or the last panel count is spent."""
@@ -215,7 +256,7 @@ def _checked_row(check, args):
 
 
 def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
-    """(value, error estimate) of the defining integral of ``kind`` at each
+    """(value, error estimate) of the integral of ``kind`` at each
     argument row, by the fixed-node rule with panel doubling.
 
     Every row is checked before any is integrated, so an invalid row raises
@@ -233,7 +274,7 @@ def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
         chunk = vals[start:start + _CHUNK]
         scale = [max(v) for v in chunk]
         a = np.array(chunk) / np.array(scale)[:, None]
-        values, errs, oks = _refined_rule(head, tail, a)
+        values, errs, oks = quad(head, tail, a)
         for row, s, value, err, ok in zip(chunk, scale, values.tolist(), errs.tolist(),
                                           oks.tolist()):
             if not ok:
@@ -257,7 +298,7 @@ def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
 
 
 def oracle(kind: str, args) -> float:
-    """Evaluate the defining integral of ``kind`` at ``args`` by quadrature.
+    """Evaluate the integral of ``kind`` at ``args`` by quadrature.
 
     Target relative error 1e-10; raises ConvergenceError when the fixed-node
     rule cannot certify it on 384 head panels, e.g. because the integrand
@@ -273,37 +314,5 @@ def oracle_with_error(kind: str, args) -> tuple[float, float]:
 
 
 def oracle_rj_pv(x: float, y: float, z: float, p: float) -> float:
-    """Principal-value quadrature of the third-kind integral for p < 0.
-
-    Symmetric-interval treatment of the pole at t = |p|: Cauchy-weighted
-    quadrature on [0, 2|p|] plus an ordinary tail integral.
-    """
-    vals = [float(v) for v in (x, y, z)]
-    _require(min(vals) > 0.0, "principal-value oracle requires positive x, y, z")
-    p = float(p)
-    _require(p < 0.0, "principal-value oracle requires p < 0")
-    q = -p
-    s = max(*vals, q)
-    xn, yn, zn, qn = vals[0] / s, vals[1] / s, vals[2] / s, q / s
-
-    def g(t):
-        return 1.0 / math.sqrt((t + xn) * (t + yn) * (t + zn))
-
-    # tail: t = 2q/u, u in (0, 1]
-    def tail(u):
-        t = 2.0 * qn / u
-        return g(t) * 2.0 / (u * (2.0 - u))
-
-    try:
-        res = quad(g, 0.0, 2.0 * qn, weight="cauchy", wvar=qn, epsabs=0.0,
-                   epsrel=1e-12, limit=400, full_output=1)
-        res2 = quad(tail, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400, full_output=1)
-    except ArithmeticError as exc:
-        raise ConvergenceError(f"principal-value quadrature integrand: {exc}") from exc
-    head, e1 = res[0], res[1]
-    tail_val, e2 = res2[0], res2[1]
-    value = 1.5 * (head + tail_val)
-    err = 1.5 * (e1 + e2)
-    if err > 1e-8 * max(abs(value), 1e-300):
-        raise ConvergenceError(f"principal-value quadrature error {err:.3e} too large")
-    return value / s ** 1.5
+    """Principal value of the third-kind integral for p < 0: oracle kind RJpv at (x, y, z, -p)."""
+    return oracle_batch("RJpv", [(x, y, z, -float(p))])[0][0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symell import (
+    ConvergenceError,
     DomainError,
     RegimeError,
     approx_e,
@@ -15,6 +16,7 @@ from symell import (
     approx_rj,
     case_ratio,
     core,
+    dispatch,
     enclose,
     oracle_with_error,
     theta_recover,
@@ -227,6 +229,14 @@ class TestThetaRecovery:
         r = theta_recover("J2a", args, core.rj(*args))
         lo, hi = sym_bracket("J2a", *args)
         assert lo < r < hi
+
+    @pytest.mark.parametrize("tag, args", [("F1f", (1e-6,)), ("C2b", (1.0, 1e-12))])
+    def test_symbol_past_float64_is_ill_conditioned(self, tag, args):
+        # the value from k' itself, as `symell asym` and `table` take it
+        v = dispatch.case_reference(case_kind(tag), args)
+        with pytest.raises(ConvergenceError, match="past float64"):
+            theta_recover(tag, args, v)
+        assert recover_sigma(tag, args, v) == math.inf
 
     def test_recover_inverts_value(self, rng):
         for tag in CASE_TAGS:

@@ -143,6 +143,18 @@ class TestAsym:
         code, _, _ = run(capsys, "asym", "Z9", "1", "2")
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [("F1f", "1e-6"), ("C2b", "1", "1e-12")])
+    def test_symbol_past_float64_prints_none(self, capsys, argv):
+        # exp((v - a) / b) overflows: no symbol, but the enclosure stands
+        code, out, _ = run(capsys, "asym", *argv)
+        assert code == 0
+        fields = dict(kv.split("=") for kv in out.split())
+        assert fields["theta"] == "none"
+        assert float(fields["lo"]) <= float(fields["hi"])
+        code, out, _ = run(capsys, "asym", *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["theta"] is None
+
 
 class TestBoundsCheck:
     def test_plain(self, capsys):
@@ -216,6 +228,20 @@ class TestTable:
             assert cells[f"{tag}_lo"] - slack <= ref <= cells[f"{tag}_hi"] + slack, tag
         if function == "K":
             assert 1.0 <= cells["F1e_theta"] <= 4.0
+
+    def test_symbol_past_float64_is_an_empty_cell(self, capsys):
+        # F1f's symbol overflows at k' = 1e-6; F1e's does not
+        code, out, _ = run(capsys, "table", "--function", "K", "--kprime-grid", "1e-6")
+        assert code == 0
+        header, row = (line.split(",") for line in out.strip().splitlines())
+        cells = dict(zip(header, row))
+        assert cells["F1f_theta"] == ""
+        assert 1.0 <= float(cells["F1e_theta"]) <= 4.0
+        code, out, _ = run(capsys, "table", "--function", "K", "--kprime-grid", "1e-6",
+                           "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert dict(zip(doc["columns"], doc["rows"][0]))["F1f_theta"] is None
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "--function", "K",

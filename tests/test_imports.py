@@ -1,9 +1,10 @@
 """Import budget of the stdlib-only paths and the lazy oracle names.
 
 ``import symell``, ``evaluate`` and ``symell eval``, ``asym`` and ``table``
-run on the standard library alone; numpy and scipy load on first use of the quadrature oracle
-or the verification harness.  The budget is checked from inside a fresh
-process, which prints the heavy modules it ended up holding.
+run on the standard library alone; numpy loads on first use of the quadrature
+oracle or the verification harness, and scipy never loads.  The budget is
+checked from inside a fresh process, which prints the heavy modules it ended
+up holding.
 """
 
 import pytest
@@ -34,8 +35,10 @@ _CLI_EVAL = _CLI.format(argv="eval rj 1e-8 2e-8 1 3 --json".split())
 
 _ORACLE = f"""
 import sys
+import symell.quadrature
 import symell
 symell.oracle("RF", (1.0, 2.0, 4.0))
+symell.oracle_rj_pv(1.0, 2.0, 4.0, -1.0)
 {_HEAVY}
 """
 
@@ -62,11 +65,21 @@ class TestImportBudget:
         assert len(lines) >= 2  # the command's output came first
         assert lines[-1] == "[]"
 
-    def test_oracle_loads_scipy_on_first_use(self, spawn):
+    def test_oracle_loads_numpy_not_scipy(self, spawn):
         # the probe sees heavy modules when they are there
         res = spawn("-c", _ORACLE)
         assert res.returncode == 0, res.stderr
-        assert "'scipy.integrate'" in res.stdout
+        assert "'numpy'" in res.stdout
+        assert "scipy" not in res.stdout
+
+    def test_cli_verify_loads_no_scipy(self, spawn, tmp_path):
+        argv = ["verify", "--cases", "C1,A3,identities", "--samples", "2",
+                "--out", str(tmp_path / "rep")]
+        res = spawn("-c", _CLI.format(argv=argv))
+        assert res.returncode == 0, res.stderr
+        heavy = res.stdout.strip().splitlines()[-1]
+        assert "'numpy'" in heavy
+        assert "scipy" not in heavy
 
 
 class TestLazyOracleNames:

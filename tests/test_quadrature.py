@@ -29,11 +29,11 @@ def test_unknown_kind():
 
 
 def test_integrand_underflow_is_typed():
-    # (t + x)(t + y)(t + z) underflows to 0 near t = 0
+    # at subnormal arguments t + x leaves the normal range near t = 0
     with pytest.raises(ConvergenceError):
-        oracle("RF", (1e-300, 2e-300, 1))
+        oracle("RF", (1e-320, 2e-320, 1))
     with pytest.raises(ConvergenceError):
-        oracle_rj_pv(1e-300, 2e-300, 1.0, -1.0)
+        oracle_rj_pv(1e-320, 2e-320, 1.0, -1.0)
 
 
 def test_domain_checks():
@@ -63,6 +63,25 @@ def test_rg_with_zero_argument():
 # the batched fixed-node rule and its panel doubling
 # --------------------------------------------------------------------------
 
+
+def _mp_rj_pv(x, y, z, p):
+    """Principal value of RJ at p < 0 by DLMF 19.20.14, with y the middle
+    argument so that every right-side integral has positive arguments."""
+    lo, med, hi = sorted((x, y, z))
+    q = med + (hi - med) * (med - lo) / (med - p)
+    u = lo * hi - p * q
+    return ((q - med) * mp.elliprj(lo, med, hi, q) - 3 * mp.elliprf(lo, med, hi)
+            + 3 * mp.sqrt(lo * med * hi / u) * mp.elliprc(u, -p * q)) / (med - p)
+
+
+def _mp_mlog(x, y, z):
+    """The log-derivative integral M: the right side of the identity suite's
+    log-derivative-shift plus log(max(x, y, z)) / sqrt(xyz)."""
+    lam = mp.sqrt(x * y) + mp.sqrt(x * z) + mp.sqrt(y * z)
+    return (mp.log(lam * lam / (4 * x * y * z)) + mp.log(max(x, y, z))) / mp.sqrt(x * y * z) \
+        - mp.mpf(4) / 3 * mp.elliprj(x + lam, y + lam, z + lam, lam)
+
+
 _MP_REF = {
     "RC": mp.elliprc,
     "RF": mp.elliprf,
@@ -72,10 +91,12 @@ _MP_REF = {
     # Rm1(x, y, z) = 2 RC((sqrt(xy) + z)^2, (sqrt(x) + sqrt(y))^2 z)
     "Rm1": lambda x, y, z: 2 * mp.elliprc((mp.sqrt(x * y) + z) ** 2,
                                           (mp.sqrt(x) + mp.sqrt(y)) ** 2 * z),
+    "RJpv": lambda x, y, z, q: _mp_rj_pv(x, y, z, -q),
+    "Mlog": _mp_mlog,
 }
 
 
-_ARITY = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "Rm1": 3}
+_ARITY = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "Rm1": 3, "RJpv": 4, "Mlog": 3}
 
 
 def _mp_value(kind, args):
@@ -97,15 +118,6 @@ def panel_counts(monkeypatch):
     return counts
 
 
-@pytest.fixture
-def no_quad(monkeypatch):
-    """Fail any call of scipy quad through the quadrature module."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy quad called")
-
-    monkeypatch.setattr(quadrature, "quad", refuse)
-
-
 def _assert_honest(kind, args, value, err):
     true = _mp_value(kind, args)
     assert abs(value - true) <= max(4.0 * err, 2e-13 * abs(value)), (kind, args, value, true)
@@ -113,7 +125,8 @@ def _assert_honest(kind, args, value, err):
 
 def _campaign_rows():
     """Two seeded rows per case and default ratio, grouped by oracle kind,
-    plus log-kernel Rm1 rows."""
+    plus log-kernel Rm1 rows, principal-value rows over 0.1..10 and the
+    log-derivative rows of the identity suite."""
     rows = {}
     for index, tag in enumerate(CASE_TAGS):
         for ri, ratio in enumerate(harness._DEFAULT_RATIOS):
@@ -128,6 +141,8 @@ def _campaign_rows():
         s = 0.01 * z * harness._lu(rng, 1e-4, 1.0)
         x = s * harness._lu(rng, 0.01, 1.0)
         rows.setdefault("Rm1", []).append((x, s - x if s > x else 0.5 * s, z))
+    rows["RJpv"] = [tuple(10.0 ** rng.uniform(-1.0, 1.0, 4)) for _ in range(20)]
+    rows["Mlog"] = list(harness._lu_rows(rng, 1e-2, 1e2, 20, 3))
     return rows
 
 
@@ -150,7 +165,7 @@ def test_batch_rows_equal_one_row_calls():
     assert oracle_batch("RF", []) == []
 
 
-def test_sharp_pole_row_is_refined(panel_counts, no_quad):
+def test_sharp_pole_row_is_refined(panel_counts):
     # the pole of (t + p) at p = 1e-30 is too sharp for the first 24 panels
     args = (1.0, 2.0, 3.0, 1e-30)
     value, err = oracle_with_error("RJ", args)
@@ -161,7 +176,7 @@ def test_sharp_pole_row_is_refined(panel_counts, no_quad):
     assert panel_counts == [24]
 
 
-def test_batch_mixes_fine_and_refined_rows(panel_counts, no_quad):
+def test_batch_mixes_fine_and_refined_rows(panel_counts):
     rows = [(1.0, 2.0, 4.0, 3.0), (1.0, 2.0, 3.0, 1e-30), (1e-3, 2.0, 5.0, 7.0),
             (8.130592002746585e-08, 2.1530578149271714e-11, 1.2820260685739767e-36,
              5.1496630363401775e-17)]
@@ -171,7 +186,8 @@ def test_batch_mixes_fine_and_refined_rows(panel_counts, no_quad):
 
 
 # rows where the quad fallback of the first fixed-node oracle was dishonest,
-# then two whose scale factor s ** 1.5 overflows although the value is in range
+# then two whose scale factor s ** 1.5 overflows although the value is in range,
+# then three where the product (t + x)(t + y)(t + z) left the float64 range
 @pytest.mark.parametrize("kind, args", [
     ("RD", (0.09832583294902476, 1.6380176824183885e-39, 1.1810760391621617e-38)),
     ("RF", (4.501531775713857e-10, 2.2557579298299387e-31, 0.00014519348391965926)),
@@ -179,9 +195,30 @@ def test_batch_mixes_fine_and_refined_rows(panel_counts, no_quad):
             5.1496630363401775e-17)),
     ("RD", (1.83e183, 3.90e226, 4.18e127)),
     ("RJ", (4.51e184, 4.33e19, 5.24e214, 2.56e111)),
+    ("RF", (1.04e-9, 1.20e166, 1.23e-6)),
+    ("RF", (1e-300, 2e-300, 1.0)),
+    ("RJpv", (1e-300, 2e-300, 1.0, 1.0)),
 ])
 def test_wide_range_rows_are_honest(kind, args):
     _assert_honest(kind, args, *oracle_with_error(kind, args))
+
+
+def test_principal_value_oracle_is_certified():
+    # scipy's Cauchy-weight route returned -145989.59 here
+    args = (6.500404196562734e-20, 1.3379862296249213e-19, 4.8413380722514775e-19,
+            -0.008941854917109752)
+    true = _mp_value("RJpv", (*args[:3], -args[3]))
+    assert abs(oracle_rj_pv(*args) - true) <= 1e-10 * abs(true)
+
+
+def test_principal_value_judge_is_mpmath_real_part():
+    # mpmath's elliprj is complex at p < 0 and its real part is the principal
+    # value; it takes 0.1 s to seconds a row, so two rows check the judge
+    for args in [(1.0, 2.0, 4.0, -1.0), (0.3, 0.02, 5.0, -2.0)]:
+        with mp.workdps(40):
+            a = [mp.mpf(v) for v in args]
+            judge = _mp_rj_pv(*a)
+            assert abs(judge - mp.elliprj(*a).real) <= mp.mpf(1e-35) * abs(judge)
 
 
 def test_value_below_the_normal_range_is_typed():
@@ -192,7 +229,7 @@ def test_value_below_the_normal_range_is_typed():
 
 def test_wide_range_sweep_is_honest():
     # 100 log-uniform rows per kind, 25 each with arguments down to 1e-3,
-    # 1e-10, 1e-20 and 1e-40
+    # 1e-10, 1e-20 and 1e-40; an RJpv row's last argument is the pole q = -p
     rng = np.random.default_rng(11)
     answered = 0
     for kind in quadrature.KINDS:
@@ -210,7 +247,7 @@ def test_wide_range_sweep_is_honest():
 
 def test_batch_with_failing_row_raises():
     with pytest.raises(ConvergenceError):
-        oracle_batch("RF", [(1.0, 2.0, 4.0), (1e-300, 2e-300, 1.0), (3.0, 2.0, 1.0)])
+        oracle_batch("RF", [(1.0, 2.0, 4.0), (1e-320, 2e-320, 1.0), (3.0, 2.0, 1.0)])
     # every row is checked before any is integrated
     with pytest.raises(DomainError):
         oracle_batch("RF", [(1e-300, 2e-300, 1.0), (0.0, 0.0, 1.0)])
