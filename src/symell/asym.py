@@ -8,20 +8,23 @@ whenever the case's preconditions hold; the interval is widened outward by
 interval midpoint.
 
 The catalog is a registry of case rows: kind, cost, gate, smallness ratio,
-argument sampler, bracket and formula; the arity and the reference route
-follow from the kind.  Most formulas are affine in their error symbol; the
-C2/F1e/F1f family is affine in log(symbol) instead, and J1b is a
-multiplicative form.  theta_recover inverts a case formula for the realized
-error symbol given the true value, which must land inside the stated
-bracket (the bracket-realization tests).
+argument sampler, bracket, and the formula as terms (the arguments to the
+coefficients, computed once per call) and a form; the arity and the
+reference route follow from the kind.  Most forms are affine in the error
+symbol; the C2/F1e/F1f family is affine in log(symbol) instead, and J1b is
+a multiplicative form.  theta_recover inverts a case formula for the
+realized error symbol given the true value, which must land inside the
+stated bracket (the bracket-realization tests).
 
 Cases whose displayed formula covers only one side (C2c, F1b) are paired
 with the best same-family endpoint so the return type stays uniform.  G1a's
 displayed upper bound requires 5a < z; outside that the enclosure keeps the
 displayed lower endpoint, takes the reference evaluator's value as upper
-endpoint, and carries a note.  An enclosure whose endpoints or estimate are
-not finite (float64 overflow or underflow in the case formula) also carries
-a note; it certifies nothing.
+endpoint, and carries a note.
+
+A float64 failure inside a case formula (an overflow, an underflow to a
+division by zero, a math-domain error, or an enclosure that is not finite)
+raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "sample_case",
     "sym_bracket",
     "theta_recover",
+    "theta_window",
 ]
 
 
@@ -69,7 +73,7 @@ class Enclosure:
     case: str
     strict_lo: bool
     strict_hi: bool
-    note: str | None = None
+    note: str | None = None     # set where hi is G1a's reference value
 
     @property
     def width(self) -> float:
@@ -111,8 +115,42 @@ def _rf_complete(x, y):
 # case descriptors
 # --------------------------------------------------------------------------
 
+# relative error of a true value given to recover_sigma: 4 ulps of 1.0
+_VALUE_REL_ERR = 4.0 * 2.220446049250313e-16
+
+# a recovery whose sigma passes this share of the bracket width is ill-conditioned
+_ILLCOND_FRACTION = 0.02
+
 # arguments of each kind of integral; a K or E case takes k' alone
 KIND_ARITY = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "K": 1, "E": 1}
+
+
+@dataclass(frozen=True)
+class _Form:
+    """How a formula's coefficients and its error symbol make the value."""
+    value: Callable    # (coefficients, sym) -> value
+    recover: Callable  # (coefficients, value) -> sym, None if the value ignores sym
+    deriv: Callable    # (coefficients, value) -> |d(sym)/d(value)|
+
+
+def _log_recover(c, v):
+    a, b, kappa = c
+    return math.exp((v - a) / b) / kappa
+
+
+# value = a + b*sym over (a, b)
+_AFFINE = _Form(lambda c, s: c[0] + c[1] * s,
+                lambda c, v: None if c[1] == 0.0 else (v - c[0]) / c[1],
+                lambda c, v: math.inf if c[1] == 0.0 else 1.0 / abs(c[1]))
+
+# value = a + b*log(kappa*sym) over (a, b, kappa)
+_LOG = _Form(lambda c, s: c[0] + c[1] * math.log(c[2] * s), _log_recover,
+             lambda c, v: abs(_log_recover(c, v) / c[1]))
+
+# J1b's value = c / (1 - sym/p) over (c, p)
+_J1B = _Form(lambda c, s: c[0] / (1.0 - s / c[1]),
+             lambda c, v: c[1] * (1.0 - c[0] / v),
+             lambda c, v: abs(c[1] * c[0] / (v * v)))
 
 
 @dataclass(frozen=True)
@@ -125,64 +163,18 @@ class _Case:
     ratio: Callable
     sample: Callable             # (ratio, s, w, lu, coin) -> args, see sample_case
     bracket: Callable            # args -> (sym_lo, sym_hi)
-    value: Callable              # (args, sym) -> float
-    recover: Callable | None     # (args, value) -> sym, None for one-sided
-    deriv: Callable | None = None  # (args, value) -> d(sym)/d(value)
-    build: Callable | None = None  # custom enclosure constructor
+    terms: Callable | None       # args -> coefficients of form, None for one-sided
+    form: _Form
+    build: Callable | None       # args -> (lo, hi, note), a custom enclosure
 
 
 _CASES: dict[str, _Case] = {}
 
 
-def _register(case: _Case):
-    _CASES[case.tag] = case
-
-
-def _affine(tag, kind, cost, gate, ratio, sample, bracket, ab, strict=(True, True),
-            build=None):
-    """Case whose formula is value = A + B*sym."""
-
-    def value(args, s):
-        a, b = ab(*args)
-        return a + b * s
-
-    def recover(args, v):
-        a, b = ab(*args)
-        if b == 0.0:
-            slo, shi = bracket(*args)
-            return 0.5 * (slo + shi)
-        return (v - a) / b
-
-    def deriv(args, v):
-        _, b = ab(*args)
-        return math.inf if b == 0.0 else 1.0 / abs(b)
-
-    _register(_Case(tag, kind, cost, strict, gate, ratio, sample, bracket, value,
-                    recover, deriv, build))
-
-
-def _log_theta(tag, kind, cost, gate, ratio, sample, bracket, abk, strict=(True, True)):
-    """Case whose formula is value = A + B*log(kappa*sym)."""
-
-    def value(args, s):
-        a, b, kappa = abk(*args)
-        return a + b * math.log(kappa * s)
-
-    def recover(args, v):
-        a, b, kappa = abk(*args)
-        try:
-            return math.exp((v - a) / b) / kappa
-        except OverflowError:
-            raise ConvergenceError(f"{tag} error symbol at {args} is past float64") from None
-
-    def deriv(args, v):
-        try:
-            return abs(recover(args, v) / abk(*args)[1])
-        except ConvergenceError:
-            return math.inf
-
-    _register(_Case(tag, kind, cost, strict, gate, ratio, sample, bracket, value,
-                    recover, deriv))
+def _register(tag, kind, cost, gate, ratio, sample, bracket, terms=None, form=_AFFINE,
+              strict=(True, True), build=None):
+    _CASES[tag] = _Case(tag, kind, cost, strict, gate, ratio, sample, bracket, terms,
+                        form, build)
 
 
 # ---- argument samplers -----------------------------------------------------
@@ -211,15 +203,10 @@ def _c1_ab(x, y):
         math.pi * x / (4.0 * y ** 1.5)
 
 
-_affine(
-    "C1", "RC", 1,
-    gate=_c1_gate,
-    ratio=lambda x, y: x / y,
-    sample=lambda r, s, *_: (r * s, s),
-    bracket=lambda x, y: (1.0 / (1.0 + math.sqrt(x / y)), 1.0),
-    ab=_c1_ab,
-    strict=(False, False),
-)
+_register("C1", "RC", 1, gate=_c1_gate, ratio=lambda x, y: x / y,
+          sample=lambda r, s, *_: (r * s, s),
+          bracket=lambda x, y: (1.0 / (1.0 + math.sqrt(x / y)), 1.0),
+          terms=_c1_ab, strict=(False, False))
 
 
 def _c2_gate(x, y):
@@ -237,14 +224,8 @@ def _c2a_abk(x, y):
     return inv * math.log(4.0 * x / y), inv * y / (2.0 * x - y), x / y
 
 
-_log_theta(
-    "C2a", "RC", 1,
-    gate=_c2_gate,
-    ratio=lambda x, y: y / x,
-    sample=_c2_sample,
-    bracket=lambda x, y: (1.0, 4.0),
-    abk=_c2a_abk,
-)
+_register("C2a", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
+          bracket=lambda x, y: (1.0, 4.0), terms=_c2a_abk, form=_LOG)
 
 
 def _c2b_abk(x, y):
@@ -254,26 +235,18 @@ def _c2b_abk(x, y):
     return a, b, x / y
 
 
-_log_theta(
-    "C2b", "RC", 1,
-    gate=_c2_gate,
-    ratio=lambda x, y: y / x,
-    sample=_c2_sample,
-    bracket=lambda x, y: (1.0, 4.0),
-    abk=_c2b_abk,
-)
+_register("C2b", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
+          bracket=lambda x, y: (1.0, 4.0), terms=_c2b_abk, form=_LOG)
 
 
 def _c2c_build(x, y):
-    a, b, kappa = _c2a_abk(x, y)
-    lo = a + b * math.log(kappa)  # C2a formula at theta = 1
+    lo = _LOG.value(_c2a_abk(x, y), 1.0)  # C2a formula at theta = 1
     hi = math.log(4.0 * x / y) / (2.0 * math.sqrt(x) * (1.0 - y / (2.0 * x)))
     return lo, hi, None
 
 
-_register(_Case("C2c", "RC", 1, (True, True), _c2_gate, lambda x, y: y / x,
-                sample=_c2_sample, bracket=lambda x, y: (1.0, 4.0),
-                value=None, recover=None, build=_c2c_build))
+_register("C2c", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
+          bracket=lambda x, y: (1.0, 4.0), build=_c2c_build)
 
 
 # ---- RF cases --------------------------------------------------------------
@@ -314,21 +287,20 @@ def _f1a_ab(x, y, z):
     return l8 / (2.0 * math.sqrt(z)), 1.0 / (4.0 * z ** 1.5)
 
 
-_affine("F1a", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
-        bracket=_f1_bracket, ab=_f1a_ab)
+_register("F1a", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
+          bracket=_f1_bracket, terms=_f1a_ab)
 
 
 def _f1b_build(x, y, z):
     a, g = _ag(x, y)
     r_lo, _ = _f1_bracket(x, y, z)
-    av, bv = _f1a_ab(x, y, z)
-    lo = av + bv * r_lo
+    lo = _AFFINE.value(_f1a_ab(x, y, z), r_lo)
     hi = math.log(8.0 * z / (a + g)) / (2.0 * math.sqrt(z) * (1.0 - a / (2.0 * z)))
     return lo, hi, None
 
 
-_register(_Case("F1b", "RF", 1, (True, True), _f1_gate, _f1_ratio, _f1_sample,
-                bracket=_f1_bracket, value=None, recover=None, build=_f1b_build))
+_register("F1b", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
+          bracket=_f1_bracket, build=_f1b_build)
 
 
 def _f1cd_gate(x, y, z):
@@ -349,8 +321,8 @@ def _f1c_ab(x, y, z):
     return l8 / (2.0 * math.sqrt(z)), a / (4.0 * z ** 1.5)
 
 
-_affine("F1c", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
-        bracket=_f1cd_bracket, ab=_f1c_ab)
+_register("F1c", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
+          bracket=_f1cd_bracket, terms=_f1c_ab)
 
 
 def _f1d_ab(x, y, z):
@@ -361,8 +333,8 @@ def _f1d_ab(x, y, z):
     return av, bv
 
 
-_affine("F1d", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
-        bracket=_f1cd_bracket, ab=_f1d_ab)
+_register("F1d", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
+          bracket=_f1cd_bracket, terms=_f1d_ab)
 
 
 def _kprime_gate(kp):
@@ -377,8 +349,8 @@ def _f1e_abk(kp):
     return math.log(4.0 / kp), kp * kp / (4.0 - kp * kp), 1.0 / kp
 
 
-_log_theta("F1e", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-           sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), abk=_f1e_abk)
+_register("F1e", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
+          sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), terms=_f1e_abk, form=_LOG)
 
 
 def _f1f_abk(kp):
@@ -388,8 +360,8 @@ def _f1f_abk(kp):
     return a, b, 1.0 / kp
 
 
-_log_theta("F1f", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-           sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), abk=_f1f_abk)
+_register("F1f", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
+          sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), terms=_f1f_abk, form=_LOG)
 
 
 def _f2a_gate(x, y, z):
@@ -410,13 +382,11 @@ def _f2a_ab(x, y, z):
     return _rf_complete(x, y) - math.sqrt(z) / g, math.pi * z / (4.0 * g ** 1.5)
 
 
-_affine("F2a", "RF", 1,
-        gate=_f2a_gate,
-        ratio=lambda x, y, z: z / math.sqrt(x * y),
-        sample=_d2_sample,
-        bracket=lambda x, y, z: (1.0 / (1.0 + math.sqrt(z / math.sqrt(x * y))),
-                                 (x + y) / (2.0 * math.sqrt(x * y))),
-        ab=_f2a_ab)
+_register("F2a", "RF", 1, gate=_f2a_gate, ratio=lambda x, y, z: z / math.sqrt(x * y),
+          sample=_d2_sample,
+          bracket=lambda x, y, z: (1.0 / (1.0 + math.sqrt(z / math.sqrt(x * y))),
+                                   (x + y) / (2.0 * math.sqrt(x * y))),
+          terms=_f2a_ab)
 
 
 # ---- RD cases --------------------------------------------------------------
@@ -435,11 +405,11 @@ def _d1_ab(x, y, z):
         pre * math.log(2.0 * z / (a + g)) / z
 
 
-_affine("D1", "RD", 1, gate=_d1_gate, ratio=_f1_ratio, sample=_f1_sample,
-        bracket=lambda x, y, z: (
-            math.sqrt(x * y) / (1.0 - math.sqrt(x * y) / z),
-            1.5 * ((x + y) / 2.0) / (1.0 - (x + y) / (2.0 * z))),
-        ab=_d1_ab)
+_register("D1", "RD", 1, gate=_d1_gate, ratio=_f1_ratio, sample=_f1_sample,
+          bracket=lambda x, y, z: (
+              math.sqrt(x * y) / (1.0 - math.sqrt(x * y) / z),
+              1.5 * ((x + y) / 2.0) / (1.0 - (x + y) / (2.0 * z))),
+          terms=_d1_ab)
 
 
 def _d2_gate(x, y, z):
@@ -460,11 +430,11 @@ def _d2a_ab(x, y, z):
     return pre, -pre * (math.pi / 2.0) * math.sqrt(z / g)
 
 
-_affine("D2a", "RD", 1, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
-        bracket=lambda x, y, z: (
-            1.0 - (4.0 / math.pi) * math.sqrt(z / math.sqrt(x * y)),
-            (x + y) / (2.0 * math.sqrt(x * y))),
-        ab=_d2a_ab)
+_register("D2a", "RD", 1, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
+          bracket=lambda x, y, z: (
+              1.0 - (4.0 / math.pi) * math.sqrt(z / math.sqrt(x * y)),
+              (x + y) / (2.0 * math.sqrt(x * y))),
+          terms=_d2a_ab)
 
 
 def _d2b_ab(x, y, z):
@@ -481,8 +451,8 @@ def _d2b_bracket(x, y, z):
     return 1.0 / (math.sqrt(2.0 / 3.0) + s), 1.5 * a / (g * (1.0 + s))
 
 
-_affine("D2b", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
-        bracket=_d2b_bracket, ab=_d2b_ab)
+_register("D2b", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
+          bracket=_d2b_bracket, terms=_d2b_ab)
 
 
 def _d2c_ab(x, y, z):
@@ -499,8 +469,8 @@ def _d2c_bracket(x, y, z):
     return 1.0 / (1.0 + math.sqrt(z / a)), r ** 1.5 * (3.0 - 1.0 / (r * r))
 
 
-_affine("D2c", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
-        bracket=_d2c_bracket, ab=_d2c_ab)
+_register("D2c", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
+          bracket=_d2c_bracket, terms=_d2c_ab)
 
 
 def _d3_gate(x, y, z):
@@ -523,10 +493,10 @@ def _d3_ab(x, y, z):
     return (3.0 / math.sqrt(x)) / (g + z), -3.0 / (4.0 * x ** 1.5)
 
 
-_affine("D3", "RD", 1, gate=_d3_gate,
-        ratio=lambda x, y, z: max(y, z) / x,
-        sample=lambda r, s, w, lu, coin: (s, *_small_pair(r * s, lu, coin)),
-        bracket=_d3_bracket, ab=_d3_ab)
+_register("D3", "RD", 1, gate=_d3_gate,
+          ratio=lambda x, y, z: max(y, z) / x,
+          sample=lambda r, s, w, lu, coin: (s, *_small_pair(r * s, lu, coin)),
+          bracket=_d3_bracket, terms=_d3_ab)
 
 
 def _d4_gate(x, y, z):
@@ -546,10 +516,10 @@ def _d4_ab(x, y, z):
     return rd(0.0, y, z) - t, t * (math.pi / 4.0) * math.sqrt(x / a)
 
 
-_affine("D4", "RD", 2, gate=_d4_gate,
-        ratio=lambda x, y, z: x / math.sqrt(y * z),
-        sample=lambda r, s, w, *_: (r * math.sqrt(s * w * (s / w)), s * w, s / w),
-        bracket=_d4_bracket, ab=_d4_ab)
+_register("D4", "RD", 2, gate=_d4_gate,
+          ratio=lambda x, y, z: x / math.sqrt(y * z),
+          sample=lambda r, s, w, *_: (r * math.sqrt(s * w * (s / w)), s * w, s / w),
+          bracket=_d4_bracket, terms=_d4_ab)
 
 
 # ---- RJ cases --------------------------------------------------------------
@@ -594,9 +564,9 @@ def _j1a_sample(r, s, w, lu, _):
     return (x, y, z, max(x, y, z) / r)
 
 
-_affine("J1a", "RJ", 2, gate=_j1a_gate,
-        ratio=lambda x, y, z, p: max(x, y, z) / p, sample=_j1a_sample,
-        bracket=_j1a_bracket, ab=_j1a_ab)
+_register("J1a", "RJ", 2, gate=_j1a_gate,
+          ratio=lambda x, y, z, p: max(x, y, z) / p, sample=_j1a_sample,
+          bracket=_j1a_bracket, terms=_j1a_ab)
 
 
 def _j1b_gate(x, y, z, p):
@@ -607,30 +577,14 @@ def _j1b_gate(x, y, z, p):
     _gate((x + y) / 2.0 < p, "J1b requires (x + y)/2 < p")
 
 
-def _j1b_c(x, y, p):
-    return (3.0 / p) * (_rf_complete(x, y) - math.pi / (2.0 * math.sqrt(p)))
+def _j1b_cp(x, y, z, p):
+    return (3.0 / p) * (_rf_complete(x, y) - math.pi / (2.0 * math.sqrt(p))), p
 
 
-def _j1b_value(args, s):
-    x, y, z, p = args
-    return _j1b_c(x, y, p) / (1.0 - s / p)
-
-
-def _j1b_recover(args, v):
-    x, y, z, p = args
-    return p * (1.0 - _j1b_c(x, y, p) / v)
-
-
-def _j1b_deriv(args, v):
-    x, y, z, p = args
-    return abs(p * _j1b_c(x, y, p) / (v * v))
-
-
-_register(_Case("J1b", "RJ", 1, (False, False), _j1b_gate,
-                lambda x, y, z, p: max(x, y) / p,
-                sample=lambda r, s, w, *_: (s * w, s / w, 0.0, max(s * w, s / w) / r),
-                bracket=lambda x, y, z, p: (math.sqrt(x * y), (x + y) / 2.0),
-                value=_j1b_value, recover=_j1b_recover, deriv=_j1b_deriv))
+_register("J1b", "RJ", 1, gate=_j1b_gate, ratio=lambda x, y, z, p: max(x, y) / p,
+          sample=lambda r, s, w, *_: (s * w, s / w, 0.0, max(s * w, s / w) / r),
+          bracket=lambda x, y, z, p: (math.sqrt(x * y), (x + y) / 2.0),
+          terms=_j1b_cp, form=_J1B, strict=(False, False))
 
 
 def _j2_gate(x, y, z, p):
@@ -663,8 +617,8 @@ def _j2a_ab(x, y, z, p):
     return pre * (math.log(4.0 * g / p) - 2.0), pre
 
 
-_affine("J2a", "RJ", 1, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample,
-        bracket=_j2a_bracket, ab=_j2a_ab)
+_register("J2a", "RJ", 1, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample,
+          bracket=_j2a_bracket, terms=_j2a_ab)
 
 
 def _j2b_bracket(x, y, z, p):
@@ -681,8 +635,8 @@ def _j2b_ab(x, y, z, p):
     return av, 0.75 * p / s
 
 
-_affine("J2b", "RJ", 3, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample,
-        bracket=_j2b_bracket, ab=_j2b_ab)
+_register("J2b", "RJ", 3, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample,
+          bracket=_j2b_bracket, terms=_j2b_ab)
 
 
 def _j3_gate(x, y, z, p):
@@ -704,11 +658,11 @@ def _j3_ab(x, y, z, p):
     return av, pre * math.log(2.0 * p / (a + g)) / p
 
 
-_affine("J3", "RJ", 1, gate=_j3_gate,
-        ratio=lambda x, y, z, p: max(x, y) / min(z, p),
-        sample=lambda r, s, w, lu, coin: (
-            *_small_pair(r * min(s * w, s / w), lu, coin), s * w, s / w),
-        bracket=_j3_bracket, ab=_j3_ab)
+_register("J3", "RJ", 1, gate=_j3_gate,
+          ratio=lambda x, y, z, p: max(x, y) / min(z, p),
+          sample=lambda r, s, w, lu, coin: (
+              *_small_pair(r * min(s * w, s / w), lu, coin), s * w, s / w),
+          bracket=_j3_bracket, terms=_j3_ab)
 
 
 def _j4_gate(x, y, z, p):
@@ -734,9 +688,9 @@ def _j4a_ab(x, y, z, p):
         -(3.0 / (g - p)) * (rc(z, g) - (p / g) * rc(z, p))
 
 
-_affine("J4a", "RJ", 1, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample,
-        bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
-        ab=_j4a_ab, strict=(False, False))
+_register("J4a", "RJ", 1, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample,
+          bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
+          terms=_j4a_ab, strict=(False, False))
 
 
 def _j4b_gate(x, y, z, p):
@@ -754,10 +708,10 @@ def _j4b_ab(x, y, z, p):
     return c, -c * math.sqrt(p) / (math.sqrt(g) + math.sqrt(p))
 
 
-_affine("J4b", "RJ", 1, gate=_j4b_gate, ratio=lambda x, y, z, p: p / math.sqrt(x * y),
-        sample=lambda r, s, w, *_: (s * w, s / w, 0.0, r * math.sqrt(s * w * (s / w))),
-        bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
-        ab=_j4b_ab, strict=(False, False))
+_register("J4b", "RJ", 1, gate=_j4b_gate, ratio=lambda x, y, z, p: p / math.sqrt(x * y),
+          sample=lambda r, s, w, *_: (s * w, s / w, 0.0, r * math.sqrt(s * w * (s / w))),
+          bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
+          terms=_j4b_ab, strict=(False, False))
 
 
 def _j4c_bracket(x, y, z, p):
@@ -775,8 +729,8 @@ def _j4c_ab(x, y, z, p):
     return av, 1.5 * math.pi / (x * y)
 
 
-_affine("J4c", "RJ", 2, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample,
-        bracket=_j4c_bracket, ab=_j4c_ab)
+_register("J4c", "RJ", 2, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample,
+          bracket=_j4c_bracket, terms=_j4c_ab)
 
 
 def _j5_gate(x, y, z, p):
@@ -803,9 +757,9 @@ def _j5_sample(r, s, w, lu, _):
     return (r * min(y, z, p), y, z, p)
 
 
-_affine("J5", "RJ", 3, gate=_j5_gate,
-        ratio=lambda x, y, z, p: x / min(y, z, p), sample=_j5_sample,
-        bracket=_j5_bracket, ab=_j5_ab)
+_register("J5", "RJ", 3, gate=_j5_gate,
+          ratio=lambda x, y, z, p: x / min(y, z, p), sample=_j5_sample,
+          bracket=_j5_bracket, terms=_j5_ab)
 
 
 def _j6a_gate(x, y, z, p):
@@ -831,11 +785,11 @@ def _j6a_ab(x, y, z, p):
     return (3.0 / math.sqrt(x)) * _j6_rc_term(y, z, p), -0.75 / math.sqrt(x)
 
 
-_affine("J6a", "RJ", 1, gate=_j6a_gate,
-        ratio=lambda x, y, z, p: max(y, z, p) / x,
-        sample=lambda r, s, w, lu, coin: (
-            s, *_small_pair(r * s, lu, coin), r * s * lu(0.1, 1.0)),
-        bracket=_j6a_bracket, ab=_j6a_ab)
+_register("J6a", "RJ", 1, gate=_j6a_gate,
+          ratio=lambda x, y, z, p: max(y, z, p) / x,
+          sample=lambda r, s, w, lu, coin: (
+              s, *_small_pair(r * s, lu, coin), r * s * lu(0.1, 1.0)),
+          bracket=_j6a_bracket, terms=_j6a_ab)
 
 
 def _j6complete_gate(x, y, z, p):
@@ -856,10 +810,10 @@ def _j6complete_ab(x, y, z, p):
     return (3.0 / math.sqrt(x * p)) * rc(p, z), -0.75 / x ** 1.5
 
 
-_affine("J6complete", "RJ", 1, gate=_j6complete_gate,
-        ratio=lambda x, y, z, p: max(z, p) / x,
-        sample=lambda r, s, w, lu, coin: (s, 0.0, *_small_pair(r * s, lu, coin)),
-        bracket=_j6complete_bracket, ab=_j6complete_ab)
+_register("J6complete", "RJ", 1, gate=_j6complete_gate,
+          ratio=lambda x, y, z, p: max(z, p) / x,
+          sample=lambda r, s, w, lu, coin: (s, 0.0, *_small_pair(r * s, lu, coin)),
+          bracket=_j6complete_bracket, terms=_j6complete_ab)
 
 
 # ---- RG cases --------------------------------------------------------------
@@ -886,16 +840,16 @@ def _g1a_ab(x, y, z):
 def _g1a_build(x, y, z):
     a, _ = _ag(x, y)
     r_lo, r_hi = _g1a_bracket(x, y, z)
-    av, bv = _g1a_ab(x, y, z)
-    lo = av + bv * r_lo
+    terms = _g1a_ab(x, y, z)
+    lo = _AFFINE.value(terms, r_lo)
     if 5.0 * a < z:
-        return lo, av + bv * r_hi, None
+        return lo, _AFFINE.value(terms, r_hi), None
     ref = rg(x, y, z)
     return lo, ref, "upper endpoint requires 5a < z; reference value used instead"
 
 
-_affine("G1a", "RG", 1, gate=_g1a_gate, ratio=_f1_ratio, sample=_f1_sample,
-        bracket=_g1a_bracket, ab=_g1a_ab, build=_g1a_build)
+_register("G1a", "RG", 1, gate=_g1a_gate, ratio=_f1_ratio, sample=_f1_sample,
+          bracket=_g1a_bracket, terms=_g1a_ab, build=_g1a_build)
 
 
 def _g1b_gate(x, y, z):
@@ -918,9 +872,9 @@ def _g1b_ab(x, y, z):
     return av, c * y / (2.0 * z)
 
 
-_affine("G1b", "RG", 1, gate=_g1b_gate, ratio=lambda x, y, z: y / z,
-        sample=lambda r, s, *_: (0.0, r * s, s),
-        bracket=_g1b_bracket, ab=_g1b_ab)
+_register("G1b", "RG", 1, gate=_g1b_gate, ratio=lambda x, y, z: y / z,
+          sample=lambda r, s, *_: (0.0, r * s, s),
+          bracket=_g1b_bracket, terms=_g1b_ab)
 
 
 def _g1c_bracket(kp):
@@ -935,8 +889,8 @@ def _g1c_ab(kp):
     return 1.0 + 0.5 * k2 * (math.log(4.0 / kp) - 0.5), 0.5 * k2 * k2
 
 
-_affine("G1c", "E", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-        sample=_kprime_sample, bracket=_g1c_bracket, ab=_g1c_ab)
+_register("G1c", "E", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
+          sample=_kprime_sample, bracket=_g1c_bracket, terms=_g1c_ab)
 
 
 def _g2_gate(x, y, z):
@@ -960,8 +914,8 @@ def _g2_ab(x, y, z):
     return rg(x, y, 0.0), math.pi * z / 8.0
 
 
-_affine("G2", "RG", 2, gate=_g2_gate, ratio=_d2_ratio, sample=_d2_sample,
-        bracket=_g2_bracket, ab=_g2_ab)
+_register("G2", "RG", 2, gate=_g2_gate, ratio=_d2_ratio, sample=_d2_sample,
+          bracket=_g2_bracket, terms=_g2_ab)
 
 
 # --------------------------------------------------------------------------
@@ -982,42 +936,63 @@ def _case(tag: str) -> _Case:
         raise DomainError(f"unknown case tag {tag!r}") from None
 
 
-def _checked_args(case: _Case, args) -> tuple[float, ...]:
-    vals = tuple(float(a) for a in args)
+def _call(tag: str, args, gated: bool, body, *extra):
+    """``body(case, vals, *extra)`` behind the prologue and the error boundary
+    that every entry point shares: tag lookup, argument checks and, where
+    ``gated``, the case's gate.  A float64 failure inside the case formula,
+    an ArithmeticError or a math-domain ValueError, raises ConvergenceError."""
+    case = _case(tag)
+    vals = tuple(map(float, args))
     arity = KIND_ARITY[case.kind]
     if len(vals) != arity:
-        raise DomainError(f"{case.tag} takes {arity} arguments, got {len(vals)}")
+        raise DomainError(f"{tag} takes {arity} arguments, got {len(vals)}")
     for v in vals:
         if not math.isfinite(v):
-            raise DomainError(f"{case.tag} arguments must be finite, got {vals}")
-    return vals
+            raise DomainError(f"{tag} arguments must be finite, got {vals}")
+    try:
+        if gated:
+            case.gate(*vals)
+        return body(case, vals, *extra)
+    except (DomainError, RegimeError, ConvergenceError):
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        raise ConvergenceError(f"{tag} at {vals} is past float64: {exc}") from exc
+
+
+def _symbol_terms(case: _Case, vals):
+    if case.terms is None:
+        raise DomainError(f"{case.tag} exposes no error symbol (one-sided bound)")
+    return case.terms(*vals)
+
+
+def _enclosure(case: _Case, vals) -> Enclosure:
+    sl, sh = case.strict
+    if case.build is not None:
+        lo, hi, note = case.build(*vals)
+    else:
+        s_lo, s_hi = case.bracket(*vals)
+        terms = case.terms(*vals)
+        lo, hi, note = case.form.value(terms, s_lo), case.form.value(terms, s_hi), None
+        if hi < lo:
+            lo, hi, sl, sh = hi, lo, sh, sl
+    est = 0.5 * (lo + hi)
+    lo, hi = widen_down(lo), widen_up(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(est)):
+        raise OverflowError("the enclosure is not finite")
+    return Enclosure(lo, hi, est, case.tag, sl, sh, note)
 
 
 def enclose(tag: str, *args: float) -> Enclosure:
     """Build the certified enclosure of case ``tag`` at ``args``."""
-    case = _case(tag)
-    vals = _checked_args(case, args)
-    case.gate(*vals)
-    if case.build is not None:
-        lo, hi, note = case.build(*vals)
-        sl, sh = case.strict
-    else:
+    return _call(tag, args, True, _enclosure)
+
+
+def _theta(case: _Case, vals, v: float) -> float:
+    theta = case.form.recover(_symbol_terms(case, vals), v)
+    if theta is None:  # the value does not depend on the symbol
         s_lo, s_hi = case.bracket(*vals)
-        v1 = case.value(vals, s_lo)
-        v2 = case.value(vals, s_hi)
-        if v1 <= v2:
-            lo, hi = v1, v2
-            sl, sh = case.strict
-        else:
-            lo, hi = v2, v1
-            sh, sl = case.strict
-        note = None
-    est = 0.5 * (lo + hi)
-    lo, hi = widen_down(lo), widen_up(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(est)):
-        # overflow or underflow inside the case formula: no certificate
-        note = "enclosure is not finite at these arguments"
-    return Enclosure(lo, hi, est, tag, sl, sh, note)
+        return 0.5 * (s_lo + s_hi)
+    return theta
 
 
 def theta_recover(tag: str, args, true_value: float) -> float:
@@ -1027,34 +1002,50 @@ def theta_recover(tag: str, args, true_value: float) -> float:
     the bracket midpoint is returned, which for a collapsed bracket is the
     collapsed point itself.
     """
-    case = _case(tag)
-    vals = _checked_args(case, args)
-    case.gate(*vals)
-    if case.recover is None:
-        raise DomainError(f"{tag} exposes no error symbol (one-sided bound)")
-    return case.recover(vals, float(true_value))
+    return _call(tag, args, True, _theta, float(true_value))
 
 
-def recover_sigma(tag: str, args, true_value: float, value_rel_err: float = 4.0 * 2.220446049250313e-16) -> float:
-    """Uncertainty of the recovered symbol given the value's relative error."""
-    case = _case(tag)
-    vals = _checked_args(case, args)
-    if case.deriv is None:
-        raise DomainError(f"{tag} exposes no error symbol (one-sided bound)")
-    v = float(true_value)
-    return case.deriv(vals, v) * value_rel_err * abs(v)
+def _sigma(case: _Case, vals, v: float) -> float:
+    terms = _symbol_terms(case, vals)
+    try:
+        return case.form.deriv(terms, v) * _VALUE_REL_ERR * abs(v)
+    except ArithmeticError:  # the symbol is past float64
+        return math.inf
+
+
+def recover_sigma(tag: str, args, true_value: float) -> float:
+    """Uncertainty of the recovered symbol when the value carries a relative
+    error of 4 ulps; inf where the symbol is past float64."""
+    return _call(tag, args, False, _sigma, float(true_value))
+
+
+def _window(case: _Case, vals, v: float):
+    s_lo, s_hi = case.bracket(*vals)
+    sigma = _sigma(case, vals, v)
+    width = s_hi - s_lo
+    if width <= 0.0 or not math.isfinite(sigma) or sigma > _ILLCOND_FRACTION * width:
+        return None
+    return s_lo, s_hi, sigma
+
+
+def theta_window(tag: str, args, true_value: float) -> tuple[float, float, float] | None:
+    """(sym_lo, sym_hi, sigma) of the symbol's recovery at the true value, or
+    None where that recovery is ill-conditioned: sigma (recover_sigma) is not
+    finite or exceeds 2 % of the bracket width, or the bracket is empty."""
+    return _call(tag, args, True, _window, float(true_value))
+
+
+def _bracket(case: _Case, vals) -> tuple[float, float]:
+    return case.bracket(*vals)
 
 
 def sym_bracket(tag: str, *args: float) -> tuple[float, float]:
     """Stated bracket endpoints of the case's error symbol."""
-    case = _case(tag)
-    vals = _checked_args(case, args)
-    case.gate(*vals)
-    return case.bracket(*vals)
+    return _call(tag, args, True, _bracket)
 
 
 def has_symbol(tag: str) -> bool:
-    return _case(tag).recover is not None
+    return _case(tag).terms is not None
 
 
 def case_kind(tag: str) -> str:
@@ -1070,11 +1061,13 @@ def kind_cases(kind: str) -> tuple[str, ...]:
     return _KIND_CASES.get(kind, ())
 
 
+def _ratio(case: _Case, vals) -> float:
+    return case.ratio(*vals)
+
+
 def case_ratio(tag: str, *args: float) -> float:
     """Smallness parameter governing the case's enclosure width."""
-    case = _case(tag)
-    vals = _checked_args(case, args)
-    return case.ratio(*vals)
+    return _call(tag, args, False, _ratio)
 
 
 def sample_case(tag: str, ratio: float, lu, coin) -> tuple:

@@ -165,11 +165,11 @@ def _enc_dict(enc: asym.Enclosure) -> dict:
 
 
 def _theta(tag: str, vals: tuple, reference: float) -> float | None:
-    """The case's error symbol at the reference; None if it has none or it is past float64."""
-    try:
-        return asym.theta_recover(tag, vals, reference) if asym.has_symbol(tag) else None
-    except ConvergenceError:
-        return None
+    """The case's error symbol at the reference; None if it has none or its
+    recovery is ill-conditioned."""
+    if asym.has_symbol(tag) and asym.theta_window(tag, vals, reference) is not None:
+        return asym.theta_recover(tag, vals, reference)
+    return None
 
 
 def _cmd_asym(args) -> int:

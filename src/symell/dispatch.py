@@ -10,8 +10,9 @@ formulas the enclosure uses, so "meets tolerance" is a guarantee rather
 than a heuristic, and the narrowest step of a class certifies if any of
 it does.  Asymptotic cases are considered only when their regime ratio is
 at most 1e-2 — the territory the containment campaigns certify; anything
-outside falls through silently to the reference path, as does an
-enclosure that carries a note or whose upper end is not positive.
+outside falls through silently to the reference path, as do a case whose
+formula fails in float64 (asym raises ConvergenceError) and an enclosure
+that carries a note or whose upper end is not positive.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
 through the branchy rc evaluation 1e-13; asymptotic = relative half-width
@@ -26,7 +27,7 @@ import sys
 from dataclasses import dataclass
 
 from . import asym, core
-from .errors import ConvergenceError, DomainError, ToleranceError
+from .errors import ConvergenceError, DomainError, RegimeError, ToleranceError
 
 __all__ = ["EvalRequest", "EvalReport", "PlanStep", "evaluate", "plan"]
 
@@ -40,7 +41,7 @@ _RATIO_MAX = 1e-2
 _ASYM_MARGIN = 2e-13
 
 # what a case's ratio or enclosure may raise outside its territory
-_SKIP = (DomainError, ValueError, ZeroDivisionError, OverflowError, ConvergenceError)
+_SKIP = (DomainError, RegimeError, ConvergenceError)
 
 _GUAR_ELEMENTARY = 1e-14
 _GUAR_RC = 1e-13
@@ -235,7 +236,7 @@ def _walk(req: EvalRequest):
             except _SKIP:
                 continue
             if enc.note is not None or enc.hi <= 0.0:
-                # a reference or non-finite endpoint, or a cancelled integral
+                # G1a's reference endpoint, or a cancelled integral
                 continue
             hw = 0.5 * enc.rel_width()
             if math.isfinite(hw):

@@ -60,7 +60,6 @@ _DEFAULT_RATIOS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 # ratios where symbol recovery stays well-conditioned for every case
 THETA_RATIOS = (1e-2, 1e-3, 1e-4, 1e-5)
 
-_ILLCOND_FRACTION = 0.02
 _MAX_RECORDED = 10
 _BLOCK = 4096   # rows per numpy call of a block draw; bounds its memory
 
@@ -194,12 +193,11 @@ def _oracle_values(tag: str, rows) -> list[tuple[float, float]]:
 def _theta_classify(tag, args, report):
     stats = report.theta
     value = reference_value(tag, args)
-    slo, shi = asym.sym_bracket(tag, *args)
-    width = shi - slo
-    sigma = asym.recover_sigma(tag, args, value)
-    if width <= 0.0 or not math.isfinite(sigma) or sigma > _ILLCOND_FRACTION * width:
+    window = asym.theta_window(tag, args, value)
+    if window is None:
         stats["ill_conditioned"] = stats.get("ill_conditioned", 0) + 1
         return
+    slo, shi, sigma = window
     theta = asym.theta_recover(tag, args, value)
     band = max(4.0 * math.ulp(max(abs(slo), abs(shi))), sigma)
     if slo < theta < shi:
@@ -235,7 +233,7 @@ def _enclosures(campaign: Campaign, report: CampaignReport):
             except RegimeError:
                 report.gated += 1
                 continue
-            if enc.note is not None and math.isfinite(enc.width):
+            if enc.note is not None:
                 # the case left its displayed bound (G1a without 5a < z)
                 report.gated += 1
                 continue
@@ -247,7 +245,7 @@ def _enclosures(campaign: Campaign, report: CampaignReport):
         report.max_rel_width[ratio] = wmax
 
 
-def run_containment(campaign: Campaign, check_theta: bool = True) -> CampaignReport:
+def run_containment(campaign: Campaign) -> CampaignReport:
     """Sample in-regime tuples and assert the oracle lies in every enclosure."""
     tag = campaign.case
     report = CampaignReport(tag, "containment", campaign.seed, campaign.ratios,
@@ -262,7 +260,7 @@ def run_containment(campaign: Campaign, check_theta: bool = True) -> CampaignRep
                 report.violation_samples.append(
                     {"kind": "containment", "ratio": ratio, "args": list(args),
                      "oracle": value, "lo": enc.lo, "hi": enc.hi})
-        if check_theta and asym.has_symbol(tag) and ratio in THETA_RATIOS:
+        if asym.has_symbol(tag) and ratio in THETA_RATIOS:
             _theta_classify(tag, args, report)
     report.wall_time = time.perf_counter() - t0
     return report

@@ -255,6 +255,12 @@ def _checked_row(check, args):
     return vals
 
 
+def _where(kind: str, row) -> str:
+    # an RJpv row carries q = -p; name the p of the integral
+    return (f"RJpv quadrature at {row[:3]} with p = {-row[3]!r}" if kind == "RJpv"
+            else f"{kind} quadrature at {row}")
+
+
 def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
     """(value, error estimate) of the integral of ``kind`` at each
     argument row, by the fixed-node rule with panel doubling.
@@ -279,7 +285,7 @@ def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
                                           oks.tolist()):
             if not ok:
                 raise ConvergenceError(
-                    f"{kind} quadrature at {row}: error estimate {err:.3e} misses the "
+                    f"{_where(kind, row)}: error estimate {err:.3e} misses the "
                     f"target for value {value:.6e} on {_PANELS[-1]} head panels")
             try:
                 out.append((value / s ** degree, err / s ** degree))
@@ -288,12 +294,12 @@ def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
                 half = s ** (0.5 * degree)
                 value, err = value / half / half, err / half / half
                 if not value >= sys.float_info.min:
-                    raise ConvergenceError(f"{kind} quadrature at {row}: value {value!r} "
+                    raise ConvergenceError(f"{_where(kind, row)}: value {value!r} "
                                            "is below the normal float64 range") from None
                 out.append((value, err))
             except ArithmeticError as exc:
                 # the scale factor left the float64 range
-                raise ConvergenceError(f"{kind} quadrature at {row}: {exc}") from exc
+                raise ConvergenceError(f"{_where(kind, row)}: {exc}") from exc
     return out
 
 

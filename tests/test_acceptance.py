@@ -118,7 +118,7 @@ def containment_reports():
     reports = {}
     for tag in CASE_TAGS:
         reports[tag] = run_containment(
-            Campaign(tag, FULL_RATIOS, samples=500, seed=42), check_theta=True)
+            Campaign(tag, FULL_RATIOS, samples=500, seed=42))
     return reports, time.perf_counter() - t0
 
 

@@ -14,6 +14,7 @@ from symell import (
     approx_rf,
     approx_rg,
     approx_rj,
+    asym,
     case_ratio,
     core,
     dispatch,
@@ -21,8 +22,8 @@ from symell import (
     oracle_with_error,
     theta_recover,
 )
-from symell.asym import (CASE_TAGS, case_kind, has_symbol, recover_sigma,
-                         reference_route, sym_bracket)
+from symell.asym import (CASE_TAGS, KIND_ARITY, case_kind, has_symbol, recover_sigma,
+                         reference_route, sym_bracket, theta_window)
 from symell.harness import containment_slack, sample_args
 
 
@@ -314,11 +315,57 @@ def test_case_ratio_definitions():
     assert case_ratio("J2a", 1.0, 1.0, 1.0, 0.001) == pytest.approx(0.001)
 
 
-def test_non_finite_enclosure_carries_note():
-    enc = enclose("J2a", 1e300, 1e300, 1e300, 1e-300)
-    assert math.isnan(enc.estimate)
-    assert enc.note is not None
+def test_non_finite_enclosure_is_a_convergence_error():
+    with pytest.raises(ConvergenceError, match="past float64"):
+        enclose("J2a", 1e300, 1e300, 1e300, 1e-300)
     assert enclose("J2a", 1.0, 2.0, 3.0, 1e-5).note is None
+
+
+@pytest.mark.parametrize("tag, args", [
+    ("C1", (0.0, 1e-224)),      # y**1.5 underflows to zero
+    ("J2a", (2.055664909053445e-174, 1.4719008802932014e-187, 5.194887725359986e+120,
+             1.4227417530867443e-195)),  # log of a product that underflows
+])
+def test_bare_float64_failure_is_a_convergence_error(tag, args):
+    with pytest.raises(ConvergenceError, match="past float64"):
+        enclose(tag, *args)
+
+
+def test_only_typed_errors_escape_on_the_whole_float64_range():
+    # log-uniform tuples over 1e-300..1e300, about a tenth of them zeros,
+    # through every entry point of every case
+    rng = np.random.default_rng(5)
+    typed = (DomainError, RegimeError, ConvergenceError)
+    for tag in CASE_TAGS:
+        n = KIND_ARITY[case_kind(tag)]
+        rows = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (1000, n + 1)))
+        rows[rng.random((1000, n + 1)) < 0.1] = 0.0
+        for *args, v in rows.tolist():
+            for call in (lambda: enclose(tag, *args), lambda: case_ratio(tag, *args),
+                         lambda: sym_bracket(tag, *args),
+                         lambda: theta_recover(tag, args, v),
+                         lambda: recover_sigma(tag, args, v),
+                         lambda: theta_window(tag, args, v)):
+                try:
+                    call()
+                except typed:
+                    pass
+
+
+def test_formula_terms_are_computed_once_per_enclosure(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(asym, name)
+        return lambda *a: calls.append(name) or real(*a)
+
+    monkeypatch.setattr(asym, "rj", counted("rj"))
+    monkeypatch.setattr(asym, "rd", counted("rd"))
+    enclose("J2b", 1.0, 2.0, 3.0, 1e-3)
+    assert calls == ["rj"]
+    calls.clear()
+    enclose("D2b", 1.0, 2.0, 1e-3)
+    assert calls == ["rd", "rd"]
 
 
 def test_family_wrappers_reject_foreign_tags():

@@ -113,10 +113,13 @@ class TestAsym:
         assert float(fields["lo"]) <= 3.0083051 <= float(fields["hi"])
 
     def test_degenerate_case(self, capsys):
+        # at x = 0 the bracket collapses to [1, 1] and the value does not
+        # depend on the symbol: its recovery is ill-conditioned
         code, out, _ = run(capsys, "asym", "C1", "0", "1")
         assert code == 0
         fields = dict(kv.split("=") for kv in out.split())
-        assert float(fields["theta"]) == 1.0
+        assert fields["theta"] == "none"
+        assert float(fields["lo"]) <= math.pi / 2 <= float(fields["hi"])
 
     def test_regime_exit(self, capsys):
         code, _, err = run(capsys, "asym", "G1a", "1", "1", "4")
@@ -125,8 +128,18 @@ class TestAsym:
 
     def test_non_finite_enclosure_exit(self, capsys):
         code, _, err = run(capsys, "asym", "J2a", "1e300", "1e300", "1e300", "1e-300")
-        assert code == 4
-        assert "not finite" in err
+        assert code == 2
+        assert "past float64" in err and "not finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("C1", "0", "1e-224"),
+        ("J2a", "2.055664909053445e-174", "1.4719008802932014e-187",
+         "5.194887725359986e+120", "1.4227417530867443e-195"),
+    ])
+    def test_bare_float64_failure_exit(self, capsys, argv):
+        code, out, err = run(capsys, "asym", *argv)
+        assert (code, out) == (2, "")
+        assert "past float64" in err
 
     def test_gate_violation_exit(self, capsys):
         code, _, _ = run(capsys, "asym", "C2a", "1", "3")
@@ -143,9 +156,12 @@ class TestAsym:
         code, _, _ = run(capsys, "asym", "Z9", "1", "2")
         assert code == 64
 
-    @pytest.mark.parametrize("argv", [("F1f", "1e-6"), ("C2b", "1", "1e-12")])
+    @pytest.mark.parametrize("argv", [("F1f", "1e-6"), ("C2b", "1", "1e-12"),
+                                      ("C2b", "1", "1e-8")])
     def test_symbol_past_float64_prints_none(self, capsys, argv):
-        # exp((v - a) / b) overflows: no symbol, but the enclosure stands
+        # exp((v - a) / b) overflows: no symbol, but the enclosure stands; at
+        # C2b (1, 1e-8) the symbol is finite (about 1.9e74), but its
+        # uncertainty dwarfs the bracket [1, 4]
         code, out, _ = run(capsys, "asym", *argv)
         assert code == 0
         fields = dict(kv.split("=") for kv in out.split())
@@ -230,18 +246,35 @@ class TestTable:
             assert 1.0 <= cells["F1e_theta"] <= 4.0
 
     def test_symbol_past_float64_is_an_empty_cell(self, capsys):
-        # F1f's symbol overflows at k' = 1e-6; F1e's does not
+        # F1f's symbol overflows at k' = 1e-6; F1e's does not, but its
+        # recovery is ill-conditioned there
         code, out, _ = run(capsys, "table", "--function", "K", "--kprime-grid", "1e-6")
         assert code == 0
         header, row = (line.split(",") for line in out.strip().splitlines())
         cells = dict(zip(header, row))
         assert cells["F1f_theta"] == ""
-        assert 1.0 <= float(cells["F1e_theta"]) <= 4.0
+        assert cells["F1e_theta"] == ""
         code, out, _ = run(capsys, "table", "--function", "K", "--kprime-grid", "1e-6",
                            "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert dict(zip(doc["columns"], doc["rows"][0]))["F1f_theta"] is None
+
+    def test_ill_conditioned_symbol_is_an_empty_cell(self, capsys):
+        # at k' = 1e-4 F1f's symbol is finite but ill-conditioned; F1e's is not
+        for fmt, empty in (("csv", ""), ("tsv", ""), ("json", None)):
+            code, out, _ = run(capsys, "table", "--function", "K", "--kprime-grid", "1e-4",
+                               "--format", fmt)
+            assert code == 0
+            if fmt == "json":
+                doc = json.loads(out)
+                cells = dict(zip(doc["columns"], doc["rows"][0]))
+            else:
+                header, row = (line.split("," if fmt == "csv" else "\t")
+                               for line in out.rstrip("\n").splitlines())
+                cells = dict(zip(header, row))
+            assert cells["F1f_theta"] == empty
+            assert 1.0 <= float(cells["F1e_theta"]) <= 4.0
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "table", "--function", "K",

@@ -123,7 +123,7 @@ def test_non_positive_enclosure_is_a_violation(monkeypatch):
         return dataclasses.replace(enc, lo=-enc.hi, hi=-enc.lo, estimate=-enc.estimate)
 
     monkeypatch.setattr(asym, "enclose", negated)
-    rep = run_containment(Campaign("F1a", (1e-3,), samples=10, seed=11), check_theta=False)
+    rep = run_containment(Campaign("F1a", (1e-3,), samples=10, seed=11))
     assert (rep.evaluated, rep.gated, rep.violations) == (10, 0, 10)
     assert {s["kind"] for s in rep.violation_samples} == {"containment"}
     assert all(s["hi"] < 0.0 for s in rep.violation_samples)

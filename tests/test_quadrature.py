@@ -32,7 +32,8 @@ def test_integrand_underflow_is_typed():
     # at subnormal arguments t + x leaves the normal range near t = 0
     with pytest.raises(ConvergenceError):
         oracle("RF", (1e-320, 2e-320, 1))
-    with pytest.raises(ConvergenceError):
+    # the error names the caller's p, not the row's q = -p
+    with pytest.raises(ConvergenceError, match=r"with p = -1\.0:"):
         oracle_rj_pv(1e-320, 2e-320, 1.0, -1.0)
 
 
