@@ -12,19 +12,21 @@ argument sampler, bracket, and the formula as terms (the arguments to the
 coefficients, computed once per call) and a form; the arity and the
 reference route follow from the kind.  Most forms are affine in the error
 symbol; the C2/F1e/F1f family is affine in log(symbol) instead, and J1b is
-a multiplicative form.  theta_recover inverts a case formula for the
-realized error symbol given the true value, which must land inside the
-stated bracket (the bracket-realization tests).
+a multiplicative form.  A case's gate holds every condition its displayed
+endpoints need (G1a's upper endpoint needs 5a < z).
+
+theta_window is the one symbol entry: from one gate, one bracket and one
+terms computation it inverts a case formula for the realized error symbol
+given the true value, which must land inside the stated bracket (the
+bracket-realization tests), or returns None where that inversion is
+ill-conditioned.  theta_recover and recover_sigma share its body.
 
 Cases whose displayed formula covers only one side (C2c, F1b) are paired
-with the best same-family endpoint so the return type stays uniform.  G1a's
-displayed upper bound requires 5a < z; outside that the enclosure keeps the
-displayed lower endpoint, takes the reference evaluator's value as upper
-endpoint, and carries a note.
+with the best same-family endpoint so the return type stays uniform.
 
 A float64 failure inside a case formula (an overflow, an underflow to a
-division by zero, a math-domain error, or an enclosure that is not finite)
-raises ConvergenceError.
+division by zero, a math-domain error, or an enclosure, ratio, bracket
+endpoint, term or symbol that is not finite) raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ __all__ = [
     "recover_sigma",
     "reference_route",
     "sample_case",
-    "sym_bracket",
     "theta_recover",
     "theta_window",
 ]
@@ -73,7 +74,6 @@ class Enclosure:
     case: str
     strict_lo: bool
     strict_hi: bool
-    note: str | None = None     # set where hi is G1a's reference value
 
     @property
     def width(self) -> float:
@@ -165,7 +165,7 @@ class _Case:
     bracket: Callable            # args -> (sym_lo, sym_hi)
     terms: Callable | None       # args -> coefficients of form, None for one-sided
     form: _Form
-    build: Callable | None       # args -> (lo, hi, note), a custom enclosure
+    build: Callable | None       # args -> (lo, hi), a custom enclosure
 
 
 _CASES: dict[str, _Case] = {}
@@ -242,7 +242,7 @@ _register("C2b", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sa
 def _c2c_build(x, y):
     lo = _LOG.value(_c2a_abk(x, y), 1.0)  # C2a formula at theta = 1
     hi = math.log(4.0 * x / y) / (2.0 * math.sqrt(x) * (1.0 - y / (2.0 * x)))
-    return lo, hi, None
+    return lo, hi
 
 
 _register("C2c", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
@@ -296,7 +296,7 @@ def _f1b_build(x, y, z):
     r_lo, _ = _f1_bracket(x, y, z)
     lo = _AFFINE.value(_f1a_ab(x, y, z), r_lo)
     hi = math.log(8.0 * z / (a + g)) / (2.0 * math.sqrt(z) * (1.0 - a / (2.0 * z)))
-    return lo, hi, None
+    return lo, hi
 
 
 _register("F1b", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
@@ -821,8 +821,9 @@ _register("J6complete", "RJ", 1, gate=_j6complete_gate,
 
 def _g1a_gate(x, y, z):
     _f1_dom(x, y, z)
-    a, g = _ag(x, y)
-    _gate(g < z and a < z, f"G1a requires g < z and a < z, got a={a}, g={g}, z={z}")
+    a, _ = _ag(x, y)
+    # 5a < z, which the upper endpoint needs, implies the lower's g < z and a < z
+    _gate(5.0 * a < z, f"G1a requires 5a < z, got a={a}, z={z}")
 
 
 def _g1a_bracket(x, y, z):
@@ -837,19 +838,8 @@ def _g1a_ab(x, y, z):
     return 0.5 * math.sqrt(z), 0.25 / math.sqrt(z)
 
 
-def _g1a_build(x, y, z):
-    a, _ = _ag(x, y)
-    r_lo, r_hi = _g1a_bracket(x, y, z)
-    terms = _g1a_ab(x, y, z)
-    lo = _AFFINE.value(terms, r_lo)
-    if 5.0 * a < z:
-        return lo, _AFFINE.value(terms, r_hi), None
-    ref = rg(x, y, z)
-    return lo, ref, "upper endpoint requires 5a < z; reference value used instead"
-
-
 _register("G1a", "RG", 1, gate=_g1a_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=_g1a_bracket, terms=_g1a_ab, build=_g1a_build)
+          bracket=_g1a_bracket, terms=_g1a_ab)
 
 
 def _g1b_gate(x, y, z):
@@ -959,27 +949,21 @@ def _call(tag: str, args, gated: bool, body, *extra):
         raise ConvergenceError(f"{tag} at {vals} is past float64: {exc}") from exc
 
 
-def _symbol_terms(case: _Case, vals):
-    if case.terms is None:
-        raise DomainError(f"{case.tag} exposes no error symbol (one-sided bound)")
-    return case.terms(*vals)
-
-
 def _enclosure(case: _Case, vals) -> Enclosure:
     sl, sh = case.strict
     if case.build is not None:
-        lo, hi, note = case.build(*vals)
+        lo, hi = case.build(*vals)
     else:
         s_lo, s_hi = case.bracket(*vals)
         terms = case.terms(*vals)
-        lo, hi, note = case.form.value(terms, s_lo), case.form.value(terms, s_hi), None
+        lo, hi = case.form.value(terms, s_lo), case.form.value(terms, s_hi)
         if hi < lo:
             lo, hi, sl, sh = hi, lo, sh, sl
     est = 0.5 * (lo + hi)
     lo, hi = widen_down(lo), widen_up(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(est)):
         raise OverflowError("the enclosure is not finite")
-    return Enclosure(lo, hi, est, case.tag, sl, sh, note)
+    return Enclosure(lo, hi, est, case.tag, sl, sh)
 
 
 def enclose(tag: str, *args: float) -> Enclosure:
@@ -987,12 +971,51 @@ def enclose(tag: str, *args: float) -> Enclosure:
     return _call(tag, args, True, _enclosure)
 
 
-def _theta(case: _Case, vals, v: float) -> float:
-    theta = case.form.recover(_symbol_terms(case, vals), v)
+def _symbol(case: _Case, vals, v: float):
+    """(sym_lo, sym_hi, sigma, terms) of the error symbol at the value ``v``:
+    the body every symbol entry shares, one bracket and one terms computation."""
+    if case.terms is None:
+        raise DomainError(f"{case.tag} exposes no error symbol (one-sided bound)")
+    s_lo, s_hi = case.bracket(*vals)
+    terms = case.terms(*vals)
+    if not all(map(math.isfinite, (s_lo, s_hi, *terms))):
+        raise OverflowError("the error symbol's bracket or terms are not finite")
+    try:
+        slope = case.form.deriv(terms, v)
+    except ArithmeticError:  # the symbol is past float64
+        slope = math.inf
+    # a NaN or infinite slope (a value past float64) leaves sigma infinite
+    sigma = slope * _VALUE_REL_ERR * abs(v) if slope < math.inf else math.inf
+    return s_lo, s_hi, sigma, terms
+
+
+def _theta(case: _Case, v: float, symbol) -> float:
+    s_lo, s_hi, _, terms = symbol
+    theta = case.form.recover(terms, v)
     if theta is None:  # the value does not depend on the symbol
-        s_lo, s_hi = case.bracket(*vals)
-        return 0.5 * (s_lo + s_hi)
+        theta = 0.5 * (s_lo + s_hi)
+    if not math.isfinite(theta):
+        raise OverflowError("the error symbol is not finite")
     return theta
+
+
+def _window(case: _Case, vals, v: float):
+    symbol = _symbol(case, vals, v)
+    s_lo, s_hi, sigma, _ = symbol
+    width = s_hi - s_lo
+    if width <= 0.0 or not math.isfinite(sigma) or sigma > _ILLCOND_FRACTION * width:
+        return None
+    return s_lo, s_hi, sigma, _theta(case, v, symbol)
+
+
+def theta_window(tag: str, args, true_value: float) \
+        -> tuple[float, float, float, float] | None:
+    """(sym_lo, sym_hi, sigma, theta): the bracket of the case's error symbol,
+    the uncertainty sigma (recover_sigma) and the realized symbol theta
+    (theta_recover) at the true value; None where that recovery is
+    ill-conditioned: sigma is not finite or exceeds 2 % of the bracket width,
+    or the bracket is empty."""
+    return _call(tag, args, True, _window, float(true_value))
 
 
 def theta_recover(tag: str, args, true_value: float) -> float:
@@ -1002,46 +1025,15 @@ def theta_recover(tag: str, args, true_value: float) -> float:
     the bracket midpoint is returned, which for a collapsed bracket is the
     collapsed point itself.
     """
-    return _call(tag, args, True, _theta, float(true_value))
-
-
-def _sigma(case: _Case, vals, v: float) -> float:
-    terms = _symbol_terms(case, vals)
-    try:
-        return case.form.deriv(terms, v) * _VALUE_REL_ERR * abs(v)
-    except ArithmeticError:  # the symbol is past float64
-        return math.inf
+    return _call(tag, args, True,
+                 lambda case, vals, v: _theta(case, v, _symbol(case, vals, v)),
+                 float(true_value))
 
 
 def recover_sigma(tag: str, args, true_value: float) -> float:
     """Uncertainty of the recovered symbol when the value carries a relative
     error of 4 ulps; inf where the symbol is past float64."""
-    return _call(tag, args, False, _sigma, float(true_value))
-
-
-def _window(case: _Case, vals, v: float):
-    s_lo, s_hi = case.bracket(*vals)
-    sigma = _sigma(case, vals, v)
-    width = s_hi - s_lo
-    if width <= 0.0 or not math.isfinite(sigma) or sigma > _ILLCOND_FRACTION * width:
-        return None
-    return s_lo, s_hi, sigma
-
-
-def theta_window(tag: str, args, true_value: float) -> tuple[float, float, float] | None:
-    """(sym_lo, sym_hi, sigma) of the symbol's recovery at the true value, or
-    None where that recovery is ill-conditioned: sigma (recover_sigma) is not
-    finite or exceeds 2 % of the bracket width, or the bracket is empty."""
-    return _call(tag, args, True, _window, float(true_value))
-
-
-def _bracket(case: _Case, vals) -> tuple[float, float]:
-    return case.bracket(*vals)
-
-
-def sym_bracket(tag: str, *args: float) -> tuple[float, float]:
-    """Stated bracket endpoints of the case's error symbol."""
-    return _call(tag, args, True, _bracket)
+    return _call(tag, args, False, lambda *a: _symbol(*a)[2], float(true_value))
 
 
 def has_symbol(tag: str) -> bool:
@@ -1062,7 +1054,10 @@ def kind_cases(kind: str) -> tuple[str, ...]:
 
 
 def _ratio(case: _Case, vals) -> float:
-    return case.ratio(*vals)
+    ratio = case.ratio(*vals)
+    if not math.isfinite(ratio):
+        raise OverflowError("the ratio is not finite")
+    return ratio
 
 
 def case_ratio(tag: str, *args: float) -> float:

@@ -155,7 +155,6 @@ def _enc_dict(enc: asym.Enclosure) -> dict:
         "estimate": enc.estimate,
         "strict_lo": enc.strict_lo,
         "strict_hi": enc.strict_hi,
-        "note": enc.note,
     }
 
 
@@ -167,9 +166,8 @@ def _enc_dict(enc: asym.Enclosure) -> dict:
 def _theta(tag: str, vals: tuple, reference: float) -> float | None:
     """The case's error symbol at the reference; None if it has none or its
     recovery is ill-conditioned."""
-    if asym.has_symbol(tag) and asym.theta_window(tag, vals, reference) is not None:
-        return asym.theta_recover(tag, vals, reference)
-    return None
+    window = asym.theta_window(tag, vals, reference) if asym.has_symbol(tag) else None
+    return None if window is None else window[3]
 
 
 def _cmd_asym(args) -> int:
@@ -180,9 +178,6 @@ def _cmd_asym(args) -> int:
         print(f"error: {tag} takes {arity} arguments, got {len(vals)}", file=sys.stderr)
         return EXIT_USAGE
     enc = asym.enclose(tag, *vals)
-    if enc.note is not None:
-        print(f"error: {tag}: {enc.note}", file=sys.stderr)
-        return EXIT_REGIME
     reference = dispatch.case_reference(asym.case_kind(tag), vals)
     theta = _theta(tag, vals, reference)
     ratio = asym.case_ratio(tag, *vals)

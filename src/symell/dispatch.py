@@ -12,7 +12,7 @@ it does.  Asymptotic cases are considered only when their regime ratio is
 at most 1e-2 — the territory the containment campaigns certify; anything
 outside falls through silently to the reference path, as do a case whose
 formula fails in float64 (asym raises ConvergenceError) and an enclosure
-that carries a note or whose upper end is not positive.
+whose upper end is not positive.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
 through the branchy rc evaluation 1e-13; asymptotic = relative half-width
@@ -235,8 +235,7 @@ def _walk(req: EvalRequest):
                 enc = asym.enclose(tag, *cargs)
             except _SKIP:
                 continue
-            if enc.note is not None or enc.hi <= 0.0:
-                # G1a's reference endpoint, or a cancelled integral
+            if enc.hi <= 0.0:  # a cancelled integral
                 continue
             hw = 0.5 * enc.rel_width()
             if math.isfinite(hw):

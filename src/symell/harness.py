@@ -97,6 +97,13 @@ class CampaignReport:
     evaluated: int = 0
     wall_time: float = 0.0
 
+    def violate(self, sample: dict) -> None:
+        """Count one violation; record its sample while fewer than
+        _MAX_RECORDED are recorded."""
+        self.violations += 1
+        if len(self.violation_samples) < _MAX_RECORDED:
+            self.violation_samples.append(sample)
+
     @property
     def ok(self) -> bool:
         if self.violations:
@@ -113,7 +120,7 @@ class CampaignReport:
             "ratios": list(self.ratios),
             "samples": self.samples,
             "violations": self.violations,
-            "violation_samples": self.violation_samples[:_MAX_RECORDED],
+            "violation_samples": self.violation_samples,
             "max_rel_width": {repr(k): v for k, v in self.max_rel_width.items()},
             "slope": self.slope,
             "expected_slope": self.expected,
@@ -137,7 +144,7 @@ class CampaignReport:
                 "ratio": repr(r),
                 "samples": self.samples,
                 "violations": self.violations,
-                "max_rel_width": repr(self.max_rel_width.get(r, "")) if r in self.max_rel_width else "",
+                "max_rel_width": repr(self.max_rel_width[r]) if r in self.max_rel_width else "",
                 "slope": "" if self.slope is None else repr(self.slope),
                 "seed": self.seed,
             })
@@ -197,8 +204,7 @@ def _theta_classify(tag, args, report):
     if window is None:
         stats["ill_conditioned"] = stats.get("ill_conditioned", 0) + 1
         return
-    slo, shi, sigma = window
-    theta = asym.theta_recover(tag, args, value)
+    slo, shi, sigma, theta = window
     band = max(4.0 * math.ulp(max(abs(slo), abs(shi))), sigma)
     if slo < theta < shi:
         stats["inside"] = stats.get("inside", 0) + 1
@@ -206,11 +212,8 @@ def _theta_classify(tag, args, report):
         stats["endpoint"] = stats.get("endpoint", 0) + 1
     else:
         stats["outside"] = stats.get("outside", 0) + 1
-        if len(report.violation_samples) < _MAX_RECORDED:
-            report.violation_samples.append(
-                {"kind": "theta", "args": list(args), "theta": theta,
-                 "bracket": [slo, shi]})
-        report.violations += 1
+        report.violate({"kind": "theta", "args": list(args), "theta": theta,
+                        "bracket": [slo, shi]})
 
 
 def _enclosures(campaign: Campaign, report: CampaignReport):
@@ -233,10 +236,6 @@ def _enclosures(campaign: Campaign, report: CampaignReport):
             except RegimeError:
                 report.gated += 1
                 continue
-            if enc.note is not None:
-                # the case left its displayed bound (G1a without 5a < z)
-                report.gated += 1
-                continue
             report.evaluated += 1
             yield ratio, args, enc
             rw = enc.rel_width()
@@ -255,11 +254,8 @@ def run_containment(campaign: Campaign) -> CampaignReport:
     values = _oracle_values(tag, [args for _, args, _ in samples])
     for (ratio, args, enc), (value, err) in zip(samples, values):
         if not enc.contains(value, containment_slack(err, value)):
-            report.violations += 1
-            if len(report.violation_samples) < _MAX_RECORDED:
-                report.violation_samples.append(
-                    {"kind": "containment", "ratio": ratio, "args": list(args),
-                     "oracle": value, "lo": enc.lo, "hi": enc.hi})
+            report.violate({"kind": "containment", "ratio": ratio, "args": list(args),
+                            "oracle": value, "lo": enc.lo, "hi": enc.hi})
         if asym.has_symbol(tag) and ratio in THETA_RATIOS:
             _theta_classify(tag, args, report)
     report.wall_time = time.perf_counter() - t0
@@ -571,9 +567,7 @@ def run_identities(seed: int, n: int, which=None) -> CampaignReport:
         for msg in _IDENTITIES[t](rng, count):
             report.evaluated += 1
             if msg is not None:
-                report.violations += 1
-                if len(report.violation_samples) < _MAX_RECORDED:
-                    report.violation_samples.append({"kind": t, "detail": msg})
+                report.violate({"kind": t, "detail": msg})
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -608,11 +602,8 @@ def run_bounds_fuzz(tag: str, n: int = 100000, seed: int = 42) -> CampaignReport
             if strict_hi and br.mid >= br.hi and not equal_within_band(br.mid, br.hi):
                 bad = True
         if bad:
-            report.violations += 1
-            if len(report.violation_samples) < _MAX_RECORDED:
-                report.violation_samples.append(
-                    {"kind": tag, "args": [t] + vals,
-                     "bracket": [br.lo, br.mid, br.hi]})
+            report.violate({"kind": tag, "args": [t] + vals,
+                            "bracket": [br.lo, br.mid, br.hi]})
     # monotonicity of the A3/A4 solved factor along increasing t
     if tag in ("A3", "A4") and report.violations == 0:
         x = 3.7
@@ -620,8 +611,7 @@ def run_bounds_fuzz(tag: str, n: int = 100000, seed: int = 42) -> CampaignReport
         thetas = [bounds.theta_of(tag, t, x) for t in ts]
         seq = thetas if tag == "A3" else thetas[::-1]
         if any(a >= b for a, b in zip(seq, seq[1:])):
-            report.violations += 1
-            report.violation_samples.append({"kind": tag, "detail": "monotonicity failed"})
+            report.violate({"kind": tag, "detail": "monotonicity failed"})
     report.wall_time = time.perf_counter() - t0
     return report
 

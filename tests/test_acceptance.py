@@ -19,7 +19,6 @@ from symell.asym import (
     case_kind,
     enclose,
     recover_sigma,
-    sym_bracket,
     theta_recover,
 )
 from symell.bounds import INEQ_TAGS, theta_of

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,8 +23,8 @@ from symell import (
     oracle_with_error,
     theta_recover,
 )
-from symell.asym import (CASE_TAGS, KIND_ARITY, case_kind, has_symbol, recover_sigma,
-                         reference_route, sym_bracket, theta_window)
+from symell.asym import (CASE_TAGS, KIND_ARITY, Enclosure, case_kind, has_symbol,
+                         recover_sigma, reference_route, theta_window)
 from symell.harness import containment_slack, sample_args
 
 
@@ -183,11 +184,14 @@ class TestRGCases:
         enc = approx_rg(0.0, 1e-4, 1.0, "G1b")
         assert enc.contains(core.rg(0.0, 1e-4, 1.0), 1e-13)
 
-    def test_g1a_upper_gate_returns_note(self):
-        enc = approx_rg(1.0, 1.0, 4.0, "G1a")
-        assert enc.note is not None
-        v = core.rg(1.0, 1.0, 4.0)
-        assert enc.lo <= v <= enc.hi + 1e-12
+    def test_g1a_upper_gate(self):
+        # the displayed upper endpoint needs 5a < z; outside it the gate refuses
+        for call in (lambda: approx_rg(1.0, 1.0, 4.0, "G1a"),
+                     lambda: theta_window("G1a", (1.0, 1.0, 4.0), core.rg(1.0, 1.0, 4.0))):
+            with pytest.raises(RegimeError, match="5a < z"):
+                call()
+        enc = approx_rg(1.0, 1.0, 5.5, "G1a")
+        assert enc.contains(core.rg(1.0, 1.0, 5.5))
 
     def test_g2_lower_endpoint_gate(self):
         with pytest.raises(RegimeError):
@@ -227,9 +231,10 @@ class TestThetaRecovery:
 
     def test_j2a_window(self):
         args = (1.0, 2.0, 3.0, 1e-6)
-        r = theta_recover("J2a", args, core.rj(*args))
-        lo, hi = sym_bracket("J2a", *args)
+        v = core.rj(*args)
+        lo, hi, sig, r = theta_window("J2a", args, v)
         assert lo < r < hi
+        assert (r, sig) == (theta_recover("J2a", args, v), recover_sigma("J2a", args, v))
 
     @pytest.mark.parametrize("tag, args", [("F1f", (1e-6,)), ("C2b", (1.0, 1e-12))])
     def test_symbol_past_float64_is_ill_conditioned(self, tag, args):
@@ -250,9 +255,11 @@ class TestThetaRecovery:
                 continue
             v = reference(tag, args)
             th = theta_recover(tag, args, v)
-            lo, hi = sym_bracket(tag, *args)
             sig = recover_sigma(tag, args, v)
-            if math.isfinite(sig) and sig < 0.02 * (hi - lo):
+            window = theta_window(tag, args, v)
+            if window is not None:
+                assert window[2:] == (sig, th)
+                lo, hi = window[:2]
                 assert lo - sig <= th <= hi + sig, (tag, args, th, (lo, hi))
 
 
@@ -318,7 +325,11 @@ def test_case_ratio_definitions():
 def test_non_finite_enclosure_is_a_convergence_error():
     with pytest.raises(ConvergenceError, match="past float64"):
         enclose("J2a", 1e300, 1e300, 1e300, 1e-300)
-    assert enclose("J2a", 1.0, 2.0, 3.0, 1e-5).note is None
+    # a finite enclosure is the interval alone: no field marks a substitute endpoint
+    enc = enclose("J2a", 1.0, 2.0, 3.0, 1e-5)
+    assert [f.name for f in dataclasses.fields(Enclosure)] == \
+        ["lo", "hi", "estimate", "case", "strict_lo", "strict_hi"]
+    assert enc.contains(core.rj(1.0, 2.0, 3.0, 1e-5))
 
 
 @pytest.mark.parametrize("tag, args", [
@@ -331,25 +342,43 @@ def test_bare_float64_failure_is_a_convergence_error(tag, args):
         enclose(tag, *args)
 
 
+def _assert_finite_results(tag, args, v):
+    """Only typed errors escape, and every returned float is finite, except
+    that recover_sigma may return inf (the symbol is past float64)."""
+    def window():
+        got = theta_window(tag, args, v)
+        assert got is None or len(got) == 4, got
+        return got or ()
+
+    calls = (lambda: dataclasses.astuple(enclose(tag, *args))[:3], lambda: [case_ratio(tag, *args)],
+             lambda: [theta_recover(tag, args, v)], window)
+    for call in calls:
+        try:
+            got = call()
+        except (DomainError, RegimeError, ConvergenceError):
+            continue
+        assert all(map(math.isfinite, got)), (tag, args, v, got)
+    try:
+        assert not math.isnan(recover_sigma(tag, args, v)), (tag, args, v)
+    except (DomainError, RegimeError, ConvergenceError):
+        pass
+
+
 def test_only_typed_errors_escape_on_the_whole_float64_range():
     # log-uniform tuples over 1e-300..1e300, about a tenth of them zeros,
     # through every entry point of every case
     rng = np.random.default_rng(5)
-    typed = (DomainError, RegimeError, ConvergenceError)
     for tag in CASE_TAGS:
         n = KIND_ARITY[case_kind(tag)]
         rows = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (1000, n + 1)))
         rows[rng.random((1000, n + 1)) < 0.1] = 0.0
         for *args, v in rows.tolist():
-            for call in (lambda: enclose(tag, *args), lambda: case_ratio(tag, *args),
-                         lambda: sym_bracket(tag, *args),
-                         lambda: theta_recover(tag, args, v),
-                         lambda: recover_sigma(tag, args, v),
-                         lambda: theta_window(tag, args, v)):
-                try:
-                    call()
-                except typed:
-                    pass
+            _assert_finite_results(tag, args, v)
+    # the terms overflow to a zero sigma here, which read as a well-conditioned
+    # window around a NaN theta
+    _assert_finite_results("C1", (6.54e292, 9.70e-201), 1.0)
+    with pytest.raises(ConvergenceError, match="past float64"):
+        theta_window("C1", (6.54e292, 9.70e-201), 1.0)
 
 
 def test_formula_terms_are_computed_once_per_enclosure(monkeypatch):
@@ -361,11 +390,14 @@ def test_formula_terms_are_computed_once_per_enclosure(monkeypatch):
 
     monkeypatch.setattr(asym, "rj", counted("rj"))
     monkeypatch.setattr(asym, "rd", counted("rd"))
-    enclose("J2b", 1.0, 2.0, 3.0, 1e-3)
-    assert calls == ["rj"]
-    calls.clear()
-    enclose("D2b", 1.0, 2.0, 1e-3)
-    assert calls == ["rd", "rd"]
+    # theta_window returns the bracket, sigma and theta from one terms call
+    for tag, args, value, expected in (
+            ("J2b", (1.0, 2.0, 3.0, 1e-3), core.rj(1.0, 2.0, 3.0, 1e-3), ["rj"]),
+            ("D2b", (1.0, 2.0, 1e-3), core.rd(1.0, 2.0, 1e-3), ["rd", "rd"])):
+        for call in (lambda: enclose(tag, *args), lambda: theta_window(tag, args, value)):
+            calls.clear()
+            assert call() is not None
+            assert calls == expected, (tag, call)
 
 
 def test_family_wrappers_reject_foreign_tags():

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from symell import DomainError, asym, bounds, harness, quadrature
+from symell import DomainError, asym, bounds, core, harness, quadrature
+from symell._fmt import dumps
 from symell.harness import (
     Campaign,
     IDENTITY_TAGS,
@@ -88,6 +89,53 @@ def test_sampler_digests_cover_every_case():
     assert tuple(_SAMPLER_DIGESTS) == CASE_TAGS
 
 
+# sha256 prefix of each case's containment report at 10 samples, seed 42 and
+# the default ratios (canonical JSON without wall_time), taken before the
+# symbol entries of asym shared one body; a change to a sampler, an
+# enclosure, the oracle or the theta classification changes its digest
+_CONTAINMENT_DIGESTS = {
+    "C1": "69213e50df5c3c6a",
+    "C2a": "f2cf2c15265fa5c9",
+    "C2b": "085fdc8e21f1f668",
+    "C2c": "f1a36f0405aff7e7",
+    "F1a": "f766c83ebb3b75a9",
+    "F1b": "866e75b04b0c996a",
+    "F1c": "d762855489265ba4",
+    "F1d": "a8deeffca7ef8814",
+    "F1e": "88447ae2c406bdb3",
+    "F1f": "494c3bc4daf545e0",
+    "F2a": "c0766fa846ba3427",
+    "D1": "b02ad7ef38964332",
+    "D2a": "ade31227c4da90ac",
+    "D2b": "4454f6a5a5fc53b2",
+    "D2c": "d5e0f2ea26abb773",
+    "D3": "9748434fa0161906",
+    "D4": "5494aa4d804de100",
+    "J1a": "39e34f899d59f9f8",
+    "J1b": "9ac0f59018a77def",
+    "J2a": "6fc30350969ec137",
+    "J2b": "6031396dc5fa028a",
+    "J3": "fe8da2191ec68601",
+    "J4a": "42d63d15b2931397",
+    "J4b": "d1a3f5a652cacdf0",
+    "J4c": "2a19c34a45747faa",
+    "J5": "ed43a51b82512bbc",
+    "J6a": "e23f595ab296237d",
+    "J6complete": "f89940f6ce7ff5b3",
+    "G1a": "293bea378dbca78a",
+    "G1b": "df28d038f95c33bf",
+    "G1c": "c654504c6812b006",
+    "G2": "d0981a539f17a3c8",
+}
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_containment_reports_are_pinned(tag):
+    doc = run_containment(Campaign(tag, samples=10, seed=42)).to_dict()
+    doc.pop("wall_time")
+    assert hashlib.sha256(dumps(doc).encode()).hexdigest()[:16] == _CONTAINMENT_DIGESTS[tag]
+
+
 def test_containment_small_campaign():
     rep = run_containment(Campaign("F1a", (1e-2, 1e-4), samples=40, seed=11))
     assert rep.violations == 0
@@ -127,6 +175,61 @@ def test_non_positive_enclosure_is_a_violation(monkeypatch):
     assert (rep.evaluated, rep.gated, rep.violations) == (10, 0, 10)
     assert {s["kind"] for s in rep.violation_samples} == {"containment"}
     assert all(s["hi"] < 0.0 for s in rep.violation_samples)
+
+
+# checks that a clean run never fires: each is shown to fire on a code
+# mutated by a few ulps or by 1e-9 relative, and to record what it saw
+
+
+def test_theta_outside_its_bracket_is_a_violation(monkeypatch):
+    # F1a's bracket shifted up by twice its width excludes every realized symbol
+    case = asym._CASES["F1a"]
+
+    def shifted(*args):
+        lo, hi = case.bracket(*args)
+        return hi + (hi - lo), hi + 2.0 * (hi - lo)
+
+    monkeypatch.setitem(asym._CASES, "F1a", dataclasses.replace(case, bracket=shifted))
+    rep = run_containment(Campaign("F1a", (1e-3,), samples=5, seed=11))
+    assert rep.evaluated == 5
+    assert rep.theta == {"outside": 5}
+    assert rep.violations >= 5
+    sample = next(s for s in rep.violation_samples if s["kind"] == "theta")
+    assert sample["bracket"][0] > sample["theta"]
+
+
+def test_raised_inequality_bound_is_a_violation(monkeypatch):
+    # A5's lower bound raised by 1e-9 relative passes its middle at the x = y probes
+    row = bounds._INEQ["A5"]
+
+    def raised(*args):
+        br = row.bracket(*args)
+        return bounds.Bracket(br.lo * (1.0 + 1e-9), br.mid, br.hi)
+
+    monkeypatch.setitem(bounds._INEQ, "A5", row._replace(bracket=raised))
+    rep = run_bounds_fuzz("A5", n=100, seed=42)
+    assert rep.violations >= 10   # one x = y probe in ten
+    assert len(rep.violation_samples) == min(rep.violations, harness._MAX_RECORDED)
+    sample = rep.violation_samples[0]
+    assert sample["kind"] == "A5" and sample["bracket"][0] > sample["bracket"][1]
+
+
+def test_non_monotone_solved_factor_is_a_violation(monkeypatch):
+    row = bounds._INEQ["A3"]
+    monkeypatch.setitem(bounds._INEQ, "A3", row._replace(theta=lambda t, x: -row.theta(t, x)))
+    rep = run_bounds_fuzz("A3", n=100, seed=42)
+    assert rep.violations == 1
+    assert rep.violation_samples == [{"kind": "A3", "detail": "monotonicity failed"}]
+
+
+def test_perturbed_evaluator_misses_its_identity(monkeypatch):
+    real = core.rd
+    monkeypatch.setattr(core, "rd", lambda *a: real(*a) * (1.0 + 1e-9))
+    rep = run_identities(seed=1, n=20, which=("rd-cyclic",))
+    assert (rep.evaluated, rep.violations) == (20, 20)
+    assert len(rep.violation_samples) == harness._MAX_RECORDED
+    assert rep.violation_samples[0]["kind"] == "rd-cyclic"
+    assert rep.violation_samples[0]["detail"].startswith("cyclic sum off by ")
 
 
 def test_order_fit_matches_expected_table():
