@@ -13,7 +13,13 @@ coefficients, computed once per call) and a form; the arity and the
 reference route follow from the kind.  Most forms are affine in the error
 symbol; the C2/F1e/F1f family is affine in log(symbol) instead, and J1b is
 a multiplicative form.  A case's gate holds every condition its displayed
-endpoints need (G1a's upper endpoint needs 5a < z).
+endpoints need (G1a's upper endpoint needs 5a < z).  Gates run on every
+enclosure and symbol call, so a gate formats its RegimeError text, with
+each float's repr, only when it refuses.
+
+ratio_classes serves the dispatcher: for one argument tuple it checks the
+arguments once and returns a kind's cases whose ratio is in range, grouped
+by cost, where case_ratio answers for one case.
 
 theta_window is the one symbol entry: from one gate, one bracket and one
 terms computation it inverts a case formula for the realized error symbol
@@ -56,6 +62,7 @@ __all__ = [
     "enclose",
     "has_symbol",
     "kind_cases",
+    "ratio_classes",
     "recover_sigma",
     "reference_route",
     "sample_case",
@@ -97,9 +104,10 @@ def _nonneg(name, v):
         raise DomainError(f"{name} must be nonnegative, got {v}")
 
 
-def _gate(cond: bool, msg: str):
+def _gate(cond: bool, fmt: str, *args):
+    """Refuse unless ``cond`` holds; the text is formatted only on refusal."""
     if not cond:
-        raise RegimeError(msg)
+        raise RegimeError(fmt.format(*args))
 
 
 def _ag(x, y):
@@ -212,7 +220,7 @@ _register("C1", "RC", 1, gate=_c1_gate, ratio=lambda x, y: x / y,
 def _c2_gate(x, y):
     _pos("x", x)
     _pos("y", y)
-    _gate(y < 2.0 * x, f"C2 requires 0 < y < 2x, got ({x}, {y})")
+    _gate(y < 2.0 * x, "C2 requires 0 < y < 2x, got ({}, {})", x, y)
 
 
 def _c2_sample(r, s, *_):
@@ -263,7 +271,7 @@ def _f1_dom(x, y, z):
 def _f1_gate(x, y, z):
     _f1_dom(x, y, z)
     a, g = _ag(x, y)
-    _gate(a < 2.0 * z and g < z, f"F1 requires a < 2z and g < z, got a={a}, g={g}, z={z}")
+    _gate(a < 2.0 * z and g < z, "F1 requires a < 2z and g < z, got a={}, g={}, z={}", a, g, z)
 
 
 def _f1_ratio(x, y, z):
@@ -338,7 +346,7 @@ _register("F1d", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
 
 
 def _kprime_gate(kp):
-    _gate(0.0 < kp < 1.0, f"requires 0 < k' < 1, got {kp}")
+    _gate(0.0 < kp < 1.0, "requires 0 < k' < 1, got {}", kp)
 
 
 def _kprime_sample(r, *_):
@@ -369,7 +377,7 @@ def _f2a_gate(x, y, z):
     _pos("y", y)
     _nonneg("z", z)
     _, g = _ag(x, y)
-    _gate(z < g, f"F2a requires z < g, got z={z}, g={g}")
+    _gate(z < g, "F2a requires z < g, got z={}, g={}", z, g)
 
 
 def _d2_sample(r, s, w, *_):
@@ -395,7 +403,7 @@ _register("F2a", "RF", 1, gate=_f2a_gate, ratio=lambda x, y, z: z / math.sqrt(x 
 def _d1_gate(x, y, z):
     _f1_dom(x, y, z)
     a, g = _ag(x, y)
-    _gate(g < z and a < z, f"D1 requires g < z and a < z, got a={a}, g={g}, z={z}")
+    _gate(g < z and a < z, "D1 requires g < z and a < z, got a={}, g={}, z={}", a, g, z)
 
 
 def _d1_ab(x, y, z):
@@ -417,7 +425,7 @@ def _d2_gate(x, y, z):
     _pos("y", y)
     _pos("z", z)
     _, g = _ag(x, y)
-    _gate(z < g, f"D2 requires z < g, got z={z}, g={g}")
+    _gate(z < g, "D2 requires z < g, got z={}, g={}", z, g)
 
 
 def _d2_ratio(x, y, z):
@@ -478,7 +486,7 @@ def _d3_gate(x, y, z):
     _nonneg("y", y)
     _pos("z", z)
     a, g = _ag(y, z)
-    _gate(g < x and a < 2.0 * x, f"D3 requires g < x and a < 2x, got a={a}, g={g}, x={x}")
+    _gate(g < x and a < 2.0 * x, "D3 requires g < x and a < 2x, got a={}, g={}, x={}", a, g, x)
 
 
 def _d3_bracket(x, y, z):
@@ -544,7 +552,7 @@ def _j1_small_means(x, y, z):
 def _j1a_gate(x, y, z, p):
     _rj_dom(x, y, z, p)
     a, b = _j1_small_means(x, y, z)
-    _gate(a < p and b < p, f"J1 requires a < p and b < p, got a={a}, b={b}, p={p}")
+    _gate(a < p and b < p, "J1 requires a < p and b < p, got a={}, b={}, p={}", a, b, p)
 
 
 def _j1a_bracket(x, y, z, p):
@@ -593,7 +601,7 @@ def _j2_gate(x, y, z, p):
     _pos("y", y)
     _pos("z", z)
     h = 3.0 / (1.0 / x + 1.0 / y + 1.0 / z)
-    _gate(p < h, f"J2 requires p < h, got p={p}, h={h}")
+    _gate(p < h, "J2 requires p < h, got p={}, h={}", p, h)
 
 
 def _j2_ratio(x, y, z, p):
@@ -643,7 +651,7 @@ def _j3_gate(x, y, z, p):
     _rj_dom(x, y, z, p)
     _pos("z", z)
     a, g = _ag(x, y)
-    _gate(a < p and g < p, f"J3 requires a < p and g < p, got a={a}, g={g}, p={p}")
+    _gate(a < p and g < p, "J3 requires a < p and g < p, got a={}, g={}, p={}", a, g, p)
 
 
 def _j3_bracket(x, y, z, p):
@@ -670,7 +678,7 @@ def _j4_gate(x, y, z, p):
     _pos("x", x)
     _pos("y", y)
     _, g = _ag(x, y)
-    _gate(z < g and p < g, f"J4 requires z < g and p < g, got z={z}, p={p}, g={g}")
+    _gate(z < g and p < g, "J4 requires z < g and p < g, got z={}, p={}, g={}", z, p, g)
 
 
 def _j4_ratio(x, y, z, p):
@@ -699,7 +707,7 @@ def _j4b_gate(x, y, z, p):
     _pos("x", x)
     _pos("y", y)
     _, g = _ag(x, y)
-    _gate(p < g, f"J4b requires p < g, got p={p}, g={g}")
+    _gate(p < g, "J4b requires p < g, got p={}, g={}", p, g)
 
 
 def _j4b_ab(x, y, z, p):
@@ -738,7 +746,7 @@ def _j5_gate(x, y, z, p):
     _pos("y", y)
     _pos("z", z)
     a, _ = _ag(y, z)
-    _gate(x < a, f"J5 requires x < (y + z)/2, got x={x}, a={a}")
+    _gate(x < a, "J5 requires x < (y + z)/2, got x={}, a={}", x, a)
 
 
 def _j5_bracket(x, y, z, p):
@@ -766,7 +774,7 @@ def _j6a_gate(x, y, z, p):
     _rj_dom(x, y, z, p)
     _pos("x", x)
     a, g = _ag(y, z)
-    _gate(g < x and a < 2.0 * x, f"J6 requires g < x and a < 2x, got a={a}, g={g}, x={x}")
+    _gate(g < x and a < 2.0 * x, "J6 requires g < x and a < 2x, got a={}, g={}, x={}", a, g, x)
 
 
 def _j6_rc_term(y, z, p):
@@ -797,7 +805,7 @@ def _j6complete_gate(x, y, z, p):
     _gate(y == 0.0, "the complete J6 case requires y = 0")
     _pos("x", x)
     _pos("z", z)
-    _gate(z < 4.0 * x, f"the complete J6 case requires z < 4x, got z={z}, x={x}")
+    _gate(z < 4.0 * x, "the complete J6 case requires z < 4x, got z={}, x={}", z, x)
 
 
 def _j6complete_bracket(x, y, z, p):
@@ -823,7 +831,7 @@ def _g1a_gate(x, y, z):
     _f1_dom(x, y, z)
     a, _ = _ag(x, y)
     # 5a < z, which the upper endpoint needs, implies the lower's g < z and a < z
-    _gate(5.0 * a < z, f"G1a requires 5a < z, got a={a}, z={z}")
+    _gate(5.0 * a < z, "G1a requires 5a < z, got a={}, z={}", a, z)
 
 
 def _g1a_bracket(x, y, z):
@@ -847,7 +855,7 @@ def _g1b_gate(x, y, z):
         raise RegimeError("G1b is the complete case and requires x = 0")
     _pos("y", y)
     _pos("z", z)
-    _gate(y < z, f"G1b requires y < z, got y={y}, z={z}")
+    _gate(y < z, "G1b requires y < z, got y={}, z={}", y, z)
 
 
 def _g1b_bracket(x, y, z):
@@ -888,7 +896,7 @@ def _g2_gate(x, y, z):
     _pos("y", y)
     _nonneg("z", z)
     a, g = _ag(x, y)
-    _gate(z < g, f"G2 requires z < g, got z={z}, g={g}")
+    _gate(z < g, "G2 requires z < g, got z={}, g={}", z, g)
     _gate((4.0 / math.pi) * math.sqrt(z / a) < 1.0,
           "G2 lower endpoint requires (4/pi) sqrt(z/a) < 1")
 
@@ -926,19 +934,25 @@ def _case(tag: str) -> _Case:
         raise DomainError(f"unknown case tag {tag!r}") from None
 
 
+def _checked(name: str, kind: str, args) -> tuple:
+    """``args`` as floats, as many as ``kind`` takes and all finite."""
+    vals = tuple(map(float, args))
+    arity = KIND_ARITY[kind]
+    if len(vals) != arity:
+        raise DomainError(f"{name} takes {arity} arguments, got {len(vals)}")
+    for v in vals:
+        if not math.isfinite(v):
+            raise DomainError(f"{name} arguments must be finite, got {vals}")
+    return vals
+
+
 def _call(tag: str, args, gated: bool, body, *extra):
     """``body(case, vals, *extra)`` behind the prologue and the error boundary
     that every entry point shares: tag lookup, argument checks and, where
     ``gated``, the case's gate.  A float64 failure inside the case formula,
     an ArithmeticError or a math-domain ValueError, raises ConvergenceError."""
     case = _case(tag)
-    vals = tuple(map(float, args))
-    arity = KIND_ARITY[case.kind]
-    if len(vals) != arity:
-        raise DomainError(f"{tag} takes {arity} arguments, got {len(vals)}")
-    for v in vals:
-        if not math.isfinite(v):
-            raise DomainError(f"{tag} arguments must be finite, got {vals}")
+    vals = _checked(tag, case.kind, args)
     try:
         if gated:
             case.gate(*vals)
@@ -1032,8 +1046,9 @@ def theta_recover(tag: str, args, true_value: float) -> float:
 
 def recover_sigma(tag: str, args, true_value: float) -> float:
     """Uncertainty of the recovered symbol when the value carries a relative
-    error of 4 ulps; inf where the symbol is past float64."""
-    return _call(tag, args, False, lambda *a: _symbol(*a)[2], float(true_value))
+    error of 4 ulps; inf where the symbol is past float64.  Outside the
+    case's regime it raises RegimeError, as theta_window does."""
+    return _call(tag, args, True, lambda *a: _symbol(*a)[2], float(true_value))
 
 
 def has_symbol(tag: str) -> bool:
@@ -1063,6 +1078,29 @@ def _ratio(case: _Case, vals) -> float:
 def case_ratio(tag: str, *args: float) -> float:
     """Smallness parameter governing the case's enclosure width."""
     return _call(tag, args, False, _ratio)
+
+
+def ratio_classes(kind: str, args, ratio_max: float) -> list[tuple[int, list[str]]]:
+    """(cost, tags) of the cases of ``kind`` whose ratio at ``args`` is at
+    most ``ratio_max``, cheapest first and in catalog order within a cost.
+
+    The arguments are checked once for all the cases, as case_ratio checks
+    them for one; a case whose ratio fails in float64 or is not finite is
+    left out, as case_ratio would raise ConvergenceError for it."""
+    tags = _KIND_CASES.get(kind)
+    if tags is None:
+        raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(KIND_ARITY)}")
+    vals = _checked(kind, kind, args)
+    classes: dict[int, list[str]] = {}
+    for tag in tags:
+        case = _CASES[tag]
+        try:
+            ratio = case.ratio(*vals)
+        except (ArithmeticError, ValueError):
+            continue
+        if math.isfinite(ratio) and ratio <= ratio_max:
+            classes.setdefault(case.cost, []).append(tag)
+    return sorted(classes.items())
 
 
 def sample_case(tag: str, ratio: float, lu, coin) -> tuple:

@@ -3,16 +3,21 @@
 Method ladder: closed forms (exact argument patterns), then asymptotic
 enclosures by cost class, then the reference evaluator.  One lazy walk
 serves both entry points: it builds enclosures one cost class at a time,
-cheapest first, and orders a class by predicted half-width; ``evaluate``
-stops at the first step that certifies the request, and ``plan`` lists
-every step.  A case's predicted half-width comes from the same bracket
-formulas the enclosure uses, so "meets tolerance" is a guarantee rather
-than a heuristic, and the narrowest step of a class certifies if any of
-it does.  Asymptotic cases are considered only when their regime ratio is
-at most 1e-2 — the territory the containment campaigns certify; anything
-outside falls through silently to the reference path, as do a case whose
-formula fails in float64 (asym raises ConvergenceError) and an enclosure
-whose upper end is not positive.
+cheapest first, and orders a class by half-width; ``evaluate`` stops at
+the first step that certifies the request, and ``plan`` lists every step.
+The half-width that orders a class is that of the built enclosure itself,
+so "meets tolerance" is a guarantee rather than a heuristic, and the
+narrowest step of a class certifies if any of it does; building the whole
+class is the price of that order.
+
+Asymptotic cases are considered only when their regime ratio is at most
+1e-2 — the territory the containment campaigns certify.  One
+``asym.ratio_classes`` call per request finds them: it checks the
+arguments once, evaluates each case's ratio, and groups the in-ratio cases
+by cost.  A case whose ratio fails in float64 or exceeds 1e-2 is left out
+silently, as are a case whose enclosure is refused or fails in float64
+(asym raises RegimeError or ConvergenceError) and an enclosure whose upper
+end is not positive; what is left out falls through to the reference path.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
 through the branchy rc evaluation 1e-13; asymptotic = relative half-width
@@ -40,7 +45,7 @@ _RATIO_MAX = 1e-2
 # guarantee margin covering auxiliary core terms inside enclosure endpoints
 _ASYM_MARGIN = 2e-13
 
-# what a case's ratio or enclosure may raise outside its territory
+# what a case's enclosure may raise outside its territory
 _SKIP = (DomainError, RegimeError, ConvergenceError)
 
 _GUAR_ELEMENTARY = 1e-14
@@ -217,20 +222,12 @@ def _walk(req: EvalRequest):
         yield "closed_form", None, 0, cf[1], None, cf[0]
     try:
         cargs = _case_args(req.kind, req.args)
-        tags = asym.kind_cases(req.kind)
+        classes = asym.ratio_classes(req.kind, cargs, _RATIO_MAX)
     except DomainError:
-        tags = ()
-    classes: dict[int, list[str]] = {}
-    for tag in tags:
-        try:
-            if asym.case_ratio(tag, *cargs) > _RATIO_MAX:
-                continue
-        except _SKIP:
-            continue
-        classes.setdefault(asym.case_cost(tag), []).append(tag)
-    for cost in sorted(classes):
+        classes = []
+    for cost, tags in classes:
         steps = []
-        for tag in classes[cost]:
+        for tag in tags:
             try:
                 enc = asym.enclose(tag, *cargs)
             except _SKIP:

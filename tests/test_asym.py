@@ -244,6 +244,13 @@ class TestThetaRecovery:
             theta_recover(tag, args, v)
         assert recover_sigma(tag, args, v) == math.inf
 
+    def test_recover_sigma_runs_the_gate(self):
+        # G1a's upper endpoint needs 5a < z; F1a's domain allows one vanishing x, y
+        with pytest.raises(RegimeError, match="5a < z"):
+            recover_sigma("G1a", (1.0, 1.0, 4.0), 1.0)
+        with pytest.raises(DomainError, match="^at most one of x, y may vanish$"):
+            recover_sigma("F1a", (0.0, 0.0, 1.0), 1.0)
+
     def test_recover_inverts_value(self, rng):
         for tag in CASE_TAGS:
             if not has_symbol(tag):
@@ -314,6 +321,49 @@ class TestContainmentSmoke:
                 v, err = oracle_with_error(kind, oracle_args)
                 v, err = factor * v, factor * err
                 assert enc.contains(v, containment_slack(err, v)), (tag, ratio, args)
+
+
+# one tuple per gate condition and its exact refusal text; floats keep
+# their repr
+_REFUSALS = [
+    ("C2a", (1.0, 3.0), "C2 requires 0 < y < 2x, got (1.0, 3.0)"),
+    ("F1a", (1.0, 1.0, 1.0), "F1 requires a < 2z and g < z, got a=1.0, g=1.0, z=1.0"),
+    ("F1e", (1.0,), "requires 0 < k' < 1, got 1.0"),
+    ("F2a", (1.0, 1.0, 2.0), "F2a requires z < g, got z=2.0, g=1.0"),
+    ("D1", (1.0, 2.0, 1.0),
+     "D1 requires g < z and a < z, got a=1.5, g=1.4142135623730951, z=1.0"),
+    ("D2a", (1.0, 1.0, 2.0), "D2 requires z < g, got z=2.0, g=1.0"),
+    ("D3", (1.0, 2.0, 2.0), "D3 requires g < x and a < 2x, got a=2.0, g=2.0, x=1.0"),
+    ("J1a", (1.0, 1.0, 1.0, 1.0), "J1 requires a < p and b < p, got a=1.0, b=1.5, p=1.0"),
+    ("J2a", (1.0, 2.0, 3.0, 2.0), "J2 requires p < h, got p=2.0, h=1.6363636363636365"),
+    ("J3", (1.0, 1.0, 1.0, 1.0), "J3 requires a < p and g < p, got a=1.0, g=1.0, p=1.0"),
+    ("J4a", (1.0, 1.0, 2.0, 0.5), "J4 requires z < g and p < g, got z=2.0, p=0.5, g=1.0"),
+    ("J4b", (1.0, 1.0, 0.0, 2.0), "J4b requires p < g, got p=2.0, g=1.0"),
+    ("J5", (2.0, 1.0, 1.0, 1.0), "J5 requires x < (y + z)/2, got x=2.0, a=1.0"),
+    ("J6a", (1.0, 2.0, 2.0, 1.0), "J6 requires g < x and a < 2x, got a=2.0, g=2.0, x=1.0"),
+    ("J6complete", (1.0, 0.0, 5.0, 1.0),
+     "the complete J6 case requires z < 4x, got z=5.0, x=1.0"),
+    ("G1a", (1.0, 1.0, 4.0), "G1a requires 5a < z, got a=1.0, z=4.0"),
+    ("G1b", (0.0, 2.0, 1.0), "G1b requires y < z, got y=2.0, z=1.0"),
+    ("G2", (1.0, 1.0, 2.0), "G2 requires z < g, got z=2.0, g=1.0"),
+    ("F1c", (0.0, 1.5, 1.0), "F1c/F1d require max(x, y)/z < 1"),
+    ("J1b", (1.0, 1.0, 1.0, 2.0), "J1b is the complete case and requires z = 0"),
+    ("J1b", (1.0, 1.0, 0.0, 0.5), "J1b requires (x + y)/2 < p"),
+    ("J4b", (1.0, 1.0, 1.0, 0.5), "J4b is the complete case and requires z = 0"),
+    ("J6complete", (1.0, 1.0, 1.0, 1.0), "the complete J6 case requires y = 0"),
+    ("G2", (1.0, 1.0, 0.9), "G2 lower endpoint requires (4/pi) sqrt(z/a) < 1"),
+    ("G1b", (1.0, 1.0, 2.0), "G1b is the complete case and requires x = 0"),
+]
+
+
+@pytest.mark.parametrize("tag, args, text", _REFUSALS)
+def test_refusal_text(tag, args, text):
+    with pytest.raises(RegimeError) as got:
+        enclose(tag, *args)
+    assert str(got.value) == text
+    with pytest.raises(RegimeError) as got:
+        theta_window(tag, args, 1.0)
+    assert str(got.value) == text
 
 
 def test_case_ratio_definitions():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from symell import (
     DomainError,
     EvalReport,
     EvalRequest,
+    RegimeError,
     ToleranceError,
     asym,
     core,
@@ -248,6 +251,53 @@ class TestContract:
         assert rep.guaranteed_rel_err <= 1e-6
         if rep.method == "asym":
             assert rep.enclosure.lo <= rep.value <= rep.enclosure.hi
+
+
+def test_ratio_pass_matches_per_case_ratios():
+    """One ratio pass per request gives the cost classes that a case_ratio
+    call per case gives under the walk's skip rules, on the whole float64
+    range: log-uniform 1e-300..1e300, zeros, subnormals, DBL_MAX and a few
+    negatives."""
+    rng = np.random.default_rng(3)
+    for kind in asym.KIND_ARITY:
+        n = asym.KIND_ARITY[kind]
+        rows = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (3000, n)))
+        special = rng.random((3000, n)) < 0.05
+        rows[special] = rng.choice([0.0, 5e-324, 2.5e-310, sys.float_info.min / 2],
+                                   int(special.sum()))
+        rows[rng.random((3000, n)) < 0.02] *= -1.0
+        rows[0] = sys.float_info.max
+        rows[1, -1] = sys.float_info.max
+        for args in rows.tolist():
+            classes = {}
+            for tag in asym.kind_cases(kind):
+                try:
+                    if asym.case_ratio(tag, *args) > 1e-2:
+                        continue
+                except (DomainError, RegimeError, ConvergenceError):
+                    continue
+                classes.setdefault(asym.case_cost(tag), []).append(tag)
+            assert asym.ratio_classes(kind, args, 1e-2) == sorted(classes.items()), \
+                (kind, args)
+
+
+def test_answers_are_pinned():
+    """A digest of every answer on a seeded mixed batch, floats as hex: a
+    change to how the walk finds its steps must move no answer."""
+    digest = hashlib.sha256()
+    for kind, args in _mixed_batch(np.random.default_rng(12), 40):
+        for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+            try:
+                rep = evaluate(EvalRequest(kind, args, tol))
+            except (ConvergenceError, DomainError, ToleranceError) as exc:
+                got = (type(exc).__name__, str(exc))
+            else:
+                enc = rep.enclosure
+                got = (rep.value.hex(), rep.method, rep.case, rep.guaranteed_rel_err.hex(),
+                       enc and (enc.lo.hex(), enc.hi.hex(), enc.estimate.hex(), enc.case,
+                                enc.strict_lo, enc.strict_hi))
+            digest.update(repr(got).encode())
+    assert digest.hexdigest() == "cfaa8d7e45426f2b09e08cc233a188e59d1deb83c895696ee9c7593367b92c50"
 
 
 class TestSoundnessMiniFuzz:
