@@ -17,13 +17,6 @@ from .core import (
 from .asym import (
     CASE_TAGS,
     Enclosure,
-    approx_e,
-    approx_k,
-    approx_rc,
-    approx_rd,
-    approx_rf,
-    approx_rg,
-    approx_rj,
     case_ratio,
     enclose,
     theta_recover,
@@ -71,13 +64,6 @@ __all__ = [
     "oracle_with_error",
     "CASE_TAGS",
     "Enclosure",
-    "approx_e",
-    "approx_k",
-    "approx_rc",
-    "approx_rd",
-    "approx_rf",
-    "approx_rg",
-    "approx_rj",
     "case_ratio",
     "enclose",
     "theta_recover",

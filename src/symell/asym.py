@@ -28,7 +28,9 @@ bracket-realization tests), or returns None where that inversion is
 ill-conditioned.  theta_recover and recover_sigma share its body.
 
 Cases whose displayed formula covers only one side (C2c, F1b) are paired
-with the best same-family endpoint so the return type stays uniform.
+with the best same-family endpoint so the return type stays uniform.  Each
+repeats a sibling, C2a at theta = 4 and F1a at its upper bracket endpoint:
+on campaign samples lo is the sibling's and hi within 2 ulps of it.
 
 A float64 failure inside a case formula (an overflow, an underflow to a
 division by zero, a math-domain error, or an enclosure, ratio, bracket
@@ -49,13 +51,6 @@ __all__ = [
     "CASE_TAGS",
     "Enclosure",
     "KIND_ARITY",
-    "approx_e",
-    "approx_k",
-    "approx_rc",
-    "approx_rd",
-    "approx_rf",
-    "approx_rg",
-    "approx_rj",
     "case_cost",
     "case_kind",
     "case_ratio",
@@ -1119,38 +1114,3 @@ def reference_route(kind: str, args) -> tuple[str, tuple, float]:
         return "RG", (0.0, args[0] * args[0], 1.0), 2.0
     return kind, args, 1.0
 
-
-def _family_call(kind, tag, *args):
-    tags = kind_cases(kind)
-    if tag not in tags:
-        raise DomainError(
-            f"approx_{kind.lower()} does not handle case {tag!r}; expected one of {tags}")
-    return enclose(tag, *args)
-
-
-def approx_rc(x: float, y: float, case: str) -> Enclosure:
-    return _family_call("RC", case, x, y)
-
-
-def approx_rf(x: float, y: float, z: float, case: str) -> Enclosure:
-    return _family_call("RF", case, x, y, z)
-
-
-def approx_rd(x: float, y: float, z: float, case: str) -> Enclosure:
-    return _family_call("RD", case, x, y, z)
-
-
-def approx_rj(x: float, y: float, z: float, p: float, case: str) -> Enclosure:
-    return _family_call("RJ", case, x, y, z, p)
-
-
-def approx_rg(x: float, y: float, z: float, case: str) -> Enclosure:
-    return _family_call("RG", case, x, y, z)
-
-
-def approx_k(kprime: float, case: str) -> Enclosure:
-    return _family_call("K", case, kprime)
-
-
-def approx_e(kprime: float) -> Enclosure:
-    return enclose("G1c", kprime)

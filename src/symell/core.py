@@ -21,10 +21,10 @@ with this module.
 
 All functions return plain finite floats and raise
 :class:`~symell.errors.DomainError` on invalid input.  Where float64
-overflows or underflows inside rf, rd, rj or rg (arguments near the ends of
-the range), or rd and rj would return a value below the normal float64
-range, they raise :class:`~symell.errors.ConvergenceError` instead of
-hanging, leaking an arithmetic exception or returning 0 or NaN.
+overflows or underflows inside rf, rd, rj, rg, rj_pv or r_minus1 (arguments
+near the ends of the range), or rd and rj would return a value below the
+normal range, they raise :class:`~symell.errors.ConvergenceError` instead
+of hanging, leaking an arithmetic exception or returning 0, inf or NaN.
 """
 
 from __future__ import annotations
@@ -230,8 +230,6 @@ def _rj_core(x: float, y: float, z: float, p: float) -> float:
     a0 = (x + y + z + 2.0 * p) / 5.0
     delta = (p - x) * (p - y) * (p - z)
     dev = max(abs(a0 - x), abs(a0 - y), abs(a0 - z), abs(a0 - p))
-    if dev == 0.0:
-        return a0 ** -1.5
     q = (0.25 * _EPS) ** (-1.0 / 6.0) * dev
     if not q < math.inf:
         raise _range_error("rj", "argument mean or spread overflows")
@@ -346,10 +344,16 @@ def rj_pv(x: float, y: float, z: float, p: float) -> float:
         raise DomainError("rj_pv requires strictly positive x, y, z")
     lo, med, hi = sorted((x, y, z))
     pabs = -p
-    q = med + (hi - med) * (med - lo) / (med + pabs)
-    u = lo * hi + pabs * q
-    term = 3.0 * math.sqrt(lo * med * hi / u) * rc(u, pabs * q)
-    return ((q - med) * rj(lo, med, hi, q) - 3.0 * rf(lo, med, hi) + term) / (med + pabs)
+    try:
+        q = med + (hi - med) * (med - lo) / (med + pabs)
+        u = lo * hi + pabs * q
+        term = 3.0 * math.sqrt(lo * med * hi / u) * rc(u, pabs * q)
+        value = ((q - med) * rj(lo, med, hi, q) - 3.0 * rf(lo, med, hi) + term) / (med + pabs)
+    except ArithmeticError as exc:
+        raise _range_error("rj_pv", exc) from exc
+    if not math.isfinite(value):
+        raise _range_error("rj_pv", f"value is {value!r}")
+    return value
 
 
 def rg(x: float, y: float, z: float) -> float:
@@ -381,9 +385,15 @@ def r_minus1(x: float, y: float, z: float) -> float:
     for name, v in (("x", x), ("y", y), ("z", z)):
         if _as_finite(name, v) <= 0.0:
             raise DomainError(f"r_minus1 requires positive arguments, got {name}={v}")
-    sxy = math.sqrt(x * y)
-    s = math.sqrt(x) + math.sqrt(y)
-    return 2.0 * rc((sxy + z) ** 2, s * s * z)
+    try:
+        sxy = math.sqrt(x * y)
+        s = math.sqrt(x) + math.sqrt(y)
+        value = 2.0 * rc((sxy + z) ** 2, s * s * z)
+    except ArithmeticError as exc:
+        raise _range_error("r_minus1", exc) from exc
+    if not math.isfinite(value):
+        raise _range_error("r_minus1", f"value is {value!r}")
+    return value
 
 
 def agm(u: float, v: float) -> float:

@@ -76,14 +76,7 @@ class EvalRequest:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        vals = tuple(float(a) for a in self.args)
-        arity = asym.KIND_ARITY[self.kind]
-        if len(vals) != arity:
-            raise DomainError(f"{self.kind} takes {arity} arguments, got {len(vals)}")
-        for v in vals:
-            if not math.isfinite(v):
-                raise DomainError(f"arguments must be finite, got {vals}")
-        object.__setattr__(self, "args", vals)
+        object.__setattr__(self, "args", asym._checked(self.kind, self.kind, self.args))
         t = float(self.rel_tol)
         if not _REL_TOL_MIN <= t <= _REL_TOL_MAX:
             raise DomainError(

@@ -8,13 +8,6 @@ from symell import (
     ConvergenceError,
     DomainError,
     RegimeError,
-    approx_e,
-    approx_k,
-    approx_rc,
-    approx_rd,
-    approx_rf,
-    approx_rg,
-    approx_rj,
     asym,
     case_ratio,
     core,
@@ -47,13 +40,13 @@ def reference(tag, args):
 
 class TestRCCases:
     def test_c1_degenerate_at_zero(self):
-        enc = approx_rc(0.0, 1.0, "C1")
+        enc = enclose("C1", 0.0, 1.0)
         half_pi = math.pi / 2
         assert enc.lo <= half_pi <= enc.hi
         assert enc.hi - enc.lo < 1e-14  # ulp widening only
 
     def test_c1_bracket_endpoints(self):
-        enc = approx_rc(0.01, 1.0, "C1")
+        enc = enclose("C1", 0.01, 1.0)
         base = math.pi / 2 - 0.1
         coef = math.pi * 0.01 / 4.0
         assert enc.lo == pytest.approx(base + coef / 1.1, rel=1e-12)
@@ -61,17 +54,17 @@ class TestRCCases:
         assert enc.contains(core.rc(0.01, 1.0))
 
     def test_c2a_contains_log_branch(self):
-        enc = approx_rc(100.0, 1.0, "C2a")
+        enc = enclose("C2a", 100.0, 1.0)
         assert enc.contains(core.rc(100.0, 1.0))
 
     def test_c2b_sharper_than_c2a(self):
-        a = approx_rc(100.0, 1.0, "C2a")
-        b = approx_rc(100.0, 1.0, "C2b")
+        a = enclose("C2a", 100.0, 1.0)
+        b = enclose("C2b", 100.0, 1.0)
         assert b.width < a.width
         assert b.contains(core.rc(100.0, 1.0))
 
     def test_c2c_upper_bound_only(self):
-        enc = approx_rc(100.0, 1.0, "C2c")
+        enc = enclose("C2c", 100.0, 1.0)
         v = core.rc(100.0, 1.0)
         assert enc.contains(v)
         with pytest.raises(DomainError):
@@ -79,79 +72,79 @@ class TestRCCases:
 
     def test_c2_regime_gate(self):
         with pytest.raises(RegimeError):
-            approx_rc(1.0, 2.5, "C2a")
+            enclose("C2a", 1.0, 2.5)
 
 
 class TestRFCases:
     def test_f1a_endpoints_and_containment(self):
-        enc = approx_rf(0.01, 0.01, 1.0, "F1a")
+        enc = enclose("F1a", 0.01, 0.01, 1.0)
         assert enc.lo == pytest.approx(3.00736, abs=2e-5)
         assert enc.hi == pytest.approx(3.01079, abs=2e-5)
         assert enc.contains(core.rf(0.01, 0.01, 1.0))
 
     def test_f2a_exact_at_zero(self):
-        enc = approx_rf(2.0, 2.0, 0.0, "F2a")
+        enc = enclose("F2a", 2.0, 2.0, 0.0)
         assert enc.estimate == pytest.approx(math.pi / (2.0 * math.sqrt(2.0)), rel=1e-14)
         assert enc.width < 1e-14
 
     def test_f1d_sharper_than_f1a(self):
-        a = approx_rf(1.0, 2.0, 1e6, "F1a")
-        d = approx_rf(1.0, 2.0, 1e6, "F1d")
+        a = enclose("F1a", 1.0, 2.0, 1e6)
+        d = enclose("F1d", 1.0, 2.0, 1e6)
         v, err = oracle_with_error("RF", (1.0, 2.0, 1e6))
         slack = containment_slack(err, v)
         assert d.width < a.width
         assert a.contains(v, slack) and d.contains(v, slack)
 
     def test_f1b_matches_f1a_upper(self):
-        a = approx_rf(0.01, 0.02, 1.0, "F1a")
-        b = approx_rf(0.01, 0.02, 1.0, "F1b")
+        a = enclose("F1a", 0.01, 0.02, 1.0)
+        b = enclose("F1b", 0.01, 0.02, 1.0)
         assert b.hi == pytest.approx(a.hi, rel=1e-13)
         assert b.lo == pytest.approx(a.lo, rel=1e-13)
 
     def test_f1_regime_gate(self):
         with pytest.raises(RegimeError):
-            approx_rf(1.0, 1.0, 0.9, "F1a")  # g = 1 >= z
+            enclose("F1a", 1.0, 1.0, 0.9)  # g = 1 >= z
 
 
 class TestRDCases:
     def test_d2a_example(self):
-        enc = approx_rd(1.0, 1.0, 1e-4, "D2a")
+        enc = enclose("D2a", 1.0, 1.0, 1e-4)
         assert enc.lo == pytest.approx(295.288, abs=2e-3)
         assert enc.hi == pytest.approx(295.348, abs=2e-3)
         assert enc.contains(core.rd(1.0, 1.0, 1e-4))
 
     def test_d4_exact_at_zero(self):
-        enc = approx_rd(0.0, 2.0, 3.0, "D4")
+        enc = enclose("D4", 0.0, 2.0, 3.0)
         assert enc.estimate == pytest.approx(core.rd(0.0, 2.0, 3.0), rel=1e-13)
 
     def test_d1_contains(self):
-        enc = approx_rd(0.01, 0.02, 1.0, "D1")
+        enc = enclose("D1", 0.01, 0.02, 1.0)
         assert enc.contains(core.rd(0.01, 0.02, 1.0))
 
     def test_d2_higher_orders_tighter(self):
         args = (1.0, 3.0, 1e-4)
-        wa = approx_rd(*args, "D2a").width
-        wb = approx_rd(*args, "D2b").width
-        wc = approx_rd(*args, "D2c").width
+        wa = enclose("D2a", *args).width
+        wb = enclose("D2b", *args).width
+        wc = enclose("D2c", *args).width
         assert wc < wb < wa
         v = core.rd(*args)
         for tag in ("D2a", "D2b", "D2c"):
-            assert approx_rd(*args, tag).contains(v, 2e-13 * v)
+            assert enclose(tag, *args).contains(v, 2e-13 * v)
 
 
 class TestRJCases:
     def test_j1b_collapse_at_equal_pair(self):
-        enc = approx_rj(1.0, 1.0, 0.0, 37.0, "J1b")
+        enc = enclose("J1b", 1.0, 1.0, 0.0, 37.0)
         assert enc.rel_width() < 1e-14
         assert enc.contains(core.rj(1.0, 1.0, 0.0, 37.0), 2e-13 * enc.estimate)
 
     def test_j1a_contains(self):
-        enc = approx_rj(1.0, 2.0, 3.0, 1e5, "J1a")
+        enc = enclose("J1a", 1.0, 2.0, 3.0, 1e5)
         assert enc.contains(core.rj(1.0, 2.0, 3.0, 1e5), 1e-13 * enc.estimate)
 
     def test_j2a_leading_term_dominates(self):
         x, y, z, p = 1.0, 2.0, 3.0, 1e-5
-        enc = approx_rj(x, y, z, p, "J2a")
+        enc = enclose("J2a", x, y, z, p)
         g = (x * y * z) ** (1 / 3)
         lead = 1.5 / math.sqrt(x * y * z) * (math.log(4 * g / p) - 2.0)
         assert enc.contains(core.rj(x, y, z, p), 1e-12)
@@ -159,59 +152,59 @@ class TestRJCases:
 
     def test_j2b_tighter_than_j2a(self):
         args = (1.0, 2.0, 3.0, 1e-5)
-        assert approx_rj(*args, "J2b").width < approx_rj(*args, "J2a").width
+        assert enclose("J2b", *args).width < enclose("J2a", *args).width
 
     def test_principal_value_not_approximated(self):
         with pytest.raises(DomainError):
-            approx_rj(1.0, 2.0, 3.0, -1.0, "J2a")
+            enclose("J2a", 1.0, 2.0, 3.0, -1.0)
 
     def test_complete_case_gates(self):
         with pytest.raises(RegimeError):
-            approx_rj(1.0, 2.0, 0.5, 100.0, "J1b")  # z must be 0
+            enclose("J1b", 1.0, 2.0, 0.5, 100.0)  # z must be 0
         with pytest.raises(RegimeError):
-            approx_rj(1.0, 0.5, 2.0, 0.001, "J6complete")  # y must be 0
+            enclose("J6complete", 1.0, 0.5, 2.0, 0.001)  # y must be 0
 
 
 class TestRGCases:
     def test_g2_example(self):
-        enc = approx_rg(1.0, 1.0, 0.01, "G2")
+        enc = enclose("G2", 1.0, 1.0, 0.01)
         assert enc.estimate == pytest.approx(math.pi / 4 + math.pi * 0.01 / 8 * 0.9, rel=0.05)
         assert enc.contains(core.rg(1.0, 1.0, 0.01), 1e-13)
         # base term is the complete value pi/4
         assert core.rg(1.0, 1.0, 0.0) == pytest.approx(math.pi / 4, rel=1e-14)
 
     def test_g1b_contains(self):
-        enc = approx_rg(0.0, 1e-4, 1.0, "G1b")
+        enc = enclose("G1b", 0.0, 1e-4, 1.0)
         assert enc.contains(core.rg(0.0, 1e-4, 1.0), 1e-13)
 
     def test_g1a_upper_gate(self):
         # the displayed upper endpoint needs 5a < z; outside it the gate refuses
-        for call in (lambda: approx_rg(1.0, 1.0, 4.0, "G1a"),
+        for call in (lambda: enclose("G1a", 1.0, 1.0, 4.0),
                      lambda: theta_window("G1a", (1.0, 1.0, 4.0), core.rg(1.0, 1.0, 4.0))):
             with pytest.raises(RegimeError, match="5a < z"):
                 call()
-        enc = approx_rg(1.0, 1.0, 5.5, "G1a")
+        enc = enclose("G1a", 1.0, 1.0, 5.5)
         assert enc.contains(core.rg(1.0, 1.0, 5.5))
 
     def test_g2_lower_endpoint_gate(self):
         with pytest.raises(RegimeError):
-            approx_rg(1.0, 1.0, 0.7, "G2")
+            enclose("G2", 1.0, 1.0, 0.7)
 
 
 class TestLegendreCases:
     def test_f1e_brackets_k(self):
-        enc = approx_k(0.1, "F1e")
+        enc = enclose("F1e", 0.1)
         k = math.sqrt(1 - 0.01)
         assert enc.lo == pytest.approx(3.694650, abs=1e-6)
         assert enc.hi == pytest.approx(3.698125, abs=1e-6)
         assert enc.contains(core.legendre_k(k))
 
     def test_f1f_tighter(self):
-        assert approx_k(0.1, "F1f").width < approx_k(0.1, "F1e").width
+        assert enclose("F1f", 0.1).width < enclose("F1e", 0.1).width
 
     def test_e_enclosure_collapses_near_zero(self):
         kp = 1e-5
-        enc = approx_e(kp)
+        enc = enclose("G1c", kp)
         lead = 1.0 + kp * kp / 2.0 * (math.log(4.0 / kp) - 0.5)
         assert enc.estimate == pytest.approx(lead, rel=1e-12)
         assert enc.rel_width() < 1e-18 * math.log(1 / kp) / 1e-10  # O(kp^4 log)
@@ -450,15 +443,22 @@ def test_formula_terms_are_computed_once_per_enclosure(monkeypatch):
             assert calls == expected, (tag, call)
 
 
-def test_family_wrappers_reject_foreign_tags():
-    with pytest.raises(DomainError):
-        approx_rc(1.0, 2.0, "F1a")
-    with pytest.raises(DomainError):
-        approx_rf(1.0, 2.0, 3.0, "D1")
-
-
 def test_strictness_metadata():
-    enc = approx_rc(0.5, 1e3, "C1")
+    enc = enclose("C1", 0.5, 1e3)
     assert (enc.strict_lo, enc.strict_hi) == (False, False)
-    enc = approx_rf(0.001, 0.002, 1.0, "F1a")
+    enc = enclose("F1a", 0.001, 0.002, 1.0)
     assert enc.strict_lo and enc.strict_hi
+
+
+@pytest.mark.parametrize("tag, sibling", [("C2c", "C2a"), ("F1b", "F1a")])
+def test_one_sided_case_repeats_its_sibling(tag, sibling):
+    """C2c's upper bound is C2a's formula at theta = 4 and F1b's is F1a's at
+    its upper bracket endpoint; both lower ends are the sibling's.  On
+    campaign samples lo is equal and hi within 2 ulps."""
+    rng = np.random.default_rng(0)
+    for ratio in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        for _ in range(200):
+            args = sample_args(tag, ratio, rng)
+            one, sib = enclose(tag, *args), enclose(sibling, *args)
+            assert one.lo == sib.lo, (tag, args)
+            assert abs(one.hi - sib.hi) <= 2 * math.ulp(sib.hi), (tag, args)
