@@ -27,20 +27,19 @@ given the true value, which must land inside the stated bracket (the
 bracket-realization tests), or returns None where that inversion is
 ill-conditioned.  theta_recover and recover_sigma share its body.
 
-Cases whose displayed formula covers only one side (C2c, F1b) are paired
-with the best same-family endpoint so the return type stays uniform.  Each
-repeats a sibling, C2a at theta = 4 and F1a at its upper bracket endpoint:
-on campaign samples lo is the sibling's and hi within 2 ulps of it.
+C2c and F1b, whose displayed bounds are one-sided, are C2a's and F1a's
+rows under their own tags.
 
 A float64 failure inside a case formula (an overflow, an underflow to a
-division by zero, a math-domain error, or an enclosure, ratio, bracket
-endpoint, term or symbol that is not finite) raises ConvergenceError.
+division by zero, a math-domain error, an inner evaluator's DomainError, or
+an enclosure, ratio, bracket endpoint, term or symbol that is not finite)
+raises ConvergenceError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from ._util import cbrt, widen_down, widen_up
@@ -55,7 +54,6 @@ __all__ = [
     "case_kind",
     "case_ratio",
     "enclose",
-    "has_symbol",
     "kind_cases",
     "ratio_classes",
     "recover_sigma",
@@ -166,18 +164,16 @@ class _Case:
     ratio: Callable
     sample: Callable             # (ratio, s, w, lu, coin) -> args, see sample_case
     bracket: Callable            # args -> (sym_lo, sym_hi)
-    terms: Callable | None       # args -> coefficients of form, None for one-sided
+    terms: Callable              # args -> coefficients of form
     form: _Form
-    build: Callable | None       # args -> (lo, hi), a custom enclosure
 
 
 _CASES: dict[str, _Case] = {}
 
 
-def _register(tag, kind, cost, gate, ratio, sample, bracket, terms=None, form=_AFFINE,
-              strict=(True, True), build=None):
-    _CASES[tag] = _Case(tag, kind, cost, strict, gate, ratio, sample, bracket, terms,
-                        form, build)
+def _register(tag, kind, cost, gate, ratio, sample, bracket, terms, form=_AFFINE,
+              strict=(True, True)):
+    _CASES[tag] = _Case(tag, kind, cost, strict, gate, ratio, sample, bracket, terms, form)
 
 
 # ---- argument samplers -----------------------------------------------------
@@ -242,14 +238,7 @@ _register("C2b", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sa
           bracket=lambda x, y: (1.0, 4.0), terms=_c2b_abk, form=_LOG)
 
 
-def _c2c_build(x, y):
-    lo = _LOG.value(_c2a_abk(x, y), 1.0)  # C2a formula at theta = 1
-    hi = math.log(4.0 * x / y) / (2.0 * math.sqrt(x) * (1.0 - y / (2.0 * x)))
-    return lo, hi
-
-
-_register("C2c", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
-          bracket=lambda x, y: (1.0, 4.0), build=_c2c_build)
+_CASES["C2c"] = replace(_CASES["C2a"], tag="C2c")
 
 
 # ---- RF cases --------------------------------------------------------------
@@ -294,16 +283,7 @@ _register("F1a", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
           bracket=_f1_bracket, terms=_f1a_ab)
 
 
-def _f1b_build(x, y, z):
-    a, g = _ag(x, y)
-    r_lo, _ = _f1_bracket(x, y, z)
-    lo = _AFFINE.value(_f1a_ab(x, y, z), r_lo)
-    hi = math.log(8.0 * z / (a + g)) / (2.0 * math.sqrt(z) * (1.0 - a / (2.0 * z)))
-    return lo, hi
-
-
-_register("F1b", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=_f1_bracket, build=_f1b_build)
+_CASES["F1b"] = replace(_CASES["F1a"], tag="F1b")
 
 
 def _f1cd_gate(x, y, z):
@@ -945,29 +925,31 @@ def _call(tag: str, args, gated: bool, body, *extra):
     """``body(case, vals, *extra)`` behind the prologue and the error boundary
     that every entry point shares: tag lookup, argument checks and, where
     ``gated``, the case's gate.  A float64 failure inside the case formula,
-    an ArithmeticError or a math-domain ValueError, raises ConvergenceError."""
+    an ArithmeticError, a math-domain ValueError or, past the gate, a
+    DomainError from an inner evaluator, raises ConvergenceError."""
     case = _case(tag)
     vals = _checked(tag, case.kind, args)
+    in_body = False
     try:
         if gated:
             case.gate(*vals)
+        in_body = True
         return body(case, vals, *extra)
-    except (DomainError, RegimeError, ConvergenceError):
+    except (RegimeError, ConvergenceError):
         raise
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:  # DomainError is a ValueError
+        if isinstance(exc, DomainError) and not in_body:
+            raise
         raise ConvergenceError(f"{tag} at {vals} is past float64: {exc}") from exc
 
 
 def _enclosure(case: _Case, vals) -> Enclosure:
     sl, sh = case.strict
-    if case.build is not None:
-        lo, hi = case.build(*vals)
-    else:
-        s_lo, s_hi = case.bracket(*vals)
-        terms = case.terms(*vals)
-        lo, hi = case.form.value(terms, s_lo), case.form.value(terms, s_hi)
-        if hi < lo:
-            lo, hi, sl, sh = hi, lo, sh, sl
+    s_lo, s_hi = case.bracket(*vals)
+    terms = case.terms(*vals)
+    lo, hi = case.form.value(terms, s_lo), case.form.value(terms, s_hi)
+    if hi < lo:
+        lo, hi, sl, sh = hi, lo, sh, sl
     est = 0.5 * (lo + hi)
     lo, hi = widen_down(lo), widen_up(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(est)):
@@ -983,8 +965,6 @@ def enclose(tag: str, *args: float) -> Enclosure:
 def _symbol(case: _Case, vals, v: float):
     """(sym_lo, sym_hi, sigma, terms) of the error symbol at the value ``v``:
     the body every symbol entry shares, one bracket and one terms computation."""
-    if case.terms is None:
-        raise DomainError(f"{case.tag} exposes no error symbol (one-sided bound)")
     s_lo, s_hi = case.bracket(*vals)
     terms = case.terms(*vals)
     if not all(map(math.isfinite, (s_lo, s_hi, *terms))):
@@ -1044,10 +1024,6 @@ def recover_sigma(tag: str, args, true_value: float) -> float:
     error of 4 ulps; inf where the symbol is past float64.  Outside the
     case's regime it raises RegimeError, as theta_window does."""
     return _call(tag, args, True, lambda *a: _symbol(*a)[2], float(true_value))
-
-
-def has_symbol(tag: str) -> bool:
-    return _case(tag).terms is not None
 
 
 def case_kind(tag: str) -> str:

@@ -164,9 +164,9 @@ def _enc_dict(enc: asym.Enclosure) -> dict:
 
 
 def _theta(tag: str, vals: tuple, reference: float) -> float | None:
-    """The case's error symbol at the reference; None if it has none or its
-    recovery is ill-conditioned."""
-    window = asym.theta_window(tag, vals, reference) if asym.has_symbol(tag) else None
+    """The case's error symbol at the reference; None if its recovery is
+    ill-conditioned."""
+    window = asym.theta_window(tag, vals, reference)
     return None if window is None else window[3]
 
 
@@ -300,6 +300,9 @@ def _parse_ratios(spec: tuple[bool, list[float]]) -> tuple[float, ...]:
 def _cmd_verify(args) -> int:
     from . import harness
 
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise DomainError(f"--out directory {out_dir!r} does not exist")
     cases, ineqs, identities = _parse_cases(args.cases)
     ratios = _parse_ratios(args.ratios)
     reports = []

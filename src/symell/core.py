@@ -21,10 +21,12 @@ with this module.
 
 All functions return plain finite floats and raise
 :class:`~symell.errors.DomainError` on invalid input.  Where float64
-overflows or underflows inside rf, rd, rj, rg, rj_pv or r_minus1 (arguments
-near the ends of the range), or rd and rj would return a value below the
-normal range, they raise :class:`~symell.errors.ConvergenceError` instead
-of hanging, leaking an arithmetic exception or returning 0, inf or NaN.
+overflows or underflows inside rf, rd, rj, rg, rc_pv, rj_pv or r_minus1
+(arguments near the ends of the range, where an inner call may get
+arguments outside its own domain), or rd and rj would return a value below
+the normal range, they raise :class:`~symell.errors.ConvergenceError`
+instead of hanging, leaking an arithmetic exception or an inner call's
+DomainError, or returning 0, inf or NaN.
 """
 
 from __future__ import annotations
@@ -126,7 +128,10 @@ def rc_pv(x: float, y_abs: float) -> float:
         raise DomainError(f"rc_pv requires x >= 0 and y_abs > 0, got ({x}, {y_abs})")
     if x == 0.0:
         return 0.0
-    return math.sqrt(x / (x + y_abs)) * rc(x + y_abs, y_abs)
+    try:
+        return math.sqrt(x / (x + y_abs)) * rc(x + y_abs, y_abs)
+    except DomainError as exc:  # x + y_abs overflows
+        raise _range_error("rc_pv", exc) from exc
 
 
 # --------------------------------------------------------------------------
@@ -324,7 +329,7 @@ def rj(x: float, y: float, z: float, p: float) -> float:
         return rd(b, c, a)
     try:
         value = _rj_core(a, b, c, p)
-    except ArithmeticError as exc:
+    except (ArithmeticError, DomainError) as exc:
         raise _range_error("rj", exc) from exc
     if not value >= _MIN_NORMAL:
         raise _range_error("rj", f"value {value!r} is below the normal range")
@@ -349,7 +354,7 @@ def rj_pv(x: float, y: float, z: float, p: float) -> float:
         u = lo * hi + pabs * q
         term = 3.0 * math.sqrt(lo * med * hi / u) * rc(u, pabs * q)
         value = ((q - med) * rj(lo, med, hi, q) - 3.0 * rf(lo, med, hi) + term) / (med + pabs)
-    except ArithmeticError as exc:
+    except (ArithmeticError, DomainError) as exc:
         raise _range_error("rj_pv", exc) from exc
     if not math.isfinite(value):
         raise _range_error("rj_pv", f"value is {value!r}")
@@ -389,7 +394,7 @@ def r_minus1(x: float, y: float, z: float) -> float:
         sxy = math.sqrt(x * y)
         s = math.sqrt(x) + math.sqrt(y)
         value = 2.0 * rc((sxy + z) ** 2, s * s * z)
-    except ArithmeticError as exc:
+    except (ArithmeticError, DomainError) as exc:
         raise _range_error("r_minus1", exc) from exc
     if not math.isfinite(value):
         raise _range_error("r_minus1", f"value is {value!r}")

@@ -256,7 +256,7 @@ def run_containment(campaign: Campaign) -> CampaignReport:
         if not enc.contains(value, containment_slack(err, value)):
             report.violate({"kind": "containment", "ratio": ratio, "args": list(args),
                             "oracle": value, "lo": enc.lo, "hi": enc.hi})
-        if asym.has_symbol(tag) and ratio in THETA_RATIOS:
+        if ratio in THETA_RATIOS:
             _theta_classify(tag, args, report)
     report.wall_time = time.perf_counter() - t0
     return report

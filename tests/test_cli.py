@@ -328,6 +328,21 @@ class TestVerify:
                          str(tmp_path / "rep"))
         assert code == 2
 
+    def test_missing_out_directory_exits_before_any_campaign(self, capsys, tmp_path,
+                                                             monkeypatch):
+        from symell import harness
+
+        def no_campaign(*a):
+            raise AssertionError("a campaign ran")
+
+        monkeypatch.setattr(harness, "run_containment", no_campaign)
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, "verify", "--cases", "C1", "--samples", "5",
+                             "--out", str(missing / "rep"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --out directory {str(missing)!r} does not exist\n"
+
 
 class TestIdentitiesCommand:
     def test_runs_clean(self, capsys):

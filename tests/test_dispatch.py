@@ -79,6 +79,17 @@ class TestClosedForms:
         assert rep.method == "closed_form"
         assert rep.value == pytest.approx(core.rc(3.0, 1.0), rel=1e-14)
 
+    def test_two_largest_equal_reduces_to_rc(self):
+        rep = evaluate(EvalRequest("RF", (1.0, 3.0, 3.0), 1e-12))
+        assert (rep.method, rep.guaranteed_rel_err) == ("closed_form", 1e-13)
+        assert rep.value == core.rc(1.0, 3.0)
+        assert rep.value == pytest.approx(math.atan(math.sqrt(2.0)) / math.sqrt(2.0), rel=1e-14)
+
+    def test_rj_with_p_equal_reduces_to_rd_closed_form(self):
+        rep = evaluate(EvalRequest("RJ", (0.0, 2.0, 2.0, 2.0), 1e-12))
+        assert (rep.method, rep.guaranteed_rel_err) == ("closed_form", 1e-14)
+        assert rep.value == pytest.approx(0.75 * math.pi * 2.0 ** -1.5, rel=1e-14)
+
     def test_rd_complete_pattern(self):
         rep = evaluate(EvalRequest("RD", (0.0, 2.0, 2.0), 1e-12))
         assert rep.method == "closed_form"

@@ -91,15 +91,16 @@ def test_sampler_digests_cover_every_case():
 
 # sha256 prefix of each case's containment report at 10 samples, seed 42 and
 # the default ratios (canonical JSON without wall_time), taken before the
-# symbol entries of asym shared one body; a change to a sampler, an
+# symbol entries of asym shared one body (C2c's and F1b's when they became
+# C2a's and F1a's rows, which gave them a theta); a change to a sampler, an
 # enclosure, the oracle or the theta classification changes its digest
 _CONTAINMENT_DIGESTS = {
     "C1": "69213e50df5c3c6a",
     "C2a": "f2cf2c15265fa5c9",
     "C2b": "085fdc8e21f1f668",
-    "C2c": "f1a36f0405aff7e7",
+    "C2c": "97e4c70f6aca9826",
     "F1a": "f766c83ebb3b75a9",
-    "F1b": "866e75b04b0c996a",
+    "F1b": "6e784bbfd9756832",
     "F1c": "d762855489265ba4",
     "F1d": "a8deeffca7ef8814",
     "F1e": "88447ae2c406bdb3",

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from symell import ConvergenceError, DomainError, RegimeError, ToleranceError, core
+from symell import ConvergenceError, DomainError, RegimeError, ToleranceError, asym, core
 from symell.cli import main
 
 TYPED = (ConvergenceError, DomainError, RegimeError, ToleranceError)
@@ -55,3 +55,57 @@ def test_fails_only_with_typed_errors(fn, width, negate_last):
 def test_principal_value_past_float64_exits_2(capsys, args):
     assert main(["eval", "rj", *args]) == 2
     assert "rj_pv: float64 range exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fn, width, negate_last, in_domain", [
+    (core.rj, 4, False, lambda a: a[3] > 0.0 and a[:3].count(0.0) <= 1),
+    (core.rj_pv, 4, True, lambda a: min(a[:3]) > 0.0 and a[3] < 0.0),
+    (core.r_minus1, 3, False, lambda a: min(a) > 0.0),
+    (core.rc_pv, 2, False, lambda a: a[1] > 0.0),
+], ids=["rj", "rj_pv", "r_minus1", "rc_pv"])
+def test_inner_domain_error_is_a_range_error(fn, width, negate_last, in_domain):
+    """Once a function has accepted its arguments, a DomainError from an
+    inner rc, rf, rj or rd call means float64 ran out: it is a
+    ConvergenceError, not a DomainError about arguments never passed."""
+    for args in _wide_rows(3, 3000, width):
+        if negate_last:
+            args[-1] = -args[-1]
+        if not in_domain(args):
+            continue
+        try:
+            fn(*args)
+        except DomainError as exc:
+            pytest.fail(f"{fn.__name__}{tuple(args)}: {exc}")
+        except ConvergenceError:
+            pass
+
+
+@pytest.mark.parametrize("fn, args, inner", [
+    (core.rj, (2.4518860694582356e-249, 1.2198430542030024e-158, 5.816732927561769e+180,
+               1.9825385399294428e+49), "rc requires x >= 0 and y > 0"),
+    (core.rc_pv, (1.7e308, 1.7e308), "x must be finite, got inf"),
+])
+def test_inner_domain_error_names_the_range(fn, args, inner):
+    with pytest.raises(ConvergenceError, match=f"^{fn.__name__}: float64 range exceeded") as got:
+        fn(*args)
+    assert inner in str(got.value)
+
+
+def test_case_body_domain_error_is_a_convergence_error(capsys):
+    """Every gate accepts positive finite tuples as in its domain (it may
+    refuse the regime), so past it a DomainError from the terms' rj, rc or
+    rd means float64 ran out."""
+    rng = np.random.default_rng(5)
+    for tag in asym.CASE_TAGS:
+        n = asym.KIND_ARITY[asym.case_kind(tag)]
+        for args in np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (1000, n))).tolist():
+            try:
+                asym.enclose(tag, *args)
+            except DomainError as exc:
+                pytest.fail(f"{tag}{tuple(args)}: {exc}")
+            except (RegimeError, ConvergenceError):
+                pass
+    args = ("1.0040474724985367e+183", "5.81398412894949e+184", "1567965942.7344718",
+            "3.025715241078634e-129")
+    assert main(["asym", "J4a", *args]) == 2
+    assert "is past float64: y must be finite, got inf" in capsys.readouterr().err
