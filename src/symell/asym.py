@@ -33,7 +33,10 @@ rows under their own tags.
 A float64 failure inside a case formula (an overflow, an underflow to a
 division by zero, a math-domain error, an inner evaluator's DomainError, or
 an enclosure, ratio, bracket endpoint, term or symbol that is not finite)
-raises ConvergenceError.
+raises ConvergenceError, as does, past the gate, a nonzero argument of an
+RC..RG case outside the window [1e-100, 1e100]: no formula multiplies more
+than three arguments (x*y*z in J2a and J2b, p*lam**2 in J2b, g**3 in D2c),
+so only inside it do their products surely stay in the normal range.
 """
 
 from __future__ import annotations
@@ -924,15 +927,19 @@ def _checked(name: str, kind: str, args) -> tuple:
 def _call(tag: str, args, gated: bool, body, *extra):
     """``body(case, vals, *extra)`` behind the prologue and the error boundary
     that every entry point shares: tag lookup, argument checks and, where
-    ``gated``, the case's gate.  A float64 failure inside the case formula,
-    an ArithmeticError, a math-domain ValueError or, past the gate, a
-    DomainError from an inner evaluator, raises ConvergenceError."""
+    ``gated``, the case's gate and argument window.  A float64 failure inside
+    the case formula, an ArithmeticError, a math-domain ValueError or, past
+    the gate, a DomainError from an inner evaluator, raises ConvergenceError."""
     case = _case(tag)
     vals = _checked(tag, case.kind, args)
     in_body = False
     try:
         if gated:
             case.gate(*vals)
+            if case.kind != "K" and case.kind != "E":
+                for v in vals:
+                    if v and not 1e-100 <= v <= 1e100:
+                        raise OverflowError("an argument lies outside [1e-100, 1e100]")
         in_body = True
         return body(case, vals, *extra)
     except (RegimeError, ConvergenceError):

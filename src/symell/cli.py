@@ -16,7 +16,7 @@ import os
 import re
 import sys
 
-from . import asym, bounds, core, dispatch
+from . import asym, bounds, dispatch
 from ._fmt import dumps, plain
 from .errors import ConvergenceError, DomainError, RegimeError, ToleranceError
 
@@ -113,24 +113,9 @@ def _cmd_eval(args) -> int:
         print(f"error: {args.kind} takes {arity} arguments, got {len(vals)}",
               file=sys.stderr)
         return EXIT_USAGE
-    req = dispatch.EvalRequest(kind, vals, args.rel_tol)
-    # negative final argument routes to the principal-value evaluators
-    if kind == "RC" and vals[1] < 0.0:
-        value = core.rc_pv(vals[0], -vals[1])
-        report = dispatch.EvalReport(value, "closed_form", None, 1e-13)
-    elif kind == "RJ" and vals[3] < 0.0:
-        value = core.rj_pv(*vals)
-        report = dispatch.EvalReport(value, "reference", None, 1e-12)
-    else:
-        report = dispatch.evaluate(req)
-    # evaluate meets rel_tol by construction; a principal value's guarantee is fixed
-    if report.guaranteed_rel_err > req.rel_tol:
-        raise ToleranceError(f"the {kind} principal value is certified to "
-                             f"{report.guaranteed_rel_err:g}, not rel_tol={req.rel_tol:g}")
+    report = dispatch.evaluate(dispatch.EvalRequest(kind, vals, args.rel_tol))
     if args.json:
-        enc = None
-        if report.enclosure is not None:
-            enc = _enc_dict(report.enclosure)
+        enc = report.enclosure
         doc = {
             "kind": kind,
             "args": list(vals),
@@ -138,7 +123,7 @@ def _cmd_eval(args) -> int:
             "value": report.value,
             "method": report.method_label(),
             "guaranteed_rel_err": report.guaranteed_rel_err,
-            "enclosure": enc,
+            "enclosure": None if enc is None else _enc_dict(enc),
         }
         print(dumps(doc))
     else:
@@ -306,13 +291,11 @@ def _cmd_verify(args) -> int:
     cases, ineqs, identities = _parse_cases(args.cases)
     ratios = _parse_ratios(args.ratios)
     reports = []
-    # order fits always run on the grid the expected-slope table was derived
-    # on; slopes are not comparable across grids (logarithmic corrections)
-    fit_ratios, fit_samples = harness.order_fit_settings()
     for tag in cases:
         camp = harness.Campaign(tag, ratios, args.samples, args.seed)
         reports.append(harness.run_containment(camp))
-        reports.append(harness.run_order_fit(tag, fit_ratios, args.seed, fit_samples))
+        # on the grid the expected-slope table was derived on, whatever --ratios
+        reports.append(harness.run_order_fit(tag, seed=args.seed))
     for tag in ineqs:
         reports.append(harness.run_bounds_fuzz(tag, max(args.samples, 1000), args.seed))
     if identities:

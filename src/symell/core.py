@@ -23,10 +23,10 @@ All functions return plain finite floats and raise
 :class:`~symell.errors.DomainError` on invalid input.  Where float64
 overflows or underflows inside rf, rd, rj, rg, rc_pv, rj_pv or r_minus1
 (arguments near the ends of the range, where an inner call may get
-arguments outside its own domain), or rd and rj would return a value below
-the normal range, they raise :class:`~symell.errors.ConvergenceError`
-instead of hanging, leaking an arithmetic exception or an inner call's
-DomainError, or returning 0, inf or NaN.
+arguments outside its own domain), or rc_pv, rd and rj would return a
+value below the normal range (rc_pv is exactly 0 only at x = 0), they raise
+:class:`~symell.errors.ConvergenceError` instead of hanging, leaking an
+arithmetic exception or an inner call's DomainError, or returning 0, inf or NaN.
 """
 
 from __future__ import annotations
@@ -121,17 +121,23 @@ def rc(x: float, y: float) -> float:
 
 
 def rc_pv(x: float, y_abs: float) -> float:
-    """Cauchy principal value rc(x, -y_abs) for y_abs > 0."""
+    """Cauchy principal value rc(x, -y_abs) for y_abs > 0; 0.0 only at x = 0."""
     x = _as_finite("x", x)
     y_abs = _as_finite("y_abs", y_abs)
     if x < 0.0 or y_abs <= 0.0:
         raise DomainError(f"rc_pv requires x >= 0 and y_abs > 0, got ({x}, {y_abs})")
     if x == 0.0:
         return 0.0
+    q = x / (x + y_abs)
+    # a quotient below the normal range has lost digits; the square roots have not
+    r = math.sqrt(q) if q >= _MIN_NORMAL else math.sqrt(x) / math.sqrt(x + y_abs)
     try:
-        return math.sqrt(x / (x + y_abs)) * rc(x + y_abs, y_abs)
+        value = r * rc(x + y_abs, y_abs)
     except DomainError as exc:  # x + y_abs overflows
         raise _range_error("rc_pv", exc) from exc
+    if not value >= _MIN_NORMAL:
+        raise _range_error("rc_pv", f"value {value!r} is below the normal range")
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -20,9 +20,11 @@ silently, as are a case whose enclosure is refused or fails in float64
 end is not positive; what is left out falls through to the reference path.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
-through the branchy rc evaluation 1e-13; asymptotic = relative half-width
-plus a 2e-13 margin for the auxiliary core terms; reference 1e-12 (1e-13
-for rc).  Requests no method can certify raise ToleranceError.
+through the branchy rc evaluation 1e-13, the principal value rc_pv at RC's
+y < 0 among them; asymptotic = relative half-width plus a 2e-13 margin for
+the auxiliary core terms; reference 1e-12 (1e-13 for rc), the principal
+value rj_pv at RJ's p < 0 among them (no case gate accepts p < 0).
+Requests no method can certify raise ToleranceError.
 """
 
 from __future__ import annotations
@@ -115,7 +117,9 @@ def _closed_form(kind: str, args) -> tuple[float, float] | None:
         cf = _pattern(kind, args)
     except ArithmeticError as exc:
         raise ConvergenceError(f"{kind} closed form at {args}: {exc}") from exc
-    if cf is not None and not (math.isfinite(cf[0]) and cf[0] >= sys.float_info.min):
+    # rc_pv's exact 0 at x = 0 is the one closed-form value below the range
+    if cf is not None and not (math.isfinite(cf[0]) and cf[0] >= sys.float_info.min
+                               or kind == "RC" and cf[0] == 0.0 == args[0]):
         raise ConvergenceError(
             f"{kind} closed form at {args} is {cf[0]!r}, outside the normal float64 range")
     return cf
@@ -123,7 +127,7 @@ def _closed_form(kind: str, args) -> tuple[float, float] | None:
 
 def _pattern(kind: str, args) -> tuple[float, float] | None:
     if kind == "RC":
-        return core.rc(*args), _GUAR_RC
+        return (core.rc_pv(args[0], -args[1]) if args[1] < 0.0 else core.rc(*args)), _GUAR_RC
     if kind == "RF":
         a, b, c = sorted(args)
         if a == b == c:
@@ -186,10 +190,10 @@ def _pattern(kind: str, args) -> tuple[float, float] | None:
 
 
 def reference(kind: str, args) -> tuple[float, float]:
-    """(value, guarantee) of the kind's reference evaluator at ``args``."""
-    if kind == "RJ" and args[3] <= 0.0:
-        raise DomainError("dispatch handles p > 0 only; use rj_pv for principal values")
+    """(value, guarantee) of the kind's reference evaluator (rj_pv at p < 0)."""
     name, guar = _KIND[kind]
+    if kind == "RJ" and args[3] < 0.0:
+        name = "rj_pv"
     return getattr(core, name)(*args), guar
 
 

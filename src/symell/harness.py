@@ -57,6 +57,10 @@ __all__ = [
 
 _DEFAULT_RATIOS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
+# the grid the expected-slope table was derived on, at 100 samples a ratio; a
+# fit's slope (logarithmic corrections and all) is comparable to it only here
+_ORDER_RATIOS = _DEFAULT_RATIOS[1:]
+
 # ratios where symbol recovery stays well-conditioned for every case
 THETA_RATIOS = (1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -262,7 +266,7 @@ def run_containment(campaign: Campaign) -> CampaignReport:
     return report
 
 
-def run_order_fit(case: str, ratios=_DEFAULT_RATIOS, seed: int = 42,
+def run_order_fit(case: str, ratios=_ORDER_RATIOS, seed: int = 42,
                   samples: int = 100) -> CampaignReport:
     """Least-squares slope of log(max relative width) against log(ratio)."""
     ratios = tuple(float(r) for r in ratios)
@@ -300,17 +304,7 @@ def expected_slope(case: str) -> float | None:
     return None if entry is None else float(entry["slope"])
 
 
-def order_fit_settings() -> tuple[tuple[float, ...], int]:
-    """Grid and sample count the expected-slope table was derived on.
-
-    Slopes of the width curves carry logarithmic corrections, so a fit is
-    only comparable to the table when run on the same grid.
-    """
-    cfg = _load_order_table()["fit"]
-    return tuple(float(r) for r in cfg["ratios"]), int(cfg["samples"])
-
-
-def derive_order_table(seed: int = 42, ratios=_DEFAULT_RATIOS[1:],
+def derive_order_table(seed: int = 42, ratios=_ORDER_RATIOS,
                        samples: int = 100) -> dict:
     """Fit every case's width slope; the source of the shipped config."""
     out = {}

@@ -382,6 +382,32 @@ def test_bare_float64_failure_is_a_convergence_error(tag, args):
         enclose(tag, *args)
 
 
+@pytest.mark.parametrize("tag, args", [("C1", (0.0, 1e-224)), ("J2a", (1e300, 1e300, 1e300, 1e-300))])
+def test_argument_window_refuses_before_the_formula(tag, args, monkeypatch):
+    """A nonzero argument of an R case outside [1e-100, 1e100] is refused
+    past the gate and before the formula runs."""
+    # the formula is never reached: a call of None would raise TypeError
+    monkeypatch.setitem(asym._CASES, tag, dataclasses.replace(asym._CASES[tag], terms=None))
+    with pytest.raises(ConvergenceError,
+                       match=r"is past float64: an argument lies outside \[1e-100, 1e100\]$"):
+        enclose(tag, *args)
+    assert case_ratio(tag, *args) >= 0.0  # the ratio alone certifies nothing
+    with pytest.raises(RegimeError):  # the gate still speaks first
+        enclose("C2a", 1e200, 3e200)
+
+
+def test_bare_float64_failure_inside_the_window(monkeypatch):
+    """No in-window tuple of a seed-5 sweep fails in float64 with a bare
+    ArithmeticError, so J4a's inner rc is made to."""
+    def underflow(x, y):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(asym, "rc", underflow)
+    with pytest.raises(ConvergenceError,
+                       match=r"^J4a at \(1.0, 1.0, 1e-05, 1e-06\) is past float64: float division"):
+        enclose("J4a", 1.0, 1.0, 1e-5, 1e-6)
+
+
 def _assert_finite_results(tag, args, v):
     """Only typed errors escape, and every returned float is finite, except
     that recover_sigma may return inf (the symbol is past float64)."""

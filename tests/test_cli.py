@@ -43,6 +43,14 @@ class TestEval:
         assert float(out.split()[0]) == pytest.approx(core.rj_pv(1, 2, 3, -0.5), rel=1e-15)
         assert out.split()[1] == "reference"
 
+    @pytest.mark.parametrize("values, stdout", [
+        (("rj", "1", "2", "4", "-1"), "-0.056810681731435254 reference 1e-12\n"),
+        (("rc", "1", "-2"), "0.3801729981504731 closed_form 1e-13\n"),
+        (("rc", "0", "-1"), "0.0 closed_form 1e-13\n"),  # exact, below the normal range
+    ])
+    def test_principal_value_stdout_is_pinned(self, capsys, values, stdout):
+        assert run(capsys, "eval", *values) == (0, stdout, "")
+
     @pytest.mark.parametrize("values,tol,exit_code", [
         (("rc", "1", "-2"), "1e-14", 3),  # rc_pv is certified to 1e-13
         (("rj", "1", "2", "4", "-1"), "1e-14", 3),  # rj_pv to 1e-12
@@ -127,7 +135,9 @@ class TestAsym:
         assert "5a < z" in err
 
     def test_non_finite_enclosure_exit(self, capsys):
-        code, _, err = run(capsys, "asym", "J2a", "1e300", "1e300", "1e300", "1e-300")
+        # inside the argument window [1e-100, 1e100]
+        code, _, err = run(capsys, "asym", "D4", "3.863344580890431e+90",
+                           "1.9932937832362443e-94", "1.4568436167360788e-90")
         assert code == 2
         assert "past float64" in err and "not finite" in err
 

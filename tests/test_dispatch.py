@@ -126,6 +126,33 @@ class TestClosedFormRange:
         assert (rep.method, rep.value) == ("closed_form", 1e-300)
 
 
+class TestPrincipalValues:
+    """RC at y < 0 and RJ at p < 0 are principal values, answered by rc_pv
+    and rj_pv under the guarantees of the rc closed forms and the reference."""
+
+    def test_rc(self):
+        rep = evaluate(EvalRequest("RC", (1.0, -2.0), 1e-9))
+        assert rep == EvalReport(core.rc_pv(1.0, 2.0), "closed_form", None, 1e-13)
+        assert rep.value.hex() == core.rc_pv(1.0, 2.0).hex()
+
+    def test_rc_at_x_zero_is_exactly_zero(self):
+        rep = evaluate(EvalRequest("RC", (0.0, -1.0), 1e-9))
+        assert (rep.value, rep.method) == (0.0, "closed_form")
+
+    def test_rj(self):
+        req = EvalRequest("RJ", (1.0, 2.0, 4.0, -1.0), 1e-9)
+        rep = evaluate(req)
+        assert rep == EvalReport(core.rj_pv(1.0, 2.0, 4.0, -1.0), "reference", None, 1e-12)
+        assert rep.value.hex() == core.rj_pv(1.0, 2.0, 4.0, -1.0).hex()
+        # no case gate accepts p < 0, so the walk is the reference step alone
+        assert labels(plan(req)) == ["reference"]
+
+    @pytest.mark.parametrize("kind,args", [("RC", (1.0, -2.0)), ("RJ", (1.0, 2.0, 4.0, -1.0))])
+    def test_below_the_guarantee(self, kind, args):
+        with pytest.raises(ToleranceError, match="no method certifies rel_tol=1e-14"):
+            evaluate(EvalRequest(kind, args, 1e-14))
+
+
 class TestReferenceRange:
     """A reference value below the normal float64 range raises
     ConvergenceError instead of carrying the reference guarantee."""
@@ -235,8 +262,8 @@ class TestContract:
     def test_domain_propagates(self):
         with pytest.raises(DomainError):
             evaluate(EvalRequest("RD", (1.0, 1.0, -1.0), 1e-6))
-        with pytest.raises(DomainError):
-            evaluate(EvalRequest("RJ", (1.0, 1.0, 1.0, -1.0), 1e-6))
+        with pytest.raises(DomainError, match="p must be nonzero"):
+            evaluate(EvalRequest("RJ", (1.0, 1.0, 1.0, 0.0), 1e-6))
 
     def test_evaluate_takes_first_certifying_step(self, rng):
         seen = set()

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from symell import ConvergenceError, DomainError, RegimeError, ToleranceError, asym, core
+from symell import (ConvergenceError, DomainError, EvalRequest, RegimeError, ToleranceError,
+                    asym, core, evaluate)
 from symell.cli import main
 
 TYPED = (ConvergenceError, DomainError, RegimeError, ToleranceError)
@@ -91,7 +92,7 @@ def test_inner_domain_error_names_the_range(fn, args, inner):
     assert inner in str(got.value)
 
 
-def test_case_body_domain_error_is_a_convergence_error(capsys):
+def test_case_body_domain_error_is_a_convergence_error(capsys, monkeypatch):
     """Every gate accepts positive finite tuples as in its domain (it may
     refuse the regime), so past it a DomainError from the terms' rj, rc or
     rd means float64 ran out."""
@@ -105,7 +106,81 @@ def test_case_body_domain_error_is_a_convergence_error(capsys):
                 pytest.fail(f"{tag}{tuple(args)}: {exc}")
             except (RegimeError, ConvergenceError):
                 pass
-    args = ("1.0040474724985367e+183", "5.81398412894949e+184", "1567965942.7344718",
-            "3.025715241078634e-129")
-    assert main(["asym", "J4a", *args]) == 2
-    assert "is past float64: y must be finite, got inf" in capsys.readouterr().err
+    # inside the argument window no tuple of a seed-5 sweep reaches the
+    # conversion, so J4a's inner rc is made to refuse
+    def refuse(x, y):
+        raise DomainError("y must be finite, got inf")
+
+    monkeypatch.setattr(asym, "rc", refuse)
+    assert main(["asym", "J4a", "1", "1", "1e-05", "1e-06"]) == 2
+    assert capsys.readouterr().err == \
+        "error: J4a at (1.0, 1.0, 1e-05, 1e-06) is past float64: y must be finite, got inf\n"
+
+
+def _spread_rows(seed, n, width):
+    """Requests in asym territory across the float64 range: a large and a
+    small argument group, the small one by a ratio of 1e-9..1e-3 below a
+    scale log-uniform on 1e-300..1e300, and about 20 % zeros."""
+    rng = np.random.default_rng(seed)
+    scale = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (n, 1)))
+    ratio = np.exp(rng.uniform(math.log(1e-9), math.log(1e-3), (n, 1)))
+    rows = scale * np.exp(rng.uniform(math.log(0.1), math.log(10.0), (n, width)))
+    small = rng.random((n, width)) < 0.5
+    rows = np.where(small, rows * ratio, rows)
+    rows[(rng.random((n, width)) < 0.2) & small] = 0.0
+    return rows.tolist()
+
+
+def _outside_window(args):
+    return any(v and not 1e-100 <= v <= 1e100 for v in args)
+
+
+@pytest.mark.parametrize("kind", ["RF", "RD", "RJ", "RG"])
+def test_evaluate_answers_no_asym_outside_the_window(kind):
+    """A case formula whose products leave float64 can certify a wrong
+    value (D4 at (1e200, 2e200, 3e200) was 81 % off), so the dispatcher
+    answers no asym step with a nonzero argument outside [1e-100, 1e100].
+    (An RC request always ends at its closed form.)"""
+    outside = asym_inside = 0
+    for args in _spread_rows(7, 600, asym.KIND_ARITY[kind]):
+        try:
+            rep = evaluate(EvalRequest(kind, args, 1e-6))
+        except TYPED:
+            continue
+        if _outside_window(args):
+            outside += 1
+            assert rep.method != "asym", (kind, args, rep)
+        else:
+            asym_inside += rep.method == "asym"
+    assert outside > 10 and asym_inside > 10
+
+
+@pytest.mark.parametrize("kind, args, truth", [
+    # mpmath at 100 digits; asym(D4) and asym(F2a) used to answer
+    # 5.2585e-301 and 5.8060e-148 with a 2e-13 guarantee
+    ("RD", (1e200, 2e200, 3e200), 2.9046028102899065742e-301),
+    ("RF", (2.0033230614411426e+299, 6.122068797181284e+74, 1.9003900343870596e+75),
+     5.7833189707195681358e-148),
+])
+def test_wide_spread_answers_meet_their_guarantee(kind, args, truth):
+    rep = evaluate(EvalRequest(kind, args, 1e-6))
+    assert rep.method == "reference"
+    assert rep.value == pytest.approx(truth, rel=rep.guaranteed_rel_err)
+
+
+def test_asym_outside_the_window_exits_2(capsys):
+    # the products of D4's formula overflow here, and its ratio read 0.0
+    assert main(["asym", "D4", "1e200", "2e200", "3e200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "D4 at (1e+200, 2e+200, 3e+200) is past float64" in err
+
+
+def test_principal_value_rc_below_the_normal_range(capsys):
+    """rc_pv's quotient x/(x + |y|) used to flush to 0, so 1e-300 came out 0.0;
+    a value that is itself below the normal range exits 2."""
+    assert main(["eval", "rc", "1e-200", "-1e200"]) == 0
+    value, method, guar = capsys.readouterr().out.split()
+    assert (method, guar) == ("closed_form", "1e-13")
+    assert float(value) == pytest.approx(1e-300, rel=1e-13)
+    assert main(["eval", "rc", "1e-300", "-1e300"]) == 2
+    assert "rc_pv: float64 range exceeded" in capsys.readouterr().err
