@@ -19,7 +19,9 @@ each float's repr, only when it refuses.
 
 ratio_classes serves the dispatcher: for one argument tuple it checks the
 arguments once and returns a kind's cases whose ratio is in range, grouped
-by cost, where case_ratio answers for one case.
+by cost, where case_ratio answers for one case.  Outside the argument
+window below a ratio can be finite and wrong, so there case_ratio refuses
+and ratio_classes finds no case.
 
 theta_window is the one symbol entry: from one gate, one bracket and one
 terms computation it inverts a case formula for the realized error symbol
@@ -33,7 +35,7 @@ rows under their own tags.
 A float64 failure inside a case formula (an overflow, an underflow to a
 division by zero, a math-domain error, an inner evaluator's DomainError, or
 an enclosure, ratio, bracket endpoint, term or symbol that is not finite)
-raises ConvergenceError, as does, past the gate, a nonzero argument of an
+raises ConvergenceError, as does, past any gate, a nonzero argument of an
 RC..RG case outside the window [1e-100, 1e100]: no formula multiplies more
 than three arguments (x*y*z in J2a and J2b, p*lam**2 in J2b, g**3 in D2c),
 so only inside it do their products surely stay in the normal range.
@@ -53,7 +55,6 @@ __all__ = [
     "CASE_TAGS",
     "Enclosure",
     "KIND_ARITY",
-    "case_cost",
     "case_kind",
     "case_ratio",
     "enclose",
@@ -924,22 +925,31 @@ def _checked(name: str, kind: str, args) -> tuple:
     return vals
 
 
+def _in_window(kind: str, vals) -> bool:
+    """Whether every nonzero argument lies in [1e-100, 1e100]; K and E cases
+    take k' and have no window."""
+    if kind != "K" and kind != "E":
+        for v in vals:
+            if v and not 1e-100 <= v <= 1e100:
+                return False
+    return True
+
+
 def _call(tag: str, args, gated: bool, body, *extra):
     """``body(case, vals, *extra)`` behind the prologue and the error boundary
-    that every entry point shares: tag lookup, argument checks and, where
-    ``gated``, the case's gate and argument window.  A float64 failure inside
-    the case formula, an ArithmeticError, a math-domain ValueError or, past
-    the gate, a DomainError from an inner evaluator, raises ConvergenceError."""
+    that every entry point shares: tag lookup, argument checks, where
+    ``gated`` the case's gate, and the argument window.  A float64 failure
+    inside the case formula, an ArithmeticError, a math-domain ValueError,
+    an argument outside the window or, past the gate, a DomainError from an
+    inner evaluator, raises ConvergenceError."""
     case = _case(tag)
     vals = _checked(tag, case.kind, args)
     in_body = False
     try:
         if gated:
             case.gate(*vals)
-            if case.kind != "K" and case.kind != "E":
-                for v in vals:
-                    if v and not 1e-100 <= v <= 1e100:
-                        raise OverflowError("an argument lies outside [1e-100, 1e100]")
+        if not _in_window(case.kind, vals):
+            raise OverflowError("an argument lies outside [1e-100, 1e100]")
         in_body = True
         return body(case, vals, *extra)
     except (RegimeError, ConvergenceError):
@@ -1037,10 +1047,6 @@ def case_kind(tag: str) -> str:
     return _case(tag).kind
 
 
-def case_cost(tag: str) -> int:
-    return _case(tag).cost
-
-
 def kind_cases(kind: str) -> tuple[str, ...]:
     """Tags of the cases that approximate integrals of ``kind``."""
     return _KIND_CASES.get(kind, ())
@@ -1063,12 +1069,15 @@ def ratio_classes(kind: str, args, ratio_max: float) -> list[tuple[int, list[str
     most ``ratio_max``, cheapest first and in catalog order within a cost.
 
     The arguments are checked once for all the cases, as case_ratio checks
-    them for one; a case whose ratio fails in float64 or is not finite is
-    left out, as case_ratio would raise ConvergenceError for it."""
+    them for one; where case_ratio would raise ConvergenceError, for an
+    argument outside the window or a ratio that fails in float64 or is not
+    finite, the case is left out."""
     tags = _KIND_CASES.get(kind)
     if tags is None:
         raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(KIND_ARITY)}")
     vals = _checked(kind, kind, args)
+    if not _in_window(kind, vals):
+        return []
     classes: dict[int, list[str]] = {}
     for tag in tags:
         case = _CASES[tag]

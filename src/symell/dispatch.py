@@ -14,10 +14,11 @@ Asymptotic cases are considered only when their regime ratio is at most
 1e-2 — the territory the containment campaigns certify.  One
 ``asym.ratio_classes`` call per request finds them: it checks the
 arguments once, evaluates each case's ratio, and groups the in-ratio cases
-by cost.  A case whose ratio fails in float64 or exceeds 1e-2 is left out
-silently, as are a case whose enclosure is refused or fails in float64
-(asym raises RegimeError or ConvergenceError) and an enclosure whose upper
-end is not positive; what is left out falls through to the reference path.
+by cost.  A case whose ratio fails in float64 or exceeds 1e-2, or whose
+arguments lie outside asym's window, is left out silently, as are a case
+whose enclosure is refused or fails in float64 (asym raises RegimeError or
+ConvergenceError) and an enclosure whose upper end is not positive; what is
+left out falls through to the reference path.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
 through the branchy rc evaluation 1e-13, the principal value rc_pv at RC's

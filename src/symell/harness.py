@@ -15,10 +15,12 @@ of asserted, because inverting a formula whose error coefficient is
 ~ratio**2 is numerically meaningless at the extreme ratios.
 
 Sample lists are pre-generated from the seed, so reports are reproducible
-regardless of evaluation order.  The inequality fuzz and the identity
-suite draw their arguments in seeded blocks, one numpy call per block; a
-block holds the same values, in the same order, as one scalar draw per
-value, so their reports are identical to those of scalar draws.
+regardless of evaluation order.  Campaigns draw in seeded blocks, one numpy
+call per block, with the arithmetic of one scalar draw per value, so their
+reports are those of scalar draws: the containment and order campaigns
+through a buffer per (case, ratio) stream (:class:`Draws`), the inequality
+fuzz and most identities through :func:`_lu_rows`.  The identities that mix
+in ``rng.integers`` draw one value per numpy call.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "Campaign",
     "reference_value",
     "CampaignReport",
+    "Draws",
     "IDENTITY_TAGS",
     "containment_slack",
     "derive_order_table",
@@ -66,6 +69,7 @@ THETA_RATIOS = (1e-2, 1e-3, 1e-4, 1e-5)
 
 _MAX_RECORDED = 10
 _BLOCK = 4096   # rows per numpy call of a block draw; bounds its memory
+_DRAW_BLOCK = 256   # doubles per rng.random call of a campaign stream
 
 
 @dataclass(frozen=True)
@@ -175,14 +179,58 @@ def _block_sizes(count):
 def _lu_rows(rng, lo, hi, count, k):
     """``count`` rows of ``k`` values drawn as by :func:`_lu`, one numpy call
     per block.  A block fills row by row with the scalar call's arithmetic,
-    so the rows hold the stream of ``count * k`` scalar ``_lu`` calls."""
+    so the rows hold the stream of ``count * k`` scalar ``_lu`` calls.  It
+    draws no more than the rows need, so ``rng`` may serve further draws."""
     for size in _block_sizes(count):
         yield from np.exp(rng.uniform(np.log(lo), np.log(hi), (size, k))).tolist()
 
 
-def sample_args(tag: str, ratio: float, rng) -> tuple:
-    """Draw one in-regime argument tuple with the case ratio pinned."""
-    return asym.sample_case(tag, ratio, lambda lo, hi: _lu(rng, lo, hi), rng.random)
+class Draws:
+    """A campaign stream: ``coin()`` is the next double of a buffer of
+    ``rng.random(_DRAW_BLOCK)``, refilled when used up, and ``lu(lo, hi)``
+    the next slot of exp(log lo + (log hi - log lo) * u) over the whole
+    buffer u, mapped once per (lo, hi) pair a block meets.  The values are
+    those of scalar ``rng.random()`` and :func:`_lu` calls, in order.  A
+    block may draw past the stream's last value, so wrap only a generator
+    that nothing else reads: each campaign stream has its own SeedSequence."""
+
+    __slots__ = ("_rng", "_u", "_tables", "_next")
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._u = None
+        self._tables = {}
+        self._next = _DRAW_BLOCK   # the buffer is used up: the first draw fills it
+
+    def _draw(self, pair):
+        i = self._next
+        if i == _DRAW_BLOCK:
+            self._u = self._rng.random(_DRAW_BLOCK)
+            self._tables = {}
+            i = 0
+        self._next = i + 1
+        table = self._tables.get(pair)
+        if table is None:
+            if pair is None:
+                table = self._u.tolist()
+            else:
+                log_lo = np.log(pair[0])
+                table = np.exp(log_lo + (np.log(pair[1]) - log_lo) * self._u).tolist()
+            self._tables[pair] = table
+        return table[i]
+
+    def lu(self, lo, hi) -> float:
+        return self._draw((lo, hi))
+
+    def coin(self) -> float:
+        return self._draw(None)
+
+
+def sample_args(tag: str, ratio: float, draws: Draws) -> tuple:
+    """Draw one in-regime argument tuple with the case ratio pinned, from a
+    campaign stream: its values are those of scalar draws on the stream's
+    generator, which nothing else may read."""
+    return asym.sample_case(tag, ratio, draws.lu, draws.coin)
 
 
 def reference_value(tag: str, args) -> float:
@@ -231,10 +279,11 @@ def _enclosures(campaign: Campaign, report: CampaignReport):
         raise DomainError(f"unknown case {tag!r}")
     index = asym.CASE_TAGS.index(tag)
     for ri, ratio in enumerate(campaign.ratios):
-        rng = np.random.default_rng(np.random.SeedSequence([campaign.seed, index, ri]))
+        draws = Draws(np.random.default_rng(
+            np.random.SeedSequence([campaign.seed, index, ri])))
         wmax = 0.0
         for _ in range(campaign.samples):
-            args = sample_args(tag, ratio, rng)
+            args = sample_args(tag, ratio, draws)
             try:
                 enc = asym.enclose(tag, *args)
             except RegimeError:

@@ -21,6 +21,14 @@ def rng():
 
 
 @pytest.fixture
+def draws(rng):
+    """A campaign stream over the ``rng`` fixture's generator."""
+    from symell.harness import Draws
+
+    return Draws(rng)
+
+
+@pytest.fixture
 def spawn():
     """Run ``python -c CODE`` or ``python -m MODULE ARGS`` in a fresh process.
 

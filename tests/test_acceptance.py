@@ -24,6 +24,7 @@ from symell.asym import (
 from symell.bounds import INEQ_TAGS, theta_of
 from symell.harness import (
     Campaign,
+    Draws,
     containment_slack,
     expected_slope,
     run_bounds_fuzz,
@@ -167,11 +168,11 @@ def test_criterion_5_monotone_sharpening():
         ("J2b", "J2a"): "J2a",
         ("F1f", "F1e"): "F1e",
     }
-    rng = np.random.default_rng(505)
+    draws = Draws(np.random.default_rng(505))
     for (sharp, coarse), sampler in pairs.items():
         for ratio in (1e-3, 1e-4, 1e-5):
             for _ in range(500):
-                args = sample_args(sampler, ratio, rng)
+                args = sample_args(sampler, ratio, draws)
                 ws = enclose(sharp, *args).width
                 wc = enclose(coarse, *args).width
                 assert ws < wc, (sharp, coarse, ratio, args, ws, wc)
@@ -200,7 +201,7 @@ def test_criterion_8_appendix_fuzz():
 
 def test_criterion_9_dispatcher_soundness():
     """criterion 9: dispatcher meets every requested tolerance; fast path covers deep regimes"""
-    rng = np.random.default_rng(909)
+    draws = Draws(np.random.default_rng(909))
     regimes = {"C1": "RC", "C2a": "RC", "F1a": "RF", "F2a": "RF",
                "D1": "RD", "D2a": "RD", "D3": "RD", "D4": "RD",
                "J1a": "RJ", "J2a": "RJ", "J3": "RJ", "J4a": "RJ",
@@ -214,12 +215,12 @@ def test_criterion_9_dispatcher_soundness():
             # generic magnitudes, usually served by the reference path
             kind = ("RC", "RF", "RD", "RJ", "RG")[(i // 5) % 5]
             n = KIND_ARITY[kind]
-            args = tuple(float(v) for v in _lu(rng, 1e-3, 1e3, n))
+            args = tuple(draws.lu(1e-3, 1e3) for _ in range(n))
         else:
             tag = tags[i % len(tags)]
             kind = regimes[tag]
-            ratio = 10.0 ** float(rng.uniform(-9, -2))
-            args = sample_args(tag, ratio, rng)
+            ratio = 10.0 ** (-9.0 + 7.0 * draws.coin())   # uniform(-9, -2)
+            args = sample_args(tag, ratio, draws)
         requests.append((kind, args))
         reports.append((tol, dispatch.evaluate(dispatch.EvalRequest(kind, args, tol))))
     checked = 0
@@ -235,7 +236,7 @@ def test_criterion_9_dispatcher_soundness():
     # closed_form by the dispatch contract; the other kinds go asymptotic)
     for tag, kind in regimes.items():
         for _ in range(25):
-            args = sample_args(tag, 1e-8, rng)
+            args = sample_args(tag, 1e-8, draws)
             rep = dispatch.evaluate(dispatch.EvalRequest(kind, args, 1e-6))
             assert rep.method != "reference", (tag, args, rep.method)
             if kind != "RC":

@@ -18,7 +18,7 @@ from symell import (
 )
 from symell.asym import (CASE_TAGS, KIND_ARITY, Enclosure, case_kind, recover_sigma,
                          reference_route, theta_window)
-from symell.harness import containment_slack, sample_args
+from symell.harness import Draws, containment_slack, sample_args
 
 
 def reference(tag, args):
@@ -243,9 +243,9 @@ class TestThetaRecovery:
         with pytest.raises(DomainError, match="^at most one of x, y may vanish$"):
             recover_sigma("F1a", (0.0, 0.0, 1.0), 1.0)
 
-    def test_recover_inverts_value(self, rng):
+    def test_recover_inverts_value(self, draws):
         for tag in CASE_TAGS:
-            args = sample_args(tag, 1e-3, rng)
+            args = sample_args(tag, 1e-3, draws)
             try:
                 enc = enclose(tag, *args)
             except RegimeError:
@@ -269,27 +269,27 @@ class TestConsistencyAtEqualLastArguments:
         assert ej.lo == pytest.approx(ed.lo, rel=tol)
         assert ej.hi == pytest.approx(ed.hi, rel=tol)
 
-    def test_j3_is_d1(self, rng):
+    def test_j3_is_d1(self, draws):
         for _ in range(25):
-            x, y, z = sample_args("D1", 1e-3, rng)
+            x, y, z = sample_args("D1", 1e-3, draws)
             self.check_pair("J3", "D1", (x, y, z, z), (x, y, z))
 
-    def test_j6a_is_d3(self, rng):
+    def test_j6a_is_d3(self, draws):
         for _ in range(25):
-            x, y, z = sample_args("D3", 1e-3, rng)
+            x, y, z = sample_args("D3", 1e-3, draws)
             self.check_pair("J6a", "D3", (x, y, z, z), (x, y, z))
 
-    def test_j5_is_d4(self, rng):
+    def test_j5_is_d4(self, draws):
         for _ in range(25):
-            x, y, z = sample_args("D4", 1e-3, rng)
+            x, y, z = sample_args("D4", 1e-3, draws)
             self.check_pair("J5", "D4", (x, y, z, z), (x, y, z))
 
-    def test_j4c_and_d2b_overlap(self, rng):
+    def test_j4c_and_d2b_overlap(self, draws):
         # the p = z reduction of J4c alters the bracket while simplifying, so
         # the endpoints differ by a (1 + sqrt(z/g)) factor in the correction
         # term; both must still contain the true value
         for _ in range(25):
-            x, y, z = sample_args("D2b", 1e-3, rng)
+            x, y, z = sample_args("D2b", 1e-3, draws)
             ej = enclose("J4c", x, y, z, z)
             ed = enclose("D2b", x, y, z)
             v = core.rd(x, y, z)
@@ -300,10 +300,10 @@ class TestConsistencyAtEqualLastArguments:
 
 class TestContainmentSmoke:
     @pytest.mark.parametrize("tag", CASE_TAGS)
-    def test_oracle_inside_enclosure(self, tag, rng):
+    def test_oracle_inside_enclosure(self, tag, draws):
         for ratio in (1e-2, 1e-4, 1e-6):
             for _ in range(5):
-                args = sample_args(tag, ratio, rng)
+                args = sample_args(tag, ratio, draws)
                 if tag == "G1a" and 5.0 * (args[0] + args[1]) / 2.0 >= args[2]:
                     continue
                 enc = enclose(tag, *args)
@@ -391,9 +391,27 @@ def test_argument_window_refuses_before_the_formula(tag, args, monkeypatch):
     with pytest.raises(ConvergenceError,
                        match=r"is past float64: an argument lies outside \[1e-100, 1e100\]$"):
         enclose(tag, *args)
-    assert case_ratio(tag, *args) >= 0.0  # the ratio alone certifies nothing
+    with pytest.raises(ConvergenceError, match=r"an argument lies outside \[1e-100, 1e100\]$"):
+        case_ratio(tag, *args)
     with pytest.raises(RegimeError):  # the gate still speaks first
         enclose("C2a", 1e200, 3e200)
+
+
+def test_ratio_pass_refuses_outside_the_window():
+    """Outside the window a ratio can be finite and wrong: sqrt(y*z)
+    overflows in D4's ratio at (1e200, 2e200, 3e200), where it is 0.41, so
+    case_ratio refuses there and the ratio pass finds no case; the request
+    still answers by the reference path.  K and E cases take k' and have no
+    window."""
+    args = (1e200, 2e200, 3e200)
+    with pytest.raises(ConvergenceError, match=r"an argument lies outside \[1e-100, 1e100\]$"):
+        case_ratio("D4", *args)
+    assert asym.ratio_classes("RD", args, 1e-2) == []
+    assert dispatch.evaluate(dispatch.EvalRequest("RD", args, 1e-6)).method == "reference"
+    assert asym.ratio_classes("RD", (1e-90, 2e-90, 3e-90), 1.0) != []
+    for kind in ("K", "E"):
+        assert asym.ratio_classes(kind, (1e-120,), 1e-2) != []
+        assert case_ratio(asym.kind_cases(kind)[0], 1e-120) <= 1e-2
 
 
 def test_bare_float64_failure_inside_the_window(monkeypatch):
@@ -479,10 +497,10 @@ def test_twin_case_is_its_sibling(tag, sibling):
     at its upper bracket endpoint, so each is its sibling's row under its own
     tag: on campaign samples the enclosure, the symbol window and the ratio
     are the sibling's bit for bit."""
-    rng = np.random.default_rng(0)
+    draws = Draws(np.random.default_rng(0))
     for ratio in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
         for _ in range(200):
-            args = sample_args(tag, ratio, rng)
+            args = sample_args(tag, ratio, draws)
             one, sib = enclose(tag, *args), enclose(sibling, *args)
             assert one.case == tag
             assert dataclasses.replace(one, case=sibling) == sib, (tag, args)

@@ -9,6 +9,7 @@ from symell import DomainError, asym, bounds, core, harness, quadrature
 from symell._fmt import dumps
 from symell.harness import (
     Campaign,
+    Draws,
     IDENTITY_TAGS,
     derive_order_table,
     expected_slope,
@@ -23,10 +24,10 @@ from symell.harness import (
 from symell.asym import CASE_TAGS, case_ratio
 
 
-def test_samplers_pin_the_ratio(rng):
+def test_samplers_pin_the_ratio(draws):
     for tag in CASE_TAGS:
         for ratio in (1e-2, 1e-5):
-            args = sample_args(tag, ratio, rng)
+            args = sample_args(tag, ratio, draws)
             assert case_ratio(tag, *args) == pytest.approx(ratio, rel=1e-12)
 
 
@@ -72,10 +73,10 @@ _SAMPLER_DIGESTS = {
 def _sampler_digest(tag):
     h = hashlib.sha256()
     for seed in (1, 2, 3, 4):
-        rng = np.random.default_rng(seed)
+        draws = Draws(np.random.default_rng(seed))
         for e in range(2, 31, 2):   # ratios 1e-2 .. 1e-30
             for _ in range(5):
-                args = sample_args(tag, 10.0 ** -e, rng)
+                args = sample_args(tag, 10.0 ** -e, draws)
                 h.update(",".join(float(a).hex() for a in args).encode() + b";")
     return h.hexdigest()[:16]
 
@@ -318,6 +319,31 @@ def test_block_draws_reproduce_scalar_stream():
     rng_block, rng_scalar = np.random.default_rng(7), np.random.default_rng(7)
     moduli = list(harness._on_modulus(lambda k: k)(rng_block, count))
     assert moduli == [float(rng_scalar.uniform(0.05, 0.995)) for _ in range(count)]
+
+
+def test_campaign_stream_reproduces_scalar_draws():
+    # a campaign stream maps one rng.random buffer per block; its draws are
+    # those of scalar _lu and rng.random() calls on a twin generator, bit for
+    # bit, over the five bound pairs the samplers use, with coins between
+    # them and across three block refills
+    pairs = ((1e-3, 1e3), (0.1, 10.0), (0.01, 1.0), (0.2, 5.0), (0.1, 1.0))
+    picks = np.random.default_rng(1).integers(0, len(pairs) + 1, 3 * harness._DRAW_BLOCK + 7)
+    seq = np.random.SeedSequence([42, 16])
+    draws, twin = Draws(np.random.default_rng(seq)), np.random.default_rng(seq)
+    got = [draws.coin() if i == len(pairs) else draws.lu(*pairs[i]) for i in picks.tolist()]
+    want = [twin.random() if i == len(pairs) else harness._lu(twin, *pairs[i])
+            for i in picks.tolist()]
+    assert got == want
+
+
+def test_containment_reruns_are_equal():
+    # each (case, ratio) stream owns its buffer and tables, so a second run
+    # of the same campaign in one process, its streams past a block refill,
+    # reports the same
+    campaign = Campaign("F1a", ratios=(1e-2, 1e-5), samples=100, seed=5)
+    first, second = (run_containment(campaign).to_dict() for _ in range(2))
+    first.pop("wall_time"), second.pop("wall_time")
+    assert first == second
 
 
 def test_bounds_fuzz_replays_scalar_loop(monkeypatch):

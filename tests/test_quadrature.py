@@ -131,9 +131,9 @@ def _campaign_rows():
     rows = {}
     for index, tag in enumerate(CASE_TAGS):
         for ri, ratio in enumerate(harness._DEFAULT_RATIOS):
-            rng = np.random.default_rng([5, index, ri])
+            draws = harness.Draws(np.random.default_rng([5, index, ri]))
             for _ in range(2):
-                args = harness.sample_args(tag, ratio, rng)
+                args = harness.sample_args(tag, ratio, draws)
                 kind, args, _ = asym.reference_route(asym.case_kind(tag), args)
                 rows.setdefault(kind, []).append(args)
     rng = np.random.default_rng(6)
