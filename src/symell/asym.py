@@ -8,14 +8,14 @@ whenever the case's preconditions hold; the interval is widened outward by
 interval midpoint.
 
 The catalog is a registry of case rows: kind, cost, gate, smallness ratio,
-argument sampler, bracket, and the formula as terms (the arguments to the
-coefficients, computed once per call) and a form; the arity and the
-reference route follow from the kind.  Most forms are affine in the error
-symbol; the C2/F1e/F1f family is affine in log(symbol) instead, and J1b is
-a multiplicative form.  A case's gate holds every condition its displayed
-endpoints need (G1a's upper endpoint needs 5a < z).  Gates run on every
-enclosure and symbol call, so a gate formats its RegimeError text, with
-each float's repr, only when it refuses.
+argument sampler, bracket, the formula as terms (the arguments to the
+coefficients, computed once per call) and a form, and the expected
+order-fit slope; the arity and the reference route follow from the kind.
+Most forms are affine in the error symbol; the C2/F1e/F1f family is affine
+in log(symbol) instead, and J1b is a multiplicative form.  A case's gate
+holds every condition its displayed endpoints need (G1a's upper endpoint
+needs 5a < z).  Gates run on every enclosure and symbol call, so a gate
+formats its RegimeError text, with each float's repr, only when it refuses.
 
 ratio_classes serves the dispatcher: for one argument tuple it checks the
 arguments once and returns a kind's cases whose ratio is in range, grouped
@@ -170,14 +170,23 @@ class _Case:
     bracket: Callable            # args -> (sym_lo, sym_hi)
     terms: Callable              # args -> coefficients of form
     form: _Form
+    # slope of log(max relative width) against log(ratio) that the order fit
+    # (harness.run_order_fit) expects: fitted by this code on ratios 1e-3..1e-7
+    # at 100 samples a ratio, and stated by no external source.  It is not an
+    # integer where the width has a log factor (C2*, F1c-F1f, G1*), or where
+    # the bracket's spread is a fixed fraction of the leading error scale
+    # (D2a, J4a, J4b near 0.5); J2a's is near 0, as its lower endpoint
+    # does not depend on the ratio
+    slope: float
 
 
 _CASES: dict[str, _Case] = {}
 
 
-def _register(tag, kind, cost, gate, ratio, sample, bracket, terms, form=_AFFINE,
+def _register(tag, kind, cost, gate, ratio, sample, bracket, terms, slope, form=_AFFINE,
               strict=(True, True)):
-    _CASES[tag] = _Case(tag, kind, cost, strict, gate, ratio, sample, bracket, terms, form)
+    _CASES[tag] = _Case(tag, kind, cost, strict, gate, ratio, sample, bracket, terms, form,
+                        slope)
 
 
 # ---- argument samplers -----------------------------------------------------
@@ -209,7 +218,7 @@ def _c1_ab(x, y):
 _register("C1", "RC", 1, gate=_c1_gate, ratio=lambda x, y: x / y,
           sample=lambda r, s, *_: (r * s, s),
           bracket=lambda x, y: (1.0 / (1.0 + math.sqrt(x / y)), 1.0),
-          terms=_c1_ab, strict=(False, False))
+          terms=_c1_ab, strict=(False, False), slope=1.5)
 
 
 def _c2_gate(x, y):
@@ -228,7 +237,7 @@ def _c2a_abk(x, y):
 
 
 _register("C2a", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
-          bracket=lambda x, y: (1.0, 4.0), terms=_c2a_abk, form=_LOG)
+          bracket=lambda x, y: (1.0, 4.0), terms=_c2a_abk, form=_LOG, slope=1.08)
 
 
 def _c2b_abk(x, y):
@@ -239,7 +248,7 @@ def _c2b_abk(x, y):
 
 
 _register("C2b", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
-          bracket=lambda x, y: (1.0, 4.0), terms=_c2b_abk, form=_LOG)
+          bracket=lambda x, y: (1.0, 4.0), terms=_c2b_abk, form=_LOG, slope=1.85)
 
 
 _CASES["C2c"] = replace(_CASES["C2a"], tag="C2c")
@@ -284,7 +293,7 @@ def _f1a_ab(x, y, z):
 
 
 _register("F1a", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=_f1_bracket, terms=_f1a_ab)
+          bracket=_f1_bracket, terms=_f1a_ab, slope=1.0)
 
 
 _CASES["F1b"] = replace(_CASES["F1a"], tag="F1b")
@@ -309,7 +318,7 @@ def _f1c_ab(x, y, z):
 
 
 _register("F1c", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=_f1cd_bracket, terms=_f1c_ab)
+          bracket=_f1cd_bracket, terms=_f1c_ab, slope=1.08)
 
 
 def _f1d_ab(x, y, z):
@@ -321,7 +330,7 @@ def _f1d_ab(x, y, z):
 
 
 _register("F1d", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=_f1cd_bracket, terms=_f1d_ab)
+          bracket=_f1cd_bracket, terms=_f1d_ab, slope=1.85)
 
 
 def _kprime_gate(kp):
@@ -337,7 +346,8 @@ def _f1e_abk(kp):
 
 
 _register("F1e", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-          sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), terms=_f1e_abk, form=_LOG)
+          sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), terms=_f1e_abk, form=_LOG,
+          slope=1.07)
 
 
 def _f1f_abk(kp):
@@ -348,7 +358,8 @@ def _f1f_abk(kp):
 
 
 _register("F1f", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-          sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), terms=_f1f_abk, form=_LOG)
+          sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), terms=_f1f_abk, form=_LOG,
+          slope=1.83)
 
 
 def _f2a_gate(x, y, z):
@@ -373,7 +384,7 @@ _register("F2a", "RF", 1, gate=_f2a_gate, ratio=lambda x, y, z: z / math.sqrt(x 
           sample=_d2_sample,
           bracket=lambda x, y, z: (1.0 / (1.0 + math.sqrt(z / math.sqrt(x * y))),
                                    (x + y) / (2.0 * math.sqrt(x * y))),
-          terms=_f2a_ab)
+          terms=_f2a_ab, slope=1.0)
 
 
 # ---- RD cases --------------------------------------------------------------
@@ -396,7 +407,7 @@ _register("D1", "RD", 1, gate=_d1_gate, ratio=_f1_ratio, sample=_f1_sample,
           bracket=lambda x, y, z: (
               math.sqrt(x * y) / (1.0 - math.sqrt(x * y) / z),
               1.5 * ((x + y) / 2.0) / (1.0 - (x + y) / (2.0 * z))),
-          terms=_d1_ab)
+          terms=_d1_ab, slope=1.0)
 
 
 def _d2_gate(x, y, z):
@@ -421,7 +432,7 @@ _register("D2a", "RD", 1, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
           bracket=lambda x, y, z: (
               1.0 - (4.0 / math.pi) * math.sqrt(z / math.sqrt(x * y)),
               (x + y) / (2.0 * math.sqrt(x * y))),
-          terms=_d2a_ab)
+          terms=_d2a_ab, slope=0.52)
 
 
 def _d2b_ab(x, y, z):
@@ -439,7 +450,7 @@ def _d2b_bracket(x, y, z):
 
 
 _register("D2b", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
-          bracket=_d2b_bracket, terms=_d2b_ab)
+          bracket=_d2b_bracket, terms=_d2b_ab, slope=1.0)
 
 
 def _d2c_ab(x, y, z):
@@ -457,7 +468,7 @@ def _d2c_bracket(x, y, z):
 
 
 _register("D2c", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
-          bracket=_d2c_bracket, terms=_d2c_ab)
+          bracket=_d2c_bracket, terms=_d2c_ab, slope=1.51)
 
 
 def _d3_gate(x, y, z):
@@ -483,7 +494,7 @@ def _d3_ab(x, y, z):
 _register("D3", "RD", 1, gate=_d3_gate,
           ratio=lambda x, y, z: max(y, z) / x,
           sample=lambda r, s, w, lu, coin: (s, *_small_pair(r * s, lu, coin)),
-          bracket=_d3_bracket, terms=_d3_ab)
+          bracket=_d3_bracket, terms=_d3_ab, slope=1.0)
 
 
 def _d4_gate(x, y, z):
@@ -506,7 +517,7 @@ def _d4_ab(x, y, z):
 _register("D4", "RD", 2, gate=_d4_gate,
           ratio=lambda x, y, z: x / math.sqrt(y * z),
           sample=lambda r, s, w, *_: (r * math.sqrt(s * w * (s / w)), s * w, s / w),
-          bracket=_d4_bracket, terms=_d4_ab)
+          bracket=_d4_bracket, terms=_d4_ab, slope=1.02)
 
 
 # ---- RJ cases --------------------------------------------------------------
@@ -553,7 +564,7 @@ def _j1a_sample(r, s, w, lu, _):
 
 _register("J1a", "RJ", 2, gate=_j1a_gate,
           ratio=lambda x, y, z, p: max(x, y, z) / p, sample=_j1a_sample,
-          bracket=_j1a_bracket, terms=_j1a_ab)
+          bracket=_j1a_bracket, terms=_j1a_ab, slope=1.01)
 
 
 def _j1b_gate(x, y, z, p):
@@ -571,7 +582,7 @@ def _j1b_cp(x, y, z, p):
 _register("J1b", "RJ", 1, gate=_j1b_gate, ratio=lambda x, y, z, p: max(x, y) / p,
           sample=lambda r, s, w, *_: (s * w, s / w, 0.0, max(s * w, s / w) / r),
           bracket=lambda x, y, z, p: (math.sqrt(x * y), (x + y) / 2.0),
-          terms=_j1b_cp, form=_J1B, strict=(False, False))
+          terms=_j1b_cp, form=_J1B, strict=(False, False), slope=1.0)
 
 
 def _j2_gate(x, y, z, p):
@@ -605,7 +616,7 @@ def _j2a_ab(x, y, z, p):
 
 
 _register("J2a", "RJ", 1, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample,
-          bracket=_j2a_bracket, terms=_j2a_ab)
+          bracket=_j2a_bracket, terms=_j2a_ab, slope=0.09)
 
 
 def _j2b_bracket(x, y, z, p):
@@ -623,7 +634,7 @@ def _j2b_ab(x, y, z, p):
 
 
 _register("J2b", "RJ", 3, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample,
-          bracket=_j2b_bracket, terms=_j2b_ab)
+          bracket=_j2b_bracket, terms=_j2b_ab, slope=1.0)
 
 
 def _j3_gate(x, y, z, p):
@@ -649,7 +660,7 @@ _register("J3", "RJ", 1, gate=_j3_gate,
           ratio=lambda x, y, z, p: max(x, y) / min(z, p),
           sample=lambda r, s, w, lu, coin: (
               *_small_pair(r * min(s * w, s / w), lu, coin), s * w, s / w),
-          bracket=_j3_bracket, terms=_j3_ab)
+          bracket=_j3_bracket, terms=_j3_ab, slope=1.01)
 
 
 def _j4_gate(x, y, z, p):
@@ -677,7 +688,7 @@ def _j4a_ab(x, y, z, p):
 
 _register("J4a", "RJ", 1, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample,
           bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
-          terms=_j4a_ab, strict=(False, False))
+          terms=_j4a_ab, strict=(False, False), slope=0.51)
 
 
 def _j4b_gate(x, y, z, p):
@@ -698,7 +709,7 @@ def _j4b_ab(x, y, z, p):
 _register("J4b", "RJ", 1, gate=_j4b_gate, ratio=lambda x, y, z, p: p / math.sqrt(x * y),
           sample=lambda r, s, w, *_: (s * w, s / w, 0.0, r * math.sqrt(s * w * (s / w))),
           bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
-          terms=_j4b_ab, strict=(False, False))
+          terms=_j4b_ab, strict=(False, False), slope=0.51)
 
 
 def _j4c_bracket(x, y, z, p):
@@ -717,7 +728,7 @@ def _j4c_ab(x, y, z, p):
 
 
 _register("J4c", "RJ", 2, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample,
-          bracket=_j4c_bracket, terms=_j4c_ab)
+          bracket=_j4c_bracket, terms=_j4c_ab, slope=0.99)
 
 
 def _j5_gate(x, y, z, p):
@@ -746,7 +757,7 @@ def _j5_sample(r, s, w, lu, _):
 
 _register("J5", "RJ", 3, gate=_j5_gate,
           ratio=lambda x, y, z, p: x / min(y, z, p), sample=_j5_sample,
-          bracket=_j5_bracket, terms=_j5_ab)
+          bracket=_j5_bracket, terms=_j5_ab, slope=1.01)
 
 
 def _j6a_gate(x, y, z, p):
@@ -776,7 +787,7 @@ _register("J6a", "RJ", 1, gate=_j6a_gate,
           ratio=lambda x, y, z, p: max(y, z, p) / x,
           sample=lambda r, s, w, lu, coin: (
               s, *_small_pair(r * s, lu, coin), r * s * lu(0.1, 1.0)),
-          bracket=_j6a_bracket, terms=_j6a_ab)
+          bracket=_j6a_bracket, terms=_j6a_ab, slope=1.0)
 
 
 def _j6complete_gate(x, y, z, p):
@@ -800,7 +811,7 @@ def _j6complete_ab(x, y, z, p):
 _register("J6complete", "RJ", 1, gate=_j6complete_gate,
           ratio=lambda x, y, z, p: max(z, p) / x,
           sample=lambda r, s, w, lu, coin: (s, 0.0, *_small_pair(r * s, lu, coin)),
-          bracket=_j6complete_bracket, terms=_j6complete_ab)
+          bracket=_j6complete_bracket, terms=_j6complete_ab, slope=1.0)
 
 
 # ---- RG cases --------------------------------------------------------------
@@ -826,7 +837,7 @@ def _g1a_ab(x, y, z):
 
 
 _register("G1a", "RG", 1, gate=_g1a_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=_g1a_bracket, terms=_g1a_ab)
+          bracket=_g1a_bracket, terms=_g1a_ab, slope=0.92)
 
 
 def _g1b_gate(x, y, z):
@@ -851,7 +862,7 @@ def _g1b_ab(x, y, z):
 
 _register("G1b", "RG", 1, gate=_g1b_gate, ratio=lambda x, y, z: y / z,
           sample=lambda r, s, *_: (0.0, r * s, s),
-          bracket=_g1b_bracket, terms=_g1b_ab)
+          bracket=_g1b_bracket, terms=_g1b_ab, slope=1.88)
 
 
 def _g1c_bracket(kp):
@@ -867,7 +878,7 @@ def _g1c_ab(kp):
 
 
 _register("G1c", "E", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-          sample=_kprime_sample, bracket=_g1c_bracket, terms=_g1c_ab)
+          sample=_kprime_sample, bracket=_g1c_bracket, terms=_g1c_ab, slope=1.88)
 
 
 def _g2_gate(x, y, z):
@@ -892,7 +903,7 @@ def _g2_ab(x, y, z):
 
 
 _register("G2", "RG", 2, gate=_g2_gate, ratio=_d2_ratio, sample=_d2_sample,
-          bracket=_g2_bracket, terms=_g2_ab)
+          bracket=_g2_bracket, terms=_g2_ab, slope=1.0)
 
 
 # --------------------------------------------------------------------------

@@ -259,6 +259,8 @@ def _parse_cases(spec: str) -> tuple[list[str], list[str], bool]:
             ineqs.extend(rng)
             continue
         raise DomainError(f"unknown case selector {part!r}")
+    if not (cases or ineqs or identities):
+        raise DomainError(f"--cases {spec!r} selects nothing")
     return cases, ineqs, identities
 
 
@@ -294,7 +296,7 @@ def _cmd_verify(args) -> int:
     for tag in cases:
         camp = harness.Campaign(tag, ratios, args.samples, args.seed)
         reports.append(harness.run_containment(camp))
-        # on the grid the expected-slope table was derived on, whatever --ratios
+        # on the grid the rows' expected slopes were fitted on, whatever --ratios
         reports.append(harness.run_order_fit(tag, seed=args.seed))
     for tag in ineqs:
         reports.append(harness.run_bounds_fuzz(tag, max(args.samples, 1000), args.seed))
@@ -335,12 +337,12 @@ def _parse_grid(spec: tuple[bool, list]) -> list[float]:
     if not span:
         return vals
     lo, hi, n = vals
+    _check_kprime(lo)
+    _check_kprime(hi)
     if n < 1:
         raise DomainError("grid count must be >= 1")
     if n == 1:
         return [lo]
-    _check_kprime(lo)
-    _check_kprime(hi)
     step = (math.log(hi) - math.log(lo)) / (n - 1)
     return [math.exp(math.log(lo) + i * step) for i in range(n)]
 

@@ -19,19 +19,18 @@ regardless of evaluation order.  Campaigns draw in seeded blocks, one numpy
 call per block, with the arithmetic of one scalar draw per value, so their
 reports are those of scalar draws: the containment and order campaigns
 through a buffer per (case, ratio) stream (:class:`Draws`), the inequality
-fuzz and most identities through :func:`_lu_rows`.  The identities that mix
-in ``rng.integers`` draw one value per numpy call.
+fuzz and most identities through :func:`_lu_rows`, the log-kernel bracket
+and the AGM chain through a stream over their generator.  The identities
+that mix in ``rng.integers`` draw one value per numpy call.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field
-from importlib import resources
-from itertools import starmap
+from itertools import repeat, starmap
 
 import numpy as np
 
@@ -47,7 +46,6 @@ __all__ = [
     "Draws",
     "IDENTITY_TAGS",
     "containment_slack",
-    "derive_order_table",
     "expected_slope",
     "run_bounds_fuzz",
     "run_containment",
@@ -60,9 +58,10 @@ __all__ = [
 
 _DEFAULT_RATIOS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
-# the grid the expected-slope table was derived on, at 100 samples a ratio; a
-# fit's slope (logarithmic corrections and all) is comparable to it only here
+# the grid and sample count the rows' expected slopes were fitted at; a fit's
+# slope (logarithmic corrections and all) is comparable to them only here
 _ORDER_RATIOS = _DEFAULT_RATIOS[1:]
+_ORDER_SAMPLES = 100
 
 # ratios where symbol recovery stays well-conditioned for every case
 THETA_RATIOS = (1e-2, 1e-3, 1e-4, 1e-5)
@@ -81,6 +80,9 @@ class Campaign:
 
     def __post_init__(self):
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
+        # a campaign that checks nothing must not report a pass
+        if not self.ratios:
+            raise DomainError("a campaign needs at least one ratio")
         for r in self.ratios:
             if not 0.0 < r < 1.0:
                 raise DomainError(f"ratios must lie in (0, 1), got {r}")
@@ -315,52 +317,24 @@ def run_containment(campaign: Campaign) -> CampaignReport:
     return report
 
 
-def run_order_fit(case: str, ratios=_ORDER_RATIOS, seed: int = 42,
-                  samples: int = 100) -> CampaignReport:
-    """Least-squares slope of log(max relative width) against log(ratio)."""
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) < 4 or max(ratios) / min(ratios) < 1e3:
-        raise DomainError("order fit needs >= 4 ratios spanning >= 3 decades")
-    report = CampaignReport(case, "order", seed, ratios, samples)
+def run_order_fit(case: str, seed: int = 42) -> CampaignReport:
+    """Least-squares slope of log(max relative width) against log(ratio) at
+    _ORDER_SAMPLES samples on each of _ORDER_RATIOS, judged against the slope
+    on the case's row, which was fitted there."""
+    report = CampaignReport(case, "order", seed, _ORDER_RATIOS, _ORDER_SAMPLES)
     t0 = time.perf_counter()
-    for _ in _enclosures(Campaign(case, ratios, samples, seed), report):
+    for _ in _enclosures(Campaign(case, _ORDER_RATIOS, _ORDER_SAMPLES, seed), report):
         pass
-    xs = np.log([r for r in ratios if report.max_rel_width[r] > 0.0])
-    ys = np.log([report.max_rel_width[r] for r in ratios if report.max_rel_width[r] > 0.0])
-    report.slope = float(np.polyfit(xs, ys, 1)[0])
+    xs, ys = zip(*[(r, w) for r, w in report.max_rel_width.items() if w > 0.0])
+    report.slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
     report.expected = expected_slope(case)
     report.wall_time = time.perf_counter() - t0
     return report
 
 
-# --------------------------------------------------------------------------
-# expected-order configuration
-# --------------------------------------------------------------------------
-
-_ORDER_TABLE: dict | None = None
-
-
-def _load_order_table() -> dict:
-    global _ORDER_TABLE
-    if _ORDER_TABLE is None:
-        text = resources.files("symell").joinpath("order_exponents.json").read_text()
-        _ORDER_TABLE = json.loads(text)
-    return _ORDER_TABLE
-
-
-def expected_slope(case: str) -> float | None:
-    entry = _load_order_table()["cases"].get(case)
-    return None if entry is None else float(entry["slope"])
-
-
-def derive_order_table(seed: int = 42, ratios=_ORDER_RATIOS,
-                       samples: int = 100) -> dict:
-    """Fit every case's width slope; the source of the shipped config."""
-    out = {}
-    for tag in asym.CASE_TAGS:
-        rep = run_order_fit(tag, ratios, seed, samples)
-        out[tag] = round(rep.slope, 3)
-    return out
+def expected_slope(case: str) -> float:
+    """The order-fit slope on the case's registry row."""
+    return asym._case(case).slope
 
 
 # --------------------------------------------------------------------------
@@ -382,6 +356,12 @@ def _on_modulus(check):
 def _per_draw(check):
     """Identity ``check(rng)`` that makes its own draws, one tuple per call."""
     return lambda rng, count: (check(rng) for _ in range(count))
+
+
+def _on_stream(check):
+    """Identity ``check(draws)`` that makes its own draws, one tuple per call,
+    from a campaign stream over the identity's generator."""
+    return lambda rng, count: map(check, repeat(Draws(rng), count))
 
 
 def _triple(rng):
@@ -506,9 +486,9 @@ def _id_rf_between_rc(x, y, z):
     return None
 
 
-def _id_agm_chain(rng):
-    x, y, _ = _triple(rng)
-    if rng.random() < 0.1:
+def _id_agm_chain(draws):
+    x, y, _ = (draws.lu(1e-3, 1e3) for _ in range(3))
+    if draws.coin() < 0.1:
         y = x  # equality probes
     a, g = (x + y) / 2.0, math.sqrt(x * y)
     chain = [
@@ -539,11 +519,12 @@ def _id_agm_rf_complete(x, y, _):
 
 def _id_log_kernel_bracket(rng, count):
     """Messages of ``count`` draws; their oracle values come as one batch."""
+    draws = Draws(rng)
     rows, brackets = [], []
     for _ in range(count):
-        z = _lu(rng, 1e-3, 1e3)
-        s = 0.01 * z * _lu(rng, 1e-4, 1.0)
-        x = s * _lu(rng, 0.01, 1.0)
+        z = draws.lu(1e-3, 1e3)
+        s = 0.01 * z * draws.lu(1e-4, 1.0)
+        x = s * draws.lu(0.01, 1.0)
         y = s - x if s > x else 0.5 * s
         a, g = (x + y) / 2.0, math.sqrt(x * y)
         level = math.log(2.0 * z / (a + g))
@@ -582,7 +563,7 @@ _IDENTITIES = {
     "legendre-k-minus-e": _on_modulus(_id_legendre_k_minus_e),
     "legendre-e-complement": _on_modulus(_id_legendre_e_complement),
     "rf-between-rc": _on_rows(3, _id_rf_between_rc),
-    "agm-chain": _per_draw(_id_agm_chain),
+    "agm-chain": _on_stream(_id_agm_chain),
     "agm-rf-complete": _on_rows(3, _id_agm_rf_complete),
     "log-kernel-bracket": _id_log_kernel_bracket,
     "log-derivative-shift": _id_log_derivative_shift,

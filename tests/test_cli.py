@@ -234,6 +234,13 @@ class TestTable:
         assert code == 2
         assert "k' grid values must lie in (0, 1), got 0.0" in err
 
+    # a one-point grid (n = 1) is checked as any other
+    @pytest.mark.parametrize("grid", ["0.5:2:1", "0.5:2:3"])
+    def test_grid_upper_endpoint_is_checked(self, capsys, grid):
+        code, out, err = run(capsys, "table", "--function", "K", "--kprime-grid", grid)
+        assert (code, out) == (2, "")
+        assert "k' grid values must lie in (0, 1), got 2.0" in err
+
     @pytest.mark.parametrize("function", ["K", "E"])
     @pytest.mark.parametrize("kp", [1e-4, 1e-3, 1e-2])
     def test_reference_is_accurate_at_small_kprime(self, capsys, function, kp):
@@ -337,6 +344,17 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--cases", "XX", "--out",
                          str(tmp_path / "rep"))
         assert code == 2
+
+    # a run that checks nothing must not report a pass, nor write a report
+    @pytest.mark.parametrize("argv, message", [
+        (("--cases", "C1", "--ratios", ","), "a campaign needs at least one ratio"),
+        (("--cases", ","), "--cases ',' selects nothing"),
+    ])
+    def test_empty_run_exits_domain(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, "verify", *argv, "--out", str(tmp_path / "rep"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "rep.json").exists()
 
     def test_missing_out_directory_exits_before_any_campaign(self, capsys, tmp_path,
                                                              monkeypatch):
