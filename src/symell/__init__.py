@@ -26,21 +26,9 @@ from .dispatch import EvalReport, EvalRequest, evaluate, plan
 
 __version__ = "0.1.0"
 
-# The quadrature oracle needs numpy; it is imported on first use so that the
+# The quadrature oracle needs numpy, so it is not imported here: the
 # reference evaluators, the case catalog and the dispatcher load with the
-# standard library alone.
-_LAZY = ("oracle", "oracle_batch", "oracle_rj_pv", "oracle_with_error")
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from . import quadrature
-        return getattr(quadrature, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+# standard library alone.  It is symell.quadrature.oracle_batch.
 
 __all__ = [
     "ConvergenceError",
@@ -58,10 +46,6 @@ __all__ = [
     "rg",
     "rj",
     "rj_pv",
-    "oracle",
-    "oracle_batch",
-    "oracle_rj_pv",
-    "oracle_with_error",
     "CASE_TAGS",
     "Enclosure",
     "case_ratio",

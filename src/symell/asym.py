@@ -23,11 +23,12 @@ by cost, where case_ratio answers for one case.  Outside the argument
 window below a ratio can be finite and wrong, so there case_ratio refuses
 and ratio_classes finds no case.
 
-theta_window is the one symbol entry: from one gate, one bracket and one
-terms computation it inverts a case formula for the realized error symbol
-given the true value, which must land inside the stated bracket (the
+theta_window is the symbol entry: from one gate, one bracket and one terms
+computation it inverts a case formula for the realized error symbol given
+the true value, which must land inside the stated bracket (the
 bracket-realization tests), or returns None where that inversion is
-ill-conditioned.  theta_recover and recover_sigma share its body.
+ill-conditioned.  theta_recover shares its body and is the raw recovery:
+(theta, sigma) even there, as where a bracket collapses to a point.
 
 C2c and F1b, whose displayed bounds are one-sided, are C2a's and F1a's
 rows under their own tags.
@@ -60,7 +61,6 @@ __all__ = [
     "enclose",
     "kind_cases",
     "ratio_classes",
-    "recover_sigma",
     "reference_route",
     "sample_case",
     "theta_recover",
@@ -120,7 +120,7 @@ def _rf_complete(x, y):
 # case descriptors
 # --------------------------------------------------------------------------
 
-# relative error of a true value given to recover_sigma: 4 ulps of 1.0
+# relative error of a true value given to a symbol entry: 4 ulps of 1.0
 _VALUE_REL_ERR = 4.0 * 2.220446049250313e-16
 
 # a recovery whose sigma passes this share of the bracket width is ill-conditioned
@@ -1028,30 +1028,29 @@ def _window(case: _Case, vals, v: float):
 def theta_window(tag: str, args, true_value: float) \
         -> tuple[float, float, float, float] | None:
     """(sym_lo, sym_hi, sigma, theta): the bracket of the case's error symbol,
-    the uncertainty sigma (recover_sigma) and the realized symbol theta
-    (theta_recover) at the true value; None where that recovery is
-    ill-conditioned: sigma is not finite or exceeds 2 % of the bracket width,
-    or the bracket is empty."""
+    the uncertainty sigma and the realized symbol theta at the true value, as
+    theta_recover gives them; None where that recovery is ill-conditioned:
+    sigma is not finite or exceeds 2 % of the bracket width, or the bracket
+    is empty."""
     return _call(tag, args, True, _window, float(true_value))
 
 
-def theta_recover(tag: str, args, true_value: float) -> float:
-    """Realized error symbol of a case formula at the true integral value.
+def _recovered(case: _Case, vals, v: float) -> tuple[float, float]:
+    symbol = _symbol(case, vals, v)
+    return _theta(case, v, symbol), symbol[2]
+
+
+def theta_recover(tag: str, args, true_value: float) -> tuple[float, float]:
+    """(theta, sigma): the realized error symbol of a case formula at the true
+    integral value, and its uncertainty when that value carries a relative
+    error of 4 ulps.  Outside the case's regime it raises RegimeError.
 
     When the error-term coefficient vanishes (C1 at x = 0, F2a at z = 0)
-    the bracket midpoint is returned, which for a collapsed bracket is the
-    collapsed point itself.
+    theta is the bracket midpoint, which for a collapsed bracket is the
+    collapsed point itself.  A theta that is not finite raises
+    ConvergenceError; sigma is inf where the symbol is past float64.
     """
-    return _call(tag, args, True,
-                 lambda case, vals, v: _theta(case, v, _symbol(case, vals, v)),
-                 float(true_value))
-
-
-def recover_sigma(tag: str, args, true_value: float) -> float:
-    """Uncertainty of the recovered symbol when the value carries a relative
-    error of 4 ulps; inf where the symbol is past float64.  Outside the
-    case's regime it raises RegimeError, as theta_window does."""
-    return _call(tag, args, True, lambda *a: _symbol(*a)[2], float(true_value))
+    return _call(tag, args, True, _recovered, float(true_value))
 
 
 def case_kind(tag: str) -> str:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from ._util import cbrt, equal_within_band
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = ["INEQ_TAGS", "THETA_TAGS", "Bracket", "bracket", "theta_of",
            "arity", "strictness", "equal_within_band"]
@@ -151,12 +151,23 @@ def _theta_a8(t, x, y, z):
     return (sp + z * (t + x + y) / (sp + g)) / (t + z)
 
 
+def _past_float64(tag: str, vals, detail) -> ConvergenceError:
+    return ConvergenceError(f"{tag} at {vals} is past float64: {detail}")
+
+
 def theta_of(tag: str, *args: float) -> float:
     """Solve an equality-form inequality for its error factor."""
     ineq = _ineq(tag)
     if ineq.theta is None:
         raise DomainError(f"{tag} has no equality form; theta_of supports {THETA_TAGS}")
-    return ineq.theta(*_checked(tag, ineq, args))
+    vals = _checked(tag, ineq, args)
+    try:
+        theta = ineq.theta(*vals)
+    except ArithmeticError as exc:
+        raise _past_float64(tag, vals, exc) from exc
+    if math.isfinite(theta):
+        return theta
+    raise _past_float64(tag, vals, f"theta is {theta!r}")
 
 
 # -- bracket evaluators ------------------------------------------------------
@@ -287,10 +298,19 @@ def bracket(tag: str, *args: float) -> Bracket:
     """Evaluate (lower bound, exact middle, upper bound) for one inequality.
 
     Arguments are positional with t first, then the variables in the order
-    the inequality names them (t, x[, y[, z]]).
+    the inequality names them (t, x[, y[, z]]).  Where float64 runs out
+    inside the formulas (an arithmetic error, or an endpoint or middle that
+    is not finite) it raises ConvergenceError.
     """
     ineq = _ineq(tag)
-    return ineq.bracket(*_checked(tag, ineq, args))
+    vals = _checked(tag, ineq, args)
+    try:
+        br = ineq.bracket(*vals)
+    except ArithmeticError as exc:
+        raise _past_float64(tag, vals, exc) from exc
+    if math.isfinite(br.lo) and math.isfinite(br.mid) and math.isfinite(br.hi):
+        return br
+    raise _past_float64(tag, vals, br)
 
 
 # one row per inequality (fields as in _Ineq); the order is the tag order of

@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("table", help="enclosure table for the complete integrals")
     p.add_argument("--function", choices=("K", "E"), required=True)
-    p.add_argument("--kprime-grid", type=_grid_arg, default="",
+    p.add_argument("--kprime-grid", type=_grid_arg, required=True,
                    help="comma list, or lo:hi:n for n log-spaced points")
     p.add_argument("--format", choices=("csv", "json", "tsv"), default="csv")
 
@@ -335,6 +335,9 @@ def _check_kprime(kp: float) -> None:
 def _parse_grid(spec: tuple[bool, list]) -> list[float]:
     span, vals = spec
     if not span:
+        # a table without rows checks nothing
+        if not vals:
+            raise DomainError("--kprime-grid selects no k' value")
         return vals
     lo, hi, n = vals
     _check_kprime(lo)

@@ -23,8 +23,9 @@ All functions return plain finite floats and raise
 :class:`~symell.errors.DomainError` on invalid input.  Where float64
 overflows or underflows inside rf, rd, rj, rg, rc_pv, rj_pv or r_minus1
 (arguments near the ends of the range, where an inner call may get
-arguments outside its own domain), or rc_pv, rd and rj would return a
-value below the normal range (rc_pv is exactly 0 only at x = 0), they raise
+arguments outside its own domain), or rc_pv would return a value below
+the normal range (it is exactly 0 only at x = 0) or rd and rj one outside
+it, they raise
 :class:`~symell.errors.ConvergenceError` instead of hanging, leaking an
 arithmetic exception or an inner call's DomainError, or returning 0, inf or NaN.
 """
@@ -313,8 +314,8 @@ def rd(x: float, y: float, z: float) -> float:
         value = _rd_core(a, b, z)
     except ArithmeticError as exc:
         raise _range_error("rd", exc) from exc
-    if not value >= _MIN_NORMAL:
-        raise _range_error("rd", f"value {value!r} is below the normal range")
+    if not _MIN_NORMAL <= value <= sys.float_info.max:
+        raise _range_error("rd", f"value {value!r} is outside the normal range")
     return value
 
 
@@ -337,8 +338,8 @@ def rj(x: float, y: float, z: float, p: float) -> float:
         value = _rj_core(a, b, c, p)
     except (ArithmeticError, DomainError) as exc:
         raise _range_error("rj", exc) from exc
-    if not value >= _MIN_NORMAL:
-        raise _range_error("rj", f"value {value!r} is below the normal range")
+    if not _MIN_NORMAL <= value <= sys.float_info.max:
+        raise _range_error("rj", f"value {value!r} is outside the normal range")
     return value
 
 
@@ -360,7 +361,7 @@ def rj_pv(x: float, y: float, z: float, p: float) -> float:
         u = lo * hi + pabs * q
         term = 3.0 * math.sqrt(lo * med * hi / u) * rc(u, pabs * q)
         value = ((q - med) * rj(lo, med, hi, q) - 3.0 * rf(lo, med, hi) + term) / (med + pabs)
-    except (ArithmeticError, DomainError) as exc:
+    except (ArithmeticError, DomainError, ConvergenceError) as exc:
         raise _range_error("rj_pv", exc) from exc
     if not math.isfinite(value):
         raise _range_error("rj_pv", f"value is {value!r}")
@@ -426,7 +427,7 @@ def legendre_k(k: float) -> float:
     k = _as_finite("k", k)
     if not 0.0 <= k < 1.0:
         raise DomainError(f"legendre_k requires 0 <= k < 1, got {k}")
-    return rf(0.0, 1.0 - k * k, 1.0)
+    return rf(0.0, (1.0 - k) * (1.0 + k), 1.0)
 
 
 def legendre_e(k: float) -> float:
@@ -434,4 +435,4 @@ def legendre_e(k: float) -> float:
     k = _as_finite("k", k)
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"legendre_e requires 0 <= k <= 1, got {k}")
-    return 2.0 * rg(0.0, 1.0 - k * k, 1.0)
+    return 2.0 * rg(0.0, (1.0 - k) * (1.0 + k), 1.0)

@@ -86,6 +86,9 @@ class Campaign:
         for r in self.ratios:
             if not 0.0 < r < 1.0:
                 raise DomainError(f"ratios must lie in (0, 1), got {r}")
+        # the report keeps one width per ratio, so a repeat would hide a stream
+        if len(set(self.ratios)) < len(self.ratios):
+            raise DomainError(f"ratios must not repeat, got {self.ratios}")
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
 

@@ -34,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["oracle", "oracle_batch", "oracle_with_error", "oracle_rj_pv", "KINDS"]
+__all__ = ["oracle_batch", "oracle_with_error", "KINDS"]
 
 _TARGET_REL = 1e-10
 
@@ -303,22 +303,8 @@ def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
     return out
 
 
-def oracle(kind: str, args) -> float:
-    """Evaluate the integral of ``kind`` at ``args`` by quadrature.
-
-    Target relative error 1e-10; raises ConvergenceError when the fixed-node
-    rule cannot certify it on 384 head panels, e.g. because the integrand
-    left the float64 range, or when the scaled value leaves that range.
-    """
-    return oracle_with_error(kind, args)[0]
-
-
 def oracle_with_error(kind: str, args) -> tuple[float, float]:
-    """Like :func:`oracle` but also returns the quadrature error estimate;
-    the one-row case of :func:`oracle_batch`."""
+    """(value, error estimate) at one argument row: the one-row case of
+    :func:`oracle_batch`.  The library calls :func:`oracle_batch`; this view
+    stays while ``bench/spans.py`` wraps it to time the oracle in traced runs."""
     return oracle_batch(kind, [args])[0]
-
-
-def oracle_rj_pv(x: float, y: float, z: float, p: float) -> float:
-    """Principal value of the third-kind integral for p < 0: oracle kind RJpv at (x, y, z, -p)."""
-    return oracle_batch("RJpv", [(x, y, z, -float(p))])[0][0]

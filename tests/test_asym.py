@@ -13,12 +13,12 @@ from symell import (
     core,
     dispatch,
     enclose,
-    oracle_with_error,
     theta_recover,
 )
-from symell.asym import (CASE_TAGS, KIND_ARITY, Enclosure, case_kind, recover_sigma,
-                         reference_route, theta_window)
+from symell.asym import (CASE_TAGS, KIND_ARITY, Enclosure, case_kind, reference_route,
+                         theta_window)
 from symell.harness import Draws, containment_slack, sample_args
+from symell.quadrature import oracle_with_error
 
 
 def reference(tag, args):
@@ -213,12 +213,12 @@ class TestLegendreCases:
 
 class TestThetaRecovery:
     def test_c1_degenerate_convention(self):
-        assert theta_recover("C1", (0.0, 1.0), math.pi / 2) == 1.0
+        assert theta_recover("C1", (0.0, 1.0), math.pi / 2)[0] == 1.0
 
     def test_f1e_window(self):
         kp = 0.01
         k = math.sqrt(1 - kp * kp)
-        th = theta_recover("F1e", (kp,), core.legendre_k(k))
+        th, _ = theta_recover("F1e", (kp,), core.legendre_k(k))
         assert 1.0 < th < 4.0
 
     def test_j2a_window(self):
@@ -226,7 +226,7 @@ class TestThetaRecovery:
         v = core.rj(*args)
         lo, hi, sig, r = theta_window("J2a", args, v)
         assert lo < r < hi
-        assert (r, sig) == (theta_recover("J2a", args, v), recover_sigma("J2a", args, v))
+        assert (r, sig) == theta_recover("J2a", args, v)
 
     @pytest.mark.parametrize("tag, args", [("F1f", (1e-6,)), ("C2b", (1.0, 1e-12))])
     def test_symbol_past_float64_is_ill_conditioned(self, tag, args):
@@ -234,14 +234,16 @@ class TestThetaRecovery:
         v = dispatch.case_reference(case_kind(tag), args)
         with pytest.raises(ConvergenceError, match="past float64"):
             theta_recover(tag, args, v)
-        assert recover_sigma(tag, args, v) == math.inf
+        # its sigma is inf, so the window sees an ill-conditioned recovery
+        assert theta_window(tag, args, v) is None
 
     def test_recover_sigma_runs_the_gate(self):
-        # G1a's upper endpoint needs 5a < z; F1a's domain allows one vanishing x, y
+        # sigma is recovered with theta, behind the case's gate: G1a's upper
+        # endpoint needs 5a < z; F1a's domain allows one vanishing x, y
         with pytest.raises(RegimeError, match="5a < z"):
-            recover_sigma("G1a", (1.0, 1.0, 4.0), 1.0)
+            theta_recover("G1a", (1.0, 1.0, 4.0), 1.0)
         with pytest.raises(DomainError, match="^at most one of x, y may vanish$"):
-            recover_sigma("F1a", (0.0, 0.0, 1.0), 1.0)
+            theta_recover("F1a", (0.0, 0.0, 1.0), 1.0)
 
     def test_recover_inverts_value(self, draws):
         for tag in CASE_TAGS:
@@ -251,8 +253,7 @@ class TestThetaRecovery:
             except RegimeError:
                 continue
             v = reference(tag, args)
-            th = theta_recover(tag, args, v)
-            sig = recover_sigma(tag, args, v)
+            th, sig = theta_recover(tag, args, v)
             window = theta_window(tag, args, v)
             if window is not None:
                 assert window[2:] == (sig, th)
@@ -428,14 +429,14 @@ def test_bare_float64_failure_inside_the_window(monkeypatch):
 
 def _assert_finite_results(tag, args, v):
     """Only typed errors escape, and every returned float is finite, except
-    that recover_sigma may return inf (the symbol is past float64)."""
+    that theta_recover's sigma may be inf (the symbol is past float64)."""
     def window():
         got = theta_window(tag, args, v)
         assert got is None or len(got) == 4, got
         return got or ()
 
     calls = (lambda: dataclasses.astuple(enclose(tag, *args))[:3], lambda: [case_ratio(tag, *args)],
-             lambda: [theta_recover(tag, args, v)], window)
+             lambda: theta_recover(tag, args, v)[:1], window)
     for call in calls:
         try:
             got = call()
@@ -443,7 +444,7 @@ def _assert_finite_results(tag, args, v):
             continue
         assert all(map(math.isfinite, got)), (tag, args, v, got)
     try:
-        assert not math.isnan(recover_sigma(tag, args, v)), (tag, args, v)
+        assert not math.isnan(theta_recover(tag, args, v)[1]), (tag, args, v)
     except (DomainError, RegimeError, ConvergenceError):
         pass
 

@@ -214,10 +214,18 @@ class TestTable:
         row = out.strip().splitlines()[1].split("\t")
         assert float(row[2]) <= float(row[1]) <= float(row[3])
 
-    def test_empty_grid_header_only(self, capsys):
-        code, out, _ = run(capsys, "table", "--function", "K", "--kprime-grid", "")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 1
+    # a table without rows checks nothing: an empty grid is refused, and
+    # leaving the grid out is a usage error
+    @pytest.mark.parametrize("grid", ["", ","], ids=["empty", "comma"])
+    def test_empty_grid_is_refused(self, capsys, grid):
+        code, out, err = run(capsys, "table", "--function", "K", "--kprime-grid", grid)
+        assert (code, out) == (2, "")
+        assert err == "error: --kprime-grid selects no k' value\n"
+
+    def test_grid_is_required(self, capsys):
+        code, out, err = run(capsys, "table", "--function", "K")
+        assert (code, out) == (64, "")
+        assert "the following arguments are required: --kprime-grid" in err
 
     def test_out_of_range_exit(self, capsys):
         code, _, _ = run(capsys, "table", "--function", "K", "--kprime-grid", "1.5")
@@ -349,6 +357,8 @@ class TestVerify:
     @pytest.mark.parametrize("argv, message", [
         (("--cases", "C1", "--ratios", ","), "a campaign needs at least one ratio"),
         (("--cases", ","), "--cases ',' selects nothing"),
+        # one width is kept per ratio, so a repeat would report one stream twice
+        (("--cases", "C1", "--ratios", "1e-2,1e-2"), "ratios must not repeat, got (0.01, 0.01)"),
     ])
     def test_empty_run_exits_domain(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, "verify", *argv, "--out", str(tmp_path / "rep"))

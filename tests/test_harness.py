@@ -376,6 +376,10 @@ def test_campaign_validation():
     # a campaign that checks nothing must not report a pass
     with pytest.raises(DomainError, match="at least one ratio"):
         Campaign("C1", (), samples=10, seed=1)
+    # the report keeps one maximum width per ratio, so two streams at 1e-2
+    # printed the second stream's width on both rows
+    with pytest.raises(DomainError, match=r"^ratios must not repeat, got \(0\.01, 0\.001, 0\.01"):
+        Campaign("C1", (1e-2, 1e-3, 1e-2), samples=50, seed=42)
 
 
 def test_identity_streams_reproduce_scalar_draws(monkeypatch):

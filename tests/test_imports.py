@@ -1,10 +1,10 @@
-"""Import budget of the stdlib-only paths and the lazy oracle names.
+"""Import budget of the stdlib-only paths, and the package's public names.
 
 ``import symell``, ``evaluate`` and ``symell eval``, ``asym`` and ``table``
-run on the standard library alone; numpy loads on first use of the quadrature
-oracle or the verification harness, and scipy never loads.  The budget is
-checked from inside a fresh process, which prints the heavy modules it ended
-up holding.
+run on the standard library alone; numpy loads with the quadrature oracle
+(``symell.quadrature``) or the verification harness, and scipy never loads.
+The budget is checked from inside a fresh process, which prints the heavy
+modules it ended up holding.
 """
 
 import pytest
@@ -35,10 +35,9 @@ _CLI_EVAL = _CLI.format(argv="eval rj 1e-8 2e-8 1 3 --json".split())
 
 _ORACLE = f"""
 import sys
-import symell.quadrature
-import symell
-symell.oracle("RF", (1.0, 2.0, 4.0))
-symell.oracle_rj_pv(1.0, 2.0, 4.0, -1.0)
+from symell.quadrature import oracle_batch
+oracle_batch("RF", [(1.0, 2.0, 4.0)])
+oracle_batch("RJpv", [(1.0, 2.0, 4.0, 1.0)])
 {_HEAVY}
 """
 
@@ -83,18 +82,8 @@ class TestImportBudget:
 
 
 class TestLazyOracleNames:
-    @pytest.mark.parametrize("name", ["oracle", "oracle_with_error", "oracle_rj_pv",
-                                      "oracle_batch"])
-    def test_resolves_to_quadrature(self, name):
-        assert getattr(symell, name) is getattr(quadrature, name)
-        assert name in dir(symell)
-
-    def test_same_values(self):
-        assert symell.oracle("RF", (1.0, 2.0, 4.0)) == quadrature.oracle("RF", (1.0, 2.0, 4.0))
-        assert (symell.oracle_with_error("RJ", (1.0, 2.0, 3.0, 4.0))
-                == quadrature.oracle_with_error("RJ", (1.0, 2.0, 3.0, 4.0)))
-        assert (symell.oracle_rj_pv(1.0, 2.0, 3.0, -1.0)
-                == quadrature.oracle_rj_pv(1.0, 2.0, 3.0, -1.0))
+    """The package's names.  The oracle is not among them: it needs numpy,
+    and is reached as symell.quadrature.oracle_batch."""
 
     def test_star_import_binds_all(self):
         """Every name in each module's __all__ exists, so no deletion leaves

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from symell import (ConvergenceError, DomainError, EvalRequest, RegimeError, ToleranceError,
-                    asym, core, evaluate)
+                    asym, bounds, core, evaluate)
 from symell.cli import main
 
 TYPED = (ConvergenceError, DomainError, RegimeError, ToleranceError)
@@ -56,6 +56,52 @@ def test_fails_only_with_typed_errors(fn, width, negate_last):
 def test_principal_value_past_float64_exits_2(capsys, args):
     assert main(["eval", "rj", *args]) == 2
     assert "rj_pv: float64 range exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fn, tags", [
+    (bounds.bracket, bounds.INEQ_TAGS),
+    (bounds.theta_of, bounds.THETA_TAGS),
+], ids=["bracket", "theta_of"])
+def test_inequalities_fail_only_with_typed_errors(fn, tags):
+    """Every inequality on 400 wide tuples, with DBL_MAX mixed in: no bare
+    ZeroDivisionError or OverflowError, and no NaN or inf endpoint, middle
+    or theta; a float64 failure is a ConvergenceError."""
+    range_errors = 0
+    for tag in tags:
+        rows = _wide_rows(5, 400, bounds.arity(tag))
+        for args in rows[::10]:
+            args[-1] = sys.float_info.max
+        for args in rows:
+            try:
+                got = fn(tag, *args)
+            except TYPED as exc:
+                range_errors += isinstance(exc, ConvergenceError)
+                continue
+            values = (got.lo, got.mid, got.hi) if fn is bounds.bracket else (got,)
+            assert all(map(math.isfinite, values)), (tag, args, got)
+    assert range_errors > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    # a bare ZeroDivisionError, a traceback with exit 1
+    (["bounds-check", "A1", "3.0660345091511146e-216", "5.984961922889028e-288"],
+     "A1 at (3.0660345091511146e-216, 5.984961922889028e-288) is past float64"),
+    # lo=inf mid=inf hi=inf, printed with exit 0
+    (["bounds-check", "A3", "3.360331596940762e-209", "4.0574704107261416e+104"],
+     "A3 at (3.360331596940762e-209, 4.0574704107261416e+104) is past float64"),
+    # a NaN endpoint, a ValueError traceback from the JSON writer
+    (["bounds-check", "A10", "3.229310479303733e+262", "2.511534409859582e+253",
+      "1.5236347041290444e+220", "3.671238884803675e-82", "--json"], "A10 at ("),
+    # inf certified as a reference answer; mpmath gives 4.30e313
+    (["eval", "rd", "9.513233213501431e-257", "3.3959025741232045e-104",
+      "1.5084659262934478e-267"], "rd: float64 range exceeded"),
+    (["eval", "rd", "9.513233213501431e-257", "3.3959025741232045e-104",
+      "1.5084659262934478e-267", "--json"], "rd: float64 range exceeded"),
+], ids=["A1", "A3", "A10-json", "eval-rd", "eval-rd-json"])
+def test_past_float64_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 @pytest.mark.parametrize("fn, width, negate_last, in_domain", [
