@@ -7,10 +7,11 @@ whenever the case's preconditions hold; the interval is widened outward by
 8 ulps per endpoint to absorb evaluation rounding, and the estimate is the
 interval midpoint.
 
-The catalog is a registry of case rows: kind, cost, gate, smallness ratio,
-argument sampler, bracket, the formula as terms (the arguments to the
-coefficients, computed once per call) and a form, and the expected
-order-fit slope; the arity and the reference route follow from the kind.
+The catalog is a registry of case rows, named tuples as the enclosures are:
+kind, cost, gate, smallness ratio, argument sampler, bracket, the formula
+as terms (the arguments to the coefficients, computed once per call) and a
+form, and the expected order-fit slope; the arity and the reference route
+follow from the kind.
 Most forms are affine in the error symbol; the C2/F1e/F1f family is affine
 in log(symbol) instead, and J1b is a multiplicative form.  A case's gate
 holds every condition its displayed endpoints need (G1a's upper endpoint
@@ -45,8 +46,7 @@ so only inside it do their products surely stay in the normal range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._util import cbrt, widen_down, widen_up
 from .core import agm, rc, rd, rf, rg, rj
@@ -68,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(NamedTuple):
     """Closed interval certified to contain the true integral value."""
 
     lo: float
@@ -130,8 +129,7 @@ _ILLCOND_FRACTION = 0.02
 KIND_ARITY = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "K": 1, "E": 1}
 
 
-@dataclass(frozen=True)
-class _Form:
+class _Form(NamedTuple):
     """How a formula's coefficients and its error symbol make the value."""
     value: Callable    # (coefficients, sym) -> value
     recover: Callable  # (coefficients, value) -> sym, None if the value ignores sym
@@ -158,8 +156,7 @@ _J1B = _Form(lambda c, s: c[0] / (1.0 - s / c[1]),
              lambda c, v: abs(c[1] * c[0] / (v * v)))
 
 
-@dataclass(frozen=True)
-class _Case:
+class _Case(NamedTuple):
     tag: str
     kind: str
     cost: int
@@ -251,7 +248,7 @@ _register("C2b", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sa
           bracket=lambda x, y: (1.0, 4.0), terms=_c2b_abk, form=_LOG, slope=1.85)
 
 
-_CASES["C2c"] = replace(_CASES["C2a"], tag="C2c")
+_CASES["C2c"] = _CASES["C2a"]._replace(tag="C2c")
 
 
 # ---- RF cases --------------------------------------------------------------
@@ -296,7 +293,7 @@ _register("F1a", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
           bracket=_f1_bracket, terms=_f1a_ab, slope=1.0)
 
 
-_CASES["F1b"] = replace(_CASES["F1a"], tag="F1b")
+_CASES["F1b"] = _CASES["F1a"]._replace(tag="F1b")
 
 
 def _f1cd_gate(x, y, z):

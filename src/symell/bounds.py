@@ -18,7 +18,6 @@ in the fuzz suite therefore use a 4-ulp equality band (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from ._util import cbrt, equal_within_band
@@ -28,8 +27,7 @@ __all__ = ["INEQ_TAGS", "THETA_TAGS", "Bracket", "bracket", "theta_of",
            "arity", "strictness", "equal_within_band"]
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     lo: float
     mid: float
     hi: float

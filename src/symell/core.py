@@ -328,15 +328,15 @@ def rj(x: float, y: float, z: float, p: float) -> float:
     if p < 0.0:
         raise DomainError("rj requires p > 0; use rj_pv for negative p")
     a, b, c = sorted((x, y, z))
-    if p == c:
-        return rd(a, b, c)
-    if p == b:
-        return rd(a, c, b)
-    if p == a:
-        return rd(b, c, a)
     try:
+        if p == c:
+            return rd(a, b, c)
+        if p == b:
+            return rd(a, c, b)
+        if p == a:
+            return rd(b, c, a)
         value = _rj_core(a, b, c, p)
-    except (ArithmeticError, DomainError) as exc:
+    except (ArithmeticError, DomainError, ConvergenceError) as exc:
         raise _range_error("rj", exc) from exc
     if not _MIN_NORMAL <= value <= sys.float_info.max:
         raise _range_error("rj", f"value {value!r} is outside the normal range")

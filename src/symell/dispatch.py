@@ -26,13 +26,16 @@ y < 0 among them; asymptotic = relative half-width plus a 2e-13 margin for
 the auxiliary core terms; reference 1e-12 (1e-13 for rc), the principal
 value rj_pv at RJ's p < 0 among them (no case gate accepts p < 0).
 Requests no method can certify raise ToleranceError.
+
+Requests, plan steps and reports are immutable named tuples; a request
+checks its kind, arguments and rel_tol (in [1e-14, 1e-1]) when built.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import asym, core
 from .errors import ConvergenceError, DomainError, RegimeError, ToleranceError
@@ -70,25 +73,28 @@ _KIND = {
 KINDS = tuple(_KIND)
 
 
-@dataclass(frozen=True)
-class EvalRequest:
-    kind: str
-    args: tuple
-    rel_tol: float
+class EvalRequest(NamedTuple("_Request",
+                             [("kind", str), ("args", tuple), ("rel_tol", float)])):
+    """A checked request; ``_replace``, ``_make``, copy and pickle check it too."""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        object.__setattr__(self, "args", asym._checked(self.kind, self.kind, self.args))
-        t = float(self.rel_tol)
+    __slots__ = ()
+
+    def __new__(cls, kind, args, rel_tol):
+        if kind not in KINDS:
+            raise DomainError(f"unknown kind {kind!r}; expected one of {KINDS}")
+        args = asym._checked(kind, kind, args)
+        t = float(rel_tol)
         if not _REL_TOL_MIN <= t <= _REL_TOL_MAX:
             raise DomainError(
                 f"rel_tol must lie in [{_REL_TOL_MIN}, {_REL_TOL_MAX}], got {t}")
-        object.__setattr__(self, "rel_tol", t)
+        return tuple.__new__(cls, (kind, args, t))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     method: str                       # closed_form | asym | reference
     case: str | None
     cost: int
@@ -96,8 +102,7 @@ class PlanStep:
     predicted_rel_halfwidth: float | None = None
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     value: float
     method: str
     case: str | None

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -368,9 +367,14 @@ def test_non_finite_enclosure_is_a_convergence_error():
         enclose("J2a", 1e300, 1e300, 1e300, 1e-300)
     # a finite enclosure is the interval alone: no field marks a substitute endpoint
     enc = enclose("J2a", 1.0, 2.0, 3.0, 1e-5)
-    assert [f.name for f in dataclasses.fields(Enclosure)] == \
+    assert list(Enclosure._fields) == \
         ["lo", "hi", "estimate", "case", "strict_lo", "strict_hi"]
     assert enc.contains(core.rj(1.0, 2.0, 3.0, 1e-5))
+    # an immutable, hashable record: no field is reassigned and none added
+    for name in ("lo", "note"):
+        with pytest.raises(AttributeError):
+            setattr(enc, name, 0.0)
+    assert hash(enc) == hash(enc._replace())
 
 
 @pytest.mark.parametrize("tag, args", [
@@ -388,7 +392,7 @@ def test_argument_window_refuses_before_the_formula(tag, args, monkeypatch):
     """A nonzero argument of an R case outside [1e-100, 1e100] is refused
     past the gate and before the formula runs."""
     # the formula is never reached: a call of None would raise TypeError
-    monkeypatch.setitem(asym._CASES, tag, dataclasses.replace(asym._CASES[tag], terms=None))
+    monkeypatch.setitem(asym._CASES, tag, asym._CASES[tag]._replace(terms=None))
     with pytest.raises(ConvergenceError,
                        match=r"is past float64: an argument lies outside \[1e-100, 1e100\]$"):
         enclose(tag, *args)
@@ -435,7 +439,7 @@ def _assert_finite_results(tag, args, v):
         assert got is None or len(got) == 4, got
         return got or ()
 
-    calls = (lambda: dataclasses.astuple(enclose(tag, *args))[:3], lambda: [case_ratio(tag, *args)],
+    calls = (lambda: tuple(enclose(tag, *args))[:3], lambda: [case_ratio(tag, *args)],
              lambda: theta_recover(tag, args, v)[:1], window)
     for call in calls:
         try:
@@ -504,7 +508,7 @@ def test_twin_case_is_its_sibling(tag, sibling):
             args = sample_args(tag, ratio, draws)
             one, sib = enclose(tag, *args), enclose(sibling, *args)
             assert one.case == tag
-            assert dataclasses.replace(one, case=sibling) == sib, (tag, args)
+            assert one._replace(case=sibling) == sib, (tag, args)
             v = reference(tag, args)
             assert theta_window(tag, args, v) == theta_window(sibling, args, v), (tag, args)
             assert case_ratio(tag, *args) == case_ratio(sibling, *args)

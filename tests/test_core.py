@@ -364,7 +364,8 @@ class TestValueRange:
         (rj, (790922910312.0035, 5e-324, 0.0, 5e-324)),   # was inf, through rd: p equals y
     ])
     def test_convergence_error(self, fn, args):
-        with pytest.raises(ConvergenceError):
+        # rj's rows fail inside its delegation to rd, and still name rj
+        with pytest.raises(ConvergenceError, match="^rj:" if fn is rj else None):
             fn(*args)
 
     def test_normal_values_kept(self):

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -13,10 +15,12 @@ from symell import (
     RegimeError,
     ToleranceError,
     asym,
+    bounds,
     core,
     evaluate,
     plan,
 )
+from symell.dispatch import PlanStep
 from symell.quadrature import oracle_batch
 
 
@@ -294,6 +298,58 @@ class TestContract:
         assert rep.guaranteed_rel_err <= 1e-6
         if rep.method == "asym":
             assert rep.enclosure.lo <= rep.value <= rep.enclosure.hi
+
+
+class TestRecords:
+    """Requests, reports, plan steps and brackets are immutable, hashable
+    named tuples with today's fields in today's order, and a request is
+    checked however it is built."""
+
+    @staticmethod
+    def _record(name):
+        req = EvalRequest("RF", (1e-9, 2e-9, 1.0), 1e-6)
+        return {
+            "EvalRequest": (req, ["kind", "args", "rel_tol"]),
+            "EvalReport": (evaluate(req), ["value", "method", "case", "guaranteed_rel_err",
+                                           "enclosure"]),
+            "PlanStep": (plan(req)[0], ["method", "case", "cost", "guaranteed_rel_err",
+                                        "predicted_rel_halfwidth"]),
+            "Bracket": (bounds.bracket("A3", 1.0, 2.0), ["lo", "mid", "hi"]),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["EvalRequest", "EvalReport", "PlanStep", "Bracket"])
+    def test_immutable_and_hashable(self, name):
+        record, fields = self._record(name)
+        assert type(record).__name__ == name
+        assert list(record._fields) == fields
+        for attr in (fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, record[0])
+        assert hash(record) == hash(copy.copy(record))
+        assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_defaults(self):
+        assert EvalReport(1.0, "reference", None, 1e-12).enclosure is None
+        assert PlanStep("reference", None, 9, 1e-12).predicted_rel_halfwidth is None
+
+    @pytest.mark.parametrize("change, match", [
+        ({"args": (math.inf, 1.0, 1.0)}, "arguments must be finite"),
+        ({"args": (1.0, 2.0)}, "takes 3 arguments, got 2"),
+        ({"rel_tol": 1e-15}, "rel_tol must lie in"),
+        ({"rel_tol": 0.5}, "rel_tol must lie in"),
+    ])
+    def test_request_is_checked_however_built(self, change, match):
+        req = EvalRequest("RF", (1.0, 2.0, 4.0), 1e-9)
+        fields = {**req._asdict(), **change}.values()
+        # a bad request smuggled past the constructor, to copy and pickle
+        raw = tuple.__new__(EvalRequest, fields)
+        for build in (lambda: req._replace(**change), lambda: EvalRequest._make(fields),
+                      lambda: copy.copy(raw), lambda: pickle.loads(pickle.dumps(raw))):
+            with pytest.raises(DomainError, match=match):
+                build()
+        # the same routes rebuild a good request unchanged, its args as floats
+        assert req._replace(args=(1, 2, 4)) == req == EvalRequest._make(req)
+        assert copy.copy(req) == req == pickle.loads(pickle.dumps(req))
 
 
 def test_ratio_pass_matches_per_case_ratios():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -169,7 +168,7 @@ def test_non_positive_enclosure_is_a_violation(monkeypatch):
 
     def negated(tag, *args):
         enc = real(tag, *args)
-        return dataclasses.replace(enc, lo=-enc.hi, hi=-enc.lo, estimate=-enc.estimate)
+        return enc._replace(lo=-enc.hi, hi=-enc.lo, estimate=-enc.estimate)
 
     monkeypatch.setattr(asym, "enclose", negated)
     rep = run_containment(Campaign("F1a", (1e-3,), samples=10, seed=11))
@@ -190,7 +189,7 @@ def test_theta_outside_its_bracket_is_a_violation(monkeypatch):
         lo, hi = case.bracket(*args)
         return hi + (hi - lo), hi + 2.0 * (hi - lo)
 
-    monkeypatch.setitem(asym._CASES, "F1a", dataclasses.replace(case, bracket=shifted))
+    monkeypatch.setitem(asym._CASES, "F1a", case._replace(bracket=shifted))
     rep = run_containment(Campaign("F1a", (1e-3,), samples=5, seed=11))
     assert rep.evaluated == 5
     assert rep.theta == {"outside": 5}

@@ -3,8 +3,9 @@
 ``import symell``, ``evaluate`` and ``symell eval``, ``asym`` and ``table``
 run on the standard library alone; numpy loads with the quadrature oracle
 (``symell.quadrature``) or the verification harness, and scipy never loads.
-The budget is checked from inside a fresh process, which prints the heavy
-modules it ended up holding.
+Nor do these paths load ``dataclasses`` or the ``inspect`` it pulls in: the
+records on them are named tuples.  The budget is checked from inside a
+fresh process, which prints the heavy modules it ended up holding.
 """
 
 import pytest
@@ -12,8 +13,10 @@ import pytest
 import symell
 from symell import asym, bounds, core, dispatch, harness, quadrature
 
+# numpy and scipy, and dataclasses with the inspect it pulls in (about 10 ms
+# of a spawn), are the modules a probe reports
 _HEAVY = ('print(sorted(m for m in sys.modules '
-          'if m.split(".")[0] in ("numpy", "scipy")))')
+          'if m.split(".")[0] in ("numpy", "scipy", "dataclasses", "inspect")))')
 
 _EVALUATE = f"""
 import sys
