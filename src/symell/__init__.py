@@ -21,14 +21,15 @@ from .asym import (
     enclose,
     theta_recover,
 )
-from .bounds import INEQ_TAGS, Bracket, bracket, theta_of
 from .dispatch import EvalReport, EvalRequest, evaluate, plan
 
 __version__ = "0.1.0"
 
-# The quadrature oracle needs numpy, so it is not imported here: the
-# reference evaluators, the case catalog and the dispatcher load with the
-# standard library alone.  It is symell.quadrature.oracle_batch.
+# What loads here is the evaluation path: the reference evaluators, the case
+# catalog and the dispatcher, on the standard library alone.  The quadrature
+# oracle needs numpy and is symell.quadrature.oracle_batch; the Appendix
+# inequalities (bracket, theta_of, INEQ_TAGS, Bracket) are symell.bounds.
+# Neither is imported until it is used.
 
 __all__ = [
     "ConvergenceError",
@@ -51,10 +52,6 @@ __all__ = [
     "case_ratio",
     "enclose",
     "theta_recover",
-    "INEQ_TAGS",
-    "Bracket",
-    "bracket",
-    "theta_of",
     "EvalReport",
     "EvalRequest",
     "evaluate",

@@ -909,8 +909,9 @@ _register("G2", "RG", 2, gate=_g2_gate, ratio=_d2_ratio, sample=_d2_sample,
 
 CASE_TAGS = tuple(_CASES)
 
-# case tags by the kind of integral they approximate, in catalog order
-_KIND_CASES = {kind: tuple(t for t, c in _CASES.items() if c.kind == kind)
+# (tag, cost, ratio) of the cases of each kind of integral, in catalog order:
+# the row fields that ratio_classes reads, taken out of the rows once
+_KIND_CASES = {kind: tuple((t, c.cost, c.ratio) for t, c in _CASES.items() if c.kind == kind)
                for kind in dict.fromkeys(c.kind for c in _CASES.values())}
 
 
@@ -951,12 +952,13 @@ def _call(tag: str, args, gated: bool, body, *extra):
     an argument outside the window or, past the gate, a DomainError from an
     inner evaluator, raises ConvergenceError."""
     case = _case(tag)
-    vals = _checked(tag, case.kind, args)
+    kind = case.kind
+    vals = _checked(tag, kind, args)
     in_body = False
     try:
         if gated:
             case.gate(*vals)
-        if not _in_window(case.kind, vals):
+        if not _in_window(kind, vals):
             raise OverflowError("an argument lies outside [1e-100, 1e100]")
         in_body = True
         return body(case, vals, *extra)
@@ -972,7 +974,8 @@ def _enclosure(case: _Case, vals) -> Enclosure:
     sl, sh = case.strict
     s_lo, s_hi = case.bracket(*vals)
     terms = case.terms(*vals)
-    lo, hi = case.form.value(terms, s_lo), case.form.value(terms, s_hi)
+    value = case.form.value
+    lo, hi = value(terms, s_lo), value(terms, s_hi)
     if hi < lo:
         lo, hi, sl, sh = hi, lo, sh, sl
     est = 0.5 * (lo + hi)
@@ -1056,7 +1059,7 @@ def case_kind(tag: str) -> str:
 
 def kind_cases(kind: str) -> tuple[str, ...]:
     """Tags of the cases that approximate integrals of ``kind``."""
-    return _KIND_CASES.get(kind, ())
+    return tuple(t for t, _, _ in _KIND_CASES.get(kind, ()))
 
 
 def _ratio(case: _Case, vals) -> float:
@@ -1079,21 +1082,20 @@ def ratio_classes(kind: str, args, ratio_max: float) -> list[tuple[int, list[str
     them for one; where case_ratio would raise ConvergenceError, for an
     argument outside the window or a ratio that fails in float64 or is not
     finite, the case is left out."""
-    tags = _KIND_CASES.get(kind)
-    if tags is None:
+    rows = _KIND_CASES.get(kind)
+    if rows is None:
         raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(KIND_ARITY)}")
     vals = _checked(kind, kind, args)
     if not _in_window(kind, vals):
         return []
     classes: dict[int, list[str]] = {}
-    for tag in tags:
-        case = _CASES[tag]
+    for tag, cost, ratio_of in rows:
         try:
-            ratio = case.ratio(*vals)
+            ratio = ratio_of(*vals)
         except (ArithmeticError, ValueError):
             continue
         if math.isfinite(ratio) and ratio <= ratio_max:
-            classes.setdefault(case.cost, []).append(tag)
+            classes.setdefault(cost, []).append(tag)
     return sorted(classes.items())
 
 

@@ -14,7 +14,11 @@ mean, and Legendre's complete integrals K and E expressed through rf/rg.
 
 rf, rd and rj use the standard duplication iteration (argument averaging
 until the Taylor expansion about the common limit converges); rc is pure
-closed forms.  Symmetric arguments are canonicalized by sorting before
+closed forms.  rg shares one duplication run between its RF and RD terms:
+the iterates are the same, and each term keeps its own mean, stop and sum,
+so rg's values are those of separate rf and rd runs bit for bit.  Each
+tail series is written once: RF's for rf and rg, and RD's for rd, rj and
+rg.  Symmetric arguments are canonicalized by sorting before
 evaluation, so permutation symmetry is bit-exact.  The quadrature-based
 ground truth lives in :mod:`symell.quadrature` and deliberately shares no code
 with this module.
@@ -82,8 +86,9 @@ def _sym_args(x, y, z, p=None) -> tuple[float, ...]:
 # degenerate case rc and its principal value
 # --------------------------------------------------------------------------
 
-# Small-eccentricity series for rc(y(1+e), y): sum_k binom(-1/2,k) e^k/(2k+1).
-_RC_SERIES = (-1.0 / 6.0, 3.0 / 40.0, -5.0 / 112.0, 35.0 / 1152.0)
+# Small-eccentricity series for rc(y(1+e), y): sum_k binom(-1/2,k) e^k/(2k+1),
+# the coefficients of e^1..e^4.
+_RC1, _RC2, _RC3, _RC4 = -1.0 / 6.0, 3.0 / 40.0, -5.0 / 112.0, 35.0 / 1152.0
 
 # Relative argument difference below which the closed forms are replaced by
 # the series (both 0/0 at x == y).
@@ -101,17 +106,20 @@ def rc(x: float, y: float) -> float:
     y = _as_finite("y", y)
     if x < 0.0 or y <= 0.0:
         raise DomainError(f"rc requires x >= 0 and y > 0, got ({x}, {y})")
+    return _rc(x, y)
+
+
+def _rc(x: float, y: float) -> float:
+    """rc's closed forms at checked arguments: finite x >= 0 and y > 0."""
     if x == 0.0:
         return math.pi / (2.0 * math.sqrt(y))
     d = x - y
-    if abs(d) < _RC_SERIES_CUT * y:
+    # the diagonal by name too: the cut underflows to 0 for subnormal y
+    if d == 0.0 or abs(d) < _RC_SERIES_CUT * y:
         e = d / y
-        s = 1.0
-        ek = 1.0
-        for c in _RC_SERIES:
-            ek *= e
-            s += c * ek
-        return s / math.sqrt(y)
+        e2 = e * e
+        e3 = e2 * e
+        return (1.0 + _RC1 * e + _RC2 * e2 + _RC3 * e3 + _RC4 * (e3 * e)) / math.sqrt(y)
     if x < y:
         # acos(sqrt(x/y))/sqrt(y-x), written so the conditioning stays O(eps)
         return math.atan(math.sqrt(-d / x)) / math.sqrt(-d)
@@ -160,26 +168,14 @@ def _range_error(name: str, detail: object) -> ConvergenceError:
     return ConvergenceError(f"{name}: float64 range exceeded ({detail})")
 
 
-def _rf_core(x: float, y: float, z: float) -> float:
-    a0 = (x + y + z) / 3.0
-    dev = max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
-    if dev == 0.0:
-        return 1.0 / math.sqrt(a0)
-    q = (3.0 * _EPS) ** -0.125 * dev
-    if not q < math.inf:
-        raise _range_error("rf", "argument mean or spread overflows")
-    am, f = a0, 1.0
-    xm, ym, zm = x, y, z
-    while q >= f * abs(am):
-        sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
-        lam = sx * (sy + sz) + sy * sz
-        xm = 0.25 * (xm + lam)
-        ym = 0.25 * (ym + lam)
-        zm = 0.25 * (zm + lam)
-        am = 0.25 * (am + lam)
-        f *= 4.0
-    if f > _MAX_F:
-        raise _range_error("rf", f"no convergence in {_MAX_STEPS} duplication steps")
+# stopping thresholds of the duplication runs, over the argument spread
+_RF_Q = (3.0 * _EPS) ** -0.125
+_RD_Q = (0.25 * _EPS) ** (-1.0 / 6.0)  # rd and rj
+
+
+def _rf_tail(a0: float, x: float, y: float, f: float, am: float) -> float:
+    """RF from a duplication run stopped at power f and mean am: the Taylor
+    series about am of the arguments' scaled deviations."""
     xx = (a0 - x) / (f * am)
     yy = (a0 - y) / (f * am)
     zz = -xx - yy
@@ -198,12 +194,61 @@ def _rf_core(x: float, y: float, z: float) -> float:
     return s / math.sqrt(am)
 
 
+def _rdj_series(e2: float, e3: float, e4: float, e5: float) -> float:
+    """The Taylor series of RD and RJ about the mean, in the elementary
+    symmetric functions of the scaled deviations."""
+    return (
+        1.0
+        - 3.0 * e2 / 14.0
+        + e3 / 6.0
+        + 9.0 * e2 * e2 / 88.0
+        - 3.0 * e4 / 22.0
+        - 9.0 * e2 * e3 / 52.0
+        + 3.0 * e5 / 26.0
+    )
+
+
+def _rd_tail(a0: float, x: float, y: float, f: float, am: float, acc: float) -> float:
+    """RD from a duplication run stopped at power f, mean am and sum acc."""
+    xx = (a0 - x) / (f * am)
+    yy = (a0 - y) / (f * am)
+    zz = -(xx + yy) / 3.0
+    e2 = xx * yy - 6.0 * zz * zz
+    e3 = (3.0 * xx * yy - 8.0 * zz * zz) * zz
+    e4 = 3.0 * (xx * yy - zz * zz) * zz * zz
+    e5 = xx * yy * zz ** 3
+    return _rdj_series(e2, e3, e4, e5) / (f * am * math.sqrt(am)) + 3.0 * acc
+
+
+def _rf_core(x: float, y: float, z: float) -> float:
+    a0 = (x + y + z) / 3.0
+    dev = max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
+    if dev == 0.0:
+        return 1.0 / math.sqrt(a0)
+    q = _RF_Q * dev
+    if not q < math.inf:
+        raise _range_error("rf", "argument mean or spread overflows")
+    am, f = a0, 1.0
+    xm, ym, zm = x, y, z
+    while q >= f * abs(am):
+        sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
+        lam = sx * (sy + sz) + sy * sz
+        xm = 0.25 * (xm + lam)
+        ym = 0.25 * (ym + lam)
+        zm = 0.25 * (zm + lam)
+        am = 0.25 * (am + lam)
+        f *= 4.0
+    if f > _MAX_F:
+        raise _range_error("rf", f"no convergence in {_MAX_STEPS} duplication steps")
+    return _rf_tail(a0, x, y, f, am)
+
+
 def _rd_core(x: float, y: float, z: float) -> float:
     a0 = (x + y + 3.0 * z) / 5.0
     dev = max(abs(a0 - x), abs(a0 - y), abs(a0 - z))
     if dev == 0.0:
         return a0 ** -1.5
-    q = (0.25 * _EPS) ** (-1.0 / 6.0) * dev
+    q = _RD_Q * dev
     if not q < math.inf:
         raise _range_error("rd", "argument mean or spread overflows")
     am, f, acc = a0, 1.0, 0.0
@@ -219,30 +264,57 @@ def _rd_core(x: float, y: float, z: float) -> float:
         f *= 4.0
     if f > _MAX_F:
         raise _range_error("rd", f"no convergence in {_MAX_STEPS} duplication steps")
-    xx = (a0 - x) / (f * am)
-    yy = (a0 - y) / (f * am)
-    zz = -(xx + yy) / 3.0
-    e2 = xx * yy - 6.0 * zz * zz
-    e3 = (3.0 * xx * yy - 8.0 * zz * zz) * zz
-    e4 = 3.0 * (xx * yy - zz * zz) * zz * zz
-    e5 = xx * yy * zz ** 3
-    s = (
-        1.0
-        - 3.0 * e2 / 14.0
-        + e3 / 6.0
-        + 9.0 * e2 * e2 / 88.0
-        - 3.0 * e4 / 22.0
-        - 9.0 * e2 * e3 / 52.0
-        + 3.0 * e5 / 26.0
-    )
-    return s / (f * am * math.sqrt(am)) + 3.0 * acc
+    return _rd_tail(a0, x, y, f, am, acc)
+
+
+def _rf_rd_core(x: float, y: float, z: float) -> tuple[float, float]:
+    """(rf(x, y, z), rd(x, y, z)) at x <= y <= z, y > 0, from one run.
+
+    The two duplication loops iterate the same x, y and z; only their means,
+    stopping thresholds and RD's running sum differ.  Each series keeps its
+    own power of four, mean and sum, and advances them only until its own
+    stop, so both values are those of _rf_core and _rd_core bit for bit.
+    Range failures name rg, the run's one caller.
+    """
+    fa0 = (x + y + z) / 3.0
+    da0 = (x + y + 3.0 * z) / 5.0
+    ddev = max(abs(da0 - x), abs(da0 - y), abs(da0 - z))
+    # a zero spread stops a series at once; RF's tail is then 1/sqrt(fa0) exactly
+    fq = _RF_Q * max(abs(fa0 - x), abs(fa0 - y), abs(fa0 - z))
+    dq = _RD_Q * ddev
+    if not (fq < math.inf and dq < math.inf):
+        raise _range_error("rg", "argument mean or spread overflows")
+    ff, fam = 1.0, fa0
+    fd, dam, acc = 1.0, da0, 0.0
+    xm, ym, zm = x, y, z
+    while True:
+        rf_on = fq >= ff * abs(fam)
+        rd_on = dq >= fd * abs(dam)
+        if not (rf_on or rd_on):
+            break
+        sx, sy, sz = math.sqrt(xm), math.sqrt(ym), math.sqrt(zm)
+        lam = sx * (sy + sz) + sy * sz
+        if rd_on:
+            acc += 1.0 / (fd * sz * (zm + lam))
+            dam = 0.25 * (dam + lam)
+            fd *= 4.0
+        if rf_on:
+            fam = 0.25 * (fam + lam)
+            ff *= 4.0
+        xm = 0.25 * (xm + lam)
+        ym = 0.25 * (ym + lam)
+        zm = 0.25 * (zm + lam)
+    if ff > _MAX_F or fd > _MAX_F:
+        raise _range_error("rg", f"no convergence in {_MAX_STEPS} duplication steps")
+    rd_v = da0 ** -1.5 if ddev == 0.0 else _rd_tail(da0, x, y, fd, dam, acc)
+    return _rf_tail(fa0, x, y, ff, fam), rd_v
 
 
 def _rj_core(x: float, y: float, z: float, p: float) -> float:
     a0 = (x + y + z + 2.0 * p) / 5.0
     delta = (p - x) * (p - y) * (p - z)
     dev = max(abs(a0 - x), abs(a0 - y), abs(a0 - z), abs(a0 - p))
-    q = (0.25 * _EPS) ** (-1.0 / 6.0) * dev
+    q = _RD_Q * dev
     if not q < math.inf:
         raise _range_error("rj", "argument mean or spread overflows")
     if not abs(delta) < math.inf:
@@ -254,7 +326,10 @@ def _rj_core(x: float, y: float, z: float, p: float) -> float:
         lam = sx * (sy + sz) + sy * sz
         dm = (sp + sx) * (sp + sy) * (sp + sz)
         em = delta / (f3 * dm * dm)
-        acc += rc(1.0, 1.0 + em) / (f * dm)
+        yc = 1.0 + em
+        if not 0.0 < yc < math.inf:
+            rc(1.0, yc)  # not a positive finite float: rc's own check refuses it
+        acc += _rc(1.0, yc) / (f * dm)
         xm = 0.25 * (xm + lam)
         ym = 0.25 * (ym + lam)
         zm = 0.25 * (zm + lam)
@@ -272,16 +347,7 @@ def _rj_core(x: float, y: float, z: float, p: float) -> float:
     e3 = xx * yy * zz + 2.0 * pp * e2 + 4.0 * pp ** 3
     e4 = (2.0 * xx * yy * zz + pp * e2 + 3.0 * pp ** 3) * pp
     e5 = xx * yy * zz * pp * pp
-    s = (
-        1.0
-        - 3.0 * e2 / 14.0
-        + e3 / 6.0
-        + 9.0 * e2 * e2 / 88.0
-        - 3.0 * e4 / 22.0
-        - 9.0 * e2 * e3 / 52.0
-        + 3.0 * e5 / 26.0
-    )
-    return s / (f * am * math.sqrt(am)) + 6.0 * acc
+    return _rdj_series(e2, e3, e4, e5) / (f * am * math.sqrt(am)) + 6.0 * acc
 
 
 # --------------------------------------------------------------------------
@@ -371,7 +437,7 @@ def rj_pv(x: float, y: float, z: float, p: float) -> float:
 def rg(x: float, y: float, z: float) -> float:
     """Completely symmetric integral of the second kind, degree +1/2.
 
-    Evaluated through rf and rd with the largest argument in the rd z
+    Evaluated through RF and RD with the largest argument in the RD z
     slot, which keeps the subtracted term single-signed.  Two zero
     arguments are allowed: rg(0, 0, z) = sqrt(z)/2 is the finite limit.
     """
@@ -384,9 +450,21 @@ def rg(x: float, y: float, z: float) -> float:
     a, b, c = sorted(vals)
     if c == 0.0:
         raise DomainError("rg requires at least one positive argument")
+    return _rg(a, b, c)
+
+
+def _rg(a: float, b: float, c: float) -> float:
+    """rg at checked arguments a <= b <= c, c > 0: 2 RG = c RF - (c-a)(c-b)/3 RD
+    + sqrt(ab/c) (DLMF 19.21.10), RF and RD from one duplication run."""
     if b == 0.0:
         return math.sqrt(c) / 2.0
-    two_rg = c * rf(a, b, c) - (c - a) * (c - b) / 3.0 * rd(a, b, c) + math.sqrt(a * b / c)
+    try:
+        rf_v, rd_v = _rf_rd_core(a, b, c)
+    except ArithmeticError as exc:
+        raise _range_error("rg", exc) from exc
+    if not _MIN_NORMAL <= rd_v <= sys.float_info.max:
+        raise _range_error("rg", f"rd value {rd_v!r} is outside the normal range")
+    two_rg = c * rf_v - (c - a) * (c - b) / 3.0 * rd_v + math.sqrt(a * b / c)
     if not math.isfinite(two_rg):
         raise _range_error("rg", f"three-term sum is {two_rg!r}")
     return two_rg / 2.0
@@ -427,7 +505,8 @@ def legendre_k(k: float) -> float:
     k = _as_finite("k", k)
     if not 0.0 <= k < 1.0:
         raise DomainError(f"legendre_k requires 0 <= k < 1, got {k}")
-    return rf(0.0, (1.0 - k) * (1.0 + k), 1.0)
+    # (1-k)(1+k) rounds to at most 1, so the arguments are in order
+    return _rf_core(0.0, (1.0 - k) * (1.0 + k), 1.0)
 
 
 def legendre_e(k: float) -> float:
@@ -435,4 +514,4 @@ def legendre_e(k: float) -> float:
     k = _as_finite("k", k)
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"legendre_e requires 0 <= k <= 1, got {k}")
-    return 2.0 * rg(0.0, (1.0 - k) * (1.0 + k), 1.0)
+    return 2.0 * _rg(0.0, (1.0 - k) * (1.0 + k), 1.0)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symell import DomainError, bracket, theta_of
-from symell.bounds import INEQ_TAGS, THETA_TAGS, arity, equal_within_band, strictness
+from symell import DomainError
+from symell.bounds import (INEQ_TAGS, THETA_TAGS, arity, bracket, equal_within_band,
+                           strictness, theta_of)
 
 wide = st.floats(min_value=1e-6, max_value=1e6)
 

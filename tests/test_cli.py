@@ -194,6 +194,11 @@ class TestBoundsCheck:
         code, _, _ = run(capsys, "bounds-check", "A3", "0", "1")
         assert code == 2
 
+    def test_unknown_id_exit(self, capsys):
+        code, out, err = run(capsys, "bounds-check", "A99", "1", "1")
+        assert code == 64
+        assert out == "" and "A99" in err
+
 
 class TestTable:
     def test_k_rows(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -47,6 +48,12 @@ class TestRC:
     def test_diagonal(self):
         assert rc(1.0, 1.0) == 1.0
         assert rel(rc(4.0, 4.0), 0.5) < 1e-15
+
+    @pytest.mark.parametrize("y", [5e-324, 1e-320, 2.5e-318])
+    def test_subnormal_diagonal(self, y):
+        # the series cut 1e-6 y underflows to 0 here; this was a bare
+        # ZeroDivisionError
+        assert rc(y, y) == 1.0 / math.sqrt(y)
 
     def test_zero_first_argument(self):
         assert rc(0.0, 1.0) == pytest.approx(math.pi / 2, rel=1e-15)
@@ -362,10 +369,12 @@ class TestValueRange:
         # was inf; mpmath gives 4.30e313
         (rd, (9.513233213501431e-257, 3.3959025741232045e-104, 1.5084659262934478e-267)),
         (rj, (790922910312.0035, 5e-324, 0.0, 5e-324)),   # was inf, through rd: p equals y
+        (rg, (0.0, 5e-324, 1e307)),          # the argument spread overflows
     ])
     def test_convergence_error(self, fn, args):
-        # rj's rows fail inside its delegation to rd, and still name rj
-        with pytest.raises(ConvergenceError, match="^rj:" if fn is rj else None):
+        # rj's rows fail inside its delegation to rd, and rg's inside its
+        # duplication run; each names the function that was called
+        with pytest.raises(ConvergenceError, match=f"^{fn.__name__}:"):
             fn(*args)
 
     def test_normal_values_kept(self):
@@ -373,3 +382,36 @@ class TestValueRange:
         assert rel(rj(1e50, 2e50, 3e50, 4e50),
                    mp.elliprj(1e50, 2e50, 3e50, 4e50)) <= 1e-12
         assert rel(rg(1.0, 2.0, 1e150), mp.elliprg(1.0, 2.0, 1e150)) <= 1e-12
+
+
+def _core_sweep(rng, n):
+    """Rows of four values, log-uniform over 1e-3..1e3, 1e-30..1e30 or
+    1e-300..1e300 (one span a row); about one value in eight is zero and one
+    in eight repeats a value of its row."""
+    for _ in range(n):
+        e = (3.0, 30.0, 300.0)[int(rng.integers(3))]
+        row = [10.0 ** float(rng.uniform(-e, e)) for _ in range(4)]
+        for i in range(4):
+            u = rng.random()
+            if u < 0.125:
+                row[i] = 0.0
+            elif u < 0.25:
+                row[i] = row[int(rng.integers(4))]
+        yield row
+
+
+def test_answers_are_pinned():
+    """A digest of rg, rj, legendre_k and legendre_e on a seeded sweep,
+    floats as hex and failures by type: a change to how the duplication
+    runs are shared or checked must move no answer."""
+    digest = hashlib.sha256()
+    for x, y, z, p in _core_sweep(np.random.default_rng(20), 3000):
+        k = x / (x + y) if x + y else 1.0
+        for fn, args in ((rg, (x, y, z)), (rj, (x, y, z, p)),
+                         (legendre_k, (k,)), (legendre_e, (k,))):
+            try:
+                got = fn(*args).hex()
+            except (ConvergenceError, DomainError) as exc:
+                got = type(exc).__name__
+            digest.update(f"{fn.__name__}{args!r}={got};".encode())
+    assert digest.hexdigest() == "8e8c45880d23a785fcc4e5f4167b071194dfe4fd0b67af668ab93e912dff119b"

@@ -4,8 +4,10 @@
 run on the standard library alone; numpy loads with the quadrature oracle
 (``symell.quadrature``) or the verification harness, and scipy never loads.
 Nor do these paths load ``dataclasses`` or the ``inspect`` it pulls in: the
-records on them are named tuples.  The budget is checked from inside a
-fresh process, which prints the heavy modules it ended up holding.
+records on them are named tuples.  Nor do they load the inequality catalog,
+``symell.bounds``, which only ``bounds-check`` and ``verify`` use.  The
+budget is checked from inside a fresh process, which prints the heavy
+modules it ended up holding.
 """
 
 import pytest
@@ -13,10 +15,12 @@ import pytest
 import symell
 from symell import asym, bounds, core, dispatch, harness, quadrature
 
-# numpy and scipy, and dataclasses with the inspect it pulls in (about 10 ms
-# of a spawn), are the modules a probe reports
+# numpy and scipy, dataclasses with the inspect it pulls in (about 10 ms
+# of a spawn), and symell.bounds (compiled from source on each spawn where
+# bytecode is not written) are the modules a probe reports
 _HEAVY = ('print(sorted(m for m in sys.modules '
-          'if m.split(".")[0] in ("numpy", "scipy", "dataclasses", "inspect")))')
+          'if m.split(".")[0] in ("numpy", "scipy", "dataclasses", "inspect") '
+          'or m == "symell.bounds"))')
 
 _EVALUATE = f"""
 import sys
@@ -73,6 +77,12 @@ class TestImportBudget:
         assert res.returncode == 0, res.stderr
         assert "'numpy'" in res.stdout
         assert "scipy" not in res.stdout
+
+    def test_cli_bounds_check_loads_bounds(self, spawn):
+        # the probe sees symell.bounds when it is there
+        res = spawn("-c", _CLI.format(argv="bounds-check A3 1 1".split()))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip().splitlines()[-1] == "['symell.bounds']"
 
     def test_cli_verify_loads_no_scipy(self, spawn, tmp_path):
         argv = ["verify", "--cases", "C1,A3,identities", "--samples", "2",
