@@ -18,11 +18,15 @@ holds every condition its displayed endpoints need (G1a's upper endpoint
 needs 5a < z).  Gates run on every enclosure and symbol call, so a gate
 formats its RegimeError text, with each float's repr, only when it refuses.
 
-ratio_classes serves the dispatcher: for one argument tuple it checks the
-arguments once and returns a kind's cases whose ratio is in range, grouped
-by cost, where case_ratio answers for one case.  Outside the argument
-window below a ratio can be finite and wrong, so there case_ratio refuses
-and ratio_classes finds no case.
+ratio_classes checks one argument tuple once and returns a kind's cases
+whose ratio is in range, grouped by cost, where case_ratio answers for one
+case.  Outside the argument window below a ratio can be finite and wrong,
+so there case_ratio refuses and ratio_classes finds no case.  The
+dispatcher has checked its request already, so it skips the public
+entries: _ratio_pass is ratio_classes on that checked tuple, returning case
+rows, and _build is enclose for one of those rows, which runs the case's
+gate and the same error boundary but neither the argument checks nor the
+window test again.
 
 theta_window is the symbol entry: from one gate, one bracket and one terms
 computation it inverts a case formula for the realized error symbol given
@@ -909,9 +913,9 @@ _register("G2", "RG", 2, gate=_g2_gate, ratio=_d2_ratio, sample=_d2_sample,
 
 CASE_TAGS = tuple(_CASES)
 
-# (tag, cost, ratio) of the cases of each kind of integral, in catalog order:
-# the row fields that ratio_classes reads, taken out of the rows once
-_KIND_CASES = {kind: tuple((t, c.cost, c.ratio) for t, c in _CASES.items() if c.kind == kind)
+# (case, cost, ratio) of the cases of each kind of integral, in catalog order:
+# the row fields that the ratio pass reads, taken out of the rows once
+_KIND_CASES = {kind: tuple((c, c.cost, c.ratio) for c in _CASES.values() if c.kind == kind)
                for kind in dict.fromkeys(c.kind for c in _CASES.values())}
 
 
@@ -944,21 +948,18 @@ def _in_window(kind: str, vals) -> bool:
     return True
 
 
-def _call(tag: str, args, gated: bool, body, *extra):
-    """``body(case, vals, *extra)`` behind the prologue and the error boundary
-    that every entry point shares: tag lookup, argument checks, where
-    ``gated`` the case's gate, and the argument window.  A float64 failure
-    inside the case formula, an ArithmeticError, a math-domain ValueError,
-    an argument outside the window or, past the gate, a DomainError from an
-    inner evaluator, raises ConvergenceError."""
-    case = _case(tag)
-    kind = case.kind
-    vals = _checked(tag, kind, args)
+def _call(case: _Case, vals, gated: bool, windowed: bool, body, *extra):
+    """``body(case, vals, *extra)`` at checked arguments, behind the error
+    boundary that every entry point and the dispatcher share: where
+    ``gated`` the case's gate, then where ``windowed`` the argument window.
+    A float64 failure inside the case formula, an ArithmeticError, a
+    math-domain ValueError, an argument outside the window or, past the
+    gate, a DomainError from an inner evaluator, raises ConvergenceError."""
     in_body = False
     try:
         if gated:
             case.gate(*vals)
-        if not _in_window(kind, vals):
+        if windowed and not _in_window(case.kind, vals):
             raise OverflowError("an argument lies outside [1e-100, 1e100]")
         in_body = True
         return body(case, vals, *extra)
@@ -967,7 +968,7 @@ def _call(tag: str, args, gated: bool, body, *extra):
     except (ArithmeticError, ValueError) as exc:  # DomainError is a ValueError
         if isinstance(exc, DomainError) and not in_body:
             raise
-        raise ConvergenceError(f"{tag} at {vals} is past float64: {exc}") from exc
+        raise ConvergenceError(f"{case.tag} at {vals} is past float64: {exc}") from exc
 
 
 def _enclosure(case: _Case, vals) -> Enclosure:
@@ -987,7 +988,14 @@ def _enclosure(case: _Case, vals) -> Enclosure:
 
 def enclose(tag: str, *args: float) -> Enclosure:
     """Build the certified enclosure of case ``tag`` at ``args``."""
-    return _call(tag, args, True, _enclosure)
+    case = _case(tag)
+    return _call(case, _checked(tag, case.kind, args), True, True, _enclosure)
+
+
+def _build(case: _Case, vals) -> Enclosure:
+    """enclose for the dispatcher: a case row that _ratio_pass found, at the
+    request's checked arguments, which lie inside the window."""
+    return _call(case, vals, True, False, _enclosure)
 
 
 def _symbol(case: _Case, vals, v: float):
@@ -1032,7 +1040,9 @@ def theta_window(tag: str, args, true_value: float) \
     theta_recover gives them; None where that recovery is ill-conditioned:
     sigma is not finite or exceeds 2 % of the bracket width, or the bracket
     is empty."""
-    return _call(tag, args, True, _window, float(true_value))
+    v = float(true_value)
+    case = _case(tag)
+    return _call(case, _checked(tag, case.kind, args), True, True, _window, v)
 
 
 def _recovered(case: _Case, vals, v: float) -> tuple[float, float]:
@@ -1050,7 +1060,9 @@ def theta_recover(tag: str, args, true_value: float) -> tuple[float, float]:
     collapsed point itself.  A theta that is not finite raises
     ConvergenceError; sigma is inf where the symbol is past float64.
     """
-    return _call(tag, args, True, _recovered, float(true_value))
+    v = float(true_value)
+    case = _case(tag)
+    return _call(case, _checked(tag, case.kind, args), True, True, _recovered, v)
 
 
 def case_kind(tag: str) -> str:
@@ -1059,7 +1071,7 @@ def case_kind(tag: str) -> str:
 
 def kind_cases(kind: str) -> tuple[str, ...]:
     """Tags of the cases that approximate integrals of ``kind``."""
-    return tuple(t for t, _, _ in _KIND_CASES.get(kind, ()))
+    return tuple(c.tag for c, _, _ in _KIND_CASES.get(kind, ()))
 
 
 def _ratio(case: _Case, vals) -> float:
@@ -1071,7 +1083,8 @@ def _ratio(case: _Case, vals) -> float:
 
 def case_ratio(tag: str, *args: float) -> float:
     """Smallness parameter governing the case's enclosure width."""
-    return _call(tag, args, False, _ratio)
+    case = _case(tag)
+    return _call(case, _checked(tag, case.kind, args), False, True, _ratio)
 
 
 def ratio_classes(kind: str, args, ratio_max: float) -> list[tuple[int, list[str]]]:
@@ -1082,20 +1095,25 @@ def ratio_classes(kind: str, args, ratio_max: float) -> list[tuple[int, list[str
     them for one; where case_ratio would raise ConvergenceError, for an
     argument outside the window or a ratio that fails in float64 or is not
     finite, the case is left out."""
-    rows = _KIND_CASES.get(kind)
-    if rows is None:
+    if kind not in _KIND_CASES:
         raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(KIND_ARITY)}")
-    vals = _checked(kind, kind, args)
+    classes = _ratio_pass(kind, _checked(kind, kind, args), ratio_max)
+    return [(cost, [c.tag for c in cases]) for cost, cases in classes]
+
+
+def _ratio_pass(kind: str, vals, ratio_max: float) -> list[tuple[int, list[_Case]]]:
+    """ratio_classes at checked arguments of a known kind, with case rows in
+    place of tags: the dispatcher's entry, which has checked its request."""
     if not _in_window(kind, vals):
         return []
-    classes: dict[int, list[str]] = {}
-    for tag, cost, ratio_of in rows:
+    classes: dict[int, list[_Case]] = {}
+    for case, cost, ratio_of in _KIND_CASES[kind]:
         try:
             ratio = ratio_of(*vals)
         except (ArithmeticError, ValueError):
             continue
         if math.isfinite(ratio) and ratio <= ratio_max:
-            classes.setdefault(cost, []).append(tag)
+            classes.setdefault(cost, []).append(case)
     return sorted(classes.items())
 
 

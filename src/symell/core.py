@@ -126,7 +126,10 @@ def _rc(x: float, y: float) -> float:
     if x <= 2.0 * y:
         # atanh argument <= sqrt(1/2); safe away from 1
         return math.atanh(math.sqrt(d / x)) / math.sqrt(d)
-    return math.log((math.sqrt(x) + math.sqrt(d)) / math.sqrt(y)) / math.sqrt(d)
+    q = (math.sqrt(x) + math.sqrt(d)) / math.sqrt(y)
+    if q == math.inf:  # x/y past float64: the log of the quotient as a difference
+        return (math.log(math.sqrt(x) + math.sqrt(d)) - 0.5 * math.log(y)) / math.sqrt(d)
+    return math.log(q) / math.sqrt(d)
 
 
 def rc_pv(x: float, y_abs: float) -> float:

@@ -11,14 +11,16 @@ narrowest step of a class certifies if any of it does; building the whole
 class is the price of that order.
 
 Asymptotic cases are considered only when their regime ratio is at most
-1e-2 — the territory the containment campaigns certify.  One
-``asym.ratio_classes`` call per request finds them: it checks the
-arguments once, evaluates each case's ratio, and groups the in-ratio cases
-by cost.  A case whose ratio fails in float64 or exceeds 1e-2, or whose
-arguments lie outside asym's window, is left out silently, as are a case
-whose enclosure is refused or fails in float64 (asym raises RegimeError or
-ConvergenceError) and an enclosure whose upper end is not positive; what is
-left out falls through to the reference path.
+1e-2 — the territory the containment campaigns certify.  A request's
+arguments are checked once, when the request is built; one ratio pass per
+request (``asym.ratio_classes`` on that checked tuple) evaluates each
+case's ratio and groups the in-ratio cases by cost, and each enclosure is
+built from its case row and the same tuple, behind the case's gate and
+asym's error boundary.  A case whose ratio fails in float64 or exceeds
+1e-2, or whose arguments lie outside asym's window, is left out silently,
+as are a case whose enclosure is refused or fails in float64 (asym raises
+RegimeError or ConvergenceError) and an enclosure whose upper end is not
+positive; what is left out falls through to the reference path.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
 through the branchy rc evaluation 1e-13, the principal value rc_pv at RC's
@@ -225,21 +227,21 @@ def _walk(req: EvalRequest):
         yield "closed_form", None, 0, cf[1], None, cf[0]
     try:
         cargs = _case_args(req.kind, req.args)
-        classes = asym.ratio_classes(req.kind, cargs, _RATIO_MAX)
+        classes = asym._ratio_pass(req.kind, cargs, _RATIO_MAX)
     except DomainError:
         classes = []
-    for cost, tags in classes:
+    for cost, cases in classes:
         steps = []
-        for tag in tags:
+        for case in cases:
             try:
-                enc = asym.enclose(tag, *cargs)
+                enc = asym._build(case, cargs)
             except _SKIP:
                 continue
             if enc.hi <= 0.0:  # a cancelled integral
                 continue
             hw = 0.5 * enc.rel_width()
             if math.isfinite(hw):
-                steps.append((hw, tag, enc))
+                steps.append((hw, enc.case, enc))
         for hw, tag, enc in sorted(steps, key=lambda s: s[:2]):
             yield "asym", tag, cost, hw + _ASYM_MARGIN, hw, enc
     yield "reference", None, 9, _KIND[req.kind][1], None, None

@@ -55,15 +55,16 @@ def _mixed_batch(rng, rounds):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Tags of the enclosures built while the test runs, in call order."""
+    """Tags of the enclosures the dispatcher builds while the test runs, in
+    call order."""
     tags = []
-    enclose = asym.enclose
+    build = asym._build
 
-    def counting(tag, *args):
-        tags.append(tag)
-        return enclose(tag, *args)
+    def counting(case, vals):
+        tags.append(case.tag)
+        return build(case, vals)
 
-    monkeypatch.setattr(asym, "enclose", counting)
+    monkeypatch.setattr(asym, "_build", counting)
     return tags
 
 
@@ -249,6 +250,60 @@ class TestLazyWalk:
         assert {_costs(req.kind, req.args)[t] for t in built} == {1, 2}
         assert "J2b" not in built
         assert "asym(J2b)" in labels(plan(req))  # cost 3 and in ratio
+
+    def test_one_argument_check_per_request(self, built, monkeypatch):
+        """The request checks its arguments when it is built; the ratio pass
+        and every enclosure run on that checked tuple."""
+        calls = []
+        checked = asym._checked
+
+        def counting(*args):
+            calls.append(args)
+            return checked(*args)
+
+        monkeypatch.setattr(asym, "_checked", counting)
+        evaluate(EvalRequest("RJ", (700.0, 150.0, 0.25, 0.003), 1e-3))
+        assert len(built) >= 2
+        assert calls == [("RJ", "RJ", (700.0, 150.0, 0.25, 0.003))]
+
+
+# an in-window tuple at which the case formula leaves float64
+_PAST_FLOAT64 = {
+    "F1e": (5e-324,), "F1f": (5e-324,), "G1c": (5e-324,),
+    "D4": (1e60, 1e-100, 1e-100),
+    "J2a": (1e-60,) * 4, "J2b": (1e-60,) * 4, "J5": (0.0, 1e-100, 1e-100, 1e-30),
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ConvergenceError, DomainError, RegimeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("tag", asym.CASE_TAGS)
+def test_dispatcher_entry_agrees_with_enclose(tag, draws, monkeypatch):
+    """The dispatcher builds each enclosure from a case row and the request's
+    checked tuple; it gets what asym.enclose gives at that tuple, the same
+    Enclosure or the same error with the same text."""
+    case = asym._case(tag)
+    refused = (0.0,) * asym.KIND_ARITY[case.kind]
+    with pytest.raises((DomainError, RegimeError)):
+        case.gate(*refused)
+    rows = [asym.sample_case(tag, r, draws.lu, draws.coin) for r in (1e-3, 1e-8)]
+    rows += [refused, *([_PAST_FLOAT64[tag]] if tag in _PAST_FLOAT64 else [])]
+    got = [_outcome(asym._build, case, vals) for vals in rows]
+    assert got == [_outcome(asym.enclose, tag, *vals) for vals in rows]
+    assert isinstance(got[0], asym.Enclosure)
+    if tag in _PAST_FLOAT64:
+        assert got[-1][0] is ConvergenceError
+    # every case, past float64 in its terms
+    broken = case._replace(terms=lambda *_: (math.exp(1e3),))
+    monkeypatch.setitem(asym._CASES, tag, broken)
+    got = _outcome(asym._build, broken, rows[0])
+    assert got == _outcome(asym.enclose, tag, *rows[0])
+    assert got == (ConvergenceError, f"{tag} at {rows[0]} is past float64: math range error")
 
 
 class TestContract:

@@ -5,6 +5,7 @@ CLI maps each such failure to its exit code."""
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -230,3 +231,15 @@ def test_principal_value_rc_below_the_normal_range(capsys):
     assert float(value) == pytest.approx(1e-300, rel=1e-13)
     assert main(["eval", "rc", "1e-300", "-1e300"]) == 2
     assert "rc_pv: float64 range exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x, y", [(1e308, 5e-324), (1.7e308, 1e-310)])
+def test_rc_log_branch_past_float64_ratio(capsys, x, y):
+    """rc's log branch took the log of (sqrt(x) + sqrt(x - y))/sqrt(y), which
+    overflows once x/y passes float64, so these returned inf."""
+    with mp.workdps(40):
+        truth = float(mp.elliprc(x, y))
+    assert core.rc(x, y) == pytest.approx(truth, rel=1e-13)
+    assert main(["eval", "rc", repr(x), repr(y)]) == 0
+    value, method, _ = capsys.readouterr().out.split()
+    assert method == "closed_form" and float(value) == pytest.approx(truth, rel=1e-13)
