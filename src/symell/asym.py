@@ -53,7 +53,7 @@ import math
 from typing import Callable, NamedTuple
 
 from ._util import cbrt, widen_down, widen_up
-from .core import agm, rc, rd, rf, rg, rj
+from .core import _rf_complete, _rg_complete, rc, rd, rf, rj
 from .errors import ConvergenceError, DomainError, RegimeError
 
 __all__ = [
@@ -112,11 +112,6 @@ def _gate(cond: bool, fmt: str, *args):
 
 def _ag(x, y):
     return (x + y) / 2.0, math.sqrt(x * y)
-
-
-def _rf_complete(x, y):
-    # first-kind integral with a vanishing argument, via the AGM
-    return math.pi / (2.0 * agm(math.sqrt(x), math.sqrt(y)))
 
 
 # --------------------------------------------------------------------------
@@ -457,7 +452,7 @@ _register("D2b", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
 def _d2c_ab(x, y, z):
     a, g = _ag(x, y)
     t = 6.0 * a * math.sqrt(z) / g ** 3
-    av = 3.0 / math.sqrt(x * y * z) - (6.0 / (x * y)) * rg(x, y, 0.0) + t
+    av = 3.0 / math.sqrt(x * y * z) - (6.0 / (x * y)) * _rg_complete(x, y) + t
     bv = -t * (math.pi / 4.0) * math.sqrt(z / a)
     return av, bv
 
@@ -724,7 +719,7 @@ def _j4c_bracket(x, y, z, p):
 
 def _j4c_ab(x, y, z, p):
     _, g = _ag(x, y)
-    av = (3.0 / g) * rc(z, p) - (6.0 / (x * y)) * rg(x, y, 0.0)
+    av = (3.0 / g) * rc(z, p) - (6.0 / (x * y)) * _rg_complete(x, y)
     return av, 1.5 * math.pi / (x * y)
 
 
@@ -900,7 +895,7 @@ def _g2_bracket(x, y, z):
 
 
 def _g2_ab(x, y, z):
-    return rg(x, y, 0.0), math.pi * z / 8.0
+    return _rg_complete(x, y), math.pi * z / 8.0
 
 
 _register("G2", "RG", 2, gate=_g2_gate, ratio=_d2_ratio, sample=_d2_sample,

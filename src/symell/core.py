@@ -10,7 +10,7 @@ The integrals handled here are the homogeneous symmetric forms
 
 plus the Cauchy principal values rc_pv / rj_pv for a negative last
 argument, the auxiliary function r_minus1, Gauss's arithmetic-geometric
-mean, and Legendre's complete integrals K and E expressed through rf/rg.
+mean, and Legendre's complete integrals K and E.
 
 rf, rd and rj use the standard duplication iteration (argument averaging
 until the Taylor expansion about the common limit converges); rc is pure
@@ -23,13 +23,20 @@ evaluation, so permutation symmetry is bit-exact.  The quadrature-based
 ground truth lives in :mod:`symell.quadrature` and deliberately shares no code
 with this module.
 
+The complete integrals (rf and rg with one zero argument, K, E, agm, and
+the complete terms of asym's cases) take one arithmetic-geometric-mean
+run: with M the mean of sqrt(z) and sqrt(y), RF(0, y, z) = pi/(2M) and
+RG(0, y, z) = pi/(4M) (a1**2 - sum_{n>=2} 2**(n-1) c_n**2) (DLMF 19.8(i),
+19.22; Carlson, arXiv:math/9409227).  The run is scaled by a power of two
+and its iterates stay normal floats, so it cannot overflow or underflow.
+
 All functions return plain finite floats and raise
 :class:`~symell.errors.DomainError` on invalid input.  Where float64
 overflows or underflows inside rf, rd, rj, rg, rc_pv, rj_pv or r_minus1
 (arguments near the ends of the range, where an inner call may get
-arguments outside its own domain), or rc_pv would return a value below
-the normal range (it is exactly 0 only at x = 0) or rd and rj one outside
-it, they raise
+arguments outside its own domain), or rc_pv or agm would return a value
+below the normal range (rc_pv is exactly 0 only at x = 0) or rd and rj
+one outside it, they raise
 :class:`~symell.errors.ConvergenceError` instead of hanging, leaking an
 arithmetic exception or an inner call's DomainError, or returning 0, inf or NaN.
 """
@@ -354,6 +361,43 @@ def _rj_core(x: float, y: float, z: float, p: float) -> float:
 
 
 # --------------------------------------------------------------------------
+# complete integrals: one arithmetic-geometric-mean run
+# --------------------------------------------------------------------------
+
+# stop at c_n <= _AGM_TOL * a_n: the mean is then within eps/16 of a_n
+_AGM_TOL = 2.0 ** -27
+
+
+def _agm_run(a0: float, g0: float) -> tuple[float, float, float, int]:
+    """(a1, M, S, e) for a0, g0 > 0: a1 = (a0 + g0)/2, the mean M and
+    S = sum_{n>=2} 2**(n-1) c_n**2, scaled by 2**-e (S by 4**-e) so that
+    a1 lies in [0.5, 1).  The iterates stay normal while sqrt(a0)*sqrt(g0)
+    and sqrt(g0/a0) are, as at a0 = sqrt(z), g0 = sqrt(y)."""
+    a1, e = math.frexp(0.5 * a0 + 0.5 * g0)
+    a, g = a1, math.ldexp(math.sqrt(a0) * math.sqrt(g0), -e)
+    s, w = 0.0, 1.0
+    while True:
+        c = 0.5 * (a - g)
+        a, g = 0.5 * (a + g), math.sqrt(a * g)
+        w += w
+        s += w * c * c
+        if c <= _AGM_TOL * a:
+            return a1, a, s, e
+
+
+def _rf_complete(y: float, z: float) -> float:
+    """rf(0, y, z) at positive finite y, z: pi / (2 M(sqrt(z), sqrt(y)))."""
+    _, m, _, e = _agm_run(math.sqrt(z), math.sqrt(y))
+    return math.ldexp(math.pi / (2.0 * m), -e)
+
+
+def _rg_complete(y: float, z: float) -> float:
+    """rg(0, y, z) at positive finite y, z: pi/(4M) (a1**2 - S)."""
+    a1, m, s, e = _agm_run(math.sqrt(z), math.sqrt(y))
+    return math.ldexp(math.pi / (4.0 * m) * (a1 * a1 - s), e)
+
+
+# --------------------------------------------------------------------------
 # public evaluators
 # --------------------------------------------------------------------------
 
@@ -361,6 +405,8 @@ def _rj_core(x: float, y: float, z: float, p: float) -> float:
 def rf(x: float, y: float, z: float) -> float:
     """Symmetric integral of the first kind; relative error <= 1e-12."""
     a, b, c = sorted(_sym_args(x, y, z))
+    if a == 0.0:
+        return _rf_complete(b, c)
     try:
         return _rf_core(a, b, c)
     except ArithmeticError as exc:
@@ -441,8 +487,9 @@ def rg(x: float, y: float, z: float) -> float:
     """Completely symmetric integral of the second kind, degree +1/2.
 
     Evaluated through RF and RD with the largest argument in the RD z
-    slot, which keeps the subtracted term single-signed.  Two zero
-    arguments are allowed: rg(0, 0, z) = sqrt(z)/2 is the finite limit.
+    slot, which keeps the subtracted term single-signed, and with one zero
+    argument by the AGM.  Two zero arguments are allowed: rg(0, 0, z) =
+    sqrt(z)/2 is the finite limit.
     """
     vals = []
     for name, v in (("x", x), ("y", y), ("z", z)):
@@ -461,6 +508,8 @@ def _rg(a: float, b: float, c: float) -> float:
     + sqrt(ab/c) (DLMF 19.21.10), RF and RD from one duplication run."""
     if b == 0.0:
         return math.sqrt(c) / 2.0
+    if a == 0.0:
+        return _rg_complete(b, c)
     try:
         rf_v, rd_v = _rf_rd_core(a, b, c)
     except ArithmeticError as exc:
@@ -490,17 +539,21 @@ def r_minus1(x: float, y: float, z: float) -> float:
 
 
 def agm(u: float, v: float) -> float:
-    """Gauss's arithmetic-geometric mean; relative error <= 1e-14."""
+    """Gauss's arithmetic-geometric mean; relative error <= 1e-14, and
+    ConvergenceError below the normal range."""
     u = _as_finite("u", u)
     v = _as_finite("v", v)
     if u <= 0.0 or v <= 0.0:
         raise DomainError(f"agm requires positive arguments, got ({u}, {v})")
-    a, g = (u, v) if u >= v else (v, u)
-    for _ in range(64):
-        if a - g <= 4.0 * _EPS * a:
-            break
-        a, g = 0.5 * (a + g), math.sqrt(a * g)
-    return 0.5 * (a + g)
+    # scaled up below 1, the first step taken here stays normal and leaves
+    # the run a g0/a0 >= 3e-316
+    k = min(math.frexp(max(u, v))[1], 0)
+    u, v = math.ldexp(u, -k), math.ldexp(v, -k)
+    _, m, _, e = _agm_run(0.5 * u + 0.5 * v, math.sqrt(u) * math.sqrt(v))
+    value = math.ldexp(m, e + k)
+    if value < _MIN_NORMAL:
+        raise _range_error("agm", f"value {value!r} is below the normal range")
+    return value
 
 
 def legendre_k(k: float) -> float:
@@ -508,8 +561,7 @@ def legendre_k(k: float) -> float:
     k = _as_finite("k", k)
     if not 0.0 <= k < 1.0:
         raise DomainError(f"legendre_k requires 0 <= k < 1, got {k}")
-    # (1-k)(1+k) rounds to at most 1, so the arguments are in order
-    return _rf_core(0.0, (1.0 - k) * (1.0 + k), 1.0)
+    return _rf_complete((1.0 - k) * (1.0 + k), 1.0)
 
 
 def legendre_e(k: float) -> float:

@@ -513,10 +513,15 @@ def _id_agm_chain(draws):
 
 
 def _id_agm_rf_complete(x, y, _):
-    lhs = core.rf(x, y, 0.0)
-    rhs = math.pi / (2.0 * core.agm(math.sqrt(x), math.sqrt(y)))
+    # Legendre's relation (DLMF 19.7.1) in symmetric form (DLMF 19.21.1,
+    # scaled by homogeneity).  rf with a zero argument and agm run the same
+    # AGM loop, so each is checked against rd's duplication and a closed
+    # form, not against the other
+    lhs = core.rf(x + y, x, 0.0) * core.rd(0.0, x + y, y) + core.rd(0.0, x + y, x) \
+        * math.pi / (2.0 * core.agm(math.sqrt(x + y), math.sqrt(y)))
+    rhs = 1.5 * math.pi / (x * y)
     if _rel_err(lhs, rhs) > 1e-12:
-        return f"agm link off by {_rel_err(lhs, rhs):.2e}"
+        return f"Legendre relation off by {_rel_err(lhs, rhs):.2e}"
     return None
 
 

@@ -243,3 +243,83 @@ def test_rc_log_branch_past_float64_ratio(capsys, x, y):
     assert main(["eval", "rc", repr(x), repr(y)]) == 0
     value, method, _ = capsys.readouterr().out.split()
     assert method == "closed_form" and float(value) == pytest.approx(truth, rel=1e-13)
+
+
+# the complete route: one AGM run for rf and rg with a zero argument, K, E
+# and agm, judged by mpmath at 50 digits (120 digits agree to 1e-50 on these
+# spreads)
+_COMPLETE_SPECIAL = (5e-324, 1e-323, 1e-320, 1e-310, sys.float_info.min, 1e308,
+                     sys.float_info.max)
+
+
+def _complete_pairs(seed, n):
+    """Pairs log-uniform on 1e-300..1e300, 30 % of values from the ends of
+    float64."""
+    rng = np.random.default_rng(seed)
+    rows = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (n, 2)))
+    special = rng.random((n, 2)) < 0.3
+    rows[special] = rng.choice(_COMPLETE_SPECIAL, int(special.sum()))
+    return rows.tolist()
+
+
+def _moduli(seed, n):
+    """k uniform on [0, 1) for half the draws and 1 - 10**U(-16, 0) for the
+    rest, where k' = sqrt((1-k)(1+k)) falls to 1.5e-8."""
+    rng = np.random.default_rng(seed)
+    near_one = 1.0 - 10.0 ** rng.uniform(-16.0, 0.0, n)
+    return np.where(rng.random(n) < 0.5, rng.random(n), near_one).tolist()
+
+
+@pytest.mark.parametrize("fn, truth, rows", [
+    (lambda y, z: core.rf(0.0, y, z), lambda y, z: mp.elliprf(0, y, z), _complete_pairs(11, 600)),
+    (lambda y, z: core.rg(y, 0.0, z), lambda y, z: mp.elliprg(y, 0, z), _complete_pairs(12, 600)),
+    (core.agm, mp.agm, _complete_pairs(13, 2000)),
+    (core.legendre_k, lambda k: mp.ellipk(k * k), [[k] for k in _moduli(14, 2000)]),
+    (core.legendre_e, lambda k: mp.ellipe(k * k), [[k] for k in _moduli(15, 2000)]),
+], ids=["rf0", "rg0", "agm", "legendre_k", "legendre_e"])
+def test_complete_route_on_the_whole_range(fn, truth, rows):
+    """Every value whose true value is normal comes back within 1e-12, with
+    no error: the run keeps its iterates normal.  Duplication refused 101 of
+    the 600 rf(0, y, z) draws and 339 of the rg draws, and missed 1e-12 on
+    21 and 27 others (worst 6.3e-3 and 178 times off); the old agm loop
+    missed on 1,304 of its 2,000 pairs, with inf among them.  A mean below
+    the normal range (agm of two tiny arguments) is a ConvergenceError."""
+    worst = 0.0
+    for args in rows:
+        with mp.workdps(50):
+            t = truth(*map(mp.mpf, args))
+        if t < sys.float_info.min:
+            with pytest.raises(ConvergenceError, match="below the normal range"):
+                fn(*args)
+            continue
+        err = float(abs(fn(*args) - t) / t)
+        assert err <= 1e-12, (args, err)
+        worst = max(worst, err)
+    assert worst > 0.0
+
+
+@pytest.mark.parametrize("fn, args, truth, tol", [
+    # a*g overflowed or underflowed in the old loop: inf, inf and 2.71e-320
+    (core.agm, (1e200, 1e150), "1.3481430934587092487060474118422e198", 1e-14),
+    (core.agm, (1.7e308, 1.7e308), "1.7e308", 1e-14),
+    (core.agm, (1e-300, 1e-310), "6.4344870476013316422880605925585e-302", 1e-14),
+    # sqrt(u)*sqrt(v) is subnormal unless both are scaled up first
+    (core.agm, (3e-305, 5e-324), "1.0557248707033447559461568908747e-306", 1e-14),
+    # duplication refused these: the argument spread overflowed, and the
+    # run needed more than the step cap
+    (core.rg, (0.0, 5e-324, 1e307), "1.5811388300841896549560298581243e153", 1e-12),
+    (core.rf, (0.0, 5e-324, 5e-324), "7.0668772630353430919108272455989e161", 1e-12),
+], ids=["agm-overflow", "agm-dbl-max", "agm-underflow", "agm-prescale", "rg-spread",
+        "rf-step-cap"])
+def test_complete_route_at_the_ends_of_float64(fn, args, truth, tol):
+    """mpmath at 60 digits; each function's own guarantee."""
+    assert fn(*args) == pytest.approx(float(truth), rel=tol, abs=0.0)
+
+
+def test_complete_rg_past_the_old_spread_exits_0(capsys):
+    """`symell eval rg 0 5e-324 1e307` exited 2 (the duplication spread
+    overflowed); the AGM run answers it."""
+    assert main(["eval", "rg", "0", "5e-324", "1e307"]) == 0
+    value, method, guar = capsys.readouterr().out.split()
+    assert (method, guar) == ("reference", "1e-12")
+    assert float(value) == pytest.approx(1.5811388300841896549560298581243e153, rel=1e-12)
