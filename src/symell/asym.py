@@ -10,8 +10,8 @@ interval midpoint.
 The catalog is a registry of case rows, named tuples as the enclosures are:
 kind, cost, gate, smallness ratio, argument sampler, bracket, the formula
 as terms (the arguments to the coefficients, computed once per call) and a
-form, and the expected order-fit slope; the arity and the reference route
-follow from the kind.
+form, the expected order-fit slope, and a complete case's zero argument;
+the arity and the reference route follow from the kind.
 Most forms are affine in the error symbol; the C2/F1e/F1f family is affine
 in log(symbol) instead, and J1b is a multiplicative form.  A case's gate
 holds every condition its displayed endpoints need (G1a's upper endpoint
@@ -27,6 +27,13 @@ entries: _ratio_pass is ratio_classes on that checked tuple, returning case
 rows, and _build is enclose for one of those rows, which runs the case's
 gate and the same error boundary but neither the argument checks nor the
 window test again.
+
+Four cases expand about a vanishing argument: J1b and J4b need z = 0,
+J6complete y = 0 and G1b x = 0.  Each such complete case's row records
+that argument's index, and the ratio pass (so ratio_classes too) leaves the
+case out where the argument is not 0, so the dispatcher builds no
+enclosure that the gate would refuse.  The gates keep the check and its
+text for enclose and theta_window, and case_ratio answers there.
 
 theta_window is the symbol entry: from one gate, one bracket and one terms
 computation it inverts a case formula for the realized error symbol given
@@ -145,9 +152,12 @@ _AFFINE = _Form(lambda c, s: c[0] + c[1] * s,
                 lambda c, v: None if c[1] == 0.0 else (v - c[0]) / c[1],
                 lambda c, v: math.inf if c[1] == 0.0 else 1.0 / abs(c[1]))
 
-# value = a + b*log(kappa*sym) over (a, b, kappa)
+
+# value = a + b*log(kappa*sym) over (a, b, kappa); where b is within the
+# value's own error the value says nothing of sym
 _LOG = _Form(lambda c, s: c[0] + c[1] * math.log(c[2] * s), _log_recover,
-             lambda c, v: abs(_log_recover(c, v) / c[1]))
+             lambda c, v: math.inf if abs(c[1]) <= _VALUE_REL_ERR * abs(v)
+             else abs(_log_recover(c, v) / c[1]))
 
 # J1b's value = c / (1 - sym/p) over (c, p)
 _J1B = _Form(lambda c, s: c[0] / (1.0 - s / c[1]),
@@ -174,15 +184,18 @@ class _Case(NamedTuple):
     # (D2a, J4a, J4b near 0.5); J2a's is near 0, as its lower endpoint
     # does not depend on the ratio
     slope: float
+    # the index of the argument that a complete case expands about, which
+    # its gate requires to be 0; None for every other case
+    zero: int | None
 
 
 _CASES: dict[str, _Case] = {}
 
 
 def _register(tag, kind, cost, gate, ratio, sample, bracket, terms, slope, form=_AFFINE,
-              strict=(True, True)):
+              strict=(True, True), zero=None):
     _CASES[tag] = _Case(tag, kind, cost, strict, gate, ratio, sample, bracket, terms, form,
-                        slope)
+                        slope, zero)
 
 
 # ---- argument samplers -----------------------------------------------------
@@ -431,12 +444,17 @@ _register("D2a", "RD", 1, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
           terms=_d2a_ab, slope=0.52)
 
 
+def _d2_complete(x, y, z):
+    """3/sqrt(xyz) - rd(0, x, y) - rd(0, y, x), the pair by one AGM run:
+    rd(0, x, y) + rd(0, y, x) = 6 rg(0, x, y)/(xy) (DLMF 19.21.10 at x = 0)."""
+    return 3.0 / math.sqrt(x * y * z) - (6.0 / (x * y)) * _rg_complete(x, y)
+
+
 def _d2b_ab(x, y, z):
     _, g = _ag(x, y)
     s = math.sqrt(z / g)
-    av = 3.0 / math.sqrt(x * y * z) - rd(0.0, x, y) - rd(0.0, y, x)
     bv = 3.0 * math.pi * math.sqrt(z) / (2.0 * g * g * (1.0 + s))
-    return av, bv
+    return _d2_complete(x, y, z), bv
 
 
 def _d2b_bracket(x, y, z):
@@ -452,7 +470,7 @@ _register("D2b", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
 def _d2c_ab(x, y, z):
     a, g = _ag(x, y)
     t = 6.0 * a * math.sqrt(z) / g ** 3
-    av = 3.0 / math.sqrt(x * y * z) - (6.0 / (x * y)) * _rg_complete(x, y) + t
+    av = _d2_complete(x, y, z) + t
     bv = -t * (math.pi / 4.0) * math.sqrt(z / a)
     return av, bv
 
@@ -578,7 +596,7 @@ def _j1b_cp(x, y, z, p):
 _register("J1b", "RJ", 1, gate=_j1b_gate, ratio=lambda x, y, z, p: max(x, y) / p,
           sample=lambda r, s, w, *_: (s * w, s / w, 0.0, max(s * w, s / w) / r),
           bracket=lambda x, y, z, p: (math.sqrt(x * y), (x + y) / 2.0),
-          terms=_j1b_cp, form=_J1B, strict=(False, False), slope=1.0)
+          terms=_j1b_cp, form=_J1B, strict=(False, False), slope=1.0, zero=2)
 
 
 def _j2_gate(x, y, z, p):
@@ -705,7 +723,7 @@ def _j4b_ab(x, y, z, p):
 _register("J4b", "RJ", 1, gate=_j4b_gate, ratio=lambda x, y, z, p: p / math.sqrt(x * y),
           sample=lambda r, s, w, *_: (s * w, s / w, 0.0, r * math.sqrt(s * w * (s / w))),
           bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
-          terms=_j4b_ab, strict=(False, False), slope=0.51)
+          terms=_j4b_ab, strict=(False, False), slope=0.51, zero=2)
 
 
 def _j4c_bracket(x, y, z, p):
@@ -807,7 +825,7 @@ def _j6complete_ab(x, y, z, p):
 _register("J6complete", "RJ", 1, gate=_j6complete_gate,
           ratio=lambda x, y, z, p: max(z, p) / x,
           sample=lambda r, s, w, lu, coin: (s, 0.0, *_small_pair(r * s, lu, coin)),
-          bracket=_j6complete_bracket, terms=_j6complete_ab, slope=1.0)
+          bracket=_j6complete_bracket, terms=_j6complete_ab, slope=1.0, zero=1)
 
 
 # ---- RG cases --------------------------------------------------------------
@@ -858,7 +876,7 @@ def _g1b_ab(x, y, z):
 
 _register("G1b", "RG", 1, gate=_g1b_gate, ratio=lambda x, y, z: y / z,
           sample=lambda r, s, *_: (0.0, r * s, s),
-          bracket=_g1b_bracket, terms=_g1b_ab, slope=1.88)
+          bracket=_g1b_bracket, terms=_g1b_ab, slope=1.88, zero=0)
 
 
 def _g1c_bracket(kp):
@@ -908,9 +926,20 @@ _register("G2", "RG", 2, gate=_g2_gate, ratio=_d2_ratio, sample=_d2_sample,
 
 CASE_TAGS = tuple(_CASES)
 
+
+def _ratio_at_zero(case: _Case) -> Callable:
+    """A complete case's ratio where its zero argument is 0, and inf, which
+    no ratio bound admits, where its gate would refuse."""
+    i, ratio = case.zero, case.ratio
+    return lambda *vals: ratio(*vals) if vals[i] == 0.0 else math.inf
+
+
 # (case, cost, ratio) of the cases of each kind of integral, in catalog order:
-# the row fields that the ratio pass reads, taken out of the rows once
-_KIND_CASES = {kind: tuple((c, c.cost, c.ratio) for c in _CASES.values() if c.kind == kind)
+# the row fields that the ratio pass reads, taken out of the rows once, a
+# complete case's ratio wrapped so that the pass leaves it out unless its
+# zero argument is 0
+_KIND_CASES = {kind: tuple((c, c.cost, c.ratio if c.zero is None else _ratio_at_zero(c))
+                           for c in _CASES.values() if c.kind == kind)
                for kind in dict.fromkeys(c.kind for c in _CASES.values())}
 
 
@@ -1089,7 +1118,9 @@ def ratio_classes(kind: str, args, ratio_max: float) -> list[tuple[int, list[str
     The arguments are checked once for all the cases, as case_ratio checks
     them for one; where case_ratio would raise ConvergenceError, for an
     argument outside the window or a ratio that fails in float64 or is not
-    finite, the case is left out."""
+    finite, the case is left out.  So is a complete case (J1b, J4b,
+    J6complete, G1b) whose zero argument is not 0, where its gate refuses,
+    though case_ratio answers there."""
     if kind not in _KIND_CASES:
         raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(KIND_ARITY)}")
     classes = _ratio_pass(kind, _checked(kind, kind, args), ratio_max)

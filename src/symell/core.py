@@ -450,8 +450,11 @@ def rj(x: float, y: float, z: float, p: float) -> float:
             return rd(a, c, b)
         if p == a:
             return rd(b, c, a)
+    except (DomainError, ConvergenceError) as exc:
+        raise _range_error("rj", exc) from exc
+    try:
         value = _rj_core(a, b, c, p)
-    except (ArithmeticError, DomainError, ConvergenceError) as exc:
+    except (ArithmeticError, DomainError) as exc:  # its own range errors name rj already
         raise _range_error("rj", exc) from exc
     if not _MIN_NORMAL <= value <= sys.float_info.max:
         raise _range_error("rj", f"value {value!r} is outside the normal range")

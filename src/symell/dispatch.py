@@ -13,14 +13,15 @@ class is the price of that order.
 Asymptotic cases are considered only when their regime ratio is at most
 1e-2 — the territory the containment campaigns certify.  A request's
 arguments are checked once, when the request is built; one ratio pass per
-request (``asym.ratio_classes`` on that checked tuple) evaluates each
-case's ratio and groups the in-ratio cases by cost, and each enclosure is
-built from its case row and the same tuple, behind the case's gate and
-asym's error boundary.  A case whose ratio fails in float64 or exceeds
-1e-2, or whose arguments lie outside asym's window, is left out silently,
-as are a case whose enclosure is refused or fails in float64 (asym raises
-RegimeError or ConvergenceError) and an enclosure whose upper end is not
-positive; what is left out falls through to the reference path.
+request (``asym._ratio_pass``, ratio_classes on that checked tuple)
+evaluates each case's ratio and groups the in-ratio cases by cost, and each
+enclosure is built from its case row and the same tuple, behind the case's
+gate and asym's error boundary.  Left out silently are a case whose ratio
+fails in float64 or exceeds 1e-2, or whose arguments lie outside asym's
+window; a complete case (J1b, J4b, J6complete, G1b) whose zero argument is
+not 0, unbuilt; a case whose enclosure is refused or fails in float64 (asym
+raises RegimeError or ConvergenceError); and an enclosure whose upper end
+is not positive.  What is left out falls through to the reference path.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
 through the branchy rc evaluation 1e-13, the principal value rc_pv at RC's

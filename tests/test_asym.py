@@ -236,6 +236,26 @@ class TestThetaRecovery:
         # its sigma is inf, so the window sees an ill-conditioned recovery
         assert theta_window(tag, args, v) is None
 
+    @pytest.mark.parametrize("tag, kp", [
+        ("F1e", 3e-8), ("F1e", 1e-9), ("F1e", 1e-12),
+        ("F1f", 3e-5), ("F1f", 2e-6), ("F1f", 3e-8), ("F1f", 1e-9), ("F1f", 1e-12),
+    ])
+    def test_log_symbol_below_the_value_error_is_unknown(self, tag, kp):
+        """Where the symbol's coefficient b is within the value's own error,
+        value = a + b log(kappa sym) says nothing of sym: F1f returned theta
+        0.0 with sigma 0, and F1e theta = k' outside [1, 4], as if recovered."""
+        v = dispatch.case_reference(case_kind(tag), (kp,))
+        b = asym._case(tag).terms(kp)[1]
+        assert abs(b) <= asym._VALUE_REL_ERR * v
+        assert theta_recover(tag, (kp,), v)[1] == math.inf
+        assert theta_window(tag, (kp,), v) is None
+
+    def test_log_symbol_above_the_value_error_is_recovered(self):
+        # F1e at k' = 2e-6 has b = 1e-12, above the value's error of 1.3e-14
+        v = dispatch.case_reference("K", (2e-6,))
+        lo, hi, sigma, theta = theta_window("F1e", (2e-6,), v)
+        assert lo <= theta <= hi and 0.0 < sigma < 0.02 * (hi - lo)
+
     def test_recover_sigma_runs_the_gate(self):
         # sigma is recovered with theta, behind the case's gate: G1a's upper
         # endpoint needs 5a < z; F1a's domain allows one vanishing x, y
@@ -479,10 +499,13 @@ def test_formula_terms_are_computed_once_per_enclosure(monkeypatch):
 
     monkeypatch.setattr(asym, "rj", counted("rj"))
     monkeypatch.setattr(asym, "rd", counted("rd"))
-    # theta_window returns the bracket, sigma and theta from one terms call
+    monkeypatch.setattr(asym, "_rg_complete", counted("_rg_complete"))
+    # theta_window returns the bracket, sigma and theta from one terms call;
+    # D2b's rd(0, x, y) + rd(0, y, x) is one AGM run, as in D2c
     for tag, args, value, expected in (
             ("J2b", (1.0, 2.0, 3.0, 1e-3), core.rj(1.0, 2.0, 3.0, 1e-3), ["rj"]),
-            ("D2b", (1.0, 2.0, 1e-3), core.rd(1.0, 2.0, 1e-3), ["rd", "rd"])):
+            ("D2b", (1.0, 2.0, 1e-3), core.rd(1.0, 2.0, 1e-3), ["_rg_complete"]),
+            ("D2c", (1.0, 2.0, 1e-3), core.rd(1.0, 2.0, 1e-3), ["_rg_complete"])):
         for call in (lambda: enclose(tag, *args), lambda: theta_window(tag, args, value)):
             calls.clear()
             assert call() is not None

@@ -167,11 +167,13 @@ class TestAsym:
         assert code == 64
 
     @pytest.mark.parametrize("argv", [("F1f", "1e-6"), ("C2b", "1", "1e-12"),
-                                      ("C2b", "1", "1e-8")])
+                                      ("C2b", "1", "1e-8"), ("F1f", "3e-8"),
+                                      ("F1e", "3e-8")])
     def test_symbol_past_float64_prints_none(self, capsys, argv):
         # exp((v - a) / b) overflows: no symbol, but the enclosure stands; at
         # C2b (1, 1e-8) the symbol is finite (about 1.9e74), but its
-        # uncertainty dwarfs the bracket [1, 4]
+        # uncertainty dwarfs the bracket [1, 4]; at k' = 3e-8 b is below the
+        # value's own error, and F1f printed theta=0.0
         code, out, _ = run(capsys, "asym", *argv)
         assert code == 0
         fields = dict(kv.split("=") for kv in out.split())
@@ -289,6 +291,15 @@ class TestTable:
         assert code == 0
         doc = json.loads(out)
         assert dict(zip(doc["columns"], doc["rows"][0]))["F1f_theta"] is None
+
+    def test_symbol_below_the_value_error_is_an_empty_cell(self, capsys):
+        # at k' = 3e-8 both values carry nothing of their symbols; F1f's cell
+        # read 0.0, outside its bracket [1, 4]
+        code, out, _ = run(capsys, "table", "--function", "K", "--kprime-grid", "3e-8")
+        assert code == 0
+        header, row = (line.split(",") for line in out.strip().splitlines())
+        cells = dict(zip(header, row))
+        assert cells["F1f_theta"] == cells["F1e_theta"] == ""
 
     def test_ill_conditioned_symbol_is_an_empty_cell(self, capsys):
         # at k' = 1e-4 F1f's symbol is finite but ill-conditioned; F1e's is not

@@ -379,6 +379,20 @@ class TestValueRange:
         with pytest.raises(ConvergenceError, match=f"^{fn.__name__}:"):
             fn(*args)
 
+    @pytest.mark.parametrize("args, text", [
+        # _rj_core's own refusal already names rj; it was wrapped a second time
+        ((1e-90, 1e-270, 1e-200, 1e-30),
+         "rj: float64 range exceeded (no convergence in 100 duplication steps)"),
+        # a refusal of the rd that rj delegates to is wrapped once, naming rj
+        ((1e300, 2e-300, 0.0, 1e300),
+         "rj: float64 range exceeded (rd: float64 range exceeded "
+         "(value 0.0 is outside the normal range))"),
+    ])
+    def test_rj_names_itself_once(self, args, text):
+        with pytest.raises(ConvergenceError) as got:
+            rj(*args)
+        assert str(got.value) == text
+
     def test_normal_values_kept(self):
         assert rel(rd(1e200, 2e200, 3e200), mp.elliprd(1e200, 2e200, 3e200)) <= 1e-12
         assert rel(rj(1e50, 2e50, 3e50, 4e50),

@@ -266,6 +266,24 @@ class TestLazyWalk:
         assert len(built) >= 2
         assert calls == [("RJ", "RJ", (700.0, 150.0, 0.25, 0.003))]
 
+    @pytest.mark.parametrize("kind,zero,nonzero,case", [
+        ("RJ", (1e-6, 2e-6, 0.0, 1.0), (1e-6, 2e-6, 1e-9, 1.0), "J1b"),
+        ("RJ", (1.0, 2.0, 0.0, 1e-6), (1.0, 2.0, 1e-9, 1e-6), "J4b"),
+        ("RJ", (1.0, 0.0, 1e-6, 2e-6), (1.0, 1e-9, 1e-6, 2e-6), "J6complete"),
+        ("RG", (0.0, 1e-6, 1.0), (1e-9, 1e-6, 1.0), "G1b"),
+    ])
+    def test_complete_cases_need_their_zero(self, built, kind, zero, nonzero, case):
+        """A complete case expands about a vanishing argument, and its gate
+        refuses elsewhere; the walk builds it only where that argument is 0,
+        though its ratio is in range at both tuples."""
+        for args in (zero, nonzero):
+            assert asym.case_ratio(case, *args) <= 1e-2
+        # every class of the walk, so that no earlier step stops it
+        plan(EvalRequest(kind, nonzero, 1e-3))
+        assert case not in built
+        steps = plan(EvalRequest(kind, zero, 1e-3))
+        assert case in built and f"asym({case})" in labels(steps)
+
 
 # an in-window tuple at which the case formula leaves float64
 _PAST_FLOAT64 = {
@@ -407,11 +425,16 @@ class TestRecords:
         assert copy.copy(req) == req == pickle.loads(pickle.dumps(req))
 
 
+# each complete case and the index of the argument its gate requires to be 0
+_COMPLETE = {"J1b": 2, "J4b": 2, "J6complete": 1, "G1b": 0}
+
+
 def test_ratio_pass_matches_per_case_ratios():
     """One ratio pass per request gives the cost classes that a case_ratio
     call per case gives under the walk's skip rules, on the whole float64
     range: log-uniform 1e-300..1e300, zeros, subnormals, DBL_MAX and a few
-    negatives."""
+    negatives.  A complete case is left out where the argument it expands
+    about is not 0."""
     rng = np.random.default_rng(3)
     costs = {}   # each case's cost, from the first ratio pass that finds it
     for kind in asym.KIND_ARITY:
@@ -426,6 +449,8 @@ def test_ratio_pass_matches_per_case_ratios():
         for args in rows.tolist():
             classes = {}
             for tag in asym.kind_cases(kind):
+                if tag in _COMPLETE and args[_COMPLETE[tag]] != 0.0:
+                    continue
                 try:
                     if asym.case_ratio(tag, *args) > 1e-2:
                         continue

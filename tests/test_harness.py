@@ -93,8 +93,10 @@ def test_sampler_digests_cover_every_case():
 # symbol entries of asym shared one body (C2c's and F1b's when they became
 # C2a's and F1a's rows, which gave them a theta; G2, D2c, J4c and J1b again
 # when their complete rg and rf terms moved to the AGM run, which moved the
-# last digits of some max_rel_width); a change to a sampler, an enclosure,
-# the oracle or the theta classification changes its digest
+# last digits of some max_rel_width; D2b again when its rd(0, x, y) +
+# rd(0, y, x) became D2c's AGM term, with the same effect); a change to a
+# sampler, an enclosure, the oracle or the theta classification changes its
+# digest
 _CONTAINMENT_DIGESTS = {
     "C1": "69213e50df5c3c6a",
     "C2a": "f2cf2c15265fa5c9",
@@ -109,7 +111,7 @@ _CONTAINMENT_DIGESTS = {
     "F2a": "c0766fa846ba3427",
     "D1": "b02ad7ef38964332",
     "D2a": "ade31227c4da90ac",
-    "D2b": "4454f6a5a5fc53b2",
+    "D2b": "39677bae44f29673",
     "D2c": "83aa478403086451",
     "D3": "9748434fa0161906",
     "D4": "5494aa4d804de100",

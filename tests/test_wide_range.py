@@ -323,3 +323,28 @@ def test_complete_rg_past_the_old_spread_exits_0(capsys):
     value, method, guar = capsys.readouterr().out.split()
     assert (method, guar) == ("reference", "1e-12")
     assert float(value) == pytest.approx(1.5811388300841896549560298581243e153, rel=1e-12)
+
+
+def _d2b_rows(seed, n):
+    """D2b tuples inside the argument window: x/y skew log-uniform up to 1e8
+    for half the rows and up to 1e190 for the rest, sqrt(xy) log-uniform on
+    1e-4..1e4, and the ratio z/sqrt(xy) log-uniform on 1e-12..1e-2."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        skew = 10.0 ** rng.uniform(0.0, 8.0 if i % 2 else 190.0)
+        g = 10.0 ** rng.uniform(-4.0, 4.0)
+        x, y = g * math.sqrt(skew), g / math.sqrt(skew)
+        if rng.random() < 0.5:
+            x, y = y, x
+        yield x, y, 10.0 ** rng.uniform(-12.0, -2.0) * math.sqrt(x * y)
+
+
+def test_d2b_contains_rd_at_any_skew():
+    """D2b's value term rd(0, x, y) + rd(0, y, x) is one AGM run,
+    6 rg(0, x, y)/(xy).  Every tuple gets an enclosure, with no error of any
+    type, and each holds RD by mpmath at 60 digits."""
+    for x, y, z in _d2b_rows(23, 400):
+        enc = asym.enclose("D2b", x, y, z)
+        with mp.workdps(60):
+            truth = mp.elliprd(x, y, z)
+        assert enc.lo <= truth <= enc.hi, ((x, y, z), enc)
