@@ -4,11 +4,12 @@ Floats are written with 17 significant digits, which round-trips every
 double exactly: parsing the emitted text and re-emitting it is
 byte-identical.  Dict keys keep their construction order (the schemas fix
 the canonical order); plain text uses repr's shortest round-trip form.
+Only strings are quoted by ``json``, which is imported on the first
+quote, so plain output spares each process its import.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 
@@ -16,6 +17,12 @@ def fmt_float(v: float) -> str:
     if isinstance(v, float) and not math.isfinite(v):
         raise ValueError(f"cannot serialize non-finite float {v!r}")
     return format(v, ".17g")
+
+
+def _quote(s: str) -> str:
+    import json
+
+    return json.dumps(s)
 
 
 def dumps(obj) -> str:
@@ -30,9 +37,9 @@ def dumps(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, dict):
-        items = ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in obj.items())
+        items = ",".join(f"{_quote(str(k))}:{dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"

@@ -8,6 +8,11 @@ slack = max(4 * quadrature error estimate, 2e-13 * |value|), since the
 sharpest enclosures at ratio 1e-7 are narrower than anything float64
 quadrature can resolve.
 
+A campaign looks its case row up in ``asym`` once and runs the row's
+sampler, enclosure and symbol window on it (``asym._sample``, ``_enclose``
+and ``_theta_window``): per sample, the gate and the argument window run,
+but no lookup by tag and no check of the sampler's own arguments.
+
 Bracket-realization statistics recover the error symbol from the reference
 value per sample; samples whose recovery is ill-conditioned (symbol
 uncertainty above 2% of the bracket width) are counted separately instead
@@ -243,10 +248,10 @@ def reference_value(tag: str, args) -> float:
     return dispatch.case_reference(asym.case_kind(tag), args)
 
 
-def _oracle_values(tag: str, rows) -> list[tuple[float, float]]:
+def _oracle_values(kind: str, rows) -> list[tuple[float, float]]:
     """Oracle (value, error estimate) at each of a case's argument rows, as
-    one batch: every row of a case takes the same kind route."""
-    routes = [asym.reference_route(asym.case_kind(tag), args) for args in rows]
+    one batch: every row of a case takes its ``kind``'s route."""
+    routes = [asym.reference_route(kind, args) for args in rows]
     if not routes:
         return []
     kind, _, factor = routes[0]
@@ -254,10 +259,10 @@ def _oracle_values(tag: str, rows) -> list[tuple[float, float]]:
             quad_oracle.oracle_batch(kind, [args for _, args, _ in routes])]
 
 
-def _theta_classify(tag, args, report):
+def _theta_classify(case, args, report):
     stats = report.theta
-    value = reference_value(tag, args)
-    window = asym.theta_window(tag, args, value)
+    value = dispatch.case_reference(case.kind, args)
+    window = asym._theta_window(case, args, value)
     if window is None:
         stats["ill_conditioned"] = stats.get("ill_conditioned", 0) + 1
         return
@@ -273,24 +278,24 @@ def _theta_classify(tag, args, report):
                         "bracket": [slo, shi]})
 
 
-def _enclosures(campaign: Campaign, report: CampaignReport):
-    """Yield (ratio, args, enclosure) for each in-regime sample.
+def _enclosures(case, campaign: Campaign, report: CampaignReport):
+    """Yield (ratio, args, enclosure) for each in-regime sample of the case
+    row ``case``, drawn by its sampler and enclosed on the row.
 
     Counts gated and evaluated samples on ``report`` and records the largest
     finite relative width per ratio.
     """
-    tag = campaign.case
-    if tag not in asym.CASE_TAGS:
-        raise DomainError(f"unknown case {tag!r}")
-    index = asym.CASE_TAGS.index(tag)
+    index = asym.CASE_TAGS.index(case.tag)
+    sample, enclose = asym._sample, asym._enclose
     for ri, ratio in enumerate(campaign.ratios):
         draws = Draws(np.random.default_rng(
             np.random.SeedSequence([campaign.seed, index, ri])))
+        lu, coin = draws.lu, draws.coin
         wmax = 0.0
         for _ in range(campaign.samples):
-            args = sample_args(tag, ratio, draws)
+            args = sample(case, ratio, lu, coin)
             try:
-                enc = asym.enclose(tag, *args)
+                enc = enclose(case, args)
             except RegimeError:
                 report.gated += 1
                 continue
@@ -304,18 +309,18 @@ def _enclosures(campaign: Campaign, report: CampaignReport):
 
 def run_containment(campaign: Campaign) -> CampaignReport:
     """Sample in-regime tuples and assert the oracle lies in every enclosure."""
-    tag = campaign.case
-    report = CampaignReport(tag, "containment", campaign.seed, campaign.ratios,
+    case = asym._case(campaign.case)
+    report = CampaignReport(case.tag, "containment", campaign.seed, campaign.ratios,
                             campaign.samples)
     t0 = time.perf_counter()
-    samples = list(_enclosures(campaign, report))
-    values = _oracle_values(tag, [args for _, args, _ in samples])
+    samples = list(_enclosures(case, campaign, report))
+    values = _oracle_values(case.kind, [args for _, args, _ in samples])
     for (ratio, args, enc), (value, err) in zip(samples, values):
         if not enc.contains(value, containment_slack(err, value)):
             report.violate({"kind": "containment", "ratio": ratio, "args": list(args),
                             "oracle": value, "lo": enc.lo, "hi": enc.hi})
         if ratio in THETA_RATIOS:
-            _theta_classify(tag, args, report)
+            _theta_classify(case, args, report)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -324,13 +329,14 @@ def run_order_fit(case: str, seed: int = 42) -> CampaignReport:
     """Least-squares slope of log(max relative width) against log(ratio) at
     _ORDER_SAMPLES samples on each of _ORDER_RATIOS, judged against the slope
     on the case's row, which was fitted there."""
+    row = asym._case(case)
     report = CampaignReport(case, "order", seed, _ORDER_RATIOS, _ORDER_SAMPLES)
     t0 = time.perf_counter()
-    for _ in _enclosures(Campaign(case, _ORDER_RATIOS, _ORDER_SAMPLES, seed), report):
+    for _ in _enclosures(row, Campaign(case, _ORDER_RATIOS, _ORDER_SAMPLES, seed), report):
         pass
     xs, ys = zip(*[(r, w) for r, w in report.max_rel_width.items() if w > 0.0])
     report.slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-    report.expected = expected_slope(case)
+    report.expected = row.slope
     report.wall_time = time.perf_counter() - t0
     return report
 

@@ -500,10 +500,13 @@ def test_formula_terms_are_computed_once_per_enclosure(monkeypatch):
     monkeypatch.setattr(asym, "rj", counted("rj"))
     monkeypatch.setattr(asym, "rd", counted("rd"))
     monkeypatch.setattr(asym, "_rg_complete", counted("_rg_complete"))
+    monkeypatch.setattr(asym, "rc", counted("rc"))
     # theta_window returns the bracket, sigma and theta from one terms call;
-    # D2b's rd(0, x, y) + rd(0, y, x) is one AGM run, as in D2c
+    # D2b's rd(0, x, y) + rd(0, y, x) is one AGM run, as in D2c; J4a's terms
+    # take rc(z, p) once and rc(z, g)
     for tag, args, value, expected in (
             ("J2b", (1.0, 2.0, 3.0, 1e-3), core.rj(1.0, 2.0, 3.0, 1e-3), ["rj"]),
+            ("J4a", (1.0, 2.0, 1e-3, 2e-3), core.rj(1.0, 2.0, 1e-3, 2e-3), ["rc", "rc"]),
             ("D2b", (1.0, 2.0, 1e-3), core.rd(1.0, 2.0, 1e-3), ["_rg_complete"]),
             ("D2c", (1.0, 2.0, 1e-3), core.rd(1.0, 2.0, 1e-3), ["_rg_complete"])):
         for call in (lambda: enclose(tag, *args), lambda: theta_window(tag, args, value)):

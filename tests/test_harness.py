@@ -140,6 +140,92 @@ def test_containment_reports_are_pinned(tag):
     assert hashlib.sha256(dumps(doc).encode()).hexdigest()[:16] == _CONTAINMENT_DIGESTS[tag]
 
 
+# sha256 prefix of each case's order-fit report at seed 42 (canonical JSON
+# without wall_time), taken before campaigns looked their case row up once;
+# the fit shares the containment campaign's samples and enclosures, so a
+# change to a sampler or an enclosure changes its digest, as does one to
+# the widths or the fitted slope
+_ORDER_DIGESTS = {
+    "C1": "fefef002b03b3735",
+    "C2a": "4e532644dbe46a32",
+    "C2b": "f02c9c14cd031ed6",
+    "C2c": "6cfbe4c26815d2b8",
+    "F1a": "ef1375cecd8ff947",
+    "F1b": "2e1a63c37616939a",
+    "F1c": "db157e7d98afa891",
+    "F1d": "55ee29fe2a480f7c",
+    "F1e": "19cc0f918dfe4e2b",
+    "F1f": "5ed7ce62f5f87f2c",
+    "F2a": "f7a016f080dc9d35",
+    "D1": "1d7b63e936709656",
+    "D2a": "5d5128b36e49a7b3",
+    "D2b": "4d5fa874a70df7b3",
+    "D2c": "751ba952149ec22a",
+    "D3": "c8a82d62bf99a437",
+    "D4": "3dd11a018f283810",
+    "J1a": "4bbb038620e6b33f",
+    "J1b": "9f185ea7a3dc8187",
+    "J2a": "4f97b3fd88d7a58c",
+    "J2b": "4f5901136269d30e",
+    "J3": "12c2ba8424ad1b7d",
+    "J4a": "84a981718ec0ac93",
+    "J4b": "4b17e39f541c6eb0",
+    "J4c": "08b94472d70cd111",
+    "J5": "c952875524a07568",
+    "J6a": "73c7288de2ee615c",
+    "J6complete": "bbde41690da93d35",
+    "G1a": "5c272b20d1e19ab2",
+    "G1b": "b4fcf9a05a392985",
+    "G1c": "f3063f9c40a0f6bb",
+    "G2": "60611ebf552a306c",
+}
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_order_fit_reports_are_pinned(tag):
+    doc = run_order_fit(tag, seed=42).to_dict()
+    doc.pop("wall_time")
+    assert hashlib.sha256(dumps(doc).encode()).hexdigest()[:16] == _ORDER_DIGESTS[tag]
+
+
+def test_order_digests_cover_every_case():
+    assert tuple(_ORDER_DIGESTS) == CASE_TAGS
+
+
+def test_samples_are_floats_of_their_rows_arity():
+    # campaigns enclose their sampler's tuples without the argument check
+    # that the public entries make, which needs exactly these
+    for tag in CASE_TAGS:
+        arity = asym.KIND_ARITY[asym.case_kind(tag)]
+        for seed in (1, 2, 3, 4):
+            draws = Draws(np.random.default_rng(seed))
+            for e in range(2, 31, 2):
+                for _ in range(5):
+                    args = sample_args(tag, 10.0 ** -e, draws)
+                    assert type(args) is tuple and len(args) == arity, (tag, args)
+                    assert all(type(a) is float for a in args), (tag, args)
+
+
+def test_campaign_looks_its_row_up_once(monkeypatch):
+    calls = {"_case": 0, "_checked": 0}
+
+    def counted(name):
+        real = getattr(asym, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(asym, name, counted(name))
+    rep = run_containment(Campaign("J4a", samples=10, seed=42))
+    assert rep.evaluated == 60 and rep.theta
+    assert calls == {"_case": 1, "_checked": 0}
+    run_order_fit("F1a", seed=1)
+    assert calls == {"_case": 2, "_checked": 0}
+
+
 def test_containment_small_campaign():
     rep = run_containment(Campaign("F1a", (1e-2, 1e-4), samples=40, seed=11))
     assert rep.violations == 0
@@ -168,13 +254,13 @@ def test_containment_gating_reported():
 def test_non_positive_enclosure_is_a_violation(monkeypatch):
     # a case formula that comes out negative is checked against the oracle,
     # not gated: every integral in the catalog is positive
-    real = asym.enclose
+    real = asym._enclose
 
-    def negated(tag, *args):
-        enc = real(tag, *args)
+    def negated(case, args):
+        enc = real(case, args)
         return enc._replace(lo=-enc.hi, hi=-enc.lo, estimate=-enc.estimate)
 
-    monkeypatch.setattr(asym, "enclose", negated)
+    monkeypatch.setattr(asym, "_enclose", negated)
     rep = run_containment(Campaign("F1a", (1e-3,), samples=10, seed=11))
     assert (rep.evaluated, rep.gated, rep.violations) == (10, 0, 10)
     assert {s["kind"] for s in rep.violation_samples} == {"containment"}

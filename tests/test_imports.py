@@ -40,6 +40,12 @@ except SystemExit as exc:
 
 _CLI_EVAL = _CLI.format(argv="eval rj 1e-8 2e-8 1 3 --json".split())
 
+# plain `symell eval` output quotes no string, so it leaves json unimported
+# (about 3 ms of a spawn); --json output imports it to quote its strings
+_EVAL_RF_JSON = ('{"kind":"RF","args":[1,2,4],"rel_tol":1.0000000000000001e-09,'
+                 '"value":0.68508581663343593,"method":"reference",'
+                 '"guaranteed_rel_err":9.9999999999999998e-13,"enclosure":null}')
+
 _ORACLE = f"""
 import sys
 from symell.quadrature import oracle_batch
@@ -61,6 +67,14 @@ class TestImportBudget:
         lines = res.stdout.strip().splitlines()
         assert '"method"' in lines[0]  # the eval JSON came first
         assert lines[-1] == "[]"
+
+    @pytest.mark.parametrize("argv, first, loads_json", [
+        ("eval rf 1 2 4", "0.6850858166334359 reference 1e-12", False),
+        ("eval rf 1 2 4 --json", _EVAL_RF_JSON, True)])
+    def test_cli_eval_imports_json_for_json_output_only(self, spawn, argv, first, loads_json):
+        res = spawn("-c", _CLI.format(argv=argv.split()) + '\nprint("json" in sys.modules)')
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == [first, "[]", str(loads_json)]
 
     @pytest.mark.parametrize("argv", ["asym F1a 0.01 0.01 1",
                                       "table --function K --kprime-grid 0.1"])
