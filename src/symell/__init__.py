@@ -7,12 +7,10 @@ from .core import (
     legendre_k,
     r_minus1,
     rc,
-    rc_pv,
     rd,
     rf,
     rg,
     rj,
-    rj_pv,
 )
 from .asym import (
     CASE_TAGS,
@@ -41,12 +39,10 @@ __all__ = [
     "legendre_k",
     "r_minus1",
     "rc",
-    "rc_pv",
     "rd",
     "rf",
     "rg",
     "rj",
-    "rj_pv",
     "CASE_TAGS",
     "Enclosure",
     "case_ratio",

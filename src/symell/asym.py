@@ -18,26 +18,26 @@ holds every condition its displayed endpoints need (G1a's upper endpoint
 needs 5a < z).  Gates run on every enclosure and symbol call, so a gate
 formats its RegimeError text, with each float's repr, only when it refuses.
 
-ratio_classes checks one argument tuple once and returns a kind's cases
-whose ratio is in range, grouped by cost, where case_ratio answers for one
-case.  Outside the argument window below a ratio can be finite and wrong,
-so there case_ratio refuses and ratio_classes finds no case.  The
+case_ratio answers for one case.  Outside the argument window below a
+ratio can be finite and wrong, so there case_ratio refuses.  The
 dispatcher has checked its request already, so it skips the public
-entries: _ratio_pass is ratio_classes on that checked tuple, returning case
-rows, and _build is enclose for one of those rows, which runs the case's
+entries: _ratio_pass takes that checked tuple and returns a kind's case
+rows whose ratio is in range, grouped by cost, and finds none outside the
+window; _build is enclose for one of those rows, which runs the case's
 gate and the same error boundary but neither the argument checks nor the
 window test again.  A verification campaign looks its case row up once and
-runs it through _sample, _enclose and _theta_window, which are sample_case,
-enclose and theta_window for that row: its sampler draws floats of its
+runs it through _sample, _enclose and _theta_window: _sample draws one
+in-regime argument tuple with the ratio pinned, and the other two are
+enclose and theta_window for that row.  Its sampler draws floats of its
 arity, so they skip the argument checks but keep the gate and the window
 test, as the ratios a campaign pins come from the user.
 
 Four cases expand about a vanishing argument: J1b and J4b need z = 0,
 J6complete y = 0 and G1b x = 0.  Each such complete case's row records
-that argument's index, and the ratio pass (so ratio_classes too) leaves the
-case out where the argument is not 0, so the dispatcher builds no
-enclosure that the gate would refuse.  The gates keep the check and its
-text for enclose and theta_window, and case_ratio answers there.
+that argument's index, and the ratio pass leaves the case out where the
+argument is not 0, so the dispatcher builds no enclosure that the gate
+would refuse.  The gates keep the check and its text for enclose and
+theta_window, and case_ratio answers there.
 
 theta_window is the symbol entry: from one gate, one bracket and one terms
 computation it inverts a case formula for the realized error symbol given
@@ -75,9 +75,7 @@ __all__ = [
     "case_ratio",
     "enclose",
     "kind_cases",
-    "ratio_classes",
     "reference_route",
-    "sample_case",
     "theta_recover",
     "theta_window",
 ]
@@ -176,7 +174,7 @@ class _Case(NamedTuple):
     strict: tuple[bool, bool]
     gate: Callable
     ratio: Callable
-    sample: Callable             # (ratio, s, w, lu, coin) -> args, see sample_case
+    sample: Callable             # (ratio, s, w, lu, coin) -> args, see _sample
     bracket: Callable            # args -> (sym_lo, sym_hi)
     terms: Callable              # args -> coefficients of form
     form: _Form
@@ -1029,7 +1027,8 @@ def _build(case: _Case, vals) -> Enclosure:
 
 
 def _sample(case: _Case, ratio: float, lu, coin) -> tuple:
-    """sample_case for a case row: s is drawn before w."""
+    """One in-regime argument tuple of a case row with its ratio pinned,
+    from the draws ``lu(lo, hi)`` and ``coin()``; s is drawn before w."""
     return case.sample(ratio, lu(1e-3, 1e3), lu(0.1, 10.0), lu, coin)
 
 
@@ -1133,25 +1132,11 @@ def case_ratio(tag: str, *args: float) -> float:
     return _call(case, _checked(tag, case.kind, args), False, True, _ratio)
 
 
-def ratio_classes(kind: str, args, ratio_max: float) -> list[tuple[int, list[str]]]:
-    """(cost, tags) of the cases of ``kind`` whose ratio at ``args`` is at
-    most ``ratio_max``, cheapest first and in catalog order within a cost.
-
-    The arguments are checked once for all the cases, as case_ratio checks
-    them for one; where case_ratio would raise ConvergenceError, for an
-    argument outside the window or a ratio that fails in float64 or is not
-    finite, the case is left out.  So is a complete case (J1b, J4b,
-    J6complete, G1b) whose zero argument is not 0, where its gate refuses,
-    though case_ratio answers there."""
-    if kind not in _KIND_CASES:
-        raise DomainError(f"unknown kind {kind!r}; expected one of {tuple(KIND_ARITY)}")
-    classes = _ratio_pass(kind, _checked(kind, kind, args), ratio_max)
-    return [(cost, [c.tag for c in cases]) for cost, cases in classes]
-
-
 def _ratio_pass(kind: str, vals, ratio_max: float) -> list[tuple[int, list[_Case]]]:
-    """ratio_classes at checked arguments of a known kind, with case rows in
-    place of tags: the dispatcher's entry, which has checked its request."""
+    """(cost, case rows) of the cases of ``kind`` whose ratio at the checked
+    ``vals`` is at most ``ratio_max``, cheapest first and in catalog order
+    within a cost.  Left out are a case where case_ratio would raise
+    ConvergenceError and a complete case whose zero argument is not 0."""
     if not _in_window(kind, vals):
         return []
     classes: dict[int, list[_Case]] = {}
@@ -1163,12 +1148,6 @@ def _ratio_pass(kind: str, vals, ratio_max: float) -> list[tuple[int, list[_Case
         if math.isfinite(ratio) and ratio <= ratio_max:
             classes.setdefault(cost, []).append(case)
     return sorted(classes.items())
-
-
-def sample_case(tag: str, ratio: float, lu, coin) -> tuple:
-    """One in-regime argument tuple of case ``tag`` with its ratio pinned,
-    from the draws ``lu(lo, hi)`` and ``coin()``; s is drawn before w."""
-    return _sample(_case(tag), ratio, lu, coin)
 
 
 def reference_route(kind: str, args) -> tuple[str, tuple, float]:

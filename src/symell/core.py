@@ -8,9 +8,10 @@ The integrals handled here are the homogeneous symmetric forms
     rg(x, y, z)      second kind,      degree +1/2, fully symmetric
     rc(x, y)         degenerate rf(x, y, y), elementary closed forms
 
-plus the Cauchy principal values rc_pv / rj_pv for a negative last
-argument, the auxiliary function r_minus1, Gauss's arithmetic-geometric
-mean, and Legendre's complete integrals K and E.
+plus the auxiliary function r_minus1, Gauss's arithmetic-geometric mean,
+and Legendre's complete integrals K and E.  At a negative last argument rc
+and rj return their Cauchy principal values, as Carlson defines them
+(arXiv:math/9409227) and as scipy's elliprc and elliprj do.
 
 rf, rd and rj use the standard duplication iteration (argument averaging
 until the Taylor expansion about the common limit converges); rc is pure
@@ -32,11 +33,11 @@ and its iterates stay normal floats, so it cannot overflow or underflow.
 
 All functions return plain finite floats and raise
 :class:`~symell.errors.DomainError` on invalid input.  Where float64
-overflows or underflows inside rf, rd, rj, rg, rc_pv, rj_pv or r_minus1
-(arguments near the ends of the range, where an inner call may get
-arguments outside its own domain), or rc_pv or agm would return a value
-below the normal range (rc_pv is exactly 0 only at x = 0) or rd and rj
-one outside it, they raise
+overflows or underflows inside rf, rd, rj, rg, rc's principal value or
+r_minus1 (arguments near the ends of the range, where an inner call may get
+arguments outside its own domain), or rc's principal value or agm would
+return a value below the normal range (it is exactly 0 only at x = 0) or
+rd and rj one outside it, they raise
 :class:`~symell.errors.ConvergenceError` instead of hanging, leaking an
 arithmetic exception or an inner call's DomainError, or returning 0, inf or NaN.
 """
@@ -50,11 +51,9 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "rc",
-    "rc_pv",
     "rf",
     "rd",
     "rj",
-    "rj_pv",
     "rg",
     "r_minus1",
     "agm",
@@ -103,7 +102,8 @@ _RC_SERIES_CUT = 1e-6
 
 
 def rc(x: float, y: float) -> float:
-    """Degenerate integral rf(x, y, y), y > 0, by closed forms.
+    """Degenerate integral rf(x, y, y), y > 0, by closed forms; at y < 0
+    its Cauchy principal value sqrt(x/(x-y)) rc(x-y, -y), 0.0 only at x = 0.
 
     Inverse-circular branch for x < y, inverse-hyperbolic for x > y,
     x**-0.5 on the diagonal, and a short series just off the diagonal.
@@ -111,9 +111,23 @@ def rc(x: float, y: float) -> float:
     """
     x = _as_finite("x", x)
     y = _as_finite("y", y)
-    if x < 0.0 or y <= 0.0:
-        raise DomainError(f"rc requires x >= 0 and y > 0, got ({x}, {y})")
-    return _rc(x, y)
+    if x < 0.0 or y == 0.0:
+        raise DomainError(f"rc requires x >= 0 and y != 0, got ({x}, {y})")
+    if y > 0.0:
+        return _rc(x, y)
+    if x == 0.0:
+        return 0.0
+    y_abs = -y
+    q = x / (x + y_abs)
+    # a quotient below the normal range has lost digits; the square roots have not
+    r = math.sqrt(q) if q >= _MIN_NORMAL else math.sqrt(x) / math.sqrt(x + y_abs)
+    try:
+        value = r * rc(x + y_abs, y_abs)
+    except DomainError as exc:  # x + y_abs overflows
+        raise _range_error("rc", exc) from exc
+    if not value >= _MIN_NORMAL:
+        raise _range_error("rc", f"value {value!r} is below the normal range")
+    return value
 
 
 def _rc(x: float, y: float) -> float:
@@ -137,26 +151,6 @@ def _rc(x: float, y: float) -> float:
     if q == math.inf:  # x/y past float64: the log of the quotient as a difference
         return (math.log(math.sqrt(x) + math.sqrt(d)) - 0.5 * math.log(y)) / math.sqrt(d)
     return math.log(q) / math.sqrt(d)
-
-
-def rc_pv(x: float, y_abs: float) -> float:
-    """Cauchy principal value rc(x, -y_abs) for y_abs > 0; 0.0 only at x = 0."""
-    x = _as_finite("x", x)
-    y_abs = _as_finite("y_abs", y_abs)
-    if x < 0.0 or y_abs <= 0.0:
-        raise DomainError(f"rc_pv requires x >= 0 and y_abs > 0, got ({x}, {y_abs})")
-    if x == 0.0:
-        return 0.0
-    q = x / (x + y_abs)
-    # a quotient below the normal range has lost digits; the square roots have not
-    r = math.sqrt(q) if q >= _MIN_NORMAL else math.sqrt(x) / math.sqrt(x + y_abs)
-    try:
-        value = r * rc(x + y_abs, y_abs)
-    except DomainError as exc:  # x + y_abs overflows
-        raise _range_error("rc_pv", exc) from exc
-    if not value >= _MIN_NORMAL:
-        raise _range_error("rc_pv", f"value {value!r} is below the normal range")
-    return value
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +332,7 @@ def _rj_core(x: float, y: float, z: float, p: float) -> float:
         em = delta / (f3 * dm * dm)
         yc = 1.0 + em
         if not 0.0 < yc < math.inf:
-            rc(1.0, yc)  # not a positive finite float: rc's own check refuses it
+            raise _range_error("rj", f"1 + em = {yc!r} is not a positive finite float")
         acc += _rc(1.0, yc) / (f * dm)
         xm = 0.25 * (xm + lam)
         ym = 0.25 * (ym + lam)
@@ -435,13 +429,14 @@ def rd(x: float, y: float, z: float) -> float:
 
 
 def rj(x: float, y: float, z: float, p: float) -> float:
-    """Symmetric integral of the third kind for p > 0.
+    """Symmetric integral of the third kind; at p < 0 its Cauchy principal
+    value, which needs x, y, z > 0.
 
     Delegates exactly to rd when p coincides with one of x, y, z.
     """
     x, y, z, p = _sym_args(x, y, z, p)
     if p < 0.0:
-        raise DomainError("rj requires p > 0; use rj_pv for negative p")
+        return _rj_principal(x, y, z, p)
     a, b, c = sorted((x, y, z))
     try:
         if p == c:
@@ -454,24 +449,21 @@ def rj(x: float, y: float, z: float, p: float) -> float:
         raise _range_error("rj", exc) from exc
     try:
         value = _rj_core(a, b, c, p)
-    except (ArithmeticError, DomainError) as exc:  # its own range errors name rj already
+    except ArithmeticError as exc:  # its own range errors name rj already
         raise _range_error("rj", exc) from exc
     if not _MIN_NORMAL <= value <= sys.float_info.max:
         raise _range_error("rj", f"value {value!r} is outside the normal range")
     return value
 
 
-def rj_pv(x: float, y: float, z: float, p: float) -> float:
-    """Cauchy principal value of the third kind for p < 0.
+def _rj_principal(x: float, y: float, z: float, p: float) -> float:
+    """rj's Cauchy principal value at checked arguments with p < 0.
 
     The arguments are permuted so the middle one sits in the y slot, which
     makes (z-y)(y-x) >= 0 and hence q >= y > 0 in the shifted evaluation.
     """
-    x, y, z, p = _sym_args(x, y, z, p)
-    if p >= 0.0:
-        raise DomainError("rj_pv requires p < 0")
     if min(x, y, z) <= 0.0:
-        raise DomainError("rj_pv requires strictly positive x, y, z")
+        raise DomainError("rj requires strictly positive x, y, z at p < 0")
     lo, med, hi = sorted((x, y, z))
     pabs = -p
     try:
@@ -480,9 +472,9 @@ def rj_pv(x: float, y: float, z: float, p: float) -> float:
         term = 3.0 * math.sqrt(lo * med * hi / u) * rc(u, pabs * q)
         value = ((q - med) * rj(lo, med, hi, q) - 3.0 * rf(lo, med, hi) + term) / (med + pabs)
     except (ArithmeticError, DomainError, ConvergenceError) as exc:
-        raise _range_error("rj_pv", exc) from exc
+        raise _range_error("rj", exc) from exc
     if not math.isfinite(value):
-        raise _range_error("rj_pv", f"value is {value!r}")
+        raise _range_error("rj", f"value is {value!r}")
     return value
 
 

@@ -13,8 +13,8 @@ class is the price of that order.
 Asymptotic cases are considered only when their regime ratio is at most
 1e-2 — the territory the containment campaigns certify.  A request's
 arguments are checked once, when the request is built; one ratio pass per
-request (``asym._ratio_pass``, ratio_classes on that checked tuple)
-evaluates each case's ratio and groups the in-ratio cases by cost, and each
+request (``asym._ratio_pass``, on that checked tuple) evaluates each
+case's ratio and groups the in-ratio cases by cost, and each
 enclosure is built from its case row and the same tuple, behind the case's
 gate and asym's error boundary.  Left out silently are a case whose ratio
 fails in float64 or exceeds 1e-2, or whose arguments lie outside asym's
@@ -24,10 +24,10 @@ raises RegimeError or ConvergenceError); and an enclosure whose upper end
 is not positive.  What is left out falls through to the reference path.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
-through the branchy rc evaluation 1e-13, the principal value rc_pv at RC's
+through the branchy rc evaluation 1e-13, rc's principal value at RC's
 y < 0 among them; asymptotic = relative half-width plus a 2e-13 margin for
-the auxiliary core terms; reference 1e-12 (1e-13 for rc), the principal
-value rj_pv at RJ's p < 0 among them (no case gate accepts p < 0).
+the auxiliary core terms; reference 1e-12 (1e-13 for rc), rj's principal
+value at RJ's p < 0 among them (no case gate accepts p < 0).
 Requests no method can certify raise ToleranceError.
 
 Requests, plan steps and reports are immutable named tuples; a request
@@ -126,7 +126,7 @@ def _closed_form(kind: str, args) -> tuple[float, float] | None:
         cf = _pattern(kind, args)
     except ArithmeticError as exc:
         raise ConvergenceError(f"{kind} closed form at {args}: {exc}") from exc
-    # rc_pv's exact 0 at x = 0 is the one closed-form value below the range
+    # rc's exact 0 at x = 0, y < 0 is the one closed-form value below the range
     if cf is not None and not (math.isfinite(cf[0]) and cf[0] >= sys.float_info.min
                                or kind == "RC" and cf[0] == 0.0 == args[0]):
         raise ConvergenceError(
@@ -136,7 +136,7 @@ def _closed_form(kind: str, args) -> tuple[float, float] | None:
 
 def _pattern(kind: str, args) -> tuple[float, float] | None:
     if kind == "RC":
-        return (core.rc_pv(args[0], -args[1]) if args[1] < 0.0 else core.rc(*args)), _GUAR_RC
+        return core.rc(*args), _GUAR_RC
     if kind == "RF":
         a, b, c = sorted(args)
         if a == b == c:
@@ -199,10 +199,8 @@ def _pattern(kind: str, args) -> tuple[float, float] | None:
 
 
 def reference(kind: str, args) -> tuple[float, float]:
-    """(value, guarantee) of the kind's reference evaluator (rj_pv at p < 0)."""
+    """(value, guarantee) of the kind's reference evaluator."""
     name, guar = _KIND[kind]
-    if kind == "RJ" and args[3] < 0.0:
-        name = "rj_pv"
     return getattr(core, name)(*args), guar
 
 

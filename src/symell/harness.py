@@ -51,7 +51,6 @@ __all__ = [
     "Draws",
     "IDENTITY_TAGS",
     "containment_slack",
-    "expected_slope",
     "run_bounds_fuzz",
     "run_containment",
     "run_identities",
@@ -240,7 +239,7 @@ def sample_args(tag: str, ratio: float, draws: Draws) -> tuple:
     """Draw one in-regime argument tuple with the case ratio pinned, from a
     campaign stream: its values are those of scalar draws on the stream's
     generator, which nothing else may read."""
-    return asym.sample_case(tag, ratio, draws.lu, draws.coin)
+    return asym._sample(asym._case(tag), ratio, draws.lu, draws.coin)
 
 
 def reference_value(tag: str, args) -> float:
@@ -339,11 +338,6 @@ def run_order_fit(case: str, seed: int = 42) -> CampaignReport:
     report.expected = row.slope
     report.wall_time = time.perf_counter() - t0
     return report
-
-
-def expected_slope(case: str) -> float:
-    """The order-fit slope on the case's registry row."""
-    return asym._case(case).slope
 
 
 # --------------------------------------------------------------------------

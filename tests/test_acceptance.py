@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from symell import core, dispatch
+from symell import asym, core, dispatch
 from symell.asym import (
     CASE_TAGS,
     KIND_ARITY,
@@ -25,7 +25,6 @@ from symell.harness import (
     Campaign,
     Draws,
     containment_slack,
-    expected_slope,
     run_bounds_fuzz,
     run_containment,
     run_identities,
@@ -184,7 +183,7 @@ def test_criterion_6_order_fits():
     """
     for tag in CASE_TAGS:
         rep = run_order_fit(tag, seed=42)
-        assert rep.expected == expected_slope(tag), tag
+        assert rep.expected == asym._case(tag).slope, tag
         assert abs(rep.slope - rep.expected) <= 0.15, (tag, rep.slope, rep.expected)
         assert rep.ok, tag
 

@@ -431,11 +431,11 @@ def test_ratio_pass_refuses_outside_the_window():
     args = (1e200, 2e200, 3e200)
     with pytest.raises(ConvergenceError, match=r"an argument lies outside \[1e-100, 1e100\]$"):
         case_ratio("D4", *args)
-    assert asym.ratio_classes("RD", args, 1e-2) == []
+    assert asym._ratio_pass("RD", asym._checked("RD", "RD", args), 1e-2) == []
     assert dispatch.evaluate(dispatch.EvalRequest("RD", args, 1e-6)).method == "reference"
-    assert asym.ratio_classes("RD", (1e-90, 2e-90, 3e-90), 1.0) != []
+    assert asym._ratio_pass("RD", asym._checked("RD", "RD", (1e-90, 2e-90, 3e-90)), 1.0) != []
     for kind in ("K", "E"):
-        assert asym.ratio_classes(kind, (1e-120,), 1e-2) != []
+        assert asym._ratio_pass(kind, asym._checked(kind, kind, (1e-120,)), 1e-2) != []
         assert case_ratio(asym.kind_cases(kind)[0], 1e-120) <= 1e-2
 
 

@@ -35,12 +35,12 @@ class TestEval:
     def test_negative_y_routes_to_principal_value(self, capsys):
         code, out, _ = run(capsys, "eval", "rc", "1", "-2")
         assert code == 0
-        assert float(out.split()[0]) == pytest.approx(core.rc_pv(1.0, 2.0), rel=1e-15)
+        assert float(out.split()[0]) == pytest.approx(core.rc(1.0, -2.0), rel=1e-15)
 
     def test_negative_p_routes_to_principal_value(self, capsys):
         code, out, _ = run(capsys, "eval", "rj", "1", "2", "3", "-0.5")
         assert code == 0
-        assert float(out.split()[0]) == pytest.approx(core.rj_pv(1, 2, 3, -0.5), rel=1e-15)
+        assert float(out.split()[0]) == pytest.approx(core.rj(1, 2, 3, -0.5), rel=1e-15)
         assert out.split()[1] == "reference"
 
     @pytest.mark.parametrize("values, stdout", [
@@ -52,8 +52,8 @@ class TestEval:
         assert run(capsys, "eval", *values) == (0, stdout, "")
 
     @pytest.mark.parametrize("values,tol,exit_code", [
-        (("rc", "1", "-2"), "1e-14", 3),  # rc_pv is certified to 1e-13
-        (("rj", "1", "2", "4", "-1"), "1e-14", 3),  # rj_pv to 1e-12
+        (("rc", "1", "-2"), "1e-14", 3),  # rc's principal value is certified to 1e-13
+        (("rj", "1", "2", "4", "-1"), "1e-14", 3),  # rj's to 1e-12
         (("rj", "1", "2", "4", "-1"), "0.9", 2),  # outside [1e-14, 0.1], as for rf
     ])
     def test_principal_value_honours_rel_tol(self, capsys, values, tol, exit_code):

@@ -132,13 +132,13 @@ class TestClosedFormRange:
 
 
 class TestPrincipalValues:
-    """RC at y < 0 and RJ at p < 0 are principal values, answered by rc_pv
-    and rj_pv under the guarantees of the rc closed forms and the reference."""
+    """RC at y < 0 and RJ at p < 0 are principal values, answered by rc and
+    rj under the guarantees of the rc closed forms and the reference."""
 
     def test_rc(self):
         rep = evaluate(EvalRequest("RC", (1.0, -2.0), 1e-9))
-        assert rep == EvalReport(core.rc_pv(1.0, 2.0), "closed_form", None, 1e-13)
-        assert rep.value.hex() == core.rc_pv(1.0, 2.0).hex()
+        assert rep == EvalReport(core.rc(1.0, -2.0), "closed_form", None, 1e-13)
+        assert rep.value.hex() == core.rc(1.0, -2.0).hex()
 
     def test_rc_at_x_zero_is_exactly_zero(self):
         rep = evaluate(EvalRequest("RC", (0.0, -1.0), 1e-9))
@@ -147,8 +147,8 @@ class TestPrincipalValues:
     def test_rj(self):
         req = EvalRequest("RJ", (1.0, 2.0, 4.0, -1.0), 1e-9)
         rep = evaluate(req)
-        assert rep == EvalReport(core.rj_pv(1.0, 2.0, 4.0, -1.0), "reference", None, 1e-12)
-        assert rep.value.hex() == core.rj_pv(1.0, 2.0, 4.0, -1.0).hex()
+        assert rep == EvalReport(core.rj(1.0, 2.0, 4.0, -1.0), "reference", None, 1e-12)
+        assert rep.value.hex() == core.rj(1.0, 2.0, 4.0, -1.0).hex()
         # no case gate accepts p < 0, so the walk is the reference step alone
         assert labels(plan(req)) == ["reference"]
 
@@ -215,9 +215,15 @@ class TestAsymptoticPath:
         assert rep.case in ("F1e", "F1f")
 
 
+def _classes(kind, args, ratio_max=1e-2):
+    """(cost, tags) of the cases that the ratio pass finds in ratio at ``args``."""
+    classes = asym._ratio_pass(kind, asym._checked(kind, kind, args), ratio_max)
+    return [(cost, [c.tag for c in cases]) for cost, cases in classes]
+
+
 def _costs(kind, args, ratio_max=1e-2):
-    """The cost of each case that ratio_classes finds in ratio at ``args``."""
-    return {t: cost for cost, tags in asym.ratio_classes(kind, args, ratio_max) for t in tags}
+    """The cost of each case that the ratio pass finds in ratio at ``args``."""
+    return {t: cost for cost, tags in _classes(kind, args, ratio_max) for t in tags}
 
 
 class TestLazyWalk:
@@ -309,7 +315,7 @@ def test_dispatcher_entry_agrees_with_enclose(tag, draws, monkeypatch):
     refused = (0.0,) * asym.KIND_ARITY[case.kind]
     with pytest.raises((DomainError, RegimeError)):
         case.gate(*refused)
-    rows = [asym.sample_case(tag, r, draws.lu, draws.coin) for r in (1e-3, 1e-8)]
+    rows = [asym._sample(case, r, draws.lu, draws.coin) for r in (1e-3, 1e-8)]
     rows += [refused, *([_PAST_FLOAT64[tag]] if tag in _PAST_FLOAT64 else [])]
     got = [_outcome(asym._build, case, vals) for vals in rows]
     assert got == [_outcome(asym.enclose, tag, *vals) for vals in rows]
@@ -459,7 +465,7 @@ def test_ratio_pass_matches_per_case_ratios():
                 if tag not in costs:
                     costs.update(_costs(kind, args, math.inf))
                 classes.setdefault(costs[tag], []).append(tag)
-            assert asym.ratio_classes(kind, args, 1e-2) == sorted(classes.items()), \
+            assert _classes(kind, args, 1e-2) == sorted(classes.items()), \
                 (kind, args)
 
 

@@ -10,7 +10,6 @@ from symell.harness import (
     Campaign,
     Draws,
     IDENTITY_TAGS,
-    expected_slope,
     run_bounds_fuzz,
     run_containment,
     run_identities,
@@ -324,7 +323,7 @@ def test_perturbed_evaluator_misses_its_identity(monkeypatch):
 
 def test_expected_slope_table_complete():
     for tag in CASE_TAGS:
-        assert expected_slope(tag) is not None
+        assert asym._case(tag).slope is not None
 
 
 def test_identities_clean():
