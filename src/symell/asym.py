@@ -47,7 +47,8 @@ ill-conditioned.  theta_recover shares its body and is the raw recovery:
 (theta, sigma) even there, as where a bracket collapses to a point.
 
 C2c and F1b, whose displayed bounds are one-sided, are C2a's and F1a's
-rows under their own tags.
+rows under their own tags.  The ratio pass leaves these twins out: each
+enclosure is its sibling's and sorts after it, so it never answers.
 
 A float64 failure inside a case formula (an overflow, an underflow to a
 division by zero, a math-domain error, an inner evaluator's DomainError, or
@@ -192,12 +193,19 @@ class _Case(NamedTuple):
 
 
 _CASES: dict[str, _Case] = {}
+_TWINS: set[str] = set()  # tags that _twin registers; the ratio pass leaves them out
 
 
 def _register(tag, kind, cost, gate, ratio, sample, bracket, terms, slope, form=_AFFINE,
               strict=(True, True), zero=None):
     _CASES[tag] = _Case(tag, kind, cost, strict, gate, ratio, sample, bracket, terms, form,
                         slope, zero)
+
+
+def _twin(tag, of):
+    """Register the case ``of``'s row under ``tag``."""
+    _CASES[tag] = _CASES[of]._replace(tag=tag)
+    _TWINS.add(tag)
 
 
 # ---- argument samplers -----------------------------------------------------
@@ -262,7 +270,7 @@ _register("C2b", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sa
           bracket=lambda x, y: (1.0, 4.0), terms=_c2b_abk, form=_LOG, slope=1.85)
 
 
-_CASES["C2c"] = _CASES["C2a"]._replace(tag="C2c")
+_twin("C2c", "C2a")
 
 
 # ---- RF cases --------------------------------------------------------------
@@ -307,7 +315,7 @@ _register("F1a", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
           bracket=_f1_bracket, terms=_f1a_ab, slope=1.0)
 
 
-_CASES["F1b"] = _CASES["F1a"]._replace(tag="F1b")
+_twin("F1b", "F1a")
 
 
 def _f1cd_gate(x, y, z):
@@ -936,12 +944,12 @@ def _ratio_at_zero(case: _Case) -> Callable:
     return lambda *vals: ratio(*vals) if vals[i] == 0.0 else math.inf
 
 
-# (case, cost, ratio) of the cases of each kind of integral, in catalog order:
-# the row fields that the ratio pass reads, taken out of the rows once, a
-# complete case's ratio wrapped so that the pass leaves it out unless its
-# zero argument is 0
+# (case, cost, ratio) of the cases of each kind of integral but the twins, in
+# catalog order: the row fields that the ratio pass reads, taken out of the
+# rows once, a complete case's ratio wrapped so that the pass leaves it out
+# unless its zero argument is 0
 _KIND_CASES = {kind: tuple((c, c.cost, c.ratio if c.zero is None else _ratio_at_zero(c))
-                           for c in _CASES.values() if c.kind == kind)
+                           for c in _CASES.values() if c.kind == kind and c.tag not in _TWINS)
                for kind in dict.fromkeys(c.kind for c in _CASES.values())}
 
 
@@ -1115,7 +1123,7 @@ def case_kind(tag: str) -> str:
 
 
 def kind_cases(kind: str) -> tuple[str, ...]:
-    """Tags of the cases that approximate integrals of ``kind``."""
+    """Tags of the cases that approximate integrals of ``kind``, but the twins."""
     return tuple(c.tag for c, _, _ in _KIND_CASES.get(kind, ()))
 
 

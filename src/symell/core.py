@@ -470,9 +470,12 @@ def _rj_principal(x: float, y: float, z: float, p: float) -> float:
         q = med + (hi - med) * (med - lo) / (med + pabs)
         u = lo * hi + pabs * q
         term = 3.0 * math.sqrt(lo * med * hi / u) * rc(u, pabs * q)
-        value = ((q - med) * rj(lo, med, hi, q) - 3.0 * rf(lo, med, hi) + term) / (med + pabs)
+        rf3 = 3.0 * rf(lo, med, hi)
     except (ArithmeticError, DomainError, ConvergenceError) as exc:
         raise _range_error("rj", exc) from exc
+    # rc has refused a q that is not finite, so the inner rj, at q >= med > 0,
+    # raises only its own range errors, which name rj already
+    value = ((q - med) * rj(lo, med, hi, q) - rf3 + term) / (med + pabs)
     if not math.isfinite(value):
         raise _range_error("rj", f"value is {value!r}")
     return value

@@ -1,10 +1,12 @@
 """Tolerance-driven evaluation: cheapest method that certifies the request.
 
 Method ladder: closed forms (exact argument patterns), then asymptotic
-enclosures by cost class, then the reference evaluator.  One lazy walk
-serves both entry points: it builds enclosures one cost class at a time,
-cheapest first, and orders a class by half-width; ``evaluate`` stops at
-the first step that certifies the request, and ``plan`` lists every step.
+enclosures by cost class, then the reference evaluator, which K and E (one
+AGM run each) try before their cases; twin cases (C2c, F1b) are not walked.
+One lazy walk serves both entry points: it builds enclosures one cost class
+at a time, cheapest first, and orders a class by half-width; ``evaluate``
+stops at the first step that certifies the request, and ``plan`` lists
+every step, in the order ``evaluate`` tries them.
 The half-width that orders a class is that of the built enclosure itself,
 so "meets tolerance" is a guarantee rather than a heuristic, and the
 narrowest step of a class certifies if any of it does; building the whole
@@ -61,16 +63,18 @@ _GUAR_ELEMENTARY = 1e-14
 _GUAR_RC = 1e-13
 _GUAR_REFERENCE = 1e-12
 
-# kind -> (reference evaluator, its guarantee); the arity is asym.KIND_ARITY.
-# The evaluator is named, not bound, so each call looks it up on core.
+# kind -> (reference evaluator, its guarantee, whether the walk tries it
+# before the kind's cases: K's and E's is one AGM run, DLMF 19.8(i), cheaper
+# than any of their enclosures); the arity is asym.KIND_ARITY.  The
+# evaluator is named, not bound, so each call looks it up on core.
 _KIND = {
-    "RC": ("rc", _GUAR_RC),
-    "RF": ("rf", _GUAR_REFERENCE),
-    "RD": ("rd", _GUAR_REFERENCE),
-    "RJ": ("rj", _GUAR_REFERENCE),
-    "RG": ("rg", _GUAR_REFERENCE),
-    "K": ("legendre_k", _GUAR_REFERENCE),
-    "E": ("legendre_e", _GUAR_REFERENCE),
+    "RC": ("rc", _GUAR_RC, False),
+    "RF": ("rf", _GUAR_REFERENCE, False),
+    "RD": ("rd", _GUAR_REFERENCE, False),
+    "RJ": ("rj", _GUAR_REFERENCE, False),
+    "RG": ("rg", _GUAR_REFERENCE, False),
+    "K": ("legendre_k", _GUAR_REFERENCE, True),
+    "E": ("legendre_e", _GUAR_REFERENCE, True),
 }
 
 KINDS = tuple(_KIND)
@@ -200,7 +204,7 @@ def _pattern(kind: str, args) -> tuple[float, float] | None:
 
 def reference(kind: str, args) -> tuple[float, float]:
     """(value, guarantee) of the kind's reference evaluator."""
-    name, guar = _KIND[kind]
+    name, guar, _ = _KIND[kind]
     return getattr(core, name)(*args), guar
 
 
@@ -224,6 +228,9 @@ def _walk(req: EvalRequest):
     cf = _closed_form(req.kind, req.args)
     if cf is not None:
         yield "closed_form", None, 0, cf[1], None, cf[0]
+    _, guar, reference_first = _KIND[req.kind]
+    if reference_first:
+        yield "reference", None, 9, guar, None, None
     try:
         cargs = _case_args(req.kind, req.args)
         classes = asym._ratio_pass(req.kind, cargs, _RATIO_MAX)
@@ -243,7 +250,8 @@ def _walk(req: EvalRequest):
                 steps.append((hw, enc.case, enc))
         for hw, tag, enc in sorted(steps, key=lambda s: s[:2]):
             yield "asym", tag, cost, hw + _ASYM_MARGIN, hw, enc
-    yield "reference", None, 9, _KIND[req.kind][1], None, None
+    if not reference_first:
+        yield "reference", None, 9, guar, None, None
 
 
 def plan(req: EvalRequest) -> list[PlanStep]:

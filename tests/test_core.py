@@ -390,6 +390,10 @@ class TestValueRange:
         ((1e300, 2e-300, 0.0, 1e300),
          "rj: float64 range exceeded (rd: float64 range exceeded "
          "(value 0.0 is outside the normal range))"),
+        # at p < 0 the inner rj's refusal already names rj; it was wrapped again
+        ((2.7027341872482865e-280, 1e-310, 3.218908163891085e-80, -3.3040249905512133e+291),
+         "rj: float64 range exceeded (rd: float64 range exceeded "
+         "(value inf is outside the normal range))"),
     ])
     def test_rj_names_itself_once(self, args, text):
         with pytest.raises(ConvergenceError) as got:

@@ -209,10 +209,59 @@ class TestAsymptoticPath:
         assert rep.value == pytest.approx(core.rj(1.0, 2.0, 3.0, 2.5), rel=1e-14)
 
     def test_k_uses_complete_case(self):
+        """Below the reference's guarantee a complete case still answers K."""
         k = math.sqrt(1.0 - 1e-6)  # k' = 1e-3
-        rep = evaluate(EvalRequest("K", (k,), 1e-6))
+        rep = evaluate(EvalRequest("K", (k,), 5e-13))
         assert rep.method == "asym"
         assert rep.case in ("F1e", "F1f")
+
+
+class TestReferenceFirst:
+    """K and E are one AGM run, cheaper than any of their enclosures, so
+    their walk tries the reference before their cases."""
+
+    # k = 0.5, and k' = 1e-3, 1e-5 and about 1.5e-8, where cases are in ratio
+    _K = (0.5, math.sqrt(1.0 - 1e-6), math.sqrt(1.0 - 1e-10), 0.9999999999999999)
+
+    @pytest.mark.parametrize("kind,fn", [("K", core.legendre_k), ("E", core.legendre_e)])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3, 1e-1])
+    def test_reference_answers_without_cases(self, kind, fn, tol, built, monkeypatch):
+        passes = []
+        ratio_pass = asym._ratio_pass
+
+        def counting(*args):
+            passes.append(args)
+            return ratio_pass(*args)
+
+        monkeypatch.setattr(asym, "_ratio_pass", counting)
+        for k in self._K:
+            rep = evaluate(EvalRequest(kind, (k,), tol))
+            assert rep == EvalReport(fn(k), "reference", None, 1e-12)
+        assert passes == [] and built == []
+
+    @pytest.mark.parametrize("kind", ["K", "E"])
+    def test_plan_lists_reference_before_cases(self, kind):
+        for k in self._K[1:]:
+            seq = labels(plan(EvalRequest(kind, (k,), 1e-6)))
+            assert seq[0] == "reference" and len(seq) > 1, seq
+            assert all(s.startswith("asym(") for s in seq[1:]), seq
+
+
+def test_twins_are_not_walked(built):
+    """C2c and F1b are C2a's and F1a's rows under their own tags: the ratio
+    pass leaves them out, and each stays enclosable by its tag."""
+    twins = {"C2c": "C2a", "F1b": "F1a"}
+    assert not set(twins) & {*asym.kind_cases("RC"), *asym.kind_cases("RF")}
+    seen = set()
+    for kind, args in _mixed_batch(np.random.default_rng(5), 40):
+        if kind in ("RC", "RF"):
+            evaluate(EvalRequest(kind, args, 1e-3))
+            for _, cases in asym._ratio_pass(kind, args, math.inf):
+                seen.update(c.tag for c in cases)
+    assert set(twins.values()) <= seen and not set(twins) & (seen | set(built))
+    for twin, sibling in twins.items():
+        args = (100.0, 1.0) if twin == "C2c" else (0.01, 0.02, 1.0)
+        assert asym.enclose(twin, *args) == asym.enclose(sibling, *args)._replace(case=twin)
 
 
 def _classes(kind, args, ratio_max=1e-2):
@@ -472,7 +521,8 @@ def test_ratio_pass_matches_per_case_ratios():
 def test_answers_are_pinned():
     """A digest of every answer on a seeded mixed batch, floats as hex: a
     change to how the walk finds its steps must move no answer.  (Pinned
-    again when the complete integrals moved to the AGM run.)"""
+    again when the complete integrals moved to the AGM run, and when K and
+    E moved to their reference first.)"""
     digest = hashlib.sha256()
     for kind, args in _mixed_batch(np.random.default_rng(12), 40):
         for tol in (1e-3, 1e-6, 1e-9, 1e-12):
@@ -486,7 +536,7 @@ def test_answers_are_pinned():
                        enc and (enc.lo.hex(), enc.hi.hex(), enc.estimate.hex(), enc.case,
                                 enc.strict_lo, enc.strict_hi))
             digest.update(repr(got).encode())
-    assert digest.hexdigest() == "ce8d19bf013a1f562fb1bc9a8f41e45950118d9e115600be289215e160aa63c9"
+    assert digest.hexdigest() == "fbe29473cfbec28df7b61ea55240f06b64c68e99152907b2657ad203e46fefb6"
 
 
 class TestSoundnessMiniFuzz:
