@@ -962,7 +962,11 @@ def _case(tag: str) -> _Case:
 
 def _checked(name: str, kind: str, args) -> tuple:
     """``args`` as floats, as many as ``kind`` takes and all finite."""
-    vals = tuple(map(float, args))
+    try:
+        vals = tuple(map(float, args))
+    except OverflowError:
+        raise DomainError(f"{name} arguments must be finite, got a value too large "
+                          "for float64") from None
     arity = KIND_ARITY[kind]
     if len(vals) != arity:
         raise DomainError(f"{name} takes {arity} arguments, got {len(vals)}")

@@ -13,6 +13,12 @@ before the mathematics fails.
 Strict inequalities cannot be checked at machine-equal inputs; comparisons
 in the fuzz suite therefore use a 4-ulp equality band (see
 :func:`equal_within_band`).
+
+:func:`bracket` looks the tag's row up, checks the arguments and runs one
+body, ``_evaluate(tag, ineq, vals)``: the row's bracket, with a float64
+failure raised as ConvergenceError.  The fuzz in ``harness`` looks its row up
+once and runs the same body on each drawn tuple.  :func:`theta_of` has its
+body ``_solve`` on the same terms.
 """
 
 from __future__ import annotations
@@ -58,7 +64,11 @@ def _ineq(tag: str) -> _Ineq:
 
 
 def _checked(tag: str, ineq: _Ineq, args) -> tuple[float, ...]:
-    vals = tuple(float(a) for a in args)
+    try:
+        vals = tuple(float(a) for a in args)
+    except OverflowError:
+        raise DomainError(f"{tag} requires finite arguments, got a value too large "
+                          "for float64") from None
     if len(vals) != ineq.arity:
         raise DomainError(f"{tag} takes {ineq.arity} arguments (t first), got {len(vals)}")
     t = vals[0]
@@ -150,7 +160,7 @@ def _theta_a8(t, x, y, z):
 
 
 def _past_float64(tag: str, vals, detail) -> ConvergenceError:
-    return ConvergenceError(f"{tag} at {vals} is past float64: {detail}")
+    return ConvergenceError(f"{tag} at {tuple(vals)} is past float64: {detail}")
 
 
 def theta_of(tag: str, *args: float) -> float:
@@ -158,7 +168,11 @@ def theta_of(tag: str, *args: float) -> float:
     ineq = _ineq(tag)
     if ineq.theta is None:
         raise DomainError(f"{tag} has no equality form; theta_of supports {THETA_TAGS}")
-    vals = _checked(tag, ineq, args)
+    return _solve(tag, ineq, _checked(tag, ineq, args))
+
+
+def _solve(tag: str, ineq: _Ineq, vals) -> float:
+    """theta_of on a row with a theta, at arguments that passed _checked."""
     try:
         theta = ineq.theta(*vals)
     except ArithmeticError as exc:
@@ -301,12 +315,19 @@ def bracket(tag: str, *args: float) -> Bracket:
     is not finite) it raises ConvergenceError.
     """
     ineq = _ineq(tag)
-    vals = _checked(tag, ineq, args)
+    return _evaluate(tag, ineq, _checked(tag, ineq, args))
+
+
+def _evaluate(tag: str, ineq: _Ineq, vals) -> Bracket:
+    """bracket on a row, at arguments that passed _checked or were drawn as
+    its positive finite floats: the fuzz looks its row up once and calls
+    this per tuple."""
     try:
         br = ineq.bracket(*vals)
     except ArithmeticError as exc:
         raise _past_float64(tag, vals, exc) from exc
-    if math.isfinite(br.lo) and math.isfinite(br.mid) and math.isfinite(br.hi):
+    lo, mid, hi = br
+    if math.isfinite(lo) and math.isfinite(mid) and math.isfinite(hi):
         return br
     raise _past_float64(tag, vals, br)
 

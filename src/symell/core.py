@@ -66,7 +66,10 @@ _MIN_NORMAL = sys.float_info.min
 
 
 def _as_finite(name: str, v) -> float:
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got a value too large for float64") from None
     if not math.isfinite(v):
         raise DomainError(f"{name} must be finite, got {v!r}")
     return v

@@ -90,7 +90,11 @@ class EvalRequest(NamedTuple("_Request",
         if kind not in KINDS:
             raise DomainError(f"unknown kind {kind!r}; expected one of {KINDS}")
         args = asym._checked(kind, kind, args)
-        t = float(rel_tol)
+        try:
+            t = float(rel_tol)
+        except OverflowError:
+            raise DomainError(f"rel_tol must lie in [{_REL_TOL_MIN}, {_REL_TOL_MAX}], "
+                              "got a value too large for float64") from None
         if not _REL_TOL_MIN <= t <= _REL_TOL_MAX:
             raise DomainError(
                 f"rel_tol must lie in [{_REL_TOL_MIN}, {_REL_TOL_MAX}], got {t}")

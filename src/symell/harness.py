@@ -11,7 +11,12 @@ quadrature can resolve.
 A campaign looks its case row up in ``asym`` once and runs the row's
 sampler, enclosure and symbol window on it (``asym._sample``, ``_enclose``
 and ``_theta_window``): per sample, the gate and the argument window run,
-but no lookup by tag and no check of the sampler's own arguments.
+but no lookup by tag and no check of the sampler's own arguments.  The
+inequality fuzz does the same with its ``bounds`` row: each drawn tuple,
+positive finite floats of the row's arity, goes straight to
+``bounds._evaluate``, the body that ``bounds.bracket`` runs after its lookup
+and argument check, and the A3/A4 monotonicity check to ``bounds._solve``,
+the body of ``theta_of``.
 
 Bracket-realization statistics recover the error symbol from the reference
 value per sample; samples whose recovery is ill-conditioned (symbol
@@ -83,7 +88,11 @@ class Campaign:
     seed: int = 42
 
     def __post_init__(self):
-        object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
+        try:
+            object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
+        except OverflowError:
+            raise DomainError("ratios must lie in (0, 1), got a value too large "
+                              "for float64") from None
         # a campaign that checks nothing must not report a pass
         if not self.ratios:
             raise DomainError("a campaign needs at least one ratio")
@@ -611,36 +620,37 @@ def run_identities(seed: int, n: int, which=None) -> CampaignReport:
 
 def run_bounds_fuzz(tag: str, n: int = 100000, seed: int = 42) -> CampaignReport:
     """Fuzz one Appendix inequality; violations outside the 4-ulp band count."""
-    if tag not in bounds.INEQ_TAGS:
-        raise DomainError(f"unknown inequality {tag!r}")
+    ineq = bounds._ineq(tag)
     if n < 1:
         raise DomainError("n must be >= 1")
     report = CampaignReport(tag, "bounds", seed, (), n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 777, bounds.INEQ_TAGS.index(tag)]))
-    nargs = bounds.arity(tag)
-    strict_lo, strict_hi = bounds.strictness(tag)
+    nargs = ineq.arity
+    strict_lo, strict_hi = ineq.strict
+    evaluate, ulp = bounds._evaluate, math.ulp
     t0 = time.perf_counter()
-    for i, (t, *vals) in enumerate(_lu_rows(rng, 1e-6, 1e6, n, nargs)):
+    # each row is t and then the variables: positive finite floats of the
+    # row's arity, which is all that bounds._checked would ensure
+    for i, row in enumerate(_lu_rows(rng, 1e-6, 1e6, n, nargs)):
         equal_probe = i % 10 == 9
         if equal_probe and nargs >= 3:
-            vals = [vals[0]] * (nargs - 1) if i % 20 == 19 else [vals[0], vals[0]] + vals[2:]
-        br = bounds.bracket(tag, t, *vals)
-        report.evaluated += 1
-        band = 4.0 * math.ulp(max(abs(br.lo), abs(br.mid), abs(br.hi)))
-        bad = not (br.lo <= br.mid + band and br.mid <= br.hi + band)
+            row[2:] = [row[1]] * (nargs - 2) if i % 20 == 19 else [row[1]] + row[3:]
+        lo, mid, hi = evaluate(tag, ineq, row)
+        band = 4.0 * ulp(max(abs(lo), abs(mid), abs(hi)))
+        bad = not (lo <= mid + band and mid <= hi + band)
         if not bad and not equal_probe:
-            if strict_lo and br.lo >= br.mid and not equal_within_band(br.lo, br.mid):
+            if strict_lo and lo >= mid and not equal_within_band(lo, mid):
                 bad = True
-            if strict_hi and br.mid >= br.hi and not equal_within_band(br.mid, br.hi):
+            if strict_hi and mid >= hi and not equal_within_band(mid, hi):
                 bad = True
         if bad:
-            report.violate({"kind": tag, "args": [t] + vals,
-                            "bracket": [br.lo, br.mid, br.hi]})
+            report.violate({"kind": tag, "args": row, "bracket": [lo, mid, hi]})
+    report.evaluated = n
     # monotonicity of the A3/A4 solved factor along increasing t
     if tag in ("A3", "A4") and report.violations == 0:
         x = 3.7
         ts = [10.0 ** (0.5 * k - 6.0) for k in range(25)]
-        thetas = [bounds.theta_of(tag, t, x) for t in ts]
+        thetas = [bounds._solve(tag, ineq, (t, x)) for t in ts]
         seq = thetas if tag == "A3" else thetas[::-1]
         if any(a >= b for a, b in zip(seq, seq[1:])):
             report.violate({"kind": tag, "detail": "monotonicity failed"})

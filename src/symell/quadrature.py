@@ -247,7 +247,11 @@ def quad(head, tail, a):
 
 
 def _checked_row(check, args):
-    vals = tuple(float(a) for a in args)
+    try:
+        vals = tuple(float(a) for a in args)
+    except OverflowError:
+        raise DomainError("oracle arguments must be finite, got a value too large "
+                          "for float64") from None
     for v in vals:
         if not math.isfinite(v):
             raise DomainError(f"oracle arguments must be finite, got {vals}")

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from symell import DomainError, asym, bounds, core, harness, quadrature
+from symell import ConvergenceError, DomainError, asym, bounds, core, harness, quadrature
 from symell._fmt import dumps
 from symell.harness import (
     Campaign,
@@ -357,6 +357,93 @@ def test_batched_identity_reports_each_draw(monkeypatch):
     assert rep.violation_samples[0]["detail"].startswith("log-kernel bracket violated at (")
 
 
+# sha256 prefix of each inequality's fuzz reports at n = 2000 and seeds 1-3
+# (canonical JSON without wall_time, one after another), taken before the
+# fuzz called the body of bounds.bracket on a row it looks up once; a change
+# to the draws, the probes, a bracket or the checks changes its digest
+_FUZZ_DIGESTS = {
+    "A1": "486ac46deace2ffc",
+    "A2": "95b72e06e4c978f6",
+    "A3": "ec32d610a3611c75",
+    "A4": "afcc7b7f1274cc87",
+    "A5": "39f06e2f32062529",
+    "A6": "620c0902e65c033b",
+    "A6a": "1816d5e602d9745a",
+    "A7": "6ff4c82348b4e227",
+    "A8": "c715327dacac636c",
+    "A9": "2e0c54e275ecacd4",
+    "A10": "3b8d49dbf38d407d",
+    "AX": "587991727caf09c1",
+    "AY": "c8eacd31c49f8b20",
+    "AZ": "8fe9e1f651711379",
+}
+
+
+@pytest.mark.parametrize("tag", bounds.INEQ_TAGS)
+def test_bounds_fuzz_reports_are_pinned(tag):
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        doc = run_bounds_fuzz(tag, 2000, seed).to_dict()
+        doc.pop("wall_time")
+        h.update(dumps(doc).encode())
+    assert h.hexdigest()[:16] == _FUZZ_DIGESTS[tag]
+
+
+def test_fuzz_digests_cover_every_inequality():
+    assert tuple(_FUZZ_DIGESTS) == bounds.INEQ_TAGS
+
+
+def test_bounds_fuzz_looks_its_row_up_once(monkeypatch):
+    # the drawn tuples and the A3/A4 monotonicity check go to the row's
+    # bodies: no lookup by tag and no argument check per tuple
+    calls = {"_ineq": 0, "_checked": 0}
+
+    def counted(name):
+        real = getattr(bounds, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bounds, name, counted(name))
+    for tag in bounds.INEQ_TAGS:
+        calls["_ineq"] = 0
+        rep = run_bounds_fuzz(tag, n=40, seed=1)
+        assert rep.evaluated == 40 and rep.violations == 0
+        assert calls == {"_ineq": 1, "_checked": 0}, tag
+
+
+@pytest.mark.parametrize("broken", ["ZeroDivisionError", "inf", "nan"])
+def test_bracket_failure_in_the_fuzz_is_the_public_error(monkeypatch, broken):
+    # a row whose bracket raises an ArithmeticError, or returns an endpoint
+    # that is not finite, at an equal probe: the fuzz raises the
+    # ConvergenceError that bounds.bracket raises at those arguments
+    row = bounds._INEQ["A8"]
+    seen = []
+
+    def failing(*args):
+        seen.append(args)
+        br = row.bracket(*args)
+        if len(seen) < 10 or args != seen[9]:
+            return br
+        if broken == "ZeroDivisionError":
+            return br.hi / 0.0
+        return br._replace(hi=float(broken))
+
+    monkeypatch.setitem(bounds._INEQ, "A8", row._replace(bracket=failing))
+    with pytest.raises(ConvergenceError) as fuzz:
+        run_bounds_fuzz("A8", n=100, seed=1)
+    args = seen[-1]
+    assert len(seen) == 10 and args[1] == args[2]   # the tenth tuple is an x = y probe
+    with pytest.raises(ConvergenceError) as public:
+        bounds.bracket("A8", *args)
+    assert len(seen) == 11
+    assert str(fuzz.value) == str(public.value)
+    assert str(fuzz.value).startswith(f"A8 at {args} is past float64: ")
+
+
 def test_bounds_fuzz_clean():
     for tag in ("A1", "A5", "AZ"):
         rep = run_bounds_fuzz(tag, n=3000, seed=42)
@@ -417,16 +504,19 @@ def test_bounds_fuzz_replays_scalar_loop(monkeypatch):
     # every inequality sees the tuples of the scalar loop the block draw
     # replaced, equal probes included
     seen = []
-    real = bounds.bracket
 
-    def recording(tag, *args):
-        seen.append((tag, args))
-        return real(tag, *args)
+    def recording(tag):
+        row = bounds._INEQ[tag]
 
-    monkeypatch.setattr(bounds, "bracket", recording)
+        def bracket(*args):
+            seen.append((tag, args))
+            return row.bracket(*args)
+        return row._replace(bracket=bracket)
+
     n, seed = 200, 3
     expected = []
     for index, tag in enumerate(bounds.INEQ_TAGS):
+        monkeypatch.setitem(bounds._INEQ, tag, recording(tag))
         run_bounds_fuzz(tag, n=n, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 777, index]))
         nargs = bounds.arity(tag)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from symell import (ConvergenceError, DomainError, EvalRequest, RegimeError, ToleranceError,
-                    asym, bounds, core, evaluate)
+                    asym, bounds, core, evaluate, quadrature)
 from symell.cli import main
+from symell.harness import Campaign
 
 TYPED = (ConvergenceError, DomainError, RegimeError, ToleranceError)
 
@@ -44,6 +45,40 @@ def test_fails_only_with_typed_errors(fn, width, negate_last):
             continue
         assert math.isfinite(value), (fn.__name__, args, value)
     assert range_errors > 0
+
+
+_PAST = 10 ** 400   # float() of it raises a bare OverflowError
+
+
+@pytest.mark.parametrize("call", [
+    lambda: core.rc(_PAST, 1),
+    lambda: core.rf(_PAST, 1, 1),
+    lambda: core.rd(1, 1, _PAST),
+    lambda: core.rj(1, 1, 1, _PAST),
+    lambda: core.rg(1, _PAST, 1),
+    lambda: core.r_minus1(_PAST, 1, 1),
+    lambda: core.agm(1, _PAST),
+    lambda: core.legendre_k(_PAST),
+    lambda: core.legendre_e(_PAST),
+    lambda: EvalRequest("RF", (_PAST, 1, 1), 1e-6),
+    lambda: EvalRequest("RF", (1, 2, 4), _PAST),
+    lambda: asym.enclose("F1a", 0.01, 0.01, _PAST),
+    lambda: asym.case_ratio("F1a", 0.01, _PAST, 1),
+    lambda: asym.theta_window("F1a", (_PAST, 0.01, 1), 1.0),
+    lambda: asym.theta_recover("F1a", (_PAST, 0.01, 1), 1.0),
+    lambda: bounds.bracket("A3", 1, _PAST),
+    lambda: bounds.theta_of("A3", _PAST, 1),
+    lambda: quadrature.oracle_batch("RF", [(1, 2, 4), (1, _PAST, 4)]),
+    lambda: Campaign("F1a", ratios=(1e-3, _PAST)),
+], ids=["rc", "rf", "rd", "rj", "rg", "r_minus1", "agm", "legendre_k", "legendre_e",
+        "EvalRequest-args", "EvalRequest-rel_tol", "enclose", "case_ratio",
+        "theta_window", "theta_recover", "bracket", "theta_of", "oracle_batch", "Campaign"])
+def test_int_past_float64_is_a_domain_error(call):
+    """An int that float() cannot convert is refused as a DomainError, not a
+    bare OverflowError, and its 401 digits stay out of the text."""
+    with pytest.raises(DomainError, match="got a value too large for float64$") as got:
+        call()
+    assert "0" * 20 not in str(got.value)
 
 
 @pytest.mark.parametrize("args", [
