@@ -1,10 +1,34 @@
-"""Small numeric helpers shared across modules."""
+"""Small helpers shared across modules, on the standard library alone: the
+arity of each kind of integral and the one argument check that reads it,
+which ``dispatch`` and ``cli`` use without loading the case catalog, and
+the numeric helpers of ``asym`` and ``bounds``."""
 
 from __future__ import annotations
 
 import math
 
+from .errors import DomainError
+
 _WIDEN_ULPS = 8
+
+# arguments of each kind of integral; a K or E case takes k' alone
+KIND_ARITY = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "K": 1, "E": 1}
+
+
+def _checked(name: str, kind: str, args) -> tuple:
+    """``args`` as floats, as many as ``kind`` takes and all finite."""
+    try:
+        vals = tuple(map(float, args))
+    except OverflowError:
+        raise DomainError(f"{name} arguments must be finite, got a value too large "
+                          "for float64") from None
+    arity = KIND_ARITY[kind]
+    if len(vals) != arity:
+        raise DomainError(f"{name} takes {arity} arguments, got {len(vals)}")
+    for v in vals:
+        if not math.isfinite(v):
+            raise DomainError(f"{name} arguments must be finite, got {vals}")
+    return vals
 
 
 def cbrt(v: float) -> float:

@@ -50,6 +50,12 @@ C2c and F1b, whose displayed bounds are one-sided, are C2a's and F1a's
 rows under their own tags.  The ratio pass leaves these twins out: each
 enclosure is its sibling's and sorts after it, so it never answers.
 
+The catalog loads the first time something needs it: ``import symell``
+leaves it out, the dispatcher imports it at its first ratio pass or case
+reference, and the package serves its public names on first access.  The
+arity of each kind and the argument check (KIND_ARITY, _checked) live in
+_util, so a request is checked without it; they are importable from here.
+
 A float64 failure inside a case formula (an overflow, an underflow to a
 division by zero, a math-domain error, an inner evaluator's DomainError, or
 an enclosure, ratio, bracket endpoint, term or symbol that is not finite)
@@ -64,7 +70,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from ._util import cbrt, widen_down, widen_up
+from ._util import KIND_ARITY, _checked, cbrt, widen_down, widen_up
 from .core import _rf_complete, _rg_complete, rc, rd, rf, rj
 from .errors import ConvergenceError, DomainError, RegimeError
 
@@ -133,9 +139,6 @@ _VALUE_REL_ERR = 4.0 * 2.220446049250313e-16
 
 # a recovery whose sigma passes this share of the bracket width is ill-conditioned
 _ILLCOND_FRACTION = 0.02
-
-# arguments of each kind of integral; a K or E case takes k' alone
-KIND_ARITY = {"RC": 2, "RF": 3, "RD": 3, "RJ": 4, "RG": 3, "K": 1, "E": 1}
 
 
 class _Form(NamedTuple):
@@ -960,22 +963,6 @@ def _case(tag: str) -> _Case:
         raise DomainError(f"unknown case tag {tag!r}") from None
 
 
-def _checked(name: str, kind: str, args) -> tuple:
-    """``args`` as floats, as many as ``kind`` takes and all finite."""
-    try:
-        vals = tuple(map(float, args))
-    except OverflowError:
-        raise DomainError(f"{name} arguments must be finite, got a value too large "
-                          "for float64") from None
-    arity = KIND_ARITY[kind]
-    if len(vals) != arity:
-        raise DomainError(f"{name} takes {arity} arguments, got {len(vals)}")
-    for v in vals:
-        if not math.isfinite(v):
-            raise DomainError(f"{name} arguments must be finite, got {vals}")
-    return vals
-
-
 def _in_window(kind: str, vals) -> bool:
     """Whether every nonzero argument lies in [1e-100, 1e100]; K and E cases
     take k' and have no window."""
@@ -1092,9 +1079,7 @@ def theta_window(tag: str, args, true_value: float) \
     theta_recover gives them; None where that recovery is ill-conditioned:
     sigma is not finite or exceeds 2 % of the bracket width, or the bracket
     is empty."""
-    v = float(true_value)
-    case = _case(tag)
-    return _theta_window(case, _checked(tag, case.kind, args), v)
+    return _theta_window(*_symbol_entry(tag, args, true_value))
 
 
 def _theta_window(case: _Case, vals, v: float):
@@ -1117,9 +1102,22 @@ def theta_recover(tag: str, args, true_value: float) -> tuple[float, float]:
     collapsed point itself.  A theta that is not finite raises
     ConvergenceError; sigma is inf where the symbol is past float64.
     """
-    v = float(true_value)
+    case, vals, v = _symbol_entry(tag, args, true_value)
+    return _call(case, vals, True, True, _recovered, v)
+
+
+def _symbol_entry(tag: str, args, true_value) -> tuple[_Case, tuple, float]:
+    """(case row, checked arguments, true value as a float) of a symbol
+    entry.  An int past float64 is a DomainError; an infinite true value
+    passes, so theta_window returns None there and theta_recover raises
+    ConvergenceError."""
+    try:
+        v = float(true_value)
+    except OverflowError:
+        raise DomainError("true value must be finite, got a value too large "
+                          "for float64") from None
     case = _case(tag)
-    return _call(case, _checked(tag, case.kind, args), True, True, _recovered, v)
+    return case, _checked(tag, case.kind, args), v
 
 
 def case_kind(tag: str) -> str:

@@ -5,9 +5,11 @@ stdout carries data only; diagnostics go to stderr.  ``verify`` and
 ``identities`` import the harness (numpy) when they run; the other
 subcommands, ``asym`` among them, need only the standard library.  The
 inequality catalog (``bounds``) is imported by ``bounds-check`` and
-``verify`` alone.  Exit
-codes: 0 success, 1 verification violations, 2 domain or convergence
-error, 3 tolerance unachievable, 4 regime error, 64 malformed usage.
+``verify`` alone.  The case catalog (``asym``) is imported by ``asym``,
+``table`` and ``verify`` when they run, and by ``eval`` only where its
+request reaches the dispatcher's ratio pass.  Exit codes: 0 success,
+1 verification violations, 2 domain or convergence error, 3 tolerance
+unachievable, 4 regime error, 64 malformed usage.
 """
 
 from __future__ import annotations
@@ -17,10 +19,15 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import asym, dispatch
+from . import dispatch
 from ._fmt import dumps, plain
+from ._util import KIND_ARITY
 from .errors import ConvergenceError, DomainError, RegimeError, ToleranceError
+
+if TYPE_CHECKING:
+    from .asym import Enclosure
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -54,6 +61,21 @@ def _number(text: str, cast=float):
         raise argparse.ArgumentTypeError(f"invalid {cast.__name__}: {text!r}") from None
 
 
+def _invalid_choice(value: str, choices) -> str:
+    """argparse's own text for a value outside ``choices``."""
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _case_arg(text: str) -> str:
+    """The asym command's CASE: checked here, not by ``choices``, so that
+    building the parser does not load the case catalog."""
+    from . import asym
+
+    if text not in asym.CASE_TAGS:
+        raise argparse.ArgumentTypeError(_invalid_choice(text, asym.CASE_TAGS))
+    return text
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="symell",
                   description="Symmetric elliptic integrals with certified enclosures.")
@@ -66,7 +88,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("asym", help="certified enclosure of one asymptotic case")
-    p.add_argument("case", choices=asym.CASE_TAGS, metavar="CASE")
+    p.add_argument("case", type=_case_arg, metavar="CASE")
     p.add_argument("values", nargs="+", type=float)
     p.add_argument("--json", action="store_true")
 
@@ -108,7 +130,7 @@ def _build_parser() -> _Parser:
 def _cmd_eval(args) -> int:
     kind = args.kind.upper()
     vals = tuple(args.values)
-    arity = asym.KIND_ARITY[kind]
+    arity = KIND_ARITY[kind]
     # checked here, before EvalRequest: a wrong count is a usage error (64),
     # not a domain error (2)
     if len(vals) != arity:
@@ -134,7 +156,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _enc_dict(enc: asym.Enclosure) -> dict:
+def _enc_dict(enc: Enclosure) -> dict:
     return {
         "case": enc.case,
         "lo": enc.lo,
@@ -153,14 +175,18 @@ def _enc_dict(enc: asym.Enclosure) -> dict:
 def _theta(tag: str, vals: tuple, reference: float) -> float | None:
     """The case's error symbol at the reference; None if its recovery is
     ill-conditioned."""
+    from . import asym
+
     window = asym.theta_window(tag, vals, reference)
     return None if window is None else window[3]
 
 
 def _cmd_asym(args) -> int:
+    from . import asym
+
     tag = args.case
     vals = tuple(args.values)
-    arity = asym.KIND_ARITY[asym.case_kind(tag)]
+    arity = KIND_ARITY[asym.case_kind(tag)]
     if len(vals) != arity:
         print(f"error: {tag} takes {arity} arguments, got {len(vals)}", file=sys.stderr)
         return EXIT_USAGE
@@ -202,8 +228,7 @@ def _cmd_bounds(args) -> int:
 
     tag = args.ineq
     if tag not in bounds.INEQ_TAGS:
-        choices = ", ".join(map(repr, bounds.INEQ_TAGS))
-        print(f"error: argument ID: invalid choice: {tag!r} (choose from {choices})",
+        print(f"error: argument ID: {_invalid_choice(tag, bounds.INEQ_TAGS)}",
               file=sys.stderr)
         return EXIT_USAGE
     vals = tuple(args.values)
@@ -241,7 +266,7 @@ def _expand_range(spec: str, ordering: tuple[str, ...]) -> list[str] | None:
 
 def _parse_cases(spec: str) -> tuple[list[str], list[str], bool]:
     """Returns (asym cases, inequality ids, run identity suite)."""
-    from . import bounds
+    from . import asym, bounds
 
     if spec == "all":
         return list(asym.CASE_TAGS), list(bounds.INEQ_TAGS), True
@@ -362,6 +387,8 @@ def _parse_grid(spec: tuple[bool, list]) -> list[float]:
 
 
 def _table_rows(function: str, grid: list[float]) -> tuple[list[str], list[list]]:
+    from . import asym
+
     tags = asym.kind_cases(function)
     header = ["kprime", "reference"]
     for tag in tags:

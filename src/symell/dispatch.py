@@ -34,16 +34,24 @@ Requests no method can certify raise ToleranceError.
 
 Requests, plan steps and reports are immutable named tuples; a request
 checks its kind, arguments and rel_tol (in [1e-14, 1e-1]) when built.
+
+The case catalog, ``asym``, is imported at the first ratio pass or case
+reference, not with this module: a request answered before its ratio pass
+(by a closed form, or by K's and E's reference) leaves it unloaded.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import asym, core
+from . import core
+from ._util import _checked
 from .errors import ConvergenceError, DomainError, RegimeError, ToleranceError
+
+if TYPE_CHECKING:
+    from .asym import Enclosure
 
 __all__ = ["EvalRequest", "EvalReport", "PlanStep", "evaluate", "plan"]
 
@@ -65,7 +73,7 @@ _GUAR_REFERENCE = 1e-12
 
 # kind -> (reference evaluator, its guarantee, whether the walk tries it
 # before the kind's cases: K's and E's is one AGM run, DLMF 19.8(i), cheaper
-# than any of their enclosures); the arity is asym.KIND_ARITY.  The
+# than any of their enclosures); the arity is _util.KIND_ARITY.  The
 # evaluator is named, not bound, so each call looks it up on core.
 _KIND = {
     "RC": ("rc", _GUAR_RC, False),
@@ -79,6 +87,16 @@ _KIND = {
 
 KINDS = tuple(_KIND)
 
+# the case catalog, bound by _catalog on first use; after that a request
+# pays one global test for it, not an import statement
+asym = None
+
+
+def _catalog():
+    global asym
+    from . import asym
+    return asym
+
 
 class EvalRequest(NamedTuple("_Request",
                              [("kind", str), ("args", tuple), ("rel_tol", float)])):
@@ -89,7 +107,7 @@ class EvalRequest(NamedTuple("_Request",
     def __new__(cls, kind, args, rel_tol):
         if kind not in KINDS:
             raise DomainError(f"unknown kind {kind!r}; expected one of {KINDS}")
-        args = asym._checked(kind, kind, args)
+        args = _checked(kind, kind, args)
         try:
             t = float(rel_tol)
         except OverflowError:
@@ -118,7 +136,7 @@ class EvalReport(NamedTuple):
     method: str
     case: str | None
     guaranteed_rel_err: float
-    enclosure: asym.Enclosure | None = None
+    enclosure: Enclosure | None = None
 
     def method_label(self) -> str:
         return f"asym({self.case})" if self.method == "asym" else self.method
@@ -214,7 +232,7 @@ def reference(kind: str, args) -> tuple[float, float]:
 
 def case_reference(kind: str, args) -> float:
     """Reference value of the integral that cases of ``kind`` approximate."""
-    kind, args, factor = asym.reference_route(kind, args)
+    kind, args, factor = (asym or _catalog()).reference_route(kind, args)
     return factor * reference(kind, args)[0]
 
 
@@ -237,7 +255,7 @@ def _walk(req: EvalRequest):
         yield "reference", None, 9, guar, None, None
     try:
         cargs = _case_args(req.kind, req.args)
-        classes = asym._ratio_pass(req.kind, cargs, _RATIO_MAX)
+        classes = (asym or _catalog())._ratio_pass(req.kind, cargs, _RATIO_MAX)
     except DomainError:
         classes = []
     for cost, cases in classes:

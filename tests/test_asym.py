@@ -227,6 +227,13 @@ class TestThetaRecovery:
         assert lo < r < hi
         assert (r, sig) == theta_recover("J2a", args, v)
 
+    def test_infinite_true_value(self):
+        # an inf passes the true value's float64 check (an int past float64
+        # is a DomainError), and the recovery then has no finite symbol
+        assert theta_window("F1a", (0.01, 0.01, 1.0), math.inf) is None
+        with pytest.raises(ConvergenceError, match="past float64"):
+            theta_recover("F1a", (0.01, 0.01, 1.0), math.inf)
+
     @pytest.mark.parametrize("tag, args", [("F1f", (1e-7,)), ("C2b", (1.0, 1e-12))])
     def test_symbol_past_float64_is_ill_conditioned(self, tag, args):
         # the value from k' itself, as `symell asym` and `table` take it

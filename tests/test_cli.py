@@ -163,8 +163,18 @@ class TestAsym:
         assert dumps(json.loads(out.strip())) == out.strip()
 
     def test_unknown_case_usage(self, capsys):
-        code, _, _ = run(capsys, "asym", "Z9", "1", "2")
+        # argparse's own usage and "invalid choice" text, byte for byte, though
+        # the case is checked by the argument's type and not by its choices
+        code, out, err = run(capsys, "asym", "Z9", "1", "2")
         assert code == 64
+        assert out == ""
+        assert err == (
+            "usage: symell asym [-h] [--json] CASE values [values ...]\n"
+            "error: argument CASE: invalid choice: 'Z9' (choose from 'C1', 'C2a', "
+            "'C2b', 'C2c', 'F1a', 'F1b', 'F1c', 'F1d', 'F1e', 'F1f', 'F2a', 'D1', "
+            "'D2a', 'D2b', 'D2c', 'D3', 'D4', 'J1a', 'J1b', 'J2a', 'J2b', 'J3', "
+            "'J4a', 'J4b', 'J4c', 'J5', 'J6a', 'J6complete', 'G1a', 'G1b', 'G1c', "
+            "'G2')\n")
 
     @pytest.mark.parametrize("argv", [("F1f", "1e-6"), ("C2b", "1", "1e-12"),
                                       ("C2b", "1", "1e-8"), ("F1f", "3e-8"),

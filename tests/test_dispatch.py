@@ -17,6 +17,7 @@ from symell import (
     asym,
     bounds,
     core,
+    dispatch,
     evaluate,
     plan,
 )
@@ -308,15 +309,18 @@ class TestLazyWalk:
 
     def test_one_argument_check_per_request(self, built, monkeypatch):
         """The request checks its arguments when it is built; the ratio pass
-        and every enclosure run on that checked tuple."""
+        and every enclosure run on that checked tuple.  The one checker is
+        _util's, bound by name in dispatch and asym, so both are counted."""
         calls = []
         checked = asym._checked
+        assert dispatch._checked is checked
 
         def counting(*args):
             calls.append(args)
             return checked(*args)
 
         monkeypatch.setattr(asym, "_checked", counting)
+        monkeypatch.setattr(dispatch, "_checked", counting)
         evaluate(EvalRequest("RJ", (700.0, 150.0, 0.25, 0.003), 1e-3))
         assert len(built) >= 2
         assert calls == [("RJ", "RJ", (700.0, 150.0, 0.25, 0.003))]

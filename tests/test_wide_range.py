@@ -66,13 +66,16 @@ _PAST = 10 ** 400   # float() of it raises a bare OverflowError
     lambda: asym.case_ratio("F1a", 0.01, _PAST, 1),
     lambda: asym.theta_window("F1a", (_PAST, 0.01, 1), 1.0),
     lambda: asym.theta_recover("F1a", (_PAST, 0.01, 1), 1.0),
+    lambda: asym.theta_window("F1a", (0.01, 0.01, 1), _PAST),
+    lambda: asym.theta_recover("F1a", (0.01, 0.01, 1), _PAST),
     lambda: bounds.bracket("A3", 1, _PAST),
     lambda: bounds.theta_of("A3", _PAST, 1),
     lambda: quadrature.oracle_batch("RF", [(1, 2, 4), (1, _PAST, 4)]),
     lambda: Campaign("F1a", ratios=(1e-3, _PAST)),
 ], ids=["rc", "rf", "rd", "rj", "rg", "r_minus1", "agm", "legendre_k", "legendre_e",
         "EvalRequest-args", "EvalRequest-rel_tol", "enclose", "case_ratio",
-        "theta_window", "theta_recover", "bracket", "theta_of", "oracle_batch", "Campaign"])
+        "theta_window", "theta_recover", "theta_window-true_value",
+        "theta_recover-true_value", "bracket", "theta_of", "oracle_batch", "Campaign"])
 def test_int_past_float64_is_a_domain_error(call):
     """An int that float() cannot convert is refused as a DomainError, not a
     bare OverflowError, and its 401 digits stay out of the text."""
