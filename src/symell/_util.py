@@ -22,6 +22,8 @@ def _checked(name: str, kind: str, args) -> tuple:
     except OverflowError:
         raise DomainError(f"{name} arguments must be finite, got a value too large "
                           "for float64") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} arguments must be numbers: {exc}") from None
     arity = KIND_ARITY[kind]
     if len(vals) != arity:
         raise DomainError(f"{name} takes {arity} arguments, got {len(vals)}")

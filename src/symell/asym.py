@@ -1108,14 +1108,16 @@ def theta_recover(tag: str, args, true_value: float) -> tuple[float, float]:
 
 def _symbol_entry(tag: str, args, true_value) -> tuple[_Case, tuple, float]:
     """(case row, checked arguments, true value as a float) of a symbol
-    entry.  An int past float64 is a DomainError; an infinite true value
-    passes, so theta_window returns None there and theta_recover raises
-    ConvergenceError."""
+    entry.  An int past float64 or a non-number is a DomainError; an
+    infinite true value passes, so theta_window returns None there and
+    theta_recover raises ConvergenceError."""
     try:
         v = float(true_value)
     except OverflowError:
         raise DomainError("true value must be finite, got a value too large "
                           "for float64") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"true value must be a number: {exc}") from None
     case = _case(tag)
     return case, _checked(tag, case.kind, args), v
 

@@ -69,6 +69,8 @@ def _checked(tag: str, ineq: _Ineq, args) -> tuple[float, ...]:
     except OverflowError:
         raise DomainError(f"{tag} requires finite arguments, got a value too large "
                           "for float64") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{tag} arguments must be numbers: {exc}") from None
     if len(vals) != ineq.arity:
         raise DomainError(f"{tag} takes {ineq.arity} arguments (t first), got {len(vals)}")
     t = vals[0]

@@ -10,6 +10,10 @@ inequality catalog (``bounds``) is imported by ``bounds-check`` and
 request reaches the dispatcher's ratio pass.  Exit codes: 0 success,
 1 verification violations, 2 domain or convergence error, 3 tolerance
 unachievable, 4 regime error, 64 malformed usage.
+
+``main`` builds its argument parser on its first call and keeps it for the
+rest of the process.  It reads ``SEED``, the default of ``verify --seed``,
+on every call, so an in-process caller may change it between calls.
 """
 
 from __future__ import annotations
@@ -76,6 +80,22 @@ def _case_arg(text: str) -> str:
     return text
 
 
+class _SeedFromEnv(str):
+    """The verify ``--seed`` default.  argparse hands it to ``_seed_arg``
+    when the flag is absent, and ``_seed_arg`` reads ``SEED`` in its place,
+    so the one parser of the process reads the variable at every call."""
+
+
+def _seed_arg(text: str) -> int:
+    if isinstance(text, _SeedFromEnv):
+        text = os.environ.get("SEED") or "42"
+    try:
+        return int(text)
+    except ValueError:
+        # argparse's own text for an int that does not parse
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="symell",
                   description="Symmetric elliptic integrals with certified enclosures.")
@@ -104,7 +124,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ratios", type=_ratios_arg, default="1e-2:1e-7",
                    help="colon range of decades (1e-2:1e-7) or comma list")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=os.environ.get("SEED") or "42",
+    p.add_argument("--seed", type=_seed_arg, default=_SeedFromEnv(),
                    help="campaign seed (flag beats the SEED environment variable)")
     p.add_argument("--out", default="verify_report",
                    help="output prefix; writes <out>.json and <out>.csv")
@@ -449,10 +469,18 @@ _HANDLERS = {
 }
 
 
+# the parser, built by the first main call and kept for the rest of the
+# process, so that a caller running many commands in one process (a verify
+# call per case, say) builds its 29 help formatters once
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else EXIT_OK
     try:

@@ -70,6 +70,8 @@ def _as_finite(name: str, v) -> float:
         v = float(v)
     except OverflowError:
         raise DomainError(f"{name} must be finite, got a value too large for float64") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a number: {exc}") from None
     if not math.isfinite(v):
         raise DomainError(f"{name} must be finite, got {v!r}")
     return v

@@ -113,6 +113,8 @@ class EvalRequest(NamedTuple("_Request",
         except OverflowError:
             raise DomainError(f"rel_tol must lie in [{_REL_TOL_MIN}, {_REL_TOL_MAX}], "
                               "got a value too large for float64") from None
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"rel_tol must be a number: {exc}") from None
         if not _REL_TOL_MIN <= t <= _REL_TOL_MAX:
             raise DomainError(
                 f"rel_tol must lie in [{_REL_TOL_MIN}, {_REL_TOL_MAX}], got {t}")

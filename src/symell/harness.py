@@ -93,6 +93,8 @@ class Campaign:
         except OverflowError:
             raise DomainError("ratios must lie in (0, 1), got a value too large "
                               "for float64") from None
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"ratios must be numbers: {exc}") from None
         # a campaign that checks nothing must not report a pass
         if not self.ratios:
             raise DomainError("a campaign needs at least one ratio")

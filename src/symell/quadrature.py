@@ -252,6 +252,8 @@ def _checked_row(check, args):
     except OverflowError:
         raise DomainError("oracle arguments must be finite, got a value too large "
                           "for float64") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"oracle arguments must be numbers: {exc}") from None
     for v in vals:
         if not math.isfinite(v):
             raise DomainError(f"oracle arguments must be finite, got {vals}")

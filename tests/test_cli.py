@@ -4,8 +4,8 @@ import math
 import mpmath
 import pytest
 
+from symell import cli, core
 from symell.cli import main
-from symell import core
 from symell._fmt import dumps
 
 
@@ -13,6 +13,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """No parser built yet, so that the test's first main call builds it."""
+    monkeypatch.setattr(cli, "_parser", None)
+
+
+def _verify_seed(capsys, tmp_path) -> int:
+    """The seed of a one-case verify run without --seed."""
+    code, _, _ = run(capsys, "verify", "--cases", "C1", "--ratios", "1e-2,1e-3",
+                     "--samples", "3", "--out", str(tmp_path / "rep"))
+    assert code == 0
+    return json.loads((tmp_path / "rep.json").read_text())["reports"][0]["seed"]
 
 
 class TestEval:
@@ -353,25 +367,26 @@ class TestVerify:
         doc = json.loads((tmp_path / "rep.json").read_text())
         assert [r["case"] for r in doc["reports"]] == ["A1", "A2", "A3", "A4"]
 
-    def test_seed_env_override(self, capsys, tmp_path, monkeypatch):
+    def test_seed_env_override(self, capsys, tmp_path, monkeypatch, fresh_parser):
+        # an earlier call builds the parser before SEED is set
+        monkeypatch.delenv("SEED", raising=False)
+        assert run(capsys, "eval", "rf", "1", "2", "4")[0] == 0
         monkeypatch.setenv("SEED", "123")
-        out_prefix = str(tmp_path / "rep")
-        code, _, _ = run(capsys, "verify", "--cases", "C1", "--ratios", "1e-2,1e-3",
-                         "--samples", "3", "--out", out_prefix)
-        assert code == 0
-        doc = json.loads((tmp_path / "rep.json").read_text())
-        assert doc["reports"][0]["seed"] == 123
+        assert _verify_seed(capsys, tmp_path) == 123
 
     def test_malformed_ratios_is_usage(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--ratios", "abc", "--out", str(tmp_path / "rep"))
         assert code == 64
         assert "argument --ratios: invalid float: 'abc'" in err
 
-    def test_malformed_seed_env_is_usage(self, capsys, tmp_path, monkeypatch):
+    def test_malformed_seed_env_is_usage(self, capsys, tmp_path, monkeypatch, fresh_parser):
+        monkeypatch.setenv("SEED", "7")
+        assert run(capsys, "eval", "rf", "1", "2", "4")[0] == 0
         monkeypatch.setenv("SEED", "abc")
-        code, _, err = run(capsys, "verify", "--cases", "C1", "--out", str(tmp_path / "rep"))
-        assert code == 64
-        assert "argument --seed: invalid int value: 'abc'" in err
+        code, out, err = run(capsys, "verify", "--cases", "C1", "--out", str(tmp_path / "rep"))
+        assert (code, out) == (64, "")
+        assert err.startswith("usage: symell verify ")
+        assert err.endswith("\nerror: argument --seed: invalid int value: 'abc'\n")
         assert not (tmp_path / "rep.json").exists()
 
     def test_bad_selector_exit(self, capsys, tmp_path):
@@ -406,6 +421,62 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == f"error: --out directory {str(missing)!r} does not exist\n"
+
+
+class TestSharedParser:
+    """main builds its parser once per process and reads SEED at every call."""
+
+    def test_calls_build_one_parser(self, capsys, monkeypatch, fresh_parser):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+        for argv in (("eval", "rf", "1", "2", "4"), ("eval", "--bogus"),
+                     ("bounds-check", "A3", "1", "1"), ("--help",)):
+            run(capsys, *argv)
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self, spawn):
+        res = spawn("-c", """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)
+import symell.cli
+print(len(built))
+symell.cli.main(["eval", "rf", "1", "2", "4"])
+print(len(built) > 0)
+""")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["0", "0.6850858166334359 reference 1e-12", "True"]
+
+    def test_seed_change_takes_effect(self, capsys, tmp_path, monkeypatch, fresh_parser):
+        monkeypatch.setenv("SEED", "123")
+        assert _verify_seed(capsys, tmp_path) == 123
+        monkeypatch.setenv("SEED", "456")
+        assert _verify_seed(capsys, tmp_path) == 456
+        monkeypatch.delenv("SEED")
+        assert _verify_seed(capsys, tmp_path) == 42
+
+    def test_seed_mended_after_malformed(self, capsys, tmp_path, monkeypatch, fresh_parser):
+        monkeypatch.setenv("SEED", "abc")
+        code, _, err = run(capsys, "verify", "--cases", "C1", "--out", str(tmp_path / "rep"))
+        assert code == 64
+        assert "argument --seed: invalid int value: 'abc'" in err
+        monkeypatch.setenv("SEED", "9")
+        assert _verify_seed(capsys, tmp_path) == 9
+
+    def test_option_values_do_not_carry_over(self, capsys, fresh_parser):
+        code, out, _ = run(capsys, "eval", "rf", "1", "2", "4", "--rel-tol", "1e-3", "--json")
+        assert code == 0 and json.loads(out)["rel_tol"] == 1e-3
+        assert run(capsys, "eval", "rf", "1", "2", "4") == (
+            0, "0.6850858166334359 reference 1e-12\n", "")
+
+    def test_usage_error_leaves_the_parser_working(self, capsys, fresh_parser):
+        code, out, err = run(capsys, "eval", "rf", "1", "2", "--rel-tol", "x")
+        assert (code, out) == (64, "")
+        assert "argument --rel-tol: invalid float value: 'x'" in err
+        assert run(capsys, "eval", "rf", "1", "2", "4") == (
+            0, "0.6850858166334359 reference 1e-12\n", "")
 
 
 class TestIdentitiesCommand:

@@ -84,6 +84,33 @@ def test_int_past_float64_is_a_domain_error(call):
     assert "0" * 20 not in str(got.value)
 
 
+@pytest.mark.parametrize("call, names", [
+    (lambda: EvalRequest("RF", (1, 2, "x"), 1e-6), "RF arguments"),
+    (lambda: EvalRequest("RF", (1, None, 4), 1e-6), "RF arguments"),
+    (lambda: EvalRequest("RF", (1, 2, 4), "tol"), "rel_tol"),
+    (lambda: core.rf("a", 1, 1), "x"),
+    (lambda: core.rc(None, 1), "x"),
+    (lambda: core.rj(1, 2, 4, "p"), "p"),
+    (lambda: asym.enclose("F1a", "a", 1, 1), "F1a arguments"),
+    (lambda: asym.theta_window("F1a", (0.01, 0.01, 1), "v"), "true value"),
+    (lambda: bounds.bracket("A1", "a", 1, 1), "A1 arguments"),
+    (lambda: quadrature.oracle_batch("RF", [("a", 1, 1)]), "oracle arguments"),
+    (lambda: Campaign("C1", ("x",), 5, 1), "ratios"),
+], ids=["EvalRequest-args", "EvalRequest-None", "EvalRequest-rel_tol", "rf", "rc-None",
+        "rj", "enclose", "theta_window-true_value", "bracket", "oracle_batch", "Campaign"])
+def test_non_number_is_a_domain_error(call, names):
+    """A text that is no number, or None, is refused as a DomainError that
+    names the argument, not a bare ValueError or TypeError."""
+    with pytest.raises(DomainError, match=f"^{names} must be (a number|numbers): "):
+        call()
+
+
+def test_numeric_text_is_still_a_number():
+    assert EvalRequest("RF", ("1", "2", "4"), "1e-6") == EvalRequest("RF", (1, 2, 4), 1e-6)
+    assert core.rf("1", "2", "4") == core.rf(1.0, 2.0, 4.0)
+    assert bounds.bracket("A3", "4", 1) == bounds.bracket("A3", 4.0, 1.0)
+
+
 @pytest.mark.parametrize("args", [
     # the result was NaN, printed with exit 0
     ("2.7027341872482865e-280", "1e-310", "3.218908163891085e-80",
