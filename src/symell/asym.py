@@ -53,8 +53,10 @@ enclosure is its sibling's and sorts after it, so it never answers.
 The catalog loads the first time something needs it: ``import symell``
 leaves it out, the dispatcher imports it at its first ratio pass or case
 reference, and the package serves its public names on first access.  The
-arity of each kind and the argument check (KIND_ARITY, _checked) live in
-_util, so a request is checked without it; they are importable from here.
+table of kinds and the argument checks live in _util, so a request is
+checked without the catalog.  An entry point converts its arguments with
+``_util.floats`` and leaves the domain to the case's gate: a K or E case
+takes k', not k, so the kinds' rules do not apply to it.
 
 A float64 failure inside a case formula (an overflow, an underflow to a
 division by zero, a math-domain error, an inner evaluator's DomainError, or
@@ -70,14 +72,13 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from ._util import KIND_ARITY, _checked, cbrt, widen_down, widen_up
+from ._util import KIND_TABLE, cbrt, floats, number, widen_down, widen_up, xyz_rule
 from .core import _rf_complete, _rg_complete, rc, rd, rf, rj
 from .errors import ConvergenceError, DomainError, RegimeError
 
 __all__ = [
     "CASE_TAGS",
     "Enclosure",
-    "KIND_ARITY",
     "case_kind",
     "case_ratio",
     "enclose",
@@ -551,11 +552,7 @@ _register("D4", "RD", 2, gate=_d4_gate,
 
 
 def _rj_dom(x, y, z, p):
-    _nonneg("x", x)
-    _nonneg("y", y)
-    _nonneg("z", z)
-    if sum(1 for v in (x, y, z) if v == 0.0) > 1:
-        raise DomainError("at most one of x, y, z may vanish")
+    xyz_rule("rj", (x, y, z))
     if not p > 0.0:
         raise DomainError(f"p must be positive (principal values are not approximated), got {p}")
 
@@ -963,6 +960,12 @@ def _case(tag: str) -> _Case:
         raise DomainError(f"unknown case tag {tag!r}") from None
 
 
+def _entry(tag: str, args) -> tuple[_Case, tuple]:
+    """(case row, arguments as floats of its arity, all finite) of an entry point."""
+    case = _case(tag)
+    return case, floats(tag, args, KIND_TABLE[case.kind].arity)
+
+
 def _in_window(kind: str, vals) -> bool:
     """Whether every nonzero argument lies in [1e-100, 1e100]; K and E cases
     take k' and have no window."""
@@ -1015,8 +1018,7 @@ def _enclosure(case: _Case, vals) -> Enclosure:
 
 def enclose(tag: str, *args: float) -> Enclosure:
     """Build the certified enclosure of case ``tag`` at ``args``."""
-    case = _case(tag)
-    return _enclose(case, _checked(tag, case.kind, args))
+    return _enclose(*_entry(tag, args))
 
 
 def _build(case: _Case, vals) -> Enclosure:
@@ -1111,15 +1113,8 @@ def _symbol_entry(tag: str, args, true_value) -> tuple[_Case, tuple, float]:
     entry.  An int past float64 or a non-number is a DomainError; an
     infinite true value passes, so theta_window returns None there and
     theta_recover raises ConvergenceError."""
-    try:
-        v = float(true_value)
-    except OverflowError:
-        raise DomainError("true value must be finite, got a value too large "
-                          "for float64") from None
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"true value must be a number: {exc}") from None
-    case = _case(tag)
-    return case, _checked(tag, case.kind, args), v
+    v = number("true value", true_value, finite=False)
+    return (*_entry(tag, args), v)
 
 
 def case_kind(tag: str) -> str:
@@ -1140,8 +1135,7 @@ def _ratio(case: _Case, vals) -> float:
 
 def case_ratio(tag: str, *args: float) -> float:
     """Smallness parameter governing the case's enclosure width."""
-    case = _case(tag)
-    return _call(case, _checked(tag, case.kind, args), False, True, _ratio)
+    return _call(*_entry(tag, args), False, True, _ratio)
 
 
 def _ratio_pass(kind: str, vals, ratio_max: float) -> list[tuple[int, list[_Case]]]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from ._util import cbrt, equal_within_band
+from ._util import cbrt, equal_within_band, floats
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["INEQ_TAGS", "THETA_TAGS", "Bracket", "bracket", "theta_of",
@@ -64,15 +64,7 @@ def _ineq(tag: str) -> _Ineq:
 
 
 def _checked(tag: str, ineq: _Ineq, args) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(a) for a in args)
-    except OverflowError:
-        raise DomainError(f"{tag} requires finite arguments, got a value too large "
-                          "for float64") from None
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{tag} arguments must be numbers: {exc}") from None
-    if len(vals) != ineq.arity:
-        raise DomainError(f"{tag} takes {ineq.arity} arguments (t first), got {len(vals)}")
+    vals = floats(tag, args, ineq.arity)
     t = vals[0]
     if ineq.t_zero_ok:
         if t < 0.0:
@@ -82,9 +74,6 @@ def _checked(tag: str, ineq: _Ineq, args) -> tuple[float, ...]:
     for v in vals[1:]:
         if v <= 0.0:
             raise DomainError(f"{tag} requires positive variables, got {vals}")
-    for v in vals:
-        if not math.isfinite(v):
-            raise DomainError(f"{tag} requires finite arguments, got {vals}")
     return vals
 
 

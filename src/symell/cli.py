@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from . import dispatch
 from ._fmt import dumps, plain
-from ._util import KIND_ARITY
+from ._util import KIND_TABLE
 from .errors import ConvergenceError, DomainError, RegimeError, ToleranceError
 
 if TYPE_CHECKING:
@@ -150,7 +150,7 @@ def _build_parser() -> _Parser:
 def _cmd_eval(args) -> int:
     kind = args.kind.upper()
     vals = tuple(args.values)
-    arity = KIND_ARITY[kind]
+    arity = KIND_TABLE[kind].arity
     # checked here, before EvalRequest: a wrong count is a usage error (64),
     # not a domain error (2)
     if len(vals) != arity:
@@ -206,7 +206,7 @@ def _cmd_asym(args) -> int:
 
     tag = args.case
     vals = tuple(args.values)
-    arity = KIND_ARITY[asym.case_kind(tag)]
+    arity = KIND_TABLE[asym.case_kind(tag)].arity
     if len(vals) != arity:
         print(f"error: {tag} takes {arity} arguments, got {len(vals)}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,7 +32,11 @@ RG(0, y, z) = pi/(4M) (a1**2 - sum_{n>=2} 2**(n-1) c_n**2) (DLMF 19.8(i),
 and its iterates stay normal floats, so it cannot overflow or underflow.
 
 All functions return plain finite floats and raise
-:class:`~symell.errors.DomainError` on invalid input.  Where float64
+:class:`~symell.errors.DomainError` on invalid input: each reference
+evaluator checks its arguments by the rule of its row of
+``_util.KIND_TABLE``, the one place each domain is written, and r_minus1
+and agm by ``_util.positive``, so the dispatcher and the quadrature oracle
+refuse an argument with the same text.  Where float64
 overflows or underflows inside rf, rd, rj, rg, rc's principal value or
 r_minus1 (arguments near the ends of the range, where an inner call may get
 arguments outside its own domain), or rc's principal value or agm would
@@ -47,6 +51,7 @@ from __future__ import annotations
 import math
 import sys
 
+from ._util import e_rule, k_rule, positive, rc_rule, rd_rule, rg_rule, rj_rule, xyz_rule
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -63,34 +68,6 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 _MIN_NORMAL = sys.float_info.min
-
-
-def _as_finite(name: str, v) -> float:
-    try:
-        v = float(v)
-    except OverflowError:
-        raise DomainError(f"{name} must be finite, got a value too large for float64") from None
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a number: {exc}") from None
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {v!r}")
-    return v
-
-
-def _sym_args(x, y, z, p=None) -> tuple[float, ...]:
-    """(x, y, z[, p]) as finite floats: x, y, z nonnegative with at most one
-    zero, and p, when given, nonzero (negative p = principal value)."""
-    xyz = (_as_finite("x", x), _as_finite("y", y), _as_finite("z", z))
-    if min(xyz) < 0.0:
-        raise DomainError(f"arguments must be nonnegative, got {xyz}")
-    if xyz.count(0.0) > 1:
-        raise DomainError(f"at most one argument may be zero, got {xyz}")
-    if p is None:
-        return xyz
-    p = _as_finite("p", p)
-    if p == 0.0:
-        raise DomainError("p must be nonzero")
-    return xyz + (p,)
 
 
 # --------------------------------------------------------------------------
@@ -114,10 +91,7 @@ def rc(x: float, y: float) -> float:
     x**-0.5 on the diagonal, and a short series just off the diagonal.
     Relative error <= 1e-13 everywhere.
     """
-    x = _as_finite("x", x)
-    y = _as_finite("y", y)
-    if x < 0.0 or y == 0.0:
-        raise DomainError(f"rc requires x >= 0 and y != 0, got ({x}, {y})")
+    x, y = rc_rule("rc", (x, y))
     if y > 0.0:
         return _rc(x, y)
     if x == 0.0:
@@ -403,7 +377,7 @@ def _rg_complete(y: float, z: float) -> float:
 
 def rf(x: float, y: float, z: float) -> float:
     """Symmetric integral of the first kind; relative error <= 1e-12."""
-    a, b, c = sorted(_sym_args(x, y, z))
+    a, b, c = sorted(xyz_rule("rf", (x, y, z)))
     if a == 0.0:
         return _rf_complete(b, c)
     try:
@@ -414,15 +388,7 @@ def rf(x: float, y: float, z: float) -> float:
 
 def rd(x: float, y: float, z: float) -> float:
     """Symmetric integral of the second kind, symmetric in (x, y); z > 0."""
-    x = _as_finite("x", x)
-    y = _as_finite("y", y)
-    z = _as_finite("z", z)
-    if x < 0.0 or y < 0.0:
-        raise DomainError(f"rd requires x, y >= 0, got ({x}, {y})")
-    if x == 0.0 and y == 0.0:
-        raise DomainError("rd diverges when x and y both vanish")
-    if z <= 0.0:
-        raise DomainError(f"rd requires z > 0, got z={z}")
+    x, y, z = rd_rule("rd", (x, y, z))
     a, b = sorted((x, y))
     try:
         value = _rd_core(a, b, z)
@@ -439,7 +405,7 @@ def rj(x: float, y: float, z: float, p: float) -> float:
 
     Delegates exactly to rd when p coincides with one of x, y, z.
     """
-    x, y, z, p = _sym_args(x, y, z, p)
+    x, y, z, p = rj_rule("rj", (x, y, z, p))
     if p < 0.0:
         return _rj_principal(x, y, z, p)
     a, b, c = sorted((x, y, z))
@@ -467,8 +433,6 @@ def _rj_principal(x: float, y: float, z: float, p: float) -> float:
     The arguments are permuted so the middle one sits in the y slot, which
     makes (z-y)(y-x) >= 0 and hence q >= y > 0 in the shifted evaluation.
     """
-    if min(x, y, z) <= 0.0:
-        raise DomainError("rj requires strictly positive x, y, z at p < 0")
     lo, med, hi = sorted((x, y, z))
     pabs = -p
     try:
@@ -494,16 +458,7 @@ def rg(x: float, y: float, z: float) -> float:
     argument by the AGM.  Two zero arguments are allowed: rg(0, 0, z) =
     sqrt(z)/2 is the finite limit.
     """
-    vals = []
-    for name, v in (("x", x), ("y", y), ("z", z)):
-        v = _as_finite(name, v)
-        if v < 0.0:
-            raise DomainError(f"rg requires nonnegative arguments, got {name}={v}")
-        vals.append(v)
-    a, b, c = sorted(vals)
-    if c == 0.0:
-        raise DomainError("rg requires at least one positive argument")
-    return _rg(a, b, c)
+    return _rg(*sorted(rg_rule("rg", (x, y, z))))
 
 
 def _rg(a: float, b: float, c: float) -> float:
@@ -527,9 +482,7 @@ def _rg(a: float, b: float, c: float) -> float:
 
 def r_minus1(x: float, y: float, z: float) -> float:
     """Auxiliary integral of (t+x)^-1/2 (t+y)^-1/2 (t+z)^-1 over t >= 0."""
-    for name, v in (("x", x), ("y", y), ("z", z)):
-        if _as_finite(name, v) <= 0.0:
-            raise DomainError(f"r_minus1 requires positive arguments, got {name}={v}")
+    x, y, z = positive("r_minus1", (x, y, z))
     try:
         sxy = math.sqrt(x * y)
         s = math.sqrt(x) + math.sqrt(y)
@@ -544,10 +497,7 @@ def r_minus1(x: float, y: float, z: float) -> float:
 def agm(u: float, v: float) -> float:
     """Gauss's arithmetic-geometric mean; relative error <= 1e-14, and
     ConvergenceError below the normal range."""
-    u = _as_finite("u", u)
-    v = _as_finite("v", v)
-    if u <= 0.0 or v <= 0.0:
-        raise DomainError(f"agm requires positive arguments, got ({u}, {v})")
+    u, v = positive("agm", (u, v))
     # scaled up below 1, the first step taken here stays normal and leaves
     # the run a g0/a0 >= 3e-316
     k = min(math.frexp(max(u, v))[1], 0)
@@ -561,15 +511,11 @@ def agm(u: float, v: float) -> float:
 
 def legendre_k(k: float) -> float:
     """Complete elliptic integral of the first kind, k in [0, 1)."""
-    k = _as_finite("k", k)
-    if not 0.0 <= k < 1.0:
-        raise DomainError(f"legendre_k requires 0 <= k < 1, got {k}")
+    k, = k_rule("legendre_k", (k,))
     return _rf_complete((1.0 - k) * (1.0 + k), 1.0)
 
 
 def legendre_e(k: float) -> float:
     """Complete elliptic integral of the second kind, k in [0, 1]."""
-    k = _as_finite("k", k)
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"legendre_e requires 0 <= k <= 1, got {k}")
+    k, = e_rule("legendre_e", (k,))
     return 2.0 * _rg(0.0, (1.0 - k) * (1.0 + k), 1.0)

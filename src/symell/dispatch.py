@@ -32,8 +32,12 @@ the auxiliary core terms; reference 1e-12 (1e-13 for rc), rj's principal
 value at RJ's p < 0 among them (no case gate accepts p < 0).
 Requests no method can certify raise ToleranceError.
 
-Requests, plan steps and reports are immutable named tuples; a request
-checks its kind, arguments and rel_tol (in [1e-14, 1e-1]) when built.
+Requests, plan steps and reports are immutable named tuples.  A request
+checks its kind, its arguments and rel_tol (in [1e-14, 1e-1]) when built:
+its arguments by its kind's row of ``_util.KIND_TABLE``, which holds the
+arity, the reference evaluator's name and the domain rule, so a request
+outside the domain is refused then, whatever its rel_tol, in the
+evaluator's own words.
 
 The case catalog, ``asym``, is imported at the first ratio pass or case
 reference, not with this module: a request answered before its ratio pass
@@ -47,7 +51,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import core
-from ._util import _checked
+from ._util import KIND_TABLE, checked, number
 from .errors import ConvergenceError, DomainError, RegimeError, ToleranceError
 
 if TYPE_CHECKING:
@@ -71,18 +75,19 @@ _GUAR_ELEMENTARY = 1e-14
 _GUAR_RC = 1e-13
 _GUAR_REFERENCE = 1e-12
 
-# kind -> (reference evaluator, its guarantee, whether the walk tries it
+# kind -> (the reference evaluator's guarantee, whether the walk tries it
 # before the kind's cases: K's and E's is one AGM run, DLMF 19.8(i), cheaper
-# than any of their enclosures); the arity is _util.KIND_ARITY.  The
-# evaluator is named, not bound, so each call looks it up on core.
+# than any of their enclosures); the arity, the evaluator's name and the
+# domain are _util.KIND_TABLE's.  The evaluator is named, not bound, so each
+# call looks it up on core.
 _KIND = {
-    "RC": ("rc", _GUAR_RC, False),
-    "RF": ("rf", _GUAR_REFERENCE, False),
-    "RD": ("rd", _GUAR_REFERENCE, False),
-    "RJ": ("rj", _GUAR_REFERENCE, False),
-    "RG": ("rg", _GUAR_REFERENCE, False),
-    "K": ("legendre_k", _GUAR_REFERENCE, True),
-    "E": ("legendre_e", _GUAR_REFERENCE, True),
+    "RC": (_GUAR_RC, False),
+    "RF": (_GUAR_REFERENCE, False),
+    "RD": (_GUAR_REFERENCE, False),
+    "RJ": (_GUAR_REFERENCE, False),
+    "RG": (_GUAR_REFERENCE, False),
+    "K": (_GUAR_REFERENCE, True),
+    "E": (_GUAR_REFERENCE, True),
 }
 
 KINDS = tuple(_KIND)
@@ -107,14 +112,8 @@ class EvalRequest(NamedTuple("_Request",
     def __new__(cls, kind, args, rel_tol):
         if kind not in KINDS:
             raise DomainError(f"unknown kind {kind!r}; expected one of {KINDS}")
-        args = _checked(kind, kind, args)
-        try:
-            t = float(rel_tol)
-        except OverflowError:
-            raise DomainError(f"rel_tol must lie in [{_REL_TOL_MIN}, {_REL_TOL_MAX}], "
-                              "got a value too large for float64") from None
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"rel_tol must be a number: {exc}") from None
+        args = checked(kind, args)
+        t = number("rel_tol", rel_tol)
         if not _REL_TOL_MIN <= t <= _REL_TOL_MAX:
             raise DomainError(
                 f"rel_tol must lie in [{_REL_TOL_MIN}, {_REL_TOL_MAX}], got {t}")
@@ -168,21 +167,15 @@ def _pattern(kind: str, args) -> tuple[float, float] | None:
     if kind == "RF":
         a, b, c = sorted(args)
         if a == b == c:
-            if a == 0.0:
-                raise DomainError("rf diverges when all arguments vanish")
             return a ** -0.5, _GUAR_ELEMENTARY
         if b == c:
             return core.rc(a, b), _GUAR_RC
         if a == b:
-            if a == 0.0:
-                raise DomainError("rf diverges when two arguments vanish")
             return core.rc(c, a), _GUAR_RC
         return None
     if kind == "RD":
         x, y, z = args
         if x == y == z:
-            if x == 0.0:
-                raise DomainError("rd requires z > 0")
             return x ** -1.5, _GUAR_ELEMENTARY
         a, b = sorted((x, y))
         if a == 0.0 and b == z:
@@ -191,8 +184,6 @@ def _pattern(kind: str, args) -> tuple[float, float] | None:
     if kind == "RJ":
         x, y, z, p = args
         if x == y == z == p:
-            if x == 0.0:
-                raise DomainError("rj requires p != 0")
             return x ** -1.5, _GUAR_ELEMENTARY
         for i, v in enumerate((x, y, z)):
             if v == p:
@@ -205,8 +196,6 @@ def _pattern(kind: str, args) -> tuple[float, float] | None:
     if kind == "RG":
         a, b, c = sorted(args)
         if a == b == c:
-            if a == 0.0:
-                raise DomainError("rg requires at least one positive argument")
             return math.sqrt(a), _GUAR_ELEMENTARY
         if b == 0.0:
             return math.sqrt(c) / 2.0, _GUAR_ELEMENTARY
@@ -228,8 +217,7 @@ def _pattern(kind: str, args) -> tuple[float, float] | None:
 
 def reference(kind: str, args) -> tuple[float, float]:
     """(value, guarantee) of the kind's reference evaluator."""
-    name, guar, _ = _KIND[kind]
-    return getattr(core, name)(*args), guar
+    return getattr(core, KIND_TABLE[kind].evaluator)(*args), _KIND[kind][0]
 
 
 def case_reference(kind: str, args) -> float:
@@ -241,8 +229,6 @@ def case_reference(kind: str, args) -> float:
 def _case_args(kind: str, args) -> tuple:
     if kind in ("K", "E"):
         k = args[0]
-        if not 0.0 <= k < 1.0:
-            raise DomainError(f"modulus must lie in [0, 1) for asymptotic cases, got {k}")
         return (math.sqrt((1.0 - k) * (1.0 + k)),)
     return args
 
@@ -252,15 +238,11 @@ def _walk(req: EvalRequest):
     cf = _closed_form(req.kind, req.args)
     if cf is not None:
         yield "closed_form", None, 0, cf[1], None, cf[0]
-    _, guar, reference_first = _KIND[req.kind]
+    guar, reference_first = _KIND[req.kind]
     if reference_first:
         yield "reference", None, 9, guar, None, None
-    try:
-        cargs = _case_args(req.kind, req.args)
-        classes = (asym or _catalog())._ratio_pass(req.kind, cargs, _RATIO_MAX)
-    except DomainError:
-        classes = []
-    for cost, cases in classes:
+    cargs = _case_args(req.kind, req.args)
+    for cost, cases in (asym or _catalog())._ratio_pass(req.kind, cargs, _RATIO_MAX):
         steps = []
         for case in cases:
             try:

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import asym, bounds, core, dispatch
 from . import quadrature as quad_oracle
-from ._util import equal_within_band
+from ._util import equal_within_band, floats
 from .errors import DomainError, RegimeError
 
 __all__ = [
@@ -88,13 +88,7 @@ class Campaign:
     seed: int = 42
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        except OverflowError:
-            raise DomainError("ratios must lie in (0, 1), got a value too large "
-                              "for float64") from None
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"ratios must be numbers: {exc}") from None
+        object.__setattr__(self, "ratios", floats("ratios", self.ratios))
         # a campaign that checks nothing must not report a pass
         if not self.ratios:
             raise DomainError("a campaign needs at least one ratio")

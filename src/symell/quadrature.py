@@ -22,16 +22,21 @@ suite, integrated by parts so that no logarithm is left.
 
 This module intentionally shares no evaluation code with
 :mod:`symell.core`; it is the independent side of every dual-route check.
+It shares the argument checks: an RF, RD or RG row is refused by the
+kind's rule in ``_util.KIND_TABLE``, an RC or RJ row by the kind's rule and
+the oracle's own limit (y > 0, p > 0), and the rows of the other integrals
+by ``_util.positive``, with the evaluators' texts.
 """
 
 from __future__ import annotations
 
-import math
 import sys
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._util import checked, positive
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["oracle_batch", "oracle_with_error", "KINDS"]
@@ -52,16 +57,6 @@ _X = np.concatenate([_X_COARSE, _X_FINE])   # the nodes of both levels on [-1, 1
 _GRADING = {p: np.linspace(1.0, 0.0, p) for p in _PANELS}
 
 
-def _require(cond, msg):
-    if not cond:
-        raise DomainError(msg)
-
-
-def _check_triple(x, y, z):
-    _require(min(x, y, z) >= 0.0, "arguments must be nonnegative")
-    _require(sum(1 for v in (x, y, z) if v == 0.0) <= 1, "at most one argument may be zero")
-
-
 # --------------------------------------------------------------------------
 # integrands of the rescaled arguments (max 1): head in u with t = u**2,
 # tail in v with t = v**-2.  They take broadcasting arrays of nodes and
@@ -69,8 +64,11 @@ def _check_triple(x, y, z):
 # --------------------------------------------------------------------------
 
 
-def _rc_check(x, y):
-    _require(x >= 0.0 and y > 0.0, "RC requires x >= 0 and y > 0")
+def _rc_check(row):
+    vals = checked("RC", row)
+    if not vals[1] > 0.0:
+        raise DomainError(f"RC oracle requires y > 0, got {vals}")
+    return vals
 
 
 def _rc_head(u, x, y):
@@ -93,11 +91,6 @@ def _rf_tail(v, x, y, z):
     return 1.0 / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
 
 
-def _rd_check(x, y, z):
-    _require(x >= 0.0 and y >= 0.0 and (x > 0.0 or y > 0.0), "RD requires x, y >= 0, not both 0")
-    _require(z > 0.0, "RD requires z > 0")
-
-
 def _rd_head(u, x, y, z):
     t = u * u
     return 3.0 * u / (np.sqrt(t + x) * np.sqrt(t + y) * (t + z) ** 1.5)
@@ -108,9 +101,11 @@ def _rd_tail(v, x, y, z):
     return 3.0 * w / (np.sqrt((1.0 + x * w) * (1.0 + y * w)) * (1.0 + z * w) ** 1.5)
 
 
-def _rj_check(x, y, z, p):
-    _check_triple(x, y, z)
-    _require(p > 0.0, "RJ oracle requires p > 0")
+def _rj_check(row):
+    vals = checked("RJ", row)
+    if not vals[3] > 0.0:
+        raise DomainError(f"RJ oracle requires p > 0, got {vals}")
+    return vals
 
 
 def _rj_head(u, x, y, z, p):
@@ -121,11 +116,6 @@ def _rj_head(u, x, y, z, p):
 def _rj_tail(v, x, y, z, p):
     w = v * v
     return 3.0 * w / (np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w)) * (1.0 + p * w))
-
-
-def _rg_check(x, y, z):
-    _require(min(x, y, z) >= 0.0, "RG requires nonnegative arguments")
-    _require(max(x, y, z) > 0.0, "RG requires at least one positive argument")
 
 
 def _rg_head(u, x, y, z):
@@ -140,10 +130,6 @@ def _rg_tail(v, x, y, z):
     return 0.5 * num / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
 
 
-def _positive_check(x, y, z):
-    _require(min(x, y, z) > 0.0, "arguments must be positive")
-
-
 def _rm1_head(u, x, y, z):
     t = u * u
     return 2.0 * u / (np.sqrt(t + x) * np.sqrt(t + y) * (t + z))
@@ -156,11 +142,6 @@ def _rm1_tail(v, x, y, z):
 
 def _rsqrt3(x, y, z):
     return 1.0 / (np.sqrt(x) * np.sqrt(y) * np.sqrt(z))
-
-
-def _rjpv_check(x, y, z, q):
-    _require(min(x, y, z) > 0.0, "principal-value oracle requires positive x, y, z")
-    _require(q > 0.0, "principal-value oracle requires p < 0")
 
 
 def _rjpv_head(u, x, y, z, q):
@@ -186,7 +167,8 @@ def _mlog_tail(v, x, y, z):
     return -2.0 * w / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
 
 
-# kind -> (argument check, head, tail, degree d): the integral at arguments
+# kind -> (argument check: row -> floats, head, tail, degree d); RJpv's row
+# (x, y, z, q) has q = -p > 0.  The integral at arguments
 # s * a (max a = 1) is s**-d times the integral at a.  With g(t) = ((t + x)(t + y)(t + z))**-0.5:
 # - RJpv (x, y, z, q) = PV int 1.5 g(t) / (t - q) dt = RJ(x, y, z, -q).  Less
 #   g(q) 2q / (t**2 - q**2), whose PV is 0, it is regular at t = q; a node on the
@@ -195,13 +177,13 @@ def _mlog_tail(v, x, y, z):
 #   on the head, with expm1 so that nothing cancels, and -g(t) / t on the tail.
 _KIND = {
     "RC": (_rc_check, _rc_head, _rc_tail, 0.5),
-    "RF": (_check_triple, _rf_head, _rf_tail, 0.5),
-    "RD": (_rd_check, _rd_head, _rd_tail, 1.5),
+    "RF": (partial(checked, "RF"), _rf_head, _rf_tail, 0.5),
+    "RD": (partial(checked, "RD"), _rd_head, _rd_tail, 1.5),
     "RJ": (_rj_check, _rj_head, _rj_tail, 1.5),
-    "RG": (_rg_check, _rg_head, _rg_tail, -0.5),
-    "Rm1": (_positive_check, _rm1_head, _rm1_tail, 1.0),
-    "RJpv": (_rjpv_check, _rjpv_head, _rjpv_tail, 1.5),
-    "Mlog": (_positive_check, _mlog_head, _mlog_tail, 1.5),
+    "RG": (partial(checked, "RG"), _rg_head, _rg_tail, -0.5),
+    "Rm1": (partial(positive, "Rm1"), _rm1_head, _rm1_tail, 1.0),
+    "RJpv": (partial(positive, "RJpv"), _rjpv_head, _rjpv_tail, 1.5),
+    "Mlog": (partial(positive, "Mlog"), _mlog_head, _mlog_tail, 1.5),
 }
 
 KINDS = tuple(_KIND)
@@ -246,21 +228,6 @@ def quad(head, tail, a):
     return value, err, ok
 
 
-def _checked_row(check, args):
-    try:
-        vals = tuple(float(a) for a in args)
-    except OverflowError:
-        raise DomainError("oracle arguments must be finite, got a value too large "
-                          "for float64") from None
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"oracle arguments must be numbers: {exc}") from None
-    for v in vals:
-        if not math.isfinite(v):
-            raise DomainError(f"oracle arguments must be finite, got {vals}")
-    check(*vals)
-    return vals
-
-
 def _where(kind: str, row) -> str:
     # an RJpv row carries q = -p; name the p of the integral
     return (f"RJpv quadrature at {row[:3]} with p = {-row[3]!r}" if kind == "RJpv"
@@ -280,7 +247,7 @@ def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
         check, head, tail, degree = _KIND[kind]
     except KeyError:
         raise DomainError(f"unknown oracle kind {kind!r}; expected one of {KINDS}") from None
-    vals = [_checked_row(check, args) for args in rows]
+    vals = [check(args) for args in rows]
     out = []
     for start in range(0, len(vals), _CHUNK):
         chunk = vals[start:start + _CHUNK]

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from symell import asym, core, dispatch
+from symell._util import KIND_TABLE
 from symell.asym import (
     CASE_TAGS,
-    KIND_ARITY,
     case_kind,
     enclose,
     theta_recover,
@@ -216,7 +216,7 @@ def test_criterion_9_dispatcher_soundness():
         if i % 5 == 0:
             # generic magnitudes, usually served by the reference path
             kind = ("RC", "RF", "RD", "RJ", "RG")[(i // 5) % 5]
-            n = KIND_ARITY[kind]
+            n = KIND_TABLE[kind].arity
             args = tuple(draws.lu(1e-3, 1e3) for _ in range(n))
         else:
             tag = tags[i % len(tags)]

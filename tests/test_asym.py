@@ -14,8 +14,8 @@ from symell import (
     enclose,
     theta_recover,
 )
-from symell.asym import (CASE_TAGS, KIND_ARITY, Enclosure, case_kind, reference_route,
-                         theta_window)
+from symell._util import KIND_TABLE
+from symell.asym import CASE_TAGS, Enclosure, case_kind, reference_route, theta_window
 from symell.harness import Draws, containment_slack, sample_args
 from symell.quadrature import oracle_with_error
 
@@ -438,11 +438,11 @@ def test_ratio_pass_refuses_outside_the_window():
     args = (1e200, 2e200, 3e200)
     with pytest.raises(ConvergenceError, match=r"an argument lies outside \[1e-100, 1e100\]$"):
         case_ratio("D4", *args)
-    assert asym._ratio_pass("RD", asym._checked("RD", "RD", args), 1e-2) == []
+    assert asym._ratio_pass("RD", args, 1e-2) == []
     assert dispatch.evaluate(dispatch.EvalRequest("RD", args, 1e-6)).method == "reference"
-    assert asym._ratio_pass("RD", asym._checked("RD", "RD", (1e-90, 2e-90, 3e-90)), 1.0) != []
+    assert asym._ratio_pass("RD", (1e-90, 2e-90, 3e-90), 1.0) != []
     for kind in ("K", "E"):
-        assert asym._ratio_pass(kind, asym._checked(kind, kind, (1e-120,)), 1e-2) != []
+        assert asym._ratio_pass(kind, (1e-120,), 1e-2) != []
         assert case_ratio(asym.kind_cases(kind)[0], 1e-120) <= 1e-2
 
 
@@ -485,7 +485,7 @@ def test_only_typed_errors_escape_on_the_whole_float64_range():
     # through every entry point of every case
     rng = np.random.default_rng(5)
     for tag in CASE_TAGS:
-        n = KIND_ARITY[case_kind(tag)]
+        n = KIND_TABLE[case_kind(tag)].arity
         rows = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (1000, n + 1)))
         rows[rng.random((1000, n + 1)) < 0.1] = 0.0
         for *args, v in rows.tolist():

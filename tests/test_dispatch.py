@@ -21,6 +21,7 @@ from symell import (
     evaluate,
     plan,
 )
+from symell._util import KIND_TABLE
 from symell.dispatch import PlanStep
 from symell.quadrature import oracle_batch
 
@@ -267,7 +268,7 @@ def test_twins_are_not_walked(built):
 
 def _classes(kind, args, ratio_max=1e-2):
     """(cost, tags) of the cases that the ratio pass finds in ratio at ``args``."""
-    classes = asym._ratio_pass(kind, asym._checked(kind, kind, args), ratio_max)
+    classes = asym._ratio_pass(kind, tuple(map(float, args)), ratio_max)
     return [(cost, [c.tag for c in cases]) for cost, cases in classes]
 
 
@@ -308,22 +309,22 @@ class TestLazyWalk:
         assert "asym(J2b)" in labels(plan(req))  # cost 3 and in ratio
 
     def test_one_argument_check_per_request(self, built, monkeypatch):
-        """The request checks its arguments when it is built; the ratio pass
-        and every enclosure run on that checked tuple.  The one checker is
-        _util's, bound by name in dispatch and asym, so both are counted."""
+        """The request checks its arguments when it is built, by its kind's
+        row of _util.KIND_TABLE; the ratio pass and every enclosure run on
+        that checked tuple, and asym converts no argument again."""
         calls = []
-        checked = asym._checked
-        assert dispatch._checked is checked
 
-        def counting(*args):
-            calls.append(args)
-            return checked(*args)
+        def counting(real):
+            def wrapper(*args):
+                calls.append(args)
+                return real(*args)
+            return wrapper
 
-        monkeypatch.setattr(asym, "_checked", counting)
-        monkeypatch.setattr(dispatch, "_checked", counting)
+        monkeypatch.setattr(dispatch, "checked", counting(dispatch.checked))
+        monkeypatch.setattr(asym, "floats", counting(asym.floats))
         evaluate(EvalRequest("RJ", (700.0, 150.0, 0.25, 0.003), 1e-3))
         assert len(built) >= 2
-        assert calls == [("RJ", "RJ", (700.0, 150.0, 0.25, 0.003))]
+        assert calls == [("RJ", (700.0, 150.0, 0.25, 0.003))]
 
     @pytest.mark.parametrize("kind,zero,nonzero,case", [
         ("RJ", (1e-6, 2e-6, 0.0, 1.0), (1e-6, 2e-6, 1e-9, 1.0), "J1b"),
@@ -365,7 +366,7 @@ def test_dispatcher_entry_agrees_with_enclose(tag, draws, monkeypatch):
     checked tuple; it gets what asym.enclose gives at that tuple, the same
     Enclosure or the same error with the same text."""
     case = asym._case(tag)
-    refused = (0.0,) * asym.KIND_ARITY[case.kind]
+    refused = (0.0,) * KIND_TABLE[case.kind].arity
     with pytest.raises((DomainError, RegimeError)):
         case.gate(*refused)
     rows = [asym._sample(case, r, draws.lu, draws.coin) for r in (1e-3, 1e-8)]
@@ -403,7 +404,7 @@ class TestContract:
     def test_domain_propagates(self):
         with pytest.raises(DomainError):
             evaluate(EvalRequest("RD", (1.0, 1.0, -1.0), 1e-6))
-        with pytest.raises(DomainError, match="p must be nonzero"):
+        with pytest.raises(DomainError, match="requires p != 0"):
             evaluate(EvalRequest("RJ", (1.0, 1.0, 1.0, 0.0), 1e-6))
 
     def test_evaluate_takes_first_certifying_step(self, rng):
@@ -465,10 +466,11 @@ class TestRecords:
         assert PlanStep("reference", None, 9, 1e-12).predicted_rel_halfwidth is None
 
     @pytest.mark.parametrize("change, match", [
-        ({"args": (math.inf, 1.0, 1.0)}, "arguments must be finite"),
+        ({"args": (math.inf, 1.0, 1.0)}, "rf: got inf, not a finite number"),
         ({"args": (1.0, 2.0)}, "takes 3 arguments, got 2"),
         ({"rel_tol": 1e-15}, "rel_tol must lie in"),
         ({"rel_tol": 0.5}, "rel_tol must lie in"),
+        ({"args": (-1.0, 2.0, 4.0)}, "rf requires x, y, z >= 0"),
     ])
     def test_request_is_checked_however_built(self, change, match):
         req = EvalRequest("RF", (1.0, 2.0, 4.0), 1e-9)
@@ -496,8 +498,8 @@ def test_ratio_pass_matches_per_case_ratios():
     about is not 0."""
     rng = np.random.default_rng(3)
     costs = {}   # each case's cost, from the first ratio pass that finds it
-    for kind in asym.KIND_ARITY:
-        n = asym.KIND_ARITY[kind]
+    for kind in KIND_TABLE:
+        n = KIND_TABLE[kind].arity
         rows = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (3000, n)))
         special = rng.random((3000, n)) < 0.05
         rows[special] = rng.choice([0.0, 5e-324, 2.5e-310, sys.float_info.min / 2],

@@ -6,6 +6,7 @@ import pytest
 
 from symell import ConvergenceError, DomainError, asym, bounds, core, harness, quadrature
 from symell._fmt import dumps
+from symell._util import KIND_TABLE
 from symell.harness import (
     Campaign,
     Draws,
@@ -195,7 +196,7 @@ def test_samples_are_floats_of_their_rows_arity():
     # campaigns enclose their sampler's tuples without the argument check
     # that the public entries make, which needs exactly these
     for tag in CASE_TAGS:
-        arity = asym.KIND_ARITY[asym.case_kind(tag)]
+        arity = KIND_TABLE[asym.case_kind(tag)].arity
         for seed in (1, 2, 3, 4):
             draws = Draws(np.random.default_rng(seed))
             for e in range(2, 31, 2):
@@ -206,7 +207,7 @@ def test_samples_are_floats_of_their_rows_arity():
 
 
 def test_campaign_looks_its_row_up_once(monkeypatch):
-    calls = {"_case": 0, "_checked": 0}
+    calls = {"_case": 0, "floats": 0}
 
     def counted(name):
         real = getattr(asym, name)
@@ -220,9 +221,9 @@ def test_campaign_looks_its_row_up_once(monkeypatch):
         monkeypatch.setattr(asym, name, counted(name))
     rep = run_containment(Campaign("J4a", samples=10, seed=42))
     assert rep.evaluated == 60 and rep.theta
-    assert calls == {"_case": 1, "_checked": 0}
+    assert calls == {"_case": 1, "floats": 0}
     run_order_fit("F1a", seed=1)
-    assert calls == {"_case": 2, "_checked": 0}
+    assert calls == {"_case": 2, "floats": 0}
 
 
 def test_containment_small_campaign():

@@ -261,8 +261,10 @@ def test_batch_with_failing_row_raises():
 
 def test_oracle_shares_no_code_with_the_evaluators():
     # the oracle is the independent route: of symell it may import only errors
+    # and the argument checks, which evaluate nothing
     tree = ast.parse(Path(quadrature.__file__).read_text())
     imported = set()
+    from_util = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
@@ -270,6 +272,10 @@ def test_oracle_shares_no_code_with_the_evaluators():
             if node.level:
                 names = [node.module] if node.module else [a.name for a in node.names]
                 imported.update(f"symell.{name}" for name in names)
+                if node.module == "_util":
+                    from_util.update(a.name for a in node.names)
             else:
                 imported.add(node.module)
-    assert {m for m in imported if m.split(".")[0] == "symell"} == {"symell.errors"}
+    assert {m for m in imported if m.split(".")[0] == "symell"} == {"symell.errors",
+                                                                     "symell._util"}
+    assert from_util == {"checked", "positive"}

@@ -11,6 +11,7 @@ import pytest
 
 from symell import (ConvergenceError, DomainError, EvalRequest, RegimeError, ToleranceError,
                     asym, bounds, core, evaluate, quadrature)
+from symell._util import KIND_TABLE
 from symell.cli import main
 from symell.harness import Campaign
 
@@ -85,23 +86,24 @@ def test_int_past_float64_is_a_domain_error(call):
 
 
 @pytest.mark.parametrize("call, names", [
-    (lambda: EvalRequest("RF", (1, 2, "x"), 1e-6), "RF arguments"),
-    (lambda: EvalRequest("RF", (1, None, 4), 1e-6), "RF arguments"),
+    (lambda: EvalRequest("RF", (1, 2, "x"), 1e-6), "rf"),
+    (lambda: EvalRequest("RF", (1, None, 4), 1e-6), "rf"),
     (lambda: EvalRequest("RF", (1, 2, 4), "tol"), "rel_tol"),
-    (lambda: core.rf("a", 1, 1), "x"),
-    (lambda: core.rc(None, 1), "x"),
-    (lambda: core.rj(1, 2, 4, "p"), "p"),
-    (lambda: asym.enclose("F1a", "a", 1, 1), "F1a arguments"),
+    (lambda: core.rf("a", 1, 1), "rf"),
+    (lambda: core.rc(None, 1), "rc"),
+    (lambda: core.rj(1, 2, 4, "p"), "rj"),
+    (lambda: asym.enclose("F1a", "a", 1, 1), "F1a"),
     (lambda: asym.theta_window("F1a", (0.01, 0.01, 1), "v"), "true value"),
-    (lambda: bounds.bracket("A1", "a", 1, 1), "A1 arguments"),
-    (lambda: quadrature.oracle_batch("RF", [("a", 1, 1)]), "oracle arguments"),
+    (lambda: bounds.bracket("A1", "a", 1, 1), "A1"),
+    (lambda: quadrature.oracle_batch("RF", [("a", 1, 1)]), "rf"),
     (lambda: Campaign("C1", ("x",), 5, 1), "ratios"),
 ], ids=["EvalRequest-args", "EvalRequest-None", "EvalRequest-rel_tol", "rf", "rc-None",
         "rj", "enclose", "theta_window-true_value", "bracket", "oracle_batch", "Campaign"])
 def test_non_number_is_a_domain_error(call, names):
     """A text that is no number, or None, is refused as a DomainError that
-    names the argument, not a bare ValueError or TypeError."""
-    with pytest.raises(DomainError, match=f"^{names} must be (a number|numbers): "):
+    names the evaluator, entry or argument, not a bare ValueError or
+    TypeError."""
+    with pytest.raises(DomainError, match=f"^{names}: got a non-number \\("):
         call()
 
 
@@ -109,6 +111,101 @@ def test_numeric_text_is_still_a_number():
     assert EvalRequest("RF", ("1", "2", "4"), "1e-6") == EvalRequest("RF", (1, 2, 4), 1e-6)
     assert core.rf("1", "2", "4") == core.rf(1.0, 2.0, 4.0)
     assert bounds.bracket("A3", "4", 1) == bounds.bracket("A3", 4.0, 1.0)
+
+
+@pytest.mark.parametrize("kind, args, tol", [
+    ("RF", (-1.0, 2.0, 3.0), 1e-13),
+    ("K", (-0.5,), 5e-13),
+    ("K", (1.5,), 5e-13),
+    ("E", (1.5,), 1e-13),
+    ("RD", (1.0, 1.0, -1.0), 1e-14),
+    ("RJ", (1.0, 2.0, 3.0, 0.0), 1e-14),
+    ("RG", (-1.0, 2.0, 3.0), 1e-14),
+])
+def test_domain_is_refused_below_the_reference_guarantee(kind, args, tol):
+    """Below rel_tol 1e-12 the walk has no reference step; a request outside
+    the domain is still a DomainError, not a ToleranceError."""
+    with pytest.raises(DomainError):
+        evaluate(EvalRequest(kind, args, tol))
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "rf", "-1", "2", "3", "--rel-tol", "1e-13"],
+    ["eval", "k", "-0.5", "--rel-tol", "5e-13"],
+])
+def test_domain_below_the_reference_guarantee_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+# tuples outside each kind's domain: negative, two zeros, all zeros, p = 0,
+# a zero x at p < 0, k outside its range; each kind also gets inf, an int
+# past float64 and a non-number in its last slot.  RF(-1, -1, 2) and
+# RG(-1, 0, 2) match closed-form patterns (two equal arguments, one zero),
+# so only the request's own domain check keeps them from an answer.
+_OUT_OF_DOMAIN = {
+    "RC": [(-1.0, 2.0), (0.0, 0.0), (1.0, 0.0)],
+    "RF": [(-1.0, 2.0, 3.0), (-1.0, -1.0, 2.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)],
+    "RD": [(-1.0, 2.0, 3.0), (1.0, 1.0, -1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 0.0)],
+    "RJ": [(-1.0, 2.0, 3.0, 4.0), (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0),
+           (1.0, 2.0, 3.0, 0.0), (0.0, 2.0, 3.0, -1.0)],
+    "RG": [(-1.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (0.0, 0.0, 0.0)],
+    "K": [(-0.5,), (1.0,), (1.5,)],
+    "E": [(-0.5,), (1.5,)],
+}
+
+
+@pytest.mark.parametrize("kind", list(KIND_TABLE))
+def test_one_text_per_refusal(kind):
+    """A request is refused when it is built, at every rel_tol, with the
+    same text as its kind's reference evaluator."""
+    arity, name, _ = KIND_TABLE[kind]
+    good = (0.5,) * arity
+    evaluator = getattr(core, name)
+    for args in _OUT_OF_DOMAIN[kind] + [good[:-1] + (v,) for v in (math.inf, _PAST, "x")]:
+        with pytest.raises(DomainError) as ref:
+            evaluator(*args)
+        for tol in (1e-14, 5e-13, 1e-6):
+            with pytest.raises(DomainError) as got:
+                EvalRequest(kind, args, tol)
+            assert str(got.value) == str(ref.value), (args, tol)
+
+
+# the domain of each reference evaluator, written out here independently
+# of the rules in _util
+_DOMAIN = {
+    "RC": lambda x, y: x >= 0.0 and y != 0.0,
+    "RF": lambda *v: min(v) >= 0.0 and v.count(0.0) <= 1,
+    "RD": lambda x, y, z: x >= 0.0 and y >= 0.0 and (x, y) != (0.0, 0.0) and z > 0.0,
+    "RJ": lambda x, y, z, p: (min(x, y, z) >= 0.0 and (x, y, z).count(0.0) <= 1 and p != 0.0
+                              and (p > 0.0 or min(x, y, z) > 0.0)),
+    "RG": lambda *v: min(v) >= 0.0 and max(v) > 0.0,
+    "K": lambda k: 0.0 <= k < 1.0,
+    "E": lambda k: 0.0 <= k <= 1.0,
+}
+
+
+def test_requests_accept_the_evaluators_domain():
+    """On in-domain and boundary tuples (signed zeros, subnormals, DBL_MAX,
+    k next to 0 and 1) a request is refused exactly where its evaluator's
+    domain excludes it."""
+    rng = np.random.default_rng(11)
+    edges = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 1.0 - 2.0 ** -53, 1.0 + 2.0 ** -52,
+             1.5, 1e300, sys.float_info.max, -5e-324, -0.5, -1.0]
+    for kind, (arity, _, _) in KIND_TABLE.items():
+        seen = set()
+        for _ in range(3000):
+            args = tuple(float(edges[i]) if i < len(edges) else
+                         float(np.exp(rng.uniform(-690.0, 690.0)))
+                         for i in rng.integers(0, 2 * len(edges), arity))
+            try:
+                EvalRequest(kind, args, 1e-6)
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert accepted == _DOMAIN[kind](*args), (kind, args)
+            seen.add(accepted)
+        assert seen == {True, False}, kind
 
 
 @pytest.mark.parametrize("args", [
@@ -197,7 +294,7 @@ def test_inner_domain_error_is_a_range_error(fn, width, negate_last, in_domain):
     (core.rj, (2.4518860694582356e-249, 1.2198430542030024e-158, 5.816732927561769e+180,
                1.9825385399294428e+49),
      "1 + em = -2.220446049250313e-16 is not a positive finite float"),
-    (core.rc, (1.7e308, -1.7e308), "x must be finite, got inf"),
+    (core.rc, (1.7e308, -1.7e308), "rc: got inf, not a finite number"),
 ])
 def test_inner_domain_error_names_the_range(fn, args, inner):
     with pytest.raises(ConvergenceError, match=f"^{fn.__name__}: float64 range exceeded") as got:
@@ -211,7 +308,7 @@ def test_case_body_domain_error_is_a_convergence_error(capsys, monkeypatch):
     rd means float64 ran out."""
     rng = np.random.default_rng(5)
     for tag in asym.CASE_TAGS:
-        n = asym.KIND_ARITY[asym.case_kind(tag)]
+        n = KIND_TABLE[asym.case_kind(tag)].arity
         for args in np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (1000, n))).tolist():
             try:
                 asym.enclose(tag, *args)
@@ -255,7 +352,7 @@ def test_evaluate_answers_no_asym_outside_the_window(kind):
     answers no asym step with a nonzero argument outside [1e-100, 1e100].
     (An RC request always ends at its closed form.)"""
     outside = asym_inside = 0
-    for args in _spread_rows(7, 600, asym.KIND_ARITY[kind]):
+    for args in _spread_rows(7, 600, KIND_TABLE[kind].arity):
         try:
             rep = evaluate(EvalRequest(kind, args, 1e-6))
         except TYPED:
