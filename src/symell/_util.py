@@ -142,9 +142,9 @@ def checked(kind: str, args) -> tuple:
     return rule(name, args)
 
 
-def positive(name: str, args) -> tuple:
-    """``args`` as positive finite floats."""
-    vals = floats(name, args)
+def positive(name: str, args, arity: int | None = None) -> tuple:
+    """``args`` as positive finite floats, ``arity`` of them where given."""
+    vals = floats(name, args, arity)
     if not min(vals) > 0.0:
         raise DomainError(f"{name} requires positive arguments, got {vals}")
     return vals

@@ -8,10 +8,11 @@ whenever the case's preconditions hold; the interval is widened outward by
 interval midpoint.
 
 The catalog is a registry of case rows, named tuples as the enclosures are:
-kind, cost, gate, smallness ratio, argument sampler, bracket, the formula
-as terms (the arguments to the coefficients, computed once per call) and a
-form, the expected order-fit slope, and a complete case's zero argument;
-the arity and the reference route follow from the kind.
+kind, cost, gate, smallness ratio, argument sampler, formula and form, the
+expected order-fit slope, and a complete case's zero argument; the arity
+and the reference route follow from the kind.  A formula returns the
+bracket endpoints and the coefficients of its form from one call, so what
+they share (a, g, a logarithm, an rc term) is computed once per call.
 Most forms are affine in the error symbol; the C2/F1e/F1f family is affine
 in log(symbol) instead, and J1b is a multiplicative form.  A case's gate
 holds every condition its displayed endpoints need (G1a's upper endpoint
@@ -39,12 +40,12 @@ argument is not 0, so the dispatcher builds no enclosure that the gate
 would refuse.  The gates keep the check and its text for enclose and
 theta_window, and case_ratio answers there.
 
-theta_window is the symbol entry: from one gate, one bracket and one terms
-computation it inverts a case formula for the realized error symbol given
-the true value, which must land inside the stated bracket (the
-bracket-realization tests), or returns None where that inversion is
-ill-conditioned.  theta_recover shares its body and is the raw recovery:
-(theta, sigma) even there, as where a bracket collapses to a point.
+theta_window is the symbol entry: from one gate and one formula call it
+inverts a case formula for the realized error symbol given the true value,
+which must land inside the stated bracket (the bracket-realization tests),
+or returns None where that inversion is ill-conditioned.  theta_recover
+shares its body and is the raw recovery: (theta, sigma) even there, as
+where a bracket collapses to a point.
 
 C2c and F1b, whose displayed bounds are one-sided, are C2a's and F1a's
 rows under their own tags.  The ratio pass leaves these twins out: each
@@ -180,8 +181,7 @@ class _Case(NamedTuple):
     gate: Callable
     ratio: Callable
     sample: Callable             # (ratio, s, w, lu, coin) -> args, see _sample
-    bracket: Callable            # args -> (sym_lo, sym_hi)
-    terms: Callable              # args -> coefficients of form
+    formula: Callable            # args -> (sym_lo, sym_hi, coefficients of form)
     form: _Form
     # slope of log(max relative width) against log(ratio) that the order fit
     # (harness.run_order_fit) expects: fitted by this code on ratios 1e-3..1e-7
@@ -200,10 +200,9 @@ _CASES: dict[str, _Case] = {}
 _TWINS: set[str] = set()  # tags that _twin registers; the ratio pass leaves them out
 
 
-def _register(tag, kind, cost, gate, ratio, sample, bracket, terms, slope, form=_AFFINE,
+def _register(tag, kind, cost, gate, ratio, sample, formula, slope, form=_AFFINE,
               strict=(True, True), zero=None):
-    _CASES[tag] = _Case(tag, kind, cost, strict, gate, ratio, sample, bracket, terms, form,
-                        slope, zero)
+    _CASES[tag] = _Case(tag, kind, cost, strict, gate, ratio, sample, formula, form, slope, zero)
 
 
 def _twin(tag, of):
@@ -225,6 +224,14 @@ def _small_pair(m, lu, coin):
     return (m, m * u) if coin() < 0.5 else (m * u, m)
 
 
+# ---- case formulas ---------------------------------------------------------
+# formula(*args) -> (sym_lo, sym_hi, coefficients) computes the bracket
+# endpoints first and the coefficients after them, each in the order of its
+# displayed expression, so the first float64 failure and its text are those
+# of the endpoints; a quantity both need is computed once, where the
+# endpoints first need it.
+
+
 # ---- RC cases --------------------------------------------------------------
 
 
@@ -233,15 +240,13 @@ def _c1_gate(x, y):
     _pos("y", y)
 
 
-def _c1_ab(x, y):
-    return math.pi / (2.0 * math.sqrt(y)) - math.sqrt(x) / y, \
-        math.pi * x / (4.0 * y ** 1.5)
+def _c1(x, y):
+    return 1.0 / (1.0 + math.sqrt(x / y)), 1.0, \
+        (math.pi / (2.0 * math.sqrt(y)) - math.sqrt(x) / y, math.pi * x / (4.0 * y ** 1.5))
 
 
 _register("C1", "RC", 1, gate=_c1_gate, ratio=lambda x, y: x / y,
-          sample=lambda r, s, *_: (r * s, s),
-          bracket=lambda x, y: (1.0 / (1.0 + math.sqrt(x / y)), 1.0),
-          terms=_c1_ab, strict=(False, False), slope=1.5)
+          sample=lambda r, s, *_: (r * s, s), formula=_c1, strict=(False, False), slope=1.5)
 
 
 def _c2_gate(x, y):
@@ -254,24 +259,24 @@ def _c2_sample(r, s, *_):
     return (s, r * s)
 
 
-def _c2a_abk(x, y):
+def _c2a(x, y):
     inv = 1.0 / (2.0 * math.sqrt(x))
-    return inv * math.log(4.0 * x / y), inv * y / (2.0 * x - y), x / y
+    return 1.0, 4.0, (inv * math.log(4.0 * x / y), inv * y / (2.0 * x - y), x / y)
 
 
 _register("C2a", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
-          bracket=lambda x, y: (1.0, 4.0), terms=_c2a_abk, form=_LOG, slope=1.08)
+          formula=_c2a, form=_LOG, slope=1.08)
 
 
-def _c2b_abk(x, y):
+def _c2b(x, y):
     inv = 1.0 / (2.0 * math.sqrt(x))
     a = inv * ((1.0 + y / (2.0 * x)) * math.log(4.0 * x / y) - y / (2.0 * x))
     b = inv * 3.0 * y * y / (4.0 * x * (2.0 * x - y))
-    return a, b, x / y
+    return 1.0, 4.0, (a, b, x / y)
 
 
 _register("C2b", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
-          bracket=lambda x, y: (1.0, 4.0), terms=_c2b_abk, form=_LOG, slope=1.85)
+          formula=_c2b, form=_LOG, slope=1.85)
 
 
 _twin("C2c", "C2a")
@@ -302,21 +307,16 @@ def _f1_sample(r, s, w, lu, coin):
     return (*_small_pair(r * s, lu, coin), s)
 
 
-def _f1_bracket(x, y, z):
+def _f1a(x, y, z):
     a, g = _ag(x, y)
     l2 = math.log(2.0 * z / (a + g))
     l8 = math.log(8.0 * z / (a + g))
-    return g / (1.0 - g / z) * l2, a / (1.0 - a / (2.0 * z)) * l8
+    return g / (1.0 - g / z) * l2, a / (1.0 - a / (2.0 * z)) * l8, \
+        (l8 / (2.0 * math.sqrt(z)), 1.0 / (4.0 * z ** 1.5))
 
 
-def _f1a_ab(x, y, z):
-    a, g = _ag(x, y)
-    l8 = math.log(8.0 * z / (a + g))
-    return l8 / (2.0 * math.sqrt(z)), 1.0 / (4.0 * z ** 1.5)
-
-
-_register("F1a", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=_f1_bracket, terms=_f1a_ab, slope=1.0)
+_register("F1a", "RF", 1, gate=_f1_gate, ratio=_f1_ratio, sample=_f1_sample, formula=_f1a,
+          slope=1.0)
 
 
 _twin("F1b", "F1a")
@@ -327,33 +327,31 @@ def _f1cd_gate(x, y, z):
     _gate(max(x, y) < z, "F1c/F1d require max(x, y)/z < 1")
 
 
-def _f1cd_bracket(x, y, z):
-    a, g = _ag(x, y)
-    rho = max(x, y) / z
-    l8 = math.log(8.0 * z / (a + g))
-    return math.log(1.0 / rho) / (1.0 - rho), l8 / (1.0 - a / (2.0 * z))
-
-
-def _f1c_ab(x, y, z):
-    a, g = _ag(x, y)
-    l8 = math.log(8.0 * z / (a + g))
-    return l8 / (2.0 * math.sqrt(z)), a / (4.0 * z ** 1.5)
+def _f1cd(coefficients):
+    """The formula of F1c or F1d: their one bracket, then
+    ``coefficients(a, g, z, l8)``."""
+    def formula(x, y, z):
+        a, g = _ag(x, y)
+        rho = max(x, y) / z
+        l8 = math.log(8.0 * z / (a + g))
+        return math.log(1.0 / rho) / (1.0 - rho), l8 / (1.0 - a / (2.0 * z)), \
+            coefficients(a, g, z, l8)
+    return formula
 
 
 _register("F1c", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=_f1cd_bracket, terms=_f1c_ab, slope=1.08)
+          formula=_f1cd(lambda a, g, z, l8: (l8 / (2.0 * math.sqrt(z)), a / (4.0 * z ** 1.5))),
+          slope=1.08)
 
 
-def _f1d_ab(x, y, z):
-    a, g = _ag(x, y)
-    l8 = math.log(8.0 * z / (a + g))
+def _f1d_ab(a, g, z, l8):
     av = ((1.0 + a / (2.0 * z)) * l8 - (2.0 * a - g) / (2.0 * z)) / (2.0 * math.sqrt(z))
     bv = 3.0 * (3.0 * a * a - g * g) / (32.0 * z ** 2.5)
     return av, bv
 
 
 _register("F1d", "RF", 1, gate=_f1cd_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=_f1cd_bracket, terms=_f1d_ab, slope=1.85)
+          formula=_f1cd(_f1d_ab), slope=1.85)
 
 
 def _kprime_gate(kp):
@@ -364,25 +362,20 @@ def _kprime_sample(r, *_):
     return (math.sqrt(r),)
 
 
-def _f1e_abk(kp):
-    return math.log(4.0 / kp), kp * kp / (4.0 - kp * kp), 1.0 / kp
+_register("F1e", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp, sample=_kprime_sample,
+          formula=lambda kp: (1.0, 4.0, (math.log(4.0 / kp), kp * kp / (4.0 - kp * kp), 1.0 / kp)),
+          form=_LOG, slope=1.07)
 
 
-_register("F1e", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-          sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), terms=_f1e_abk, form=_LOG,
-          slope=1.07)
-
-
-def _f1f_abk(kp):
+def _f1f(kp):
     k2 = kp * kp
     a = (1.0 + k2 / 4.0) * math.log(4.0 / kp) - k2 / 4.0
     b = 9.0 * k2 * k2 / (16.0 * (4.0 - k2))
-    return a, b, 1.0 / kp
+    return 1.0, 4.0, (a, b, 1.0 / kp)
 
 
-_register("F1f", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-          sample=_kprime_sample, bracket=lambda kp: (1.0, 4.0), terms=_f1f_abk, form=_LOG,
-          slope=1.83)
+_register("F1f", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp, sample=_kprime_sample,
+          formula=_f1f, form=_LOG, slope=1.83)
 
 
 def _f2a_gate(x, y, z):
@@ -398,16 +391,14 @@ def _d2_sample(r, s, w, *_):
     return (x, y, r * math.sqrt(x * y))
 
 
-def _f2a_ab(x, y, z):
-    _, g = _ag(x, y)
-    return _rf_complete(x, y) - math.sqrt(z) / g, math.pi * z / (4.0 * g ** 1.5)
+def _f2a(x, y, z):
+    g = math.sqrt(x * y)
+    return 1.0 / (1.0 + math.sqrt(z / g)), (x + y) / (2.0 * g), \
+        (_rf_complete(x, y) - math.sqrt(z) / g, math.pi * z / (4.0 * g ** 1.5))
 
 
 _register("F2a", "RF", 1, gate=_f2a_gate, ratio=lambda x, y, z: z / math.sqrt(x * y),
-          sample=_d2_sample,
-          bracket=lambda x, y, z: (1.0 / (1.0 + math.sqrt(z / math.sqrt(x * y))),
-                                   (x + y) / (2.0 * math.sqrt(x * y))),
-          terms=_f2a_ab, slope=1.0)
+          sample=_d2_sample, formula=_f2a, slope=1.0)
 
 
 # ---- RD cases --------------------------------------------------------------
@@ -419,18 +410,16 @@ def _d1_gate(x, y, z):
     _gate(g < z and a < z, "D1 requires g < z and a < z, got a={}, g={}, z={}", a, g, z)
 
 
-def _d1_ab(x, y, z):
+def _d1(x, y, z):
     a, g = _ag(x, y)
+    lo, hi = g / (1.0 - g / z), 1.5 * a / (1.0 - (x + y) / (2.0 * z))
     pre = 3.0 / (2.0 * z ** 1.5)
-    return pre * (math.log(8.0 * z / (a + g)) - 2.0), \
-        pre * math.log(2.0 * z / (a + g)) / z
+    return lo, hi, (pre * (math.log(8.0 * z / (a + g)) - 2.0),
+                    pre * math.log(2.0 * z / (a + g)) / z)
 
 
-_register("D1", "RD", 1, gate=_d1_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=lambda x, y, z: (
-              math.sqrt(x * y) / (1.0 - math.sqrt(x * y) / z),
-              1.5 * ((x + y) / 2.0) / (1.0 - (x + y) / (2.0 * z))),
-          terms=_d1_ab, slope=1.0)
+_register("D1", "RD", 1, gate=_d1_gate, ratio=_f1_ratio, sample=_f1_sample, formula=_d1,
+          slope=1.0)
 
 
 def _d2_gate(x, y, z):
@@ -445,17 +434,16 @@ def _d2_ratio(x, y, z):
     return z / math.sqrt(x * y)
 
 
-def _d2a_ab(x, y, z):
-    _, g = _ag(x, y)
+def _d2a(x, y, z):
+    g = math.sqrt(x * y)
+    s = math.sqrt(z / g)
+    lo, hi = 1.0 - (4.0 / math.pi) * s, (x + y) / (2.0 * g)
     pre = 3.0 / math.sqrt(x * y * z)
-    return pre, -pre * (math.pi / 2.0) * math.sqrt(z / g)
+    return lo, hi, (pre, -pre * (math.pi / 2.0) * s)
 
 
-_register("D2a", "RD", 1, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
-          bracket=lambda x, y, z: (
-              1.0 - (4.0 / math.pi) * math.sqrt(z / math.sqrt(x * y)),
-              (x + y) / (2.0 * math.sqrt(x * y))),
-          terms=_d2a_ab, slope=0.52)
+_register("D2a", "RD", 1, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample, formula=_d2a,
+          slope=0.52)
 
 
 def _d2_complete(x, y, z):
@@ -464,39 +452,29 @@ def _d2_complete(x, y, z):
     return 3.0 / math.sqrt(x * y * z) - (6.0 / (x * y)) * _rg_complete(x, y)
 
 
-def _d2b_ab(x, y, z):
-    _, g = _ag(x, y)
+def _d2b(x, y, z):
+    a, g = _ag(x, y)
     s = math.sqrt(z / g)
+    lo, hi = 1.0 / (math.sqrt(2.0 / 3.0) + s), 1.5 * a / (g * (1.0 + s))
     bv = 3.0 * math.pi * math.sqrt(z) / (2.0 * g * g * (1.0 + s))
-    return _d2_complete(x, y, z), bv
+    return lo, hi, (_d2_complete(x, y, z), bv)
 
 
-def _d2b_bracket(x, y, z):
+_register("D2b", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample, formula=_d2b,
+          slope=1.0)
+
+
+def _d2c(x, y, z):
     a, g = _ag(x, y)
-    s = math.sqrt(z / g)
-    return 1.0 / (math.sqrt(2.0 / 3.0) + s), 1.5 * a / (g * (1.0 + s))
-
-
-_register("D2b", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
-          bracket=_d2b_bracket, terms=_d2b_ab, slope=1.0)
-
-
-def _d2c_ab(x, y, z):
-    a, g = _ag(x, y)
+    r, s = a / g, math.sqrt(z / a)
+    lo, hi = 1.0 / (1.0 + s), r ** 1.5 * (3.0 - 1.0 / (r * r))
     t = 6.0 * a * math.sqrt(z) / g ** 3
     av = _d2_complete(x, y, z) + t
-    bv = -t * (math.pi / 4.0) * math.sqrt(z / a)
-    return av, bv
+    return lo, hi, (av, -t * (math.pi / 4.0) * s)
 
 
-def _d2c_bracket(x, y, z):
-    a, g = _ag(x, y)
-    r = a / g
-    return 1.0 / (1.0 + math.sqrt(z / a)), r ** 1.5 * (3.0 - 1.0 / (r * r))
-
-
-_register("D2c", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample,
-          bracket=_d2c_bracket, terms=_d2c_ab, slope=1.51)
+_register("D2c", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample, formula=_d2c,
+          slope=1.51)
 
 
 def _d3_gate(x, y, z):
@@ -507,22 +485,17 @@ def _d3_gate(x, y, z):
     _gate(g < x and a < 2.0 * x, "D3 requires g < x and a < 2x, got a={}, g={}, x={}", a, g, x)
 
 
-def _d3_bracket(x, y, z):
+def _d3(x, y, z):
     a, g = _ag(y, z)
     lo = math.log(2.0 * x / (a + g)) / (1.0 - g / x) - 2.0 * z / (g + z)
     hi = math.log(8.0 * x / (a + g)) / (1.0 - a / (2.0 * x))
-    return lo, hi
-
-
-def _d3_ab(x, y, z):
-    _, g = _ag(y, z)
-    return (3.0 / math.sqrt(x)) / (g + z), -3.0 / (4.0 * x ** 1.5)
+    return lo, hi, ((3.0 / math.sqrt(x)) / (g + z), -3.0 / (4.0 * x ** 1.5))
 
 
 _register("D3", "RD", 1, gate=_d3_gate,
           ratio=lambda x, y, z: max(y, z) / x,
           sample=lambda r, s, w, lu, coin: (s, *_small_pair(r * s, lu, coin)),
-          bracket=_d3_bracket, terms=_d3_ab, slope=1.0)
+          formula=_d3, slope=1.0)
 
 
 def _d4_gate(x, y, z):
@@ -531,21 +504,18 @@ def _d4_gate(x, y, z):
     _pos("z", z)
 
 
-def _d4_bracket(x, y, z):
+def _d4(x, y, z):
     a, g = _ag(y, z)
-    return 1.0 / (1.0 + math.sqrt(x / a)), (a / g) ** 1.5 * (1.0 + y / a)
-
-
-def _d4_ab(x, y, z):
-    a, g = _ag(y, z)
+    s = math.sqrt(x / a)
+    lo, hi = 1.0 / (1.0 + s), (a / g) ** 1.5 * (1.0 + y / a)
     t = 3.0 * math.sqrt(x) / (g * z)
-    return rd(0.0, y, z) - t, t * (math.pi / 4.0) * math.sqrt(x / a)
+    return lo, hi, (rd(0.0, y, z) - t, t * (math.pi / 4.0) * s)
 
 
 _register("D4", "RD", 2, gate=_d4_gate,
           ratio=lambda x, y, z: x / math.sqrt(y * z),
           sample=lambda r, s, w, *_: (r * math.sqrt(s * w * (s / w)), s * w, s / w),
-          bracket=_d4_bracket, terms=_d4_ab, slope=1.02)
+          formula=_d4, slope=1.02)
 
 
 # ---- RJ cases --------------------------------------------------------------
@@ -569,16 +539,13 @@ def _j1a_gate(x, y, z, p):
     _gate(a < p and b < p, "J1 requires a < p and b < p, got a={}, b={}, p={}", a, b, p)
 
 
-def _j1a_bracket(x, y, z, p):
+def _j1a(x, y, z, p):
     a, b = _j1_small_means(x, y, z)
     u = math.sqrt(a / p)
     v = math.sqrt(b / p)
-    return v / (1.0 + v), 1.5 * u / (1.0 + u)
-
-
-def _j1a_ab(x, y, z, p):
+    lo, hi = v / (1.0 + v), 1.5 * u / (1.0 + u)
     c = 3.0 * math.pi / (2.0 * p ** 1.5)
-    return (3.0 / p) * rf(x, y, z) - c, c
+    return lo, hi, ((3.0 / p) * rf(x, y, z) - c, c)
 
 
 def _j1a_sample(r, s, w, lu, _):
@@ -588,7 +555,7 @@ def _j1a_sample(r, s, w, lu, _):
 
 _register("J1a", "RJ", 2, gate=_j1a_gate,
           ratio=lambda x, y, z, p: max(x, y, z) / p, sample=_j1a_sample,
-          bracket=_j1a_bracket, terms=_j1a_ab, slope=1.01)
+          formula=_j1a, slope=1.01)
 
 
 def _j1b_gate(x, y, z, p):
@@ -599,14 +566,14 @@ def _j1b_gate(x, y, z, p):
     _gate((x + y) / 2.0 < p, "J1b requires (x + y)/2 < p")
 
 
-def _j1b_cp(x, y, z, p):
-    return (3.0 / p) * (_rf_complete(x, y) - math.pi / (2.0 * math.sqrt(p))), p
+def _j1b(x, y, z, p):
+    return math.sqrt(x * y), (x + y) / 2.0, \
+        ((3.0 / p) * (_rf_complete(x, y) - math.pi / (2.0 * math.sqrt(p))), p)
 
 
 _register("J1b", "RJ", 1, gate=_j1b_gate, ratio=lambda x, y, z, p: max(x, y) / p,
           sample=lambda r, s, w, *_: (s * w, s / w, 0.0, max(s * w, s / w) / r),
-          bracket=lambda x, y, z, p: (math.sqrt(x * y), (x + y) / 2.0),
-          terms=_j1b_cp, form=_J1B, strict=(False, False), slope=1.0, zero=2)
+          formula=_j1b, form=_J1B, strict=(False, False), slope=1.0, zero=2)
 
 
 def _j2_gate(x, y, z, p):
@@ -627,38 +594,31 @@ def _j2_sample(r, s, w, lu, _):
     return (x, y, z, r * (3.0 / (1.0 / x + 1.0 / y + 1.0 / z)))
 
 
-def _j2a_bracket(x, y, z, p):
+def _j2a(x, y, z, p):
     g = cbrt(x * y * z)
     h = 3.0 / (1.0 / x + 1.0 / y + 1.0 / z)
-    return -math.log(g / h), 1.5 * p / (g - p) * math.log(g / p)
-
-
-def _j2a_ab(x, y, z, p):
-    g = cbrt(x * y * z)
+    lo, hi = -math.log(g / h), 1.5 * p / (g - p) * math.log(g / p)
     pre = 1.5 / math.sqrt(x * y * z)
-    return pre * (math.log(4.0 * g / p) - 2.0), pre
+    return lo, hi, (pre * (math.log(4.0 * g / p) - 2.0), pre)
 
 
-_register("J2a", "RJ", 1, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample,
-          bracket=_j2a_bracket, terms=_j2a_ab, slope=0.09)
+_register("J2a", "RJ", 1, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample, formula=_j2a,
+          slope=0.09)
 
 
-def _j2b_bracket(x, y, z, p):
+def _j2b(x, y, z, p):
     g = cbrt(x * y * z)
     h = 3.0 / (1.0 / x + 1.0 / y + 1.0 / z)
-    return 2.0 / (g - p) * math.log(g / p), 3.0 / (h - p) * math.log(h / p)
-
-
-def _j2b_ab(x, y, z, p):
+    lo, hi = 2.0 / (g - p) * math.log(g / p), 3.0 / (h - p) * math.log(h / p)
     lam = math.sqrt(x * y) + math.sqrt(x * z) + math.sqrt(y * z)
     s = math.sqrt(x * y * z)
     av = 1.5 / s * math.log(4.0 * x * y * z / (p * lam * lam)) \
         + 2.0 * rj(x + lam, y + lam, z + lam, lam)
-    return av, 0.75 * p / s
+    return lo, hi, (av, 0.75 * p / s)
 
 
-_register("J2b", "RJ", 3, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample,
-          bracket=_j2b_bracket, terms=_j2b_ab, slope=1.0)
+_register("J2b", "RJ", 3, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample, formula=_j2b,
+          slope=1.0)
 
 
 def _j3_gate(x, y, z, p):
@@ -668,23 +628,19 @@ def _j3_gate(x, y, z, p):
     _gate(a < p and g < p, "J3 requires a < p and g < p, got a={}, g={}, p={}", a, g, p)
 
 
-def _j3_bracket(x, y, z, p):
+def _j3(x, y, z, p):
     a, g = _ag(x, y)
-    return g / (1.0 - g / p), a / (1.0 - a / p) * (1.0 + p / (2.0 * z))
-
-
-def _j3_ab(x, y, z, p):
-    a, g = _ag(x, y)
+    lo, hi = g / (1.0 - g / p), a / (1.0 - a / p) * (1.0 + p / (2.0 * z))
     pre = 1.5 / (math.sqrt(z) * p)
-    av = pre * (math.log(8.0 * z / (a + g)) - 2.0 * rc(1.0, p / z))
-    return av, pre * math.log(2.0 * p / (a + g)) / p
+    return lo, hi, (pre * (math.log(8.0 * z / (a + g)) - 2.0 * rc(1.0, p / z)),
+                    pre * math.log(2.0 * p / (a + g)) / p)
 
 
 _register("J3", "RJ", 1, gate=_j3_gate,
           ratio=lambda x, y, z, p: max(x, y) / min(z, p),
           sample=lambda r, s, w, lu, coin: (
               *_small_pair(r * min(s * w, s / w), lu, coin), s * w, s / w),
-          bracket=_j3_bracket, terms=_j3_ab, slope=1.01)
+          formula=_j3, slope=1.01)
 
 
 def _j4_gate(x, y, z, p):
@@ -704,15 +660,15 @@ def _j4_sample(r, s, w, lu, coin):
     return (x, y, *_small_pair(r * math.sqrt(x * y), lu, coin))
 
 
-def _j4a_ab(x, y, z, p):
-    _, g = _ag(x, y)
+def _j4a(x, y, z, p):
+    g = math.sqrt(x * y)
+    hi = (x + y) / (2.0 * g)
     r = rc(z, p)
-    return (3.0 / g) * r, -(3.0 / (g - p)) * (rc(z, g) - (p / g) * r)
+    return 1.0, hi, ((3.0 / g) * r, -(3.0 / (g - p)) * (rc(z, g) - (p / g) * r))
 
 
-_register("J4a", "RJ", 1, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample,
-          bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
-          terms=_j4a_ab, strict=(False, False), slope=0.51)
+_register("J4a", "RJ", 1, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample, formula=_j4a,
+          strict=(False, False), slope=0.51)
 
 
 def _j4b_gate(x, y, z, p):
@@ -724,35 +680,30 @@ def _j4b_gate(x, y, z, p):
     _gate(p < g, "J4b requires p < g, got p={}, g={}", p, g)
 
 
-def _j4b_ab(x, y, z, p):
-    _, g = _ag(x, y)
+def _j4b(x, y, z, p):
+    g = math.sqrt(x * y)
+    hi = (x + y) / (2.0 * g)
     c = 3.0 * math.pi / (2.0 * math.sqrt(x * y * p))
-    return c, -c * math.sqrt(p) / (math.sqrt(g) + math.sqrt(p))
+    return 1.0, hi, (c, -c * math.sqrt(p) / (math.sqrt(g) + math.sqrt(p)))
 
 
 _register("J4b", "RJ", 1, gate=_j4b_gate, ratio=lambda x, y, z, p: p / math.sqrt(x * y),
           sample=lambda r, s, w, *_: (s * w, s / w, 0.0, r * math.sqrt(s * w * (s / w))),
-          bracket=lambda x, y, z, p: (1.0, (x + y) / (2.0 * math.sqrt(x * y))),
-          terms=_j4b_ab, strict=(False, False), slope=0.51, zero=2)
+          formula=_j4b, strict=(False, False), slope=0.51, zero=2)
 
 
-def _j4c_bracket(x, y, z, p):
+def _j4c(x, y, z, p):
     a, g = _ag(x, y)
     b = math.sqrt(3.0 * p * (p + 2.0 * z)) / 2.0
     d = (z + 2.0 * p) / 3.0
     lo = math.sqrt(b) / (1.0 + math.sqrt(b / g))
     hi = (1.5 * a / g) * math.sqrt(d) / (1.0 + math.sqrt(d / g))
-    return lo, hi
-
-
-def _j4c_ab(x, y, z, p):
-    _, g = _ag(x, y)
     av = (3.0 / g) * rc(z, p) - (6.0 / (x * y)) * _rg_complete(x, y)
-    return av, 1.5 * math.pi / (x * y)
+    return lo, hi, (av, 1.5 * math.pi / (x * y))
 
 
-_register("J4c", "RJ", 2, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample,
-          bracket=_j4c_bracket, terms=_j4c_ab, slope=0.99)
+_register("J4c", "RJ", 2, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample, formula=_j4c,
+          slope=0.99)
 
 
 def _j5_gate(x, y, z, p):
@@ -763,15 +714,11 @@ def _j5_gate(x, y, z, p):
     _gate(x < a, "J5 requires x < (y + z)/2, got x={}, a={}", x, a)
 
 
-def _j5_bracket(x, y, z, p):
+def _j5(x, y, z, p):
     a, g = _ag(y, z)
-    return math.sqrt(g / a) / (1.0 + math.sqrt(x / a)), a / g + g / p
-
-
-def _j5_ab(x, y, z, p):
-    _, g = _ag(y, z)
+    lo, hi = math.sqrt(g / a) / (1.0 + math.sqrt(x / a)), a / g + g / p
     t = 3.0 * math.sqrt(x) / (g * p)
-    return rj(0.0, y, z, p) - t, t * (math.pi / 4.0) * math.sqrt(x / g)
+    return lo, hi, (rj(0.0, y, z, p) - t, t * (math.pi / 4.0) * math.sqrt(x / g))
 
 
 def _j5_sample(r, s, w, lu, _):
@@ -781,7 +728,7 @@ def _j5_sample(r, s, w, lu, _):
 
 _register("J5", "RJ", 3, gate=_j5_gate,
           ratio=lambda x, y, z, p: x / min(y, z, p), sample=_j5_sample,
-          bracket=_j5_bracket, terms=_j5_ab, slope=1.01)
+          formula=_j5, slope=1.01)
 
 
 def _j6a_gate(x, y, z, p):
@@ -791,27 +738,19 @@ def _j6a_gate(x, y, z, p):
     _gate(g < x and a < 2.0 * x, "J6 requires g < x and a < 2x, got a={}, g={}, x={}", a, g, x)
 
 
-def _j6_rc_term(y, z, p):
+def _j6a(x, y, z, p):
     a, g = _ag(y, z)
-    return rc((g + p) ** 2, 2.0 * (a + g) * p)
-
-
-def _j6a_bracket(x, y, z, p):
-    a, g = _ag(y, z)
-    lo = math.log(2.0 * x / (a + g)) / (x - g) - (2.0 * p / x) * _j6_rc_term(y, z, p)
-    hi = math.log(8.0 * x / (a + g)) / (x - a / 2.0)
-    return lo, hi
-
-
-def _j6a_ab(x, y, z, p):
-    return (3.0 / math.sqrt(x)) * _j6_rc_term(y, z, p), -0.75 / math.sqrt(x)
+    l2 = math.log(2.0 * x / (a + g)) / (x - g)
+    r = rc((g + p) ** 2, 2.0 * (a + g) * p)
+    lo, hi = l2 - (2.0 * p / x) * r, math.log(8.0 * x / (a + g)) / (x - a / 2.0)
+    return lo, hi, ((3.0 / math.sqrt(x)) * r, -0.75 / math.sqrt(x))
 
 
 _register("J6a", "RJ", 1, gate=_j6a_gate,
           ratio=lambda x, y, z, p: max(y, z, p) / x,
           sample=lambda r, s, w, lu, coin: (
               s, *_small_pair(r * s, lu, coin), r * s * lu(0.1, 1.0)),
-          bracket=_j6a_bracket, terms=_j6a_ab, slope=1.0)
+          formula=_j6a, slope=1.0)
 
 
 def _j6complete_gate(x, y, z, p):
@@ -822,20 +761,17 @@ def _j6complete_gate(x, y, z, p):
     _gate(z < 4.0 * x, "the complete J6 case requires z < 4x, got z={}, x={}", z, x)
 
 
-def _j6complete_bracket(x, y, z, p):
-    lo = math.log(4.0 * x / z) - 2.0 * math.sqrt(p) * rc(p, z)
-    hi = math.log(16.0 * x / z) / (1.0 - z / (4.0 * x))
-    return lo, hi
-
-
-def _j6complete_ab(x, y, z, p):
-    return (3.0 / math.sqrt(x * p)) * rc(p, z), -0.75 / x ** 1.5
+def _j6complete(x, y, z, p):
+    l4 = math.log(4.0 * x / z)
+    r = rc(p, z)
+    lo, hi = l4 - 2.0 * math.sqrt(p) * r, math.log(16.0 * x / z) / (1.0 - z / (4.0 * x))
+    return lo, hi, ((3.0 / math.sqrt(x * p)) * r, -0.75 / x ** 1.5)
 
 
 _register("J6complete", "RJ", 1, gate=_j6complete_gate,
           ratio=lambda x, y, z, p: max(z, p) / x,
           sample=lambda r, s, w, lu, coin: (s, 0.0, *_small_pair(r * s, lu, coin)),
-          bracket=_j6complete_bracket, terms=_j6complete_ab, slope=1.0, zero=1)
+          formula=_j6complete, slope=1.0, zero=1)
 
 
 # ---- RG cases --------------------------------------------------------------
@@ -848,20 +784,16 @@ def _g1a_gate(x, y, z):
     _gate(5.0 * a < z, "G1a requires 5a < z, got a={}, z={}", a, z)
 
 
-def _g1a_bracket(x, y, z):
+def _g1a(x, y, z):
     a, g = _ag(x, y)
     l2 = math.log(2.0 * z / (a + g))
     lo = 0.5 * (a + g) * l2 + 2.0 * g - 4.0 * a / 3.0
     hi = (3.0 * a - g) * l2 + 2.0 * g - a / 3.0
-    return lo, hi
+    return lo, hi, (0.5 * math.sqrt(z), 0.25 / math.sqrt(z))
 
 
-def _g1a_ab(x, y, z):
-    return 0.5 * math.sqrt(z), 0.25 / math.sqrt(z)
-
-
-_register("G1a", "RG", 1, gate=_g1a_gate, ratio=_f1_ratio, sample=_f1_sample,
-          bracket=_g1a_bracket, terms=_g1a_ab, slope=0.92)
+_register("G1a", "RG", 1, gate=_g1a_gate, ratio=_f1_ratio, sample=_f1_sample, formula=_g1a,
+          slope=0.92)
 
 
 def _g1b_gate(x, y, z):
@@ -872,37 +804,27 @@ def _g1b_gate(x, y, z):
     _gate(y < z, "G1b requires y < z, got y={}, z={}", y, z)
 
 
-def _g1b_bracket(x, y, z):
-    lo = 0.75 * math.log(z / y)
-    hi = (math.log(16.0 * z / y) - 13.0 / 6.0) / (1.0 - y / z)
-    return lo, hi
-
-
-def _g1b_ab(x, y, z):
+def _g1b(x, y, z):
+    lo, l16 = 0.75 * math.log(z / y), math.log(16.0 * z / y)
+    hi = (l16 - 13.0 / 6.0) / (1.0 - y / z)
     c = y / (8.0 * math.sqrt(z))
-    av = 0.5 * math.sqrt(z) + c * (math.log(16.0 * z / y) - 1.0)
-    return av, c * y / (2.0 * z)
+    return lo, hi, (0.5 * math.sqrt(z) + c * (l16 - 1.0), c * y / (2.0 * z))
 
 
 _register("G1b", "RG", 1, gate=_g1b_gate, ratio=lambda x, y, z: y / z,
-          sample=lambda r, s, *_: (0.0, r * s, s),
-          bracket=_g1b_bracket, terms=_g1b_ab, slope=1.88, zero=0)
+          sample=lambda r, s, *_: (0.0, r * s, s), formula=_g1b, slope=1.88, zero=0)
 
 
-def _g1c_bracket(kp):
-    k = math.sqrt(1.0 - kp * kp)
-    lo = 0.375 * math.log(1.0 / kp)
-    hi = (math.log(4.0 / kp) - 13.0 / 12.0) / (k * (1.0 + k))
-    return lo, hi
-
-
-def _g1c_ab(kp):
+def _g1c(kp):
     k2 = kp * kp
-    return 1.0 + 0.5 * k2 * (math.log(4.0 / kp) - 0.5), 0.5 * k2 * k2
+    k = math.sqrt(1.0 - k2)
+    lo, l4 = 0.375 * math.log(1.0 / kp), math.log(4.0 / kp)
+    return lo, (l4 - 13.0 / 12.0) / (k * (1.0 + k)), \
+        (1.0 + 0.5 * k2 * (l4 - 0.5), 0.5 * k2 * k2)
 
 
 _register("G1c", "E", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-          sample=_kprime_sample, bracket=_g1c_bracket, terms=_g1c_ab, slope=1.88)
+          sample=_kprime_sample, formula=_g1c, slope=1.88)
 
 
 def _g2_gate(x, y, z):
@@ -915,19 +837,15 @@ def _g2_gate(x, y, z):
           "G2 lower endpoint requires (4/pi) sqrt(z/a) < 1")
 
 
-def _g2_bracket(x, y, z):
+def _g2(x, y, z):
     a, g = _ag(x, y)
     lo = (1.0 - (4.0 / math.pi) * math.sqrt(z / a)) / math.sqrt(a)
     hi = (2.0 / (a * g + g * g)) ** 0.25
-    return lo, hi
+    return lo, hi, (_rg_complete(x, y), math.pi * z / 8.0)
 
 
-def _g2_ab(x, y, z):
-    return _rg_complete(x, y), math.pi * z / 8.0
-
-
-_register("G2", "RG", 2, gate=_g2_gate, ratio=_d2_ratio, sample=_d2_sample,
-          bracket=_g2_bracket, terms=_g2_ab, slope=1.0)
+_register("G2", "RG", 2, gate=_g2_gate, ratio=_d2_ratio, sample=_d2_sample, formula=_g2,
+          slope=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -1001,10 +919,9 @@ def _call(case: _Case, vals, gated: bool, windowed: bool, body, *extra):
 
 def _enclosure(case: _Case, vals) -> Enclosure:
     # one unpacking reads the row's fields: a named-tuple field read costs
-    # about 22 ns on Python 3.11, and an enclosure needs five of them
-    tag, _, _, (sl, sh), _, _, _, bracket, terms_of, form, _, _ = case
-    s_lo, s_hi = bracket(*vals)
-    terms = terms_of(*vals)
+    # about 22 ns on Python 3.11, and an enclosure needs four of them
+    tag, _, _, (sl, sh), _, _, _, formula, form, _, _ = case
+    s_lo, s_hi, terms = formula(*vals)
     value = form.value
     lo, hi = value(terms, s_lo), value(terms, s_hi)
     if hi < lo:
@@ -1041,9 +958,8 @@ def _enclose(case: _Case, vals) -> Enclosure:
 
 def _symbol(case: _Case, vals, v: float):
     """(sym_lo, sym_hi, sigma, terms) of the error symbol at the value ``v``:
-    the body every symbol entry shares, one bracket and one terms computation."""
-    s_lo, s_hi = case.bracket(*vals)
-    terms = case.terms(*vals)
+    the body every symbol entry shares, one formula call."""
+    s_lo, s_hi, terms = case.formula(*vals)
     if not all(map(math.isfinite, (s_lo, s_hi, *terms))):
         raise OverflowError("the error symbol's bracket or terms are not finite")
     try:

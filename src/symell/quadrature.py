@@ -25,7 +25,7 @@ This module intentionally shares no evaluation code with
 It shares the argument checks: an RF, RD or RG row is refused by the
 kind's rule in ``_util.KIND_TABLE``, an RC or RJ row by the kind's rule and
 the oracle's own limit (y > 0, p > 0), and the rows of the other integrals
-by ``_util.positive``, with the evaluators' texts.
+by ``_util.positive`` at their arities, with the evaluators' texts.
 """
 
 from __future__ import annotations
@@ -181,9 +181,9 @@ _KIND = {
     "RD": (partial(checked, "RD"), _rd_head, _rd_tail, 1.5),
     "RJ": (_rj_check, _rj_head, _rj_tail, 1.5),
     "RG": (partial(checked, "RG"), _rg_head, _rg_tail, -0.5),
-    "Rm1": (partial(positive, "Rm1"), _rm1_head, _rm1_tail, 1.0),
-    "RJpv": (partial(positive, "RJpv"), _rjpv_head, _rjpv_tail, 1.5),
-    "Mlog": (partial(positive, "Mlog"), _mlog_head, _mlog_tail, 1.5),
+    "Rm1": (partial(positive, "Rm1", arity=3), _rm1_head, _rm1_tail, 1.0),
+    "RJpv": (partial(positive, "RJpv", arity=4), _rjpv_head, _rjpv_tail, 1.5),
+    "Mlog": (partial(positive, "Mlog", arity=3), _mlog_head, _mlog_tail, 1.5),
 }
 
 KINDS = tuple(_KIND)

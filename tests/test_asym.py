@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -252,7 +254,7 @@ class TestThetaRecovery:
         value = a + b log(kappa sym) says nothing of sym: F1f returned theta
         0.0 with sigma 0, and F1e theta = k' outside [1, 4], as if recovered."""
         v = dispatch.case_reference(case_kind(tag), (kp,))
-        b = asym._case(tag).terms(kp)[1]
+        b = asym._case(tag).formula(kp)[2][1]
         assert abs(b) <= asym._VALUE_REL_ERR * v
         assert theta_recover(tag, (kp,), v)[1] == math.inf
         assert theta_window(tag, (kp,), v) is None
@@ -419,7 +421,7 @@ def test_argument_window_refuses_before_the_formula(tag, args, monkeypatch):
     """A nonzero argument of an R case outside [1e-100, 1e100] is refused
     past the gate and before the formula runs."""
     # the formula is never reached: a call of None would raise TypeError
-    monkeypatch.setitem(asym._CASES, tag, asym._CASES[tag]._replace(terms=None))
+    monkeypatch.setitem(asym._CASES, tag, asym._CASES[tag]._replace(formula=None))
     with pytest.raises(ConvergenceError,
                        match=r"is past float64: an argument lies outside \[1e-100, 1e100\]$"):
         enclose(tag, *args)
@@ -508,18 +510,38 @@ def test_formula_terms_are_computed_once_per_enclosure(monkeypatch):
     monkeypatch.setattr(asym, "rd", counted("rd"))
     monkeypatch.setattr(asym, "_rg_complete", counted("_rg_complete"))
     monkeypatch.setattr(asym, "rc", counted("rc"))
-    # theta_window returns the bracket, sigma and theta from one terms call;
+    # theta_window returns the bracket, sigma and theta from one formula call;
     # D2b's rd(0, x, y) + rd(0, y, x) is one AGM run, as in D2c; J4a's terms
-    # take rc(z, p) once and rc(z, g)
+    # take rc(z, p) once and rc(z, g); J6a's and J6complete's bracket and
+    # coefficients share one rc term
     for tag, args, value, expected in (
             ("J2b", (1.0, 2.0, 3.0, 1e-3), core.rj(1.0, 2.0, 3.0, 1e-3), ["rj"]),
             ("J4a", (1.0, 2.0, 1e-3, 2e-3), core.rj(1.0, 2.0, 1e-3, 2e-3), ["rc", "rc"]),
             ("D2b", (1.0, 2.0, 1e-3), core.rd(1.0, 2.0, 1e-3), ["_rg_complete"]),
-            ("D2c", (1.0, 2.0, 1e-3), core.rd(1.0, 2.0, 1e-3), ["_rg_complete"])):
+            ("D2c", (1.0, 2.0, 1e-3), core.rd(1.0, 2.0, 1e-3), ["_rg_complete"]),
+            ("J6a", (1.0, 1e-3, 2e-3, 1e-3), core.rj(1.0, 1e-3, 2e-3, 1e-3), ["rc"]),
+            ("J6complete", (1.0, 0.0, 1e-3, 2e-3), core.rj(1.0, 0.0, 1e-3, 2e-3), ["rc"])):
         for call in (lambda: enclose(tag, *args), lambda: theta_window(tag, args, value)):
             calls.clear()
             assert call() is not None
             assert calls == expected, (tag, call)
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_each_entry_calls_the_formula_once(tag, draws, monkeypatch):
+    """enclose and the symbol entries take the bracket and the coefficients
+    from one formula call."""
+    case = asym._case(tag)
+    calls = []
+    monkeypatch.setitem(asym._CASES, tag, case._replace(
+        formula=lambda *a: calls.append(a) or case.formula(*a)))
+    args = sample_args(tag, 1e-3, draws)
+    v = enclose(tag, *args).estimate
+    for call in (lambda: enclose(tag, *args), lambda: theta_window(tag, args, v),
+                 lambda: theta_recover(tag, args, v)):
+        calls.clear()
+        call()
+        assert calls == [args], call
 
 
 def test_strictness_metadata():
@@ -545,3 +567,91 @@ def test_twin_case_is_its_sibling(tag, sibling):
             v = reference(tag, args)
             assert theta_window(tag, args, v) == theta_window(sibling, args, v), (tag, args)
             assert case_ratio(tag, *args) == case_ratio(sibling, *args)
+
+
+def _hexed(got):
+    """A result as text: each float by its hex form, a tuple item by item."""
+    if isinstance(got, float):
+        return got.hex()
+    if isinstance(got, tuple):
+        return "(" + ",".join(map(_hexed, got)) + ")"
+    return repr(got)
+
+
+def _outcome_digest(tag):
+    """sha256 prefix of enclose, theta_window, theta_recover, case_ratio and
+    the dispatcher's _build, which skips the argument window, on seeded
+    campaign rows at ratios 1e-2..1e-7 and on every tuple of odd values:
+    0, -1, 5e-324, 1e-120, 1, 1e120 and 1e308.  Each symbol entry takes the
+    enclosure's lo, estimate and hi as true values, or 1.0 where there is
+    none."""
+    case = asym._case(tag)
+    draws = Draws(np.random.default_rng(3))
+    rows = [asym._sample(case, 10.0 ** -e, draws.lu, draws.coin)
+            for e in range(2, 8) for _ in range(5)]
+    rows += itertools.product((0.0, -1.0, 5e-324, 1e-120, 1.0, 1e120, 1e308),
+                              repeat=len(rows[0]))
+    h = hashlib.sha256()
+
+    def pin(fn, *args):
+        try:
+            got = fn(*args)
+        except (DomainError, RegimeError, ConvergenceError) as exc:
+            h.update(f"{type(exc).__name__}: {exc};".encode())
+            return None
+        h.update(_hexed(got).encode() + b";")
+        return got
+
+    for args in rows:
+        enc = pin(enclose, tag, *args)
+        for v in (enc.lo, enc.estimate, enc.hi) if enc else (1.0,):
+            pin(theta_window, tag, args, v)
+            pin(theta_recover, tag, args, v)
+        pin(case_ratio, tag, *args)
+        pin(asym._build, case, args)
+    return h.hexdigest()[:16]
+
+
+# sha256 prefix of each case's _outcome_digest, taken before each case row
+# computed its bracket and its coefficients in one formula call; an
+# enclosure endpoint, a theta or sigma, a ratio, or the type or text of an
+# error that moves changes its digest
+_OUTCOME_DIGESTS = {
+    "C1": "defa6164232966a0",
+    "C2a": "db9f3fc954211786",
+    "C2b": "a622efb14dd6c956",
+    "C2c": "e521007076c810e1",
+    "F1a": "793ae0d0f7c2d8fd",
+    "F1b": "88c1603f4cf8a82c",
+    "F1c": "ae9bcc402673dace",
+    "F1d": "bc7dde21c390a53e",
+    "F1e": "2ab90fbc3a0cd170",
+    "F1f": "38730a88bb027369",
+    "F2a": "4c2dd9f05fbfa01a",
+    "D1": "4654f1a756e443e6",
+    "D2a": "704a589ba98109f4",
+    "D2b": "d4069fba332c86c5",
+    "D2c": "7317319c55259915",
+    "D3": "a49b0c7584ce7d13",
+    "D4": "733d12c211d6ef66",
+    "J1a": "6abd4c395404f1bd",
+    "J1b": "48789de1e8e0bbcf",
+    "J2a": "83eebaa46bf24338",
+    "J2b": "90038cf65634c45b",
+    "J3": "9ac089a6841f4914",
+    "J4a": "c7ae4b644abc3641",
+    "J4b": "f1486aa7d79aa88b",
+    "J4c": "7936bc7bcab55028",
+    "J5": "337081be2127d622",
+    "J6a": "d3a03cd7496e9bd0",
+    "J6complete": "c01f0631f17c2df3",
+    "G1a": "d88e8478bc955f84",
+    "G1b": "4263d2db2bbf1333",
+    "G1c": "8afa7778a8b55577",
+    "G2": "10c643452865ab74",
+}
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_case_outcomes_are_pinned(tag):
+    assert _outcome_digest(tag) == _OUTCOME_DIGESTS[tag]

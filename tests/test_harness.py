@@ -276,10 +276,10 @@ def test_theta_outside_its_bracket_is_a_violation(monkeypatch):
     case = asym._CASES["F1a"]
 
     def shifted(*args):
-        lo, hi = case.bracket(*args)
-        return hi + (hi - lo), hi + 2.0 * (hi - lo)
+        lo, hi, terms = case.formula(*args)
+        return hi + (hi - lo), hi + 2.0 * (hi - lo), terms
 
-    monkeypatch.setitem(asym._CASES, "F1a", case._replace(bracket=shifted))
+    monkeypatch.setitem(asym._CASES, "F1a", case._replace(formula=shifted))
     rep = run_containment(Campaign("F1a", (1e-3,), samples=5, seed=11))
     assert rep.evaluated == 5
     assert rep.theta == {"outside": 5}

@@ -208,6 +208,15 @@ def test_requests_accept_the_evaluators_domain():
         assert seen == {True, False}, kind
 
 
+@pytest.mark.parametrize("kind, arity", [("Rm1", 3), ("RJpv", 4), ("Mlog", 3)])
+@pytest.mark.parametrize("n", [0, 2, 5])
+def test_oracle_row_of_the_wrong_length_is_a_domain_error(kind, arity, n):
+    """A principal-value or log-derivative oracle row of the wrong length is
+    refused as an RC..RG row is, in the same words."""
+    with pytest.raises(DomainError, match=rf"^{kind} takes {arity} arguments, got {n}$"):
+        quadrature.oracle_batch(kind, [(1.0,) * n])
+
+
 @pytest.mark.parametrize("args", [
     # the result was NaN, printed with exit 0
     ("2.7027341872482865e-280", "1e-310", "3.218908163891085e-80",
