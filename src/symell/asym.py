@@ -862,12 +862,23 @@ def _ratio_at_zero(case: _Case) -> Callable:
     return lambda *vals: ratio(*vals) if vals[i] == 0.0 else math.inf
 
 
-# (case, cost, ratio) of the cases of each kind of integral but the twins, in
-# catalog order: the row fields that the ratio pass reads, taken out of the
-# rows once, a complete case's ratio wrapped so that the pass leaves it out
-# unless its zero argument is 0
-_KIND_CASES = {kind: tuple((c, c.cost, c.ratio if c.zero is None else _ratio_at_zero(c))
-                           for c in _CASES.values() if c.kind == kind and c.tag not in _TWINS)
+def _ratio_groups(cases) -> tuple:
+    """(ratio, ((case, cost), ...)) per distinct ratio function of ``cases``,
+    at the place of its first case: the row fields that the ratio pass
+    reads, taken out of the rows once, a complete case's ratio wrapped so
+    that the pass leaves it out unless its zero argument is 0.  No case of
+    the catalog falls between two cases of one cost that share a ratio, so
+    a pass group by group keeps catalog order within each cost."""
+    groups: dict[Callable, list] = {}
+    for c in cases:
+        ratio = c.ratio if c.zero is None else _ratio_at_zero(c)
+        groups.setdefault(ratio, []).append((c, c.cost))
+    return tuple((ratio, tuple(rows)) for ratio, rows in groups.items())
+
+
+# the ratio groups of the cases of each kind of integral but the twins
+_KIND_CASES = {kind: _ratio_groups(c for c in _CASES.values()
+                                   if c.kind == kind and c.tag not in _TWINS)
                for kind in dict.fromkeys(c.kind for c in _CASES.values())}
 
 
@@ -1038,8 +1049,9 @@ def case_kind(tag: str) -> str:
 
 
 def kind_cases(kind: str) -> tuple[str, ...]:
-    """Tags of the cases that approximate integrals of ``kind``, but the twins."""
-    return tuple(c.tag for c, _, _ in _KIND_CASES.get(kind, ()))
+    """Tags of the cases that approximate integrals of ``kind``, but the
+    twins, in catalog order."""
+    return tuple(c.tag for c in _CASES.values() if c.kind == kind and c.tag not in _TWINS)
 
 
 def _ratio(case: _Case, vals) -> float:
@@ -1057,18 +1069,22 @@ def case_ratio(tag: str, *args: float) -> float:
 def _ratio_pass(kind: str, vals, ratio_max: float) -> list[tuple[int, list[_Case]]]:
     """(cost, case rows) of the cases of ``kind`` whose ratio at the checked
     ``vals`` is at most ``ratio_max``, cheapest first and in catalog order
-    within a cost.  Left out are a case where case_ratio would raise
-    ConvergenceError and a complete case whose zero argument is not 0."""
+    within a cost.  Each distinct ratio function runs once, for all the
+    cases that share it (F1a, F1c and F1d share _f1_ratio, D2a..D2c
+    _d2_ratio, J2a and J2b _j2_ratio, J4a and J4c _j4_ratio).  Left out are
+    a case where case_ratio would raise ConvergenceError and a complete case
+    whose zero argument is not 0."""
     if not _in_window(kind, vals):
         return []
     classes: dict[int, list[_Case]] = {}
-    for case, cost, ratio_of in _KIND_CASES[kind]:
+    for ratio_of, rows in _KIND_CASES[kind]:
         try:
             ratio = ratio_of(*vals)
         except (ArithmeticError, ValueError):
             continue
         if math.isfinite(ratio) and ratio <= ratio_max:
-            classes.setdefault(cost, []).append(case)
+            for case, cost in rows:
+                classes.setdefault(cost, []).append(case)
     return sorted(classes.items())
 
 

@@ -36,7 +36,11 @@ All functions return plain finite floats and raise
 evaluator checks its arguments by the rule of its row of
 ``_util.KIND_TABLE``, the one place each domain is written, and r_minus1
 and agm by ``_util.positive``, so the dispatcher and the quadrature oracle
-refuse an argument with the same text.  Where float64
+refuse an argument with the same text.  A reference evaluator ``name`` is
+that rule followed by one call to its checked body ``_name_body``, which
+takes the floats the rule returns; the dispatcher has checked a request by
+the same rule when it was built, so its reference and closed-form answers
+call the bodies.  Where float64
 overflows or underflows inside rf, rd, rj, rg, rc's principal value or
 r_minus1 (arguments near the ends of the range, where an inner call may get
 arguments outside its own domain), or rc's principal value or agm would
@@ -91,7 +95,11 @@ def rc(x: float, y: float) -> float:
     x**-0.5 on the diagonal, and a short series just off the diagonal.
     Relative error <= 1e-13 everywhere.
     """
-    x, y = rc_rule("rc", (x, y))
+    return _rc_body(*rc_rule("rc", (x, y)))
+
+
+def _rc_body(x: float, y: float) -> float:
+    """rc at checked arguments: finite x >= 0 and y != 0."""
     if y > 0.0:
         return _rc(x, y)
     if x == 0.0:
@@ -377,7 +385,12 @@ def _rg_complete(y: float, z: float) -> float:
 
 def rf(x: float, y: float, z: float) -> float:
     """Symmetric integral of the first kind; relative error <= 1e-12."""
-    a, b, c = sorted(xyz_rule("rf", (x, y, z)))
+    return _rf_body(*xyz_rule("rf", (x, y, z)))
+
+
+def _rf_body(x: float, y: float, z: float) -> float:
+    """rf at checked arguments: finite x, y, z >= 0, at most one of them 0."""
+    a, b, c = sorted((x, y, z))
     if a == 0.0:
         return _rf_complete(b, c)
     try:
@@ -388,7 +401,11 @@ def rf(x: float, y: float, z: float) -> float:
 
 def rd(x: float, y: float, z: float) -> float:
     """Symmetric integral of the second kind, symmetric in (x, y); z > 0."""
-    x, y, z = rd_rule("rd", (x, y, z))
+    return _rd_body(*rd_rule("rd", (x, y, z)))
+
+
+def _rd_body(x: float, y: float, z: float) -> float:
+    """rd at checked arguments: finite x, y >= 0, not both 0, and z > 0."""
     a, b = sorted((x, y))
     try:
         value = _rd_core(a, b, z)
@@ -405,18 +422,24 @@ def rj(x: float, y: float, z: float, p: float) -> float:
 
     Delegates exactly to rd when p coincides with one of x, y, z.
     """
-    x, y, z, p = rj_rule("rj", (x, y, z, p))
+    return _rj_body(*rj_rule("rj", (x, y, z, p)))
+
+
+def _rj_body(x: float, y: float, z: float, p: float) -> float:
+    """rj at checked arguments: finite x, y, z >= 0, at most one of them 0,
+    and p != 0, with x, y, z > 0 at p < 0."""
     if p < 0.0:
         return _rj_principal(x, y, z, p)
     a, b, c = sorted((x, y, z))
+    # p equal to one of them is an rd whose arguments the rule has checked
     try:
         if p == c:
-            return rd(a, b, c)
+            return _rd_body(a, b, c)
         if p == b:
-            return rd(a, c, b)
+            return _rd_body(a, c, b)
         if p == a:
-            return rd(b, c, a)
-    except (DomainError, ConvergenceError) as exc:
+            return _rd_body(b, c, a)
+    except ConvergenceError as exc:
         raise _range_error("rj", exc) from exc
     try:
         value = _rj_core(a, b, c, p)
@@ -458,7 +481,12 @@ def rg(x: float, y: float, z: float) -> float:
     argument by the AGM.  Two zero arguments are allowed: rg(0, 0, z) =
     sqrt(z)/2 is the finite limit.
     """
-    return _rg(*sorted(rg_rule("rg", (x, y, z))))
+    return _rg_body(*rg_rule("rg", (x, y, z)))
+
+
+def _rg_body(x: float, y: float, z: float) -> float:
+    """rg at checked arguments: finite x, y, z >= 0, not all 0."""
+    return _rg(*sorted((x, y, z)))
 
 
 def _rg(a: float, b: float, c: float) -> float:
@@ -511,11 +539,19 @@ def agm(u: float, v: float) -> float:
 
 def legendre_k(k: float) -> float:
     """Complete elliptic integral of the first kind, k in [0, 1)."""
-    k, = k_rule("legendre_k", (k,))
+    return _legendre_k_body(*k_rule("legendre_k", (k,)))
+
+
+def _legendre_k_body(k: float) -> float:
+    """legendre_k at a checked k: finite, in [0, 1)."""
     return _rf_complete((1.0 - k) * (1.0 + k), 1.0)
 
 
 def legendre_e(k: float) -> float:
     """Complete elliptic integral of the second kind, k in [0, 1]."""
-    k, = e_rule("legendre_e", (k,))
+    return _legendre_e_body(*e_rule("legendre_e", (k,)))
+
+
+def _legendre_e_body(k: float) -> float:
+    """legendre_e at a checked k: finite, in [0, 1]."""
     return 2.0 * _rg(0.0, (1.0 - k) * (1.0 + k), 1.0)

@@ -14,16 +14,18 @@ class is the price of that order.
 
 Asymptotic cases are considered only when their regime ratio is at most
 1e-2 — the territory the containment campaigns certify.  A request's
-arguments are checked once, when the request is built; one ratio pass per
-request (``asym._ratio_pass``, on that checked tuple) evaluates each
-case's ratio and groups the in-ratio cases by cost, and each
-enclosure is built from its case row and the same tuple, behind the case's
-gate and asym's error boundary.  Left out silently are a case whose ratio
-fails in float64 or exceeds 1e-2, or whose arguments lie outside asym's
-window; a complete case (J1b, J4b, J6complete, G1b) whose zero argument is
-not 0, unbuilt; a case whose enclosure is refused or fails in float64 (asym
-raises RegimeError or ConvergenceError); and an enclosure whose upper end
-is not positive.  What is left out falls through to the reference path.
+arguments are checked once, when the request is built, and every step
+runs on that checked tuple: the closed forms and the reference call
+``core``'s checked bodies, which skip the rule that the public evaluators
+apply; one ratio pass per request (``asym._ratio_pass``) evaluates each
+distinct ratio function once and groups the in-ratio cases by cost, and
+each enclosure is built from its case row and the same tuple, behind the
+case's gate and asym's error boundary.  Left out silently are a case
+whose ratio fails in float64 or exceeds 1e-2, or whose arguments lie
+outside asym's window; a complete case (J1b, J4b, J6complete, G1b) whose
+zero argument is not 0, unbuilt; a case whose enclosure is refused or
+fails in float64 (asym raises RegimeError or ConvergenceError); and an
+enclosure whose upper end is not positive.  What is left out falls through to the reference path.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
 through the branchy rc evaluation 1e-13, rc's principal value at RC's
@@ -77,18 +79,17 @@ _GUAR_REFERENCE = 1e-12
 
 # kind -> (the reference evaluator's guarantee, whether the walk tries it
 # before the kind's cases: K's and E's is one AGM run, DLMF 19.8(i), cheaper
-# than any of their enclosures); the arity, the evaluator's name and the
-# domain are _util.KIND_TABLE's.  The evaluator is named, not bound, so each
-# call looks it up on core.
-_KIND = {
-    "RC": (_GUAR_RC, False),
-    "RF": (_GUAR_REFERENCE, False),
-    "RD": (_GUAR_REFERENCE, False),
-    "RJ": (_GUAR_REFERENCE, False),
-    "RG": (_GUAR_REFERENCE, False),
-    "K": (_GUAR_REFERENCE, True),
-    "E": (_GUAR_REFERENCE, True),
-}
+# than any of their enclosures, and the evaluator's checked body in core);
+# the arity, the evaluator's name and the domain are _util.KIND_TABLE's, and
+# the body, core's _<name>_body, is resolved from that name once, here
+_KIND = {kind: (guar, first, getattr(core, f"_{KIND_TABLE[kind].evaluator}_body"))
+         for kind, guar, first in (("RC", _GUAR_RC, False),
+                                   ("RF", _GUAR_REFERENCE, False),
+                                   ("RD", _GUAR_REFERENCE, False),
+                                   ("RJ", _GUAR_REFERENCE, False),
+                                   ("RG", _GUAR_REFERENCE, False),
+                                   ("K", _GUAR_REFERENCE, True),
+                                   ("E", _GUAR_REFERENCE, True))}
 
 KINDS = tuple(_KIND)
 
@@ -163,15 +164,17 @@ def _closed_form(kind: str, args) -> tuple[float, float] | None:
 
 def _pattern(kind: str, args) -> tuple[float, float] | None:
     if kind == "RC":
-        return core.rc(*args), _GUAR_RC
+        return core._rc_body(*args), _GUAR_RC
     if kind == "RF":
         a, b, c = sorted(args)
         if a == b == c:
             return a ** -0.5, _GUAR_ELEMENTARY
+        # RF's rule leaves at most one argument 0, so rc's y is positive:
+        # its closed forms
         if b == c:
-            return core.rc(a, b), _GUAR_RC
+            return core._rc(a, b), _GUAR_RC
         if a == b:
-            return core.rc(c, a), _GUAR_RC
+            return core._rc(c, a), _GUAR_RC
         return None
     if kind == "RD":
         x, y, z = args
@@ -215,15 +218,11 @@ def _pattern(kind: str, args) -> tuple[float, float] | None:
     return None
 
 
-def reference(kind: str, args) -> tuple[float, float]:
-    """(value, guarantee) of the kind's reference evaluator."""
-    return getattr(core, KIND_TABLE[kind].evaluator)(*args), _KIND[kind][0]
-
-
 def case_reference(kind: str, args) -> float:
-    """Reference value of the integral that cases of ``kind`` approximate."""
+    """Reference value of the integral that cases of ``kind`` approximate, by
+    the public evaluator, which checks the arguments."""
     kind, args, factor = (asym or _catalog()).reference_route(kind, args)
-    return factor * reference(kind, args)[0]
+    return factor * getattr(core, KIND_TABLE[kind].evaluator)(*args)
 
 
 def _case_args(kind: str, args) -> tuple:
@@ -234,13 +233,14 @@ def _case_args(kind: str, args) -> tuple:
 
 
 def _walk(req: EvalRequest):
-    """(method, case, cost, guarantee, half-width, value or enclosure) per step."""
+    """(method, case, cost, guarantee, half-width, what answers) per step:
+    the value, the enclosure, or the reference's checked body."""
     cf = _closed_form(req.kind, req.args)
     if cf is not None:
         yield "closed_form", None, 0, cf[1], None, cf[0]
-    guar, reference_first = _KIND[req.kind]
+    guar, reference_first, body = _KIND[req.kind]
     if reference_first:
-        yield "reference", None, 9, guar, None, None
+        yield "reference", None, 9, guar, None, body
     cargs = _case_args(req.kind, req.args)
     for cost, cases in (asym or _catalog())._ratio_pass(req.kind, cargs, _RATIO_MAX):
         steps = []
@@ -257,7 +257,7 @@ def _walk(req: EvalRequest):
         for hw, tag, enc in sorted(steps, key=lambda s: s[:2]):
             yield "asym", tag, cost, hw + _ASYM_MARGIN, hw, enc
     if not reference_first:
-        yield "reference", None, 9, guar, None, None
+        yield "reference", None, 9, guar, None, body
 
 
 def plan(req: EvalRequest) -> list[PlanStep]:
@@ -274,7 +274,6 @@ def evaluate(req: EvalRequest) -> EvalReport:
             return EvalReport(got, method, None, guar)
         if method == "asym":
             return EvalReport(got.estimate, method, case, guar, got)
-        value, guar = reference(req.kind, req.args)
-        return EvalReport(value, method, None, guar)
+        return EvalReport(got(*req.args), method, None, guar)
     raise ToleranceError(
         f"no method certifies rel_tol={req.rel_tol:g} for {req.kind}{req.args}")

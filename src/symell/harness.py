@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from itertools import repeat, starmap
@@ -98,8 +99,26 @@ class Campaign:
         # the report keeps one width per ratio, so a repeat would hide a stream
         if len(set(self.ratios)) < len(self.ratios):
             raise DomainError(f"ratios must not repeat, got {self.ratios}")
-        if self.samples < 1:
-            raise DomainError("samples must be >= 1")
+        object.__setattr__(self, "samples", _count("samples", self.samples, 1))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
+
+
+def _count(name: str, v, least: int) -> int:
+    """``v`` as an int of at least ``least``: a seed (0) or a sample count
+    (1).  Anything else is a DomainError that names the value."""
+    try:
+        n = operator.index(v)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise DomainError(f"{name} must be >= {least} and an int, got {v!r}")
+    return n
+
+
+def _rng(seed, *key) -> np.random.Generator:
+    """The generator of the campaign stream ``key`` of ``seed``, which is
+    checked here, where each stream's SeedSequence is built."""
+    return np.random.default_rng(np.random.SeedSequence([_count("seed", seed, 0), *key]))
 
 
 @dataclass
@@ -292,8 +311,7 @@ def _enclosures(case, campaign: Campaign, report: CampaignReport):
     index = asym.CASE_TAGS.index(case.tag)
     sample, enclose = asym._sample, asym._enclose
     for ri, ratio in enumerate(campaign.ratios):
-        draws = Draws(np.random.default_rng(
-            np.random.SeedSequence([campaign.seed, index, ri])))
+        draws = Draws(_rng(campaign.seed, index, ri))
         lu, coin = draws.lu, draws.coin
         wmax = 0.0
         for _ in range(campaign.samples):
@@ -590,8 +608,7 @@ _SLOW_IDENTITIES = {"log-derivative-shift": 10000, "log-kernel-bracket": 10000}
 
 def run_identities(seed: int, n: int, which=None) -> CampaignReport:
     """Execute the core identity suite on n fuzzed tuples per identity."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _count("n", n, 1)
     tags = tuple(which) if which else IDENTITY_TAGS
     for t in tags:
         if t not in _IDENTITIES:
@@ -599,7 +616,7 @@ def run_identities(seed: int, n: int, which=None) -> CampaignReport:
     report = CampaignReport("identities", "identity", seed, (), n)
     t0 = time.perf_counter()
     for ti, t in enumerate(tags):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 4242, ti]))
+        rng = _rng(seed, 4242, ti)
         count = min(n, _SLOW_IDENTITIES.get(t, n))
         for msg in _IDENTITIES[t](rng, count):
             report.evaluated += 1
@@ -617,10 +634,9 @@ def run_identities(seed: int, n: int, which=None) -> CampaignReport:
 def run_bounds_fuzz(tag: str, n: int = 100000, seed: int = 42) -> CampaignReport:
     """Fuzz one Appendix inequality; violations outside the 4-ulp band count."""
     ineq = bounds._ineq(tag)
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _count("n", n, 1)
     report = CampaignReport(tag, "bounds", seed, (), n)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 777, bounds.INEQ_TAGS.index(tag)]))
+    rng = _rng(seed, 777, bounds.INEQ_TAGS.index(tag))
     nargs = ineq.arity
     strict_lo, strict_hi = ineq.strict
     evaluate, ulp = bounds._evaluate, math.ulp

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +14,7 @@ from symell import (
     ConvergenceError,
     DomainError,
     agm,
+    core,
     legendre_e,
     legendre_k,
     r_minus1,
@@ -22,6 +24,7 @@ from symell import (
     rg,
     rj,
 )
+from symell._util import KIND_TABLE
 from symell.quadrature import oracle_batch
 
 mp.mp.dps = 30
@@ -473,3 +476,44 @@ def test_principal_values_match_scipy():
         assert rel(rc(x, -y), float(elliprc(x, -y))) <= 1e-13, (x, y)
         p = -4.0 * max(x, y, z) * math.sqrt(w / 1e-3)
         assert rel(rj(x, y, z, p), float(elliprj(x, y, z, p))) <= 1e-12, (x, y, z, p)
+
+
+def _parity_rows(rng, n, arity):
+    """Rows log-uniform over 1e-300..1e300, about 5 % of the values zero,
+    subnormal, the least normal or DBL_MAX, and 2 % negated; a modulus v
+    becomes v / (1 + v), which fills [0, 1] and takes both ends exactly."""
+    rows = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (n, arity)))
+    special = rng.random((n, arity)) < 0.05
+    rows[special] = rng.choice([0.0, 5e-324, 2.5e-310, sys.float_info.min,
+                                sys.float_info.max], int(special.sum()))
+    if arity == 1:
+        rows = rows / (1.0 + rows)
+    rows[rng.random((n, arity)) < 0.02] *= -1.0
+    return rows.tolist()
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args).hex()
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("kind", list(KIND_TABLE))
+def test_checked_body_is_the_public_evaluator(kind):
+    """A reference evaluator is its kind's rule and then its checked body,
+    which the dispatcher calls on a request's checked tuple: at the rule's
+    output the body gives the public evaluator's value bit for bit, or the
+    same error with the same text."""
+    _, name, rule = KIND_TABLE[kind]
+    public, body = getattr(core, name), getattr(core, f"_{name}_body")
+    values = 0
+    for args in _parity_rows(np.random.default_rng(31), 2000, KIND_TABLE[kind].arity):
+        try:
+            vals = rule(name, tuple(args))
+        except DomainError:
+            continue
+        got = _outcome(body, vals)
+        assert got == _outcome(public, args), (name, args)
+        values += isinstance(got, str)
+    assert values > 100

@@ -326,6 +326,24 @@ class TestLazyWalk:
         assert len(built) >= 2
         assert calls == [("RJ", (700.0, 150.0, 0.25, 0.003))]
 
+        # reference and closed-form answers run core's checked bodies, so
+        # core applies none of its rules to a request's tuple again
+        enclosures, rules = len(built), []
+        for name in ("xyz_rule", "rc_rule", "rd_rule", "rj_rule", "rg_rule", "k_rule",
+                     "e_rule"):
+            rule = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda *a, rule=rule: rules.append(a) or rule(*a))
+        for kind, args, method in [("RF", (1.0, 2.0, 4.0), "reference"),
+                                   ("RF", (1.0, 2.0, 2.0), "closed_form"),
+                                   ("RC", (1.0, 2.0), "closed_form"),
+                                   ("K", (0.5,), "reference"),
+                                   ("E", (0.5,), "reference")]:
+            calls.clear()
+            rep = evaluate(EvalRequest(kind, args, 1e-9))
+            assert rep.method == method, kind
+            assert calls == [(kind, args)] and rules == [], (kind, args)
+            assert len(built) == enclosures, (kind, args)
+
     @pytest.mark.parametrize("kind,zero,nonzero,case", [
         ("RJ", (1e-6, 2e-6, 0.0, 1.0), (1e-6, 2e-6, 1e-9, 1.0), "J1b"),
         ("RJ", (1.0, 2.0, 0.0, 1e-6), (1.0, 2.0, 1e-9, 1e-6), "J4b"),
@@ -522,6 +540,30 @@ def test_ratio_pass_matches_per_case_ratios():
                 classes.setdefault(costs[tag], []).append(tag)
             assert _classes(kind, args, 1e-2) == sorted(classes.items()), \
                 (kind, args)
+
+
+@pytest.mark.parametrize("kind, args, ratio, tags", [
+    ("RF", (1e-9, 2e-9, 1.0), "_f1_ratio", {"F1a", "F1c", "F1d"}),
+    ("RD", (1.0, 2.0, 1e-6), "_d2_ratio", {"D2a", "D2b", "D2c"}),
+    ("RJ", (700.0, 150.0, 0.25, 0.003), "_j2_ratio", {"J2a", "J2b"}),
+    ("RJ", (700.0, 150.0, 0.25, 0.003), "_j4_ratio", {"J4a", "J4c"}),
+])
+def test_ratio_pass_calls_each_ratio_function_once(kind, args, ratio, tags):
+    """Cases that share a ratio function share its value: one ratio pass
+    calls it once, though every case that shares it is in ratio."""
+    code, calls = getattr(asym, ratio).__code__, []
+
+    def profile(frame, event, _):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        classes = _classes(kind, args)
+    finally:
+        sys.setprofile(None)
+    assert tags <= {t for _, found in classes for t in found}
+    assert len(calls) == 1
 
 
 def test_answers_are_pinned():

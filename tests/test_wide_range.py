@@ -13,7 +13,7 @@ from symell import (ConvergenceError, DomainError, EvalRequest, RegimeError, Tol
                     asym, bounds, core, evaluate, quadrature)
 from symell._util import KIND_TABLE
 from symell.cli import main
-from symell.harness import Campaign
+from symell.harness import Campaign, run_bounds_fuzz, run_identities, run_order_fit
 
 TYPED = (ConvergenceError, DomainError, RegimeError, ToleranceError)
 
@@ -111,6 +111,43 @@ def test_numeric_text_is_still_a_number():
     assert EvalRequest("RF", ("1", "2", "4"), "1e-6") == EvalRequest("RF", (1, 2, 4), 1e-6)
     assert core.rf("1", "2", "4") == core.rf(1.0, 2.0, 4.0)
     assert bounds.bracket("A3", "4", 1) == bounds.bracket("A3", 4.0, 1.0)
+
+
+@pytest.mark.parametrize("call, name, least", [
+    (lambda: Campaign("C1", seed=-1), "seed", 0),
+    (lambda: Campaign("C1", seed=2.5), "seed", 0),
+    (lambda: Campaign("C1", samples=2.5), "samples", 1),
+    (lambda: run_order_fit("C1", seed=-2), "seed", 0),
+    (lambda: run_bounds_fuzz("A1", 10, -1), "seed", 0),
+    (lambda: run_bounds_fuzz("A1", 2.5, 1), "n", 1),
+    (lambda: run_identities(-3, 5), "seed", 0),
+    (lambda: run_identities(1, 2.5), "n", 1),
+], ids=["Campaign-seed", "Campaign-float-seed", "Campaign-samples", "run_order_fit-seed",
+        "run_bounds_fuzz-seed", "run_bounds_fuzz-n", "run_identities-seed",
+        "run_identities-n"])
+def test_bad_campaign_parameter_is_a_domain_error(call, name, least):
+    """A seed must be an int >= 0 and a sample count an int >= 1; anything
+    else is refused as a DomainError that names the value, when the campaign
+    is built or its first stream drawn, not a bare ValueError from numpy's
+    SeedSequence or a TypeError later."""
+    with pytest.raises(DomainError, match=f"^{name} must be >= {least} and an int, got "):
+        call()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "--cases", "C1", "--samples", "2", "--seed", "-1"], None),
+    (["verify", "--cases", "C1", "--samples", "2"], "-1"),
+    (["identities", "--n", "5", "--seed", "-3"], None),
+], ids=["verify-seed", "verify-SEED", "identities-seed"])
+def test_bad_seed_exits_2(capsys, monkeypatch, tmp_path, argv, env):
+    if env is not None:
+        monkeypatch.setenv("SEED", env)
+    if argv[0] == "verify":
+        argv = [*argv, "--out", str(tmp_path / "r")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: seed must be >= 0 and an int, got -" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("kind, args, tol", [
