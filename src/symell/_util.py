@@ -11,7 +11,8 @@ so ``core``'s evaluators, ``dispatch.EvalRequest`` and the quadrature
 oracle refuse an argument with the same text, and ``dispatch`` and ``cli``
 check a request without loading the case catalog.  ``positive`` is the rule
 of r_minus1, agm and the oracle's integrals of positive arguments.  The
-rest are the numeric helpers of ``asym`` and ``bounds``.
+rest are the numeric helpers of ``asym`` and ``bounds``, written once for
+both: ``ag`` (the means of a pair), ``cbrt``, the widening and the band.
 """
 
 from __future__ import annotations
@@ -150,6 +151,11 @@ def positive(name: str, args, arity: int | None = None) -> tuple:
     return vals
 
 
+def ag(x: float, y: float) -> tuple[float, float]:
+    """The arithmetic and geometric means of x and y."""
+    return (x + y) / 2.0, math.sqrt(x * y)
+
+
 def cbrt(v: float) -> float:
     """Cube root accurate to ~1 ulp.
 
@@ -172,6 +178,6 @@ def widen_up(v: float) -> float:
     return v + _WIDEN_ULPS * math.ulp(abs(v))
 
 
-def equal_within_band(u: float, v: float, n: int = 4) -> bool:
-    """True when u and v differ by at most n ulps of the larger magnitude."""
-    return abs(u - v) <= n * math.ulp(max(abs(u), abs(v)))
+def equal_within_band(u: float, v: float) -> bool:
+    """True when u and v differ by at most 4 ulps of the larger magnitude."""
+    return abs(u - v) <= 4 * math.ulp(max(abs(u), abs(v)))

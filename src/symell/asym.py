@@ -13,6 +13,8 @@ expected order-fit slope, and a complete case's zero argument; the arity
 and the reference route follow from the kind.  A formula returns the
 bracket endpoints and the coefficients of its form from one call, so what
 they share (a, g, a logarithm, an rc term) is computed once per call.
+Rows with one ratio share its function (C2a/C2b, F1e/F1f/G1c, F2a/D2*/G2
+among them), so the ratio pass computes each ratio once per request.
 Most forms are affine in the error symbol; the C2/F1e/F1f family is affine
 in log(symbol) instead, and J1b is a multiplicative form.  A case's gate
 holds every condition its displayed endpoints need (G1a's upper endpoint
@@ -73,7 +75,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from ._util import KIND_TABLE, cbrt, floats, number, widen_down, widen_up, xyz_rule
+from ._util import KIND_TABLE, ag, cbrt, floats, number, widen_down, widen_up, xyz_rule
 from .core import _rf_complete, _rg_complete, rc, rd, rf, rj
 from .errors import ConvergenceError, DomainError, RegimeError
 
@@ -126,10 +128,6 @@ def _gate(cond: bool, fmt: str, *args):
     """Refuse unless ``cond`` holds; the text is formatted only on refusal."""
     if not cond:
         raise RegimeError(fmt.format(*args))
-
-
-def _ag(x, y):
-    return (x + y) / 2.0, math.sqrt(x * y)
 
 
 # --------------------------------------------------------------------------
@@ -255,6 +253,10 @@ def _c2_gate(x, y):
     _gate(y < 2.0 * x, "C2 requires 0 < y < 2x, got ({}, {})", x, y)
 
 
+def _c2_ratio(x, y):
+    return y / x
+
+
 def _c2_sample(r, s, *_):
     return (s, r * s)
 
@@ -264,7 +266,7 @@ def _c2a(x, y):
     return 1.0, 4.0, (inv * math.log(4.0 * x / y), inv * y / (2.0 * x - y), x / y)
 
 
-_register("C2a", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
+_register("C2a", "RC", 1, gate=_c2_gate, ratio=_c2_ratio, sample=_c2_sample,
           formula=_c2a, form=_LOG, slope=1.08)
 
 
@@ -275,7 +277,7 @@ def _c2b(x, y):
     return 1.0, 4.0, (a, b, x / y)
 
 
-_register("C2b", "RC", 1, gate=_c2_gate, ratio=lambda x, y: y / x, sample=_c2_sample,
+_register("C2b", "RC", 1, gate=_c2_gate, ratio=_c2_ratio, sample=_c2_sample,
           formula=_c2b, form=_LOG, slope=1.85)
 
 
@@ -295,7 +297,7 @@ def _f1_dom(x, y, z):
 
 def _f1_gate(x, y, z):
     _f1_dom(x, y, z)
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     _gate(a < 2.0 * z and g < z, "F1 requires a < 2z and g < z, got a={}, g={}, z={}", a, g, z)
 
 
@@ -308,7 +310,7 @@ def _f1_sample(r, s, w, lu, coin):
 
 
 def _f1a(x, y, z):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     l2 = math.log(2.0 * z / (a + g))
     l8 = math.log(8.0 * z / (a + g))
     return g / (1.0 - g / z) * l2, a / (1.0 - a / (2.0 * z)) * l8, \
@@ -331,7 +333,7 @@ def _f1cd(coefficients):
     """The formula of F1c or F1d: their one bracket, then
     ``coefficients(a, g, z, l8)``."""
     def formula(x, y, z):
-        a, g = _ag(x, y)
+        a, g = ag(x, y)
         rho = max(x, y) / z
         l8 = math.log(8.0 * z / (a + g))
         return math.log(1.0 / rho) / (1.0 - rho), l8 / (1.0 - a / (2.0 * z)), \
@@ -358,11 +360,15 @@ def _kprime_gate(kp):
     _gate(0.0 < kp < 1.0, "requires 0 < k' < 1, got {}", kp)
 
 
+def _kprime_ratio(kp):
+    return kp * kp
+
+
 def _kprime_sample(r, *_):
     return (math.sqrt(r),)
 
 
-_register("F1e", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp, sample=_kprime_sample,
+_register("F1e", "K", 1, gate=_kprime_gate, ratio=_kprime_ratio, sample=_kprime_sample,
           formula=lambda kp: (1.0, 4.0, (math.log(4.0 / kp), kp * kp / (4.0 - kp * kp), 1.0 / kp)),
           form=_LOG, slope=1.07)
 
@@ -374,7 +380,7 @@ def _f1f(kp):
     return 1.0, 4.0, (a, b, 1.0 / kp)
 
 
-_register("F1f", "K", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp, sample=_kprime_sample,
+_register("F1f", "K", 1, gate=_kprime_gate, ratio=_kprime_ratio, sample=_kprime_sample,
           formula=_f1f, form=_LOG, slope=1.83)
 
 
@@ -382,8 +388,12 @@ def _f2a_gate(x, y, z):
     _pos("x", x)
     _pos("y", y)
     _nonneg("z", z)
-    _, g = _ag(x, y)
+    _, g = ag(x, y)
     _gate(z < g, "F2a requires z < g, got z={}, g={}", z, g)
+
+
+def _d2_ratio(x, y, z):
+    return z / math.sqrt(x * y)
 
 
 def _d2_sample(r, s, w, *_):
@@ -397,8 +407,8 @@ def _f2a(x, y, z):
         (_rf_complete(x, y) - math.sqrt(z) / g, math.pi * z / (4.0 * g ** 1.5))
 
 
-_register("F2a", "RF", 1, gate=_f2a_gate, ratio=lambda x, y, z: z / math.sqrt(x * y),
-          sample=_d2_sample, formula=_f2a, slope=1.0)
+_register("F2a", "RF", 1, gate=_f2a_gate, ratio=_d2_ratio, sample=_d2_sample, formula=_f2a,
+          slope=1.0)
 
 
 # ---- RD cases --------------------------------------------------------------
@@ -406,12 +416,12 @@ _register("F2a", "RF", 1, gate=_f2a_gate, ratio=lambda x, y, z: z / math.sqrt(x 
 
 def _d1_gate(x, y, z):
     _f1_dom(x, y, z)
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     _gate(g < z and a < z, "D1 requires g < z and a < z, got a={}, g={}, z={}", a, g, z)
 
 
 def _d1(x, y, z):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     lo, hi = g / (1.0 - g / z), 1.5 * a / (1.0 - (x + y) / (2.0 * z))
     pre = 3.0 / (2.0 * z ** 1.5)
     return lo, hi, (pre * (math.log(8.0 * z / (a + g)) - 2.0),
@@ -426,12 +436,8 @@ def _d2_gate(x, y, z):
     _pos("x", x)
     _pos("y", y)
     _pos("z", z)
-    _, g = _ag(x, y)
+    _, g = ag(x, y)
     _gate(z < g, "D2 requires z < g, got z={}, g={}", z, g)
-
-
-def _d2_ratio(x, y, z):
-    return z / math.sqrt(x * y)
 
 
 def _d2a(x, y, z):
@@ -453,7 +459,7 @@ def _d2_complete(x, y, z):
 
 
 def _d2b(x, y, z):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     s = math.sqrt(z / g)
     lo, hi = 1.0 / (math.sqrt(2.0 / 3.0) + s), 1.5 * a / (g * (1.0 + s))
     bv = 3.0 * math.pi * math.sqrt(z) / (2.0 * g * g * (1.0 + s))
@@ -465,7 +471,7 @@ _register("D2b", "RD", 2, gate=_d2_gate, ratio=_d2_ratio, sample=_d2_sample, for
 
 
 def _d2c(x, y, z):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     r, s = a / g, math.sqrt(z / a)
     lo, hi = 1.0 / (1.0 + s), r ** 1.5 * (3.0 - 1.0 / (r * r))
     t = 6.0 * a * math.sqrt(z) / g ** 3
@@ -481,12 +487,12 @@ def _d3_gate(x, y, z):
     _pos("x", x)
     _nonneg("y", y)
     _pos("z", z)
-    a, g = _ag(y, z)
+    a, g = ag(y, z)
     _gate(g < x and a < 2.0 * x, "D3 requires g < x and a < 2x, got a={}, g={}, x={}", a, g, x)
 
 
 def _d3(x, y, z):
-    a, g = _ag(y, z)
+    a, g = ag(y, z)
     lo = math.log(2.0 * x / (a + g)) / (1.0 - g / x) - 2.0 * z / (g + z)
     hi = math.log(8.0 * x / (a + g)) / (1.0 - a / (2.0 * x))
     return lo, hi, ((3.0 / math.sqrt(x)) / (g + z), -3.0 / (4.0 * x ** 1.5))
@@ -505,7 +511,7 @@ def _d4_gate(x, y, z):
 
 
 def _d4(x, y, z):
-    a, g = _ag(y, z)
+    a, g = ag(y, z)
     s = math.sqrt(x / a)
     lo, hi = 1.0 / (1.0 + s), (a / g) ** 1.5 * (1.0 + y / a)
     t = 3.0 * math.sqrt(x) / (g * z)
@@ -561,8 +567,6 @@ _register("J1a", "RJ", 2, gate=_j1a_gate,
 def _j1b_gate(x, y, z, p):
     _rj_dom(x, y, z, p)
     _gate(z == 0.0, "J1b is the complete case and requires z = 0")
-    _pos("x", x)
-    _pos("y", y)
     _gate((x + y) / 2.0 < p, "J1b requires (x + y)/2 < p")
 
 
@@ -624,12 +628,12 @@ _register("J2b", "RJ", 3, gate=_j2_gate, ratio=_j2_ratio, sample=_j2_sample, for
 def _j3_gate(x, y, z, p):
     _rj_dom(x, y, z, p)
     _pos("z", z)
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     _gate(a < p and g < p, "J3 requires a < p and g < p, got a={}, g={}, p={}", a, g, p)
 
 
 def _j3(x, y, z, p):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     lo, hi = g / (1.0 - g / p), a / (1.0 - a / p) * (1.0 + p / (2.0 * z))
     pre = 1.5 / (math.sqrt(z) * p)
     return lo, hi, (pre * (math.log(8.0 * z / (a + g)) - 2.0 * rc(1.0, p / z)),
@@ -647,7 +651,7 @@ def _j4_gate(x, y, z, p):
     _rj_dom(x, y, z, p)
     _pos("x", x)
     _pos("y", y)
-    _, g = _ag(x, y)
+    _, g = ag(x, y)
     _gate(z < g and p < g, "J4 requires z < g and p < g, got z={}, p={}, g={}", z, p, g)
 
 
@@ -674,9 +678,7 @@ _register("J4a", "RJ", 1, gate=_j4_gate, ratio=_j4_ratio, sample=_j4_sample, for
 def _j4b_gate(x, y, z, p):
     _rj_dom(x, y, z, p)
     _gate(z == 0.0, "J4b is the complete case and requires z = 0")
-    _pos("x", x)
-    _pos("y", y)
-    _, g = _ag(x, y)
+    _, g = ag(x, y)
     _gate(p < g, "J4b requires p < g, got p={}, g={}", p, g)
 
 
@@ -693,7 +695,7 @@ _register("J4b", "RJ", 1, gate=_j4b_gate, ratio=lambda x, y, z, p: p / math.sqrt
 
 
 def _j4c(x, y, z, p):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     b = math.sqrt(3.0 * p * (p + 2.0 * z)) / 2.0
     d = (z + 2.0 * p) / 3.0
     lo = math.sqrt(b) / (1.0 + math.sqrt(b / g))
@@ -710,12 +712,12 @@ def _j5_gate(x, y, z, p):
     _rj_dom(x, y, z, p)
     _pos("y", y)
     _pos("z", z)
-    a, _ = _ag(y, z)
+    a, _ = ag(y, z)
     _gate(x < a, "J5 requires x < (y + z)/2, got x={}, a={}", x, a)
 
 
 def _j5(x, y, z, p):
-    a, g = _ag(y, z)
+    a, g = ag(y, z)
     lo, hi = math.sqrt(g / a) / (1.0 + math.sqrt(x / a)), a / g + g / p
     t = 3.0 * math.sqrt(x) / (g * p)
     return lo, hi, (rj(0.0, y, z, p) - t, t * (math.pi / 4.0) * math.sqrt(x / g))
@@ -734,12 +736,12 @@ _register("J5", "RJ", 3, gate=_j5_gate,
 def _j6a_gate(x, y, z, p):
     _rj_dom(x, y, z, p)
     _pos("x", x)
-    a, g = _ag(y, z)
+    a, g = ag(y, z)
     _gate(g < x and a < 2.0 * x, "J6 requires g < x and a < 2x, got a={}, g={}, x={}", a, g, x)
 
 
 def _j6a(x, y, z, p):
-    a, g = _ag(y, z)
+    a, g = ag(y, z)
     l2 = math.log(2.0 * x / (a + g)) / (x - g)
     r = rc((g + p) ** 2, 2.0 * (a + g) * p)
     lo, hi = l2 - (2.0 * p / x) * r, math.log(8.0 * x / (a + g)) / (x - a / 2.0)
@@ -756,8 +758,6 @@ _register("J6a", "RJ", 1, gate=_j6a_gate,
 def _j6complete_gate(x, y, z, p):
     _rj_dom(x, y, z, p)
     _gate(y == 0.0, "the complete J6 case requires y = 0")
-    _pos("x", x)
-    _pos("z", z)
     _gate(z < 4.0 * x, "the complete J6 case requires z < 4x, got z={}, x={}", z, x)
 
 
@@ -779,13 +779,13 @@ _register("J6complete", "RJ", 1, gate=_j6complete_gate,
 
 def _g1a_gate(x, y, z):
     _f1_dom(x, y, z)
-    a, _ = _ag(x, y)
+    a, _ = ag(x, y)
     # 5a < z, which the upper endpoint needs, implies the lower's g < z and a < z
     _gate(5.0 * a < z, "G1a requires 5a < z, got a={}, z={}", a, z)
 
 
 def _g1a(x, y, z):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     l2 = math.log(2.0 * z / (a + g))
     lo = 0.5 * (a + g) * l2 + 2.0 * g - 4.0 * a / 3.0
     hi = (3.0 * a - g) * l2 + 2.0 * g - a / 3.0
@@ -797,8 +797,7 @@ _register("G1a", "RG", 1, gate=_g1a_gate, ratio=_f1_ratio, sample=_f1_sample, fo
 
 
 def _g1b_gate(x, y, z):
-    if x != 0.0:
-        raise RegimeError("G1b is the complete case and requires x = 0")
+    _gate(x == 0.0, "G1b is the complete case and requires x = 0")
     _pos("y", y)
     _pos("z", z)
     _gate(y < z, "G1b requires y < z, got y={}, z={}", y, z)
@@ -823,22 +822,22 @@ def _g1c(kp):
         (1.0 + 0.5 * k2 * (l4 - 0.5), 0.5 * k2 * k2)
 
 
-_register("G1c", "E", 1, gate=_kprime_gate, ratio=lambda kp: kp * kp,
-          sample=_kprime_sample, formula=_g1c, slope=1.88)
+_register("G1c", "E", 1, gate=_kprime_gate, ratio=_kprime_ratio, sample=_kprime_sample,
+          formula=_g1c, slope=1.88)
 
 
 def _g2_gate(x, y, z):
     _pos("x", x)
     _pos("y", y)
     _nonneg("z", z)
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     _gate(z < g, "G2 requires z < g, got z={}, g={}", z, g)
     _gate((4.0 / math.pi) * math.sqrt(z / a) < 1.0,
           "G2 lower endpoint requires (4/pi) sqrt(z/a) < 1")
 
 
 def _g2(x, y, z):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     lo = (1.0 - (4.0 / math.pi) * math.sqrt(z / a)) / math.sqrt(a)
     hi = (2.0 / (a * g + g * g)) ** 0.25
     return lo, hi, (_rg_complete(x, y), math.pi * z / 8.0)
@@ -1070,8 +1069,9 @@ def _ratio_pass(kind: str, vals, ratio_max: float) -> list[tuple[int, list[_Case
     """(cost, case rows) of the cases of ``kind`` whose ratio at the checked
     ``vals`` is at most ``ratio_max``, cheapest first and in catalog order
     within a cost.  Each distinct ratio function runs once, for all the
-    cases that share it (F1a, F1c and F1d share _f1_ratio, D2a..D2c
-    _d2_ratio, J2a and J2b _j2_ratio, J4a and J4c _j4_ratio).  Left out are
+    cases that share it (C2a and C2b share _c2_ratio, F1a, F1c and F1d
+    _f1_ratio, F1e and F1f _kprime_ratio, D2a..D2c _d2_ratio, J2a and J2b
+    _j2_ratio, J4a and J4c _j4_ratio).  Left out are
     a case where case_ratio would raise ConvergenceError and a complete case
     whose zero argument is not 0."""
     if not _in_window(kind, vals):

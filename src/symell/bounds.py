@@ -10,6 +10,9 @@ quotients, expm1/log1p) — the textbook subtractive forms lose every digit
 when one variable dwarfs another, which would corrupt a fuzz suite long
 before the mathematics fails.
 
+A2 and A4 are A1 and A3 with the two arguments swapped, so their bodies
+call A1's and A3's.
+
 Strict inequalities cannot be checked at machine-equal inputs; comparisons
 in the fuzz suite therefore use a 4-ulp equality band (see
 :func:`equal_within_band`).
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from ._util import cbrt, equal_within_band, floats
+from ._util import ag, cbrt, equal_within_band, floats
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["INEQ_TAGS", "THETA_TAGS", "Bracket", "bracket", "theta_of",
@@ -75,10 +78,6 @@ def _checked(tag: str, ineq: _Ineq, args) -> tuple[float, ...]:
         if v <= 0.0:
             raise DomainError(f"{tag} requires positive variables, got {vals}")
     return vals
-
-
-def _ag(x: float, y: float) -> tuple[float, float]:
-    return (x + y) / 2.0, math.sqrt(x * y)
 
 
 def _sqrt_prod2(t: float, x: float, y: float) -> float:
@@ -132,7 +131,7 @@ def _theta_a5(t, x, y):
 
 
 def _theta_a6a(t, x, y):
-    _, g = _ag(x, y)
+    _, g = ag(x, y)
     sp = _sqrt_prod2(t, x, y)
     return (t + g) * (t + x + y) / (sp * (sp + g))
 
@@ -145,7 +144,7 @@ def _theta_a7(t, x, y):
 
 
 def _theta_a8(t, x, y, z):
-    _, g = _ag(x, y)
+    _, g = ag(x, y)
     sp = _sqrt_prod2(t, x, y)
     return (sp + z * (t + x + y) / (sp + g)) / (t + z)
 
@@ -192,20 +191,19 @@ def _br_a3(t, x):
 
 
 def _br_a4(t, x):
-    base = t / (x ** 1.5 * (t + x))
-    return Bracket(base, _mid_a3(x, t), 1.5 * base)
+    return _br_a3(x, t)
 
 
 def _br_a5(t, x, y):
     # endpoints and middle share the denominator t*sqrt(P), so the only
     # ordering noise left is theta vs g and a (a few ulps, inside the band)
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     d = t * _sqrt_prod2(t, x, y)
     return Bracket(g / d, _sp_minus_t(t, x, y) / d, a / d)
 
 
 def _br_a6(t, x, y):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     sp = _sqrt_prod2(t, x, y)
     common = t / (g * sp)
     mid = common * (t + x + y) / (sp + g)
@@ -213,7 +211,7 @@ def _br_a6(t, x, y):
 
 
 def _br_a6a(t, x, y):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     base = t / (g * (t + g))
     return Bracket(base, _theta_a6a(t, x, y) * base, (a / g) * base)
 
@@ -229,7 +227,7 @@ def _br_a7(t, x, y):
 
 
 def _br_a8(t, x, y, z):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     sp = _sqrt_prod2(t, x, y)
     num = t * sp + z * t * (t + x + y) / (sp + g)
     mid = num / (g * z * sp * (t + z))
@@ -252,7 +250,7 @@ def _br_a10(t, x, y, z):
 
 
 def _br_ax(t, x, y):
-    a, g = _ag(x, y)
+    a, g = ag(x, y)
     return Bracket(t + g, _sqrt_prod2(t, x, y), t + a)
 
 

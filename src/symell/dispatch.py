@@ -185,16 +185,14 @@ def _pattern(kind: str, args) -> tuple[float, float] | None:
             return 0.75 * math.pi * z ** -1.5, _GUAR_ELEMENTARY
         return None
     if kind == "RJ":
+        # rj(x, y, z, z) = rd(x, y, z), at the first of x, y, z equal to p
         x, y, z, p = args
-        if x == y == z == p:
-            return x ** -1.5, _GUAR_ELEMENTARY
-        for i, v in enumerate((x, y, z)):
-            if v == p:
-                rest = [w for j, w in enumerate((x, y, z)) if j != i]
-                sub = _pattern("RD", (rest[0], rest[1], p))
-                if sub is not None:
-                    return sub
-                break
+        if x == p:
+            return _pattern("RD", (y, z, p))
+        if y == p:
+            return _pattern("RD", (x, z, p))
+        if z == p:
+            return _pattern("RD", (x, y, p))
         return None
     if kind == "RG":
         a, b, c = sorted(args)

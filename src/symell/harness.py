@@ -399,6 +399,13 @@ def _rel_err(a, b):
     return abs(a - b) / scale if scale > 0.0 else 0.0
 
 
+def _off_by(name, lhs, rhs, tol):
+    """``<name> off by <e>`` where the relative error e of lhs against rhs
+    is above ``tol``, else None: the miss of an identity lhs = rhs."""
+    e = _rel_err(lhs, rhs)
+    return f"{name} off by {e:.2e}" if e > tol else None
+
+
 def _id_perm_symmetry(x, y, z, p):
     perms = [(x, y, z), (x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x)]
     rf0 = core.rf(x, y, z)
@@ -450,25 +457,19 @@ def _id_rg_three_term(x, y, z):
     lhs = 6.0 * core.rg(x, y, z)
     rhs = (x * (y + z) * core.rd(y, z, x) + y * (z + x) * core.rd(z, x, y)
            + z * (x + y) * core.rd(x, y, z))
-    if _rel_err(lhs, rhs) > 1e-11:
-        return f"three-term decomposition off by {_rel_err(lhs, rhs):.2e}"
-    return None
+    return _off_by("three-term decomposition", lhs, rhs, 1e-11)
 
 
 def _id_rg_complete_pair(x, y, _):
     lhs = 6.0 * core.rg(x, y, 0.0)
     rhs = x * y * (core.rd(0.0, x, y) + core.rd(0.0, y, x))
-    if _rel_err(lhs, rhs) > 1e-11:
-        return f"complete pair decomposition off by {_rel_err(lhs, rhs):.2e}"
-    return None
+    return _off_by("complete pair decomposition", lhs, rhs, 1e-11)
 
 
 def _id_rd_cyclic(x, y, z):
     lhs = core.rd(x, y, z) + core.rd(z, x, y) + core.rd(z, y, x)
     rhs = 3.0 / math.sqrt(x * y * z)
-    if _rel_err(lhs, rhs) > 1e-11:
-        return f"cyclic sum off by {_rel_err(lhs, rhs):.2e}"
-    return None
+    return _off_by("cyclic sum", lhs, rhs, 1e-11)
 
 
 def _id_rg_decomposition(rng):
@@ -479,27 +480,23 @@ def _id_rg_decomposition(rng):
     lhs = 2.0 * core.rg(x, y, z)
     rhs = z * core.rf(x, y, z) - (z - x) * (z - y) / 3.0 * core.rd(x, y, z) \
         + math.sqrt(x * y / z)
-    if _rel_err(lhs, rhs) > 1e-11:
-        return f"rg decomposition off by {_rel_err(lhs, rhs):.2e}"
-    return None
+    return _off_by("rg decomposition", lhs, rhs, 1e-11)
 
 
 def _id_legendre_k_minus_e(k):
     kk = 1.0 - k * k
     lhs = core.legendre_k(k) - core.legendre_e(k)
     rhs = k * k / 3.0 * core.rd(0.0, kk, 1.0)
-    if _rel_err(lhs, rhs) > 1e-12:
-        return f"K-E relation off by {_rel_err(lhs, rhs):.2e} at k={k}"
-    return None
+    miss = _off_by("K-E relation", lhs, rhs, 1e-12)
+    return miss and f"{miss} at k={k}"
 
 
 def _id_legendre_e_complement(k):
     kk = 1.0 - k * k
     lhs = core.legendre_e(k) - kk * core.legendre_k(k)
     rhs = k * k * kk / 3.0 * core.rd(0.0, 1.0, kk)
-    if _rel_err(lhs, rhs) > 1e-12:
-        return f"E complement relation off by {_rel_err(lhs, rhs):.2e} at k={k}"
-    return None
+    miss = _off_by("E complement relation", lhs, rhs, 1e-12)
+    return miss and f"{miss} at k={k}"
 
 
 def _id_rf_between_rc(x, y, z):
@@ -543,9 +540,7 @@ def _id_agm_rf_complete(x, y, _):
     lhs = core.rf(x + y, x, 0.0) * core.rd(0.0, x + y, y) + core.rd(0.0, x + y, x) \
         * math.pi / (2.0 * core.agm(math.sqrt(x + y), math.sqrt(y)))
     rhs = 1.5 * math.pi / (x * y)
-    if _rel_err(lhs, rhs) > 1e-12:
-        return f"Legendre relation off by {_rel_err(lhs, rhs):.2e}"
-    return None
+    return _off_by("Legendre relation", lhs, rhs, 1e-12)
 
 
 def _id_log_kernel_bracket(rng, count):
@@ -576,8 +571,7 @@ def _id_log_derivative_shift(rng, count):
         lam = math.sqrt(x * y) + math.sqrt(x * z) + math.sqrt(y * z)
         rhs = (x * y * z) ** -0.5 * math.log(lam * lam / (4.0 * x * y * z)) \
             - (4.0 / 3.0) * core.rj(x + lam, y + lam, z + lam, lam)
-        yield f"log-derivative identity off by {_rel_err(lhs, rhs):.2e}" \
-            if _rel_err(lhs, rhs) > 1e-8 else None
+        yield _off_by("log-derivative identity", lhs, rhs, 1e-8)
 
 
 # every identity is fn(rng, count), yielding one message per draw: None

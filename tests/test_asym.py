@@ -551,6 +551,23 @@ def test_strictness_metadata():
     assert enc.strict_lo and enc.strict_hi
 
 
+def test_rows_that_compute_one_quantity_share_its_function():
+    """Two rows' ratio callables, or sampler callables, that compile to the
+    same code are one object: a re-typed lambda would split a ratio group,
+    and the ratio pass would compute the same ratio twice."""
+    repeats = []
+    for field in ("ratio", "sample"):
+        first = {}
+        for tag, case in asym._CASES.items():
+            f = getattr(case, field)
+            c = f.__code__
+            seen_tag, seen = first.setdefault(
+                (c.co_code, c.co_consts, c.co_names, c.co_varnames), (tag, f))
+            if seen is not f:
+                repeats.append(f"{tag}'s {field} repeats {seen_tag}'s")
+    assert repeats == []
+
+
 @pytest.mark.parametrize("tag, sibling", [("C2c", "C2a"), ("F1b", "F1a")])
 def test_twin_case_is_its_sibling(tag, sibling):
     """C2c's one-sided bound is C2a's formula at theta = 4 and F1b's is F1a's

@@ -547,6 +547,8 @@ def test_ratio_pass_matches_per_case_ratios():
     ("RD", (1.0, 2.0, 1e-6), "_d2_ratio", {"D2a", "D2b", "D2c"}),
     ("RJ", (700.0, 150.0, 0.25, 0.003), "_j2_ratio", {"J2a", "J2b"}),
     ("RJ", (700.0, 150.0, 0.25, 0.003), "_j4_ratio", {"J4a", "J4c"}),
+    ("RC", (1.0, 1e-6), "_c2_ratio", {"C2a", "C2b"}),
+    ("K", (1e-3,), "_kprime_ratio", {"F1e", "F1f"}),
 ])
 def test_ratio_pass_calls_each_ratio_function_once(kind, args, ratio, tags):
     """Cases that share a ratio function share its value: one ratio pass
