@@ -16,9 +16,9 @@ class ToleranceError(ValueError):
 class ConvergenceError(RuntimeError):
     """A numerical scheme could not produce a result it can vouch for.
 
-    Raised by the quadrature oracle when its fixed-node rule misses the
-    accuracy target on the finest panel count, or the integrand or the
-    scaled value leaves the float64 range, and by the duplication evaluators
+    Raised by the quadrature oracle when its trapezoid rule misses the
+    accuracy target, a row's arguments spread past its node table, or the
+    value leaves the normal float64 range, and by the duplication evaluators
     (rf, rd, rj and what builds on them) when float64 overflows or
     underflows inside the iteration.
     """

@@ -1,24 +1,25 @@
 """Quadrature ground truth for the defining integrals.
 
-Every kind is evaluated directly from its integral over [0, inf):
-the arguments are first rescaled by their maximum (using homogeneity), the
-half-line is split at t = 1, and each piece is mapped to [0, 1] with a
-substitution that absorbs the endpoint behaviour exactly (t = u**2 on the
-head, t = v**-2 on the tail).
+Every kind is integrated over [0, inf) by one trapezoid rule in s = log t:
+with t = e**s the integral of f(t) dt is that of t f(t) ds, analytic in the
+strip |Im s| < pi, so the rule's error falls like exp(-2 pi**2 / h)
+(Trefethen & Weideman, SIAM Review 56 (2014) 385-458).
 
-A fixed-node rule then evaluates a whole batch of argument rows at once.
-The head is cut into 24 panels graded geometrically from min sqrt(a) / 64
-up to 1, so every argument scale sqrt(a) sits on the mesh; the tail is one
-panel.  Each panel gets Gauss-Legendre rules with n and 2n nodes; the
-2n-node value is returned, and |I_2n - I_n| summed over head and tail is
-its error estimate.  The rows whose estimate misses the 1e-10 relative
-target, or whose value is not finite, are run again together with twice as
-many head panels, up to 384; a row still uncertified there raises
-ConvergenceError.  This rule, :func:`quad`, is the only integration route.
-
-Two more integrals take the same route: the principal value of RJ at p < 0,
-whose pole is subtracted off, and the log-derivative integral of the identity
-suite, integrated by parts so that no logarithm is left.
+The nodes are one fixed table s = j h, h = 1/4, of normal floats t.  A row
+is scaled by an exact power of 4 that takes its largest argument into
+[1, 4), further up only where its nodes would start below the table, and
+takes the nodes from 80 below the log of its smallest positive argument to
+80 above the log of its largest.  Each integrand is a product of factors
+taken in an order that keeps every partial product inside float64 wherever
+the whole is not negligible.  The value is T(h); its error estimate is
+|T(h) - T(2h)|, T(2h) from every other node, plus a rounding term and the
+integrand at the two end nodes.  A row whose estimate misses the 1e-10
+relative target, whose nodes run past the table or whose value leaves the
+normal float64 range raises ConvergenceError.  Each row's sums take its own
+nodes alone, so they never depend on its batch.  This rule, :func:`quad`,
+is the only integration route.  It also integrates the principal value of
+RJ at p < 0, its pole subtracted off, and the log-derivative integral of
+the identity suite.
 
 This module intentionally shares no evaluation code with
 :mod:`symell.core`; it is the independent side of every dual-route check.
@@ -34,7 +35,6 @@ import sys
 from functools import partial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ._util import checked, positive
 from .errors import ConvergenceError, DomainError
@@ -42,238 +42,185 @@ from .errors import ConvergenceError, DomainError
 __all__ = ["oracle_batch", "oracle_with_error", "KINDS"]
 
 _TARGET_REL = 1e-10
-
-# head panels of each try: [0, lo] and P - 1 geometric ones from lo to 1;
-# a row goes on to the next count only while it misses the target
-_PANELS = (24, 48, 96, 192, 384)
-_GRADE = 64.0    # lo = min sqrt(a) / _GRADE over the positive arguments
-_NODES = 10      # nodes per panel of the coarse level; the fine one has 2n
-_CHUNK = 16      # rows evaluated together: larger node arrays fall out of cache
-
-
-_X_COARSE, _W_COARSE = leggauss(_NODES)
-_X_FINE, _W_FINE = leggauss(2 * _NODES)
-_X = np.concatenate([_X_COARSE, _X_FINE])   # the nodes of both levels on [-1, 1]
-_GRADING = {p: np.linspace(1.0, 0.0, p) for p in _PANELS}
+_H = 0.25                     # node step in s = log t
+_REACH = 80.0                 # a row's nodes run this far past its arguments' logs
+_J_LO, _J_HI = -2816, 2836    # the table s = j h: t from e**-704 to e**709
+_T = np.exp(_H * np.arange(_J_LO, _J_HI + 3))   # and two spare nodes
+_CHUNK = 32                   # rows integrated together, in the order of their nodes
+_ROUNDING = 32 * sys.float_info.epsilon   # times the rule on |t f(t)|
 
 
-# --------------------------------------------------------------------------
-# integrands of the rescaled arguments (max 1): head in u with t = u**2,
-# tail in v with t = v**-2.  They take broadcasting arrays of nodes and
-# argument columns.
-# --------------------------------------------------------------------------
+# integrands t f(t) of the scaled arguments, g(t) = ((t + x)(t + y)(t + z))**-0.5;
+# they take a row of nodes t and argument columns, and broadcast.  One whose
+# terms cancel also returns their summed size, for the rounding term
 
 
-def _rc_check(row):
-    vals = checked("RC", row)
-    if not vals[1] > 0.0:
-        raise DomainError(f"RC oracle requires y > 0, got {vals}")
-    return vals
+def _last_positive(kind: str, name: str):
+    """The kind's argument check, and the oracle's own limit: its last argument > 0."""
+    def check(row):
+        vals = checked(kind, row)
+        if not vals[-1] > 0.0:
+            raise DomainError(f"{kind} oracle requires {name} > 0, got {vals}")
+        return vals
+    return check
 
 
-def _rc_head(u, x, y):
-    t = u * u
-    return u / (np.sqrt(t + x) * (t + y))
+def _g(t, *cols, g=1.0):
+    """g ((t + a)(t + b)...)**-0.5 over the argument columns, one root at a
+    time from the smallest argument up: each partial product then stays in
+    range wherever the whole one is not negligible."""
+    for a in np.sort(np.hstack(cols), axis=1).T:
+        g = g / np.sqrt(t + a[:, None])
+    return g
 
 
-def _rc_tail(v, x, y):
-    w = v * v
-    return 1.0 / (np.sqrt(1.0 + x * w) * (1.0 + y * w))
+def _ratio(g, t, a):
+    """g t / (t + a), the ratio taken as sqrt(t) / sqrt(t + a) twice: each
+    factor stays normal where the ratio itself would not."""
+    r = np.sqrt(t) / np.sqrt(t + a)
+    return g * r * r
 
 
-def _rf_head(u, x, y, z):
-    t = u * u
-    return u / (np.sqrt(t + x) * np.sqrt(t + y) * np.sqrt(t + z))
+def _rc(t, x, y):
+    return _ratio(0.5 * _g(t, x), t, y)
 
 
-def _rf_tail(v, x, y, z):
-    w = v * v
-    return 1.0 / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
+def _rf(t, x, y, z):
+    # t g(t) rises with t at its lower end, so one sqrt(t) starts the product
+    return 0.5 * np.sqrt(t) * _g(t, x, y, z, g=np.sqrt(t))
 
 
-def _rd_head(u, x, y, z):
-    t = u * u
-    return 3.0 * u / (np.sqrt(t + x) * np.sqrt(t + y) * (t + z) ** 1.5)
+def _rd(t, x, y, z):
+    return _ratio(1.5 * _g(t, x, y, z), t, z)
 
 
-def _rd_tail(v, x, y, z):
-    w = v * v
-    return 3.0 * w / (np.sqrt((1.0 + x * w) * (1.0 + y * w)) * (1.0 + z * w) ** 1.5)
+def _rj(t, x, y, z, p):
+    return _ratio(1.5 * _g(t, x, y, z), t, p)
 
 
-def _rj_check(row):
-    vals = checked("RJ", row)
-    if not vals[3] > 0.0:
-        raise DomainError(f"RJ oracle requires p > 0, got {vals}")
-    return vals
+def _rg(t, x, y, z):
+    # t**2 g(t) sum a / (t + a) / 4, the first factor the root of t prod t / (t + a)
+    return 0.25 * np.sqrt(t / (t + x) * (t / (t + y)) * (t / (t + z)) * t) * (
+        x / (t + x) + y / (t + y) + z / (t + z))
 
 
-def _rj_head(u, x, y, z, p):
-    t = u * u
-    return 3.0 * u / (np.sqrt(t + x) * np.sqrt(t + y) * np.sqrt(t + z) * (t + p))
+def _rm1(t, x, y, z):
+    return _ratio(_g(t, x, y), t, z)
 
 
-def _rj_tail(v, x, y, z, p):
-    w = v * v
-    return 3.0 * w / (np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w)) * (1.0 + p * w))
+def _rjpv(t, x, y, z, q):
+    # PV int 1.5 g(t) / (t - q) dt less g(q) 2q / (t**2 - q**2), whose PV is 0:
+    # t f(t) = 1.5 t (g(t) - g(q) 2q / (t + q)) / (t - q).  Within q / 2 of the
+    # pole, with ra = t / (t + a) and sa = sqrt((q + a) / (t + a)), the divided
+    # difference t (g(t) - g(q)) / (t - q) is the negative of the positive sum
+    # g(q) (rx / (1 + sx) + sx ry / (1 + sy) + sx sy rz / (1 + sz)): nothing cancels
+    g, gq = _g(t, x, y, z), _g(q, x, y, z)
+    sx, sy, sz = (np.sqrt(q + a) / np.sqrt(t + a) for a in (x, y, z))
+    dd = gq * (t / (t + x) / (1.0 + sx) + t * sx / (t + y) / (1.0 + sy)
+               + sx * (t * sy / (t + z)) / (1.0 + sz))
+    near, pole = abs(t - q) < 0.5 * q, 2.0 * q * gq / (t + q)
+    return (1.5 * np.where(near, t * gq / (t + q) - dd, t * (g - pole) / (t - q)),
+            1.5 * np.where(near, t * gq / (t + q) + dd, t * (g + pole) / abs(t - q)))
 
 
-def _rg_head(u, x, y, z):
-    t = u * u
-    num = x / (t + x) + y / (t + y) + z / (t + z)
-    return 0.5 * u ** 3 * num / (np.sqrt(t + x) * np.sqrt(t + y) * np.sqrt(t + z))
+def _mlog(t, x, y, z):
+    # (s - log m) t g'(t), m the largest argument: t g'(t) = -g(t) sum t / (t + a) / 2
+    m = np.maximum(np.maximum(x, y), z)
+    return -0.5 * (np.log(t) - np.log(m)) * _g(t, x, y, z) * (t / (t + x) + t / (t + y)
+                                                              + t / (t + z))
 
 
-def _rg_tail(v, x, y, z):
-    w = v * v
-    num = x / (1.0 + x * w) + y / (1.0 + y * w) + z / (1.0 + z * w)
-    return 0.5 * num / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
-
-
-def _rm1_head(u, x, y, z):
-    t = u * u
-    return 2.0 * u / (np.sqrt(t + x) * np.sqrt(t + y) * (t + z))
-
-
-def _rm1_tail(v, x, y, z):
-    w = v * v
-    return 2.0 * v / (np.sqrt((1.0 + x * w) * (1.0 + y * w)) * (1.0 + z * w))
-
-
-def _rsqrt3(x, y, z):
-    return 1.0 / (np.sqrt(x) * np.sqrt(y) * np.sqrt(z))
-
-
-def _rjpv_head(u, x, y, z, q):
-    t = u * u
-    g = _rsqrt3(t + x, t + y, t + z)
-    return 3.0 * u * (g - _rsqrt3(q + x, q + y, q + z) * 2.0 * q / (t + q)) / (t - q)
-
-
-def _rjpv_tail(v, x, y, z, q):
-    w = v * v
-    g = v / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
-    return 3.0 * v * (g - _rsqrt3(q + x, q + y, q + z) * 2.0 * q / (1.0 + q * w)) / (1.0 - q * w)
-
-
-def _mlog_head(u, x, y, z):
-    t = u * u
-    log_ratio = np.log1p(t / x) + np.log1p(t / y) + np.log1p(t / z)
-    return -2.0 * np.expm1(-0.5 * log_ratio) / u * _rsqrt3(x, y, z)
-
-
-def _mlog_tail(v, x, y, z):
-    w = v * v
-    return -2.0 * w / np.sqrt((1.0 + x * w) * (1.0 + y * w) * (1.0 + z * w))
-
-
-# kind -> (argument check: row -> floats, head, tail, degree d); RJpv's row
-# (x, y, z, q) has q = -p > 0.  The integral at arguments
-# s * a (max a = 1) is s**-d times the integral at a.  With g(t) = ((t + x)(t + y)(t + z))**-0.5:
-# - RJpv (x, y, z, q) = PV int 1.5 g(t) / (t - q) dt = RJ(x, y, z, -q).  Less
-#   g(q) 2q / (t**2 - q**2), whose PV is 0, it is regular at t = q; a node on the
-#   pole gives NaN and is refined.  The row carries q for the rescale and the mesh.
-# - Mlog (x, y, z) = int log(t / m) g'(t) dt, m = max = 1, by parts: -(g(t) - g(0)) / t
-#   on the head, with expm1 so that nothing cancels, and -g(t) / t on the tail.
+# kind -> (argument check: row -> floats, t f(t), degree d: the integral at
+# arguments s * a is s**-d times that at a); an RJpv row (x, y, z, q) has q = -p
 _KIND = {
-    "RC": (_rc_check, _rc_head, _rc_tail, 0.5),
-    "RF": (partial(checked, "RF"), _rf_head, _rf_tail, 0.5),
-    "RD": (partial(checked, "RD"), _rd_head, _rd_tail, 1.5),
-    "RJ": (_rj_check, _rj_head, _rj_tail, 1.5),
-    "RG": (partial(checked, "RG"), _rg_head, _rg_tail, -0.5),
-    "Rm1": (partial(positive, "Rm1", arity=3), _rm1_head, _rm1_tail, 1.0),
-    "RJpv": (partial(positive, "RJpv", arity=4), _rjpv_head, _rjpv_tail, 1.5),
-    "Mlog": (partial(positive, "Mlog", arity=3), _mlog_head, _mlog_tail, 1.5),
+    "RC": (_last_positive("RC", "y"), _rc, 0.5),
+    "RF": (partial(checked, "RF"), _rf, 0.5),
+    "RD": (partial(checked, "RD"), _rd, 1.5),
+    "RJ": (_last_positive("RJ", "p"), _rj, 1.5),
+    "RG": (partial(checked, "RG"), _rg, -0.5),
+    "Rm1": (partial(positive, "Rm1", arity=3), _rm1, 1.0),
+    "RJpv": (partial(positive, "RJpv", arity=4), _rjpv, 1.5),
+    "Mlog": (partial(positive, "Mlog", arity=3), _mlog, 1.5),
 }
 
 KINDS = tuple(_KIND)
 
 
-def _fixed_rule(head, tail, a, panels):
-    """(value, error estimate) arrays of the two-level rule on ``panels``
-    head panels for the rows of rescaled arguments ``a`` (rows x arity)."""
-    pos = np.where(a > 0.0, a, 1.0)
-    lo = np.sqrt(pos.min(axis=1)) / _GRADE
-    edges = np.zeros((len(a), panels + 1))
-    edges[:, 1:] = lo[:, None] ** _GRADING[panels]
-    half = 0.5 * np.diff(edges, axis=1)
-    u = (edges[:, :-1] + half)[:, :, None] + half[:, :, None] * _X
-    fh = head(u, *(a[:, i, None, None] for i in range(a.shape[1])))
-    ft = tail(0.5 + 0.5 * _X, *(a[:, i, None] for i in range(a.shape[1])))
-    n = _NODES
-    h_coarse = ((fh[:, :, :n] * _W_COARSE).sum(axis=2) * half).sum(axis=1)
-    h_fine = ((fh[:, :, n:] * _W_FINE).sum(axis=2) * half).sum(axis=1)
-    t_coarse = 0.5 * (ft[:, :n] * _W_COARSE).sum(axis=1)
-    t_fine = 0.5 * (ft[:, n:] * _W_FINE).sum(axis=1)
-    return h_fine + t_fine, abs(h_fine - h_coarse) + abs(t_fine - t_coarse)
+def _place(a):
+    """(k, j_lo, j_hi) arrays: row i of ``a`` scaled by 4**k[i] runs on the
+    table nodes j_lo[i]..j_hi[i], which may end past the table."""
+    top = a.max(axis=1)
+    lo = np.log(np.where(a > 0.0, a, np.inf).min(axis=1))
+    k = np.maximum(-((np.frexp(top)[1] - 1) // 2),
+                   np.ceil((_J_LO * _H + _REACH - lo) / np.log(4.0))).astype(int)
+    shift = k * np.log(4.0)
+    return (k, np.maximum(_J_LO, np.floor((lo + shift - _REACH) / _H)).astype(int),
+            np.ceil((np.log(top) + shift + _REACH) / _H).astype(int))
 
 
-def _certified(value, err):
-    return np.isfinite(value) & (err <= _TARGET_REL * np.abs(value))
+def quad(f, a, j_lo, j_hi):
+    """(value, error estimate) arrays of the trapezoid rule for ``f`` at the
+    scaled rows ``a`` (rows x arity), row i on the table nodes j_lo[i]..j_hi[i]:
+    ``f`` runs on the nodes of all rows at once, each row's sums on its own."""
+    j0 = int(j_lo.min()) & ~1          # even: columns 0, 2, ... are the nodes of T(2h)
+    n = int(j_hi.max()) - j0 + 3       # spare columns keep every sum's end in range
+    rows, lo, hi = np.arange(len(a)), j_lo - j0, j_hi - j0 + 1
 
+    def sums(v, width, start, end):
+        # the sum of each row of v over its columns start..end - 1
+        return np.add.reduceat(v.ravel(), np.stack([rows * width + start,
+                                                    rows * width + end], axis=1).ravel())[::2]
 
-def quad(head, tail, a):
-    """(value, error estimate, certified) arrays for the rows ``a``: the rows
-    that miss the target are run again, together, on twice the head panels
-    until they meet it or the last panel count is spent."""
     with np.errstate(all="ignore"):
-        value, err = _fixed_rule(head, tail, a, _PANELS[0])
-        ok = _certified(value, err)
-        for panels in _PANELS[1:]:
-            if ok.all():
-                break
-            miss = np.flatnonzero(~ok)
-            value[miss], err[miss] = _fixed_rule(head, tail, a[miss], panels)
-            ok = _certified(value, err)
-    return value, err, ok
-
-
-def _where(kind: str, row) -> str:
-    # an RJpv row carries q = -p; name the p of the integral
-    return (f"RJpv quadrature at {row[:3]} with p = {-row[3]!r}" if kind == "RJpv"
-            else f"{kind} quadrature at {row}")
+        tf = f(_T[j0 - _J_LO:j0 - _J_LO + n], *(a[:, i, None] for i in range(a.shape[1])))
+        tf, size = tf if isinstance(tf, tuple) else (tf, np.abs(tf))
+        fine = _H * sums(tf, n, lo, hi)
+        coarse = 2.0 * _H * sums(tf[:, ::2], (n + 1) // 2, (lo + 1) // 2, (hi + 1) // 2)
+        err = (abs(fine - coarse) + _ROUNDING * _H * sums(size, n, lo, hi)
+               + 2.0 * (size[rows, lo] + size[rows, hi - 1]) + sys.float_info.min)
+    return fine, err
 
 
 def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
     """(value, error estimate) of the integral of ``kind`` at each
-    argument row, by the fixed-node rule with panel doubling.
+    argument row, by the trapezoid rule in log t.
 
     Every row is checked before any is integrated, so an invalid row raises
     DomainError first; otherwise the first row (in order) that cannot be
-    certified to relative error 1e-10 on 384 head panels, or whose value
-    leaves the float64 range when scaled back, raises ConvergenceError.
+    certified to relative error 1e-10, whose arguments spread past the node
+    table, or whose value leaves the normal float64 range when scaled back,
+    raises ConvergenceError.
     """
     try:
-        check, head, tail, degree = _KIND[kind]
+        check, f, degree = _KIND[kind]
     except KeyError:
         raise DomainError(f"unknown oracle kind {kind!r}; expected one of {KINDS}") from None
     vals = [check(args) for args in rows]
-    out = []
-    for start in range(0, len(vals), _CHUNK):
-        chunk = vals[start:start + _CHUNK]
-        scale = [max(v) for v in chunk]
-        a = np.array(chunk) / np.array(scale)[:, None]
-        values, errs, oks = quad(head, tail, a)
-        for row, s, value, err, ok in zip(chunk, scale, values.tolist(), errs.tolist(),
-                                          oks.tolist()):
-            if not ok:
-                raise ConvergenceError(
-                    f"{_where(kind, row)}: error estimate {err:.3e} misses the "
-                    f"target for value {value:.6e} on {_PANELS[-1]} head panels")
-            try:
-                out.append((value / s ** degree, err / s ** degree))
-            except OverflowError:
-                # s ** degree is past float64, its square root is not
-                half = s ** (0.5 * degree)
-                value, err = value / half / half, err / half / half
-                if not value >= sys.float_info.min:
-                    raise ConvergenceError(f"{_where(kind, row)}: value {value!r} "
-                                           "is below the normal float64 range") from None
-                out.append((value, err))
-            except ArithmeticError as exc:
-                # the scale factor left the float64 range
-                raise ConvergenceError(f"{_where(kind, row)}: {exc}") from exc
-    return out
+    if not vals:
+        return []
+    a = np.array(vals)
+    k, j_lo, j_hi = _place(a)
+    value, err = np.full(len(a), np.nan), np.full(len(a), np.nan)
+    order = np.lexsort((j_hi, j_lo))
+    order = order[j_hi[order] <= _J_HI]
+    with np.errstate(all="ignore"):   # a row past the table overflows when scaled
+        a = np.ldexp(a, 2 * k[:, None])
+        for start in range(0, len(order), _CHUNK):
+            i = order[start:start + _CHUNK]
+            value[i], err[i] = quad(f, a[i], j_lo[i], j_hi[i])
+        ok = np.isfinite(value) & (err <= _TARGET_REL * abs(value))
+        value, err = (np.ldexp(v, k * round(2 * degree)) for v in (value, err))
+    fine = ok & (abs(value) >= sys.float_info.min) & (abs(value) < np.inf)
+    if not fine.all():
+        i = int(np.argmin(fine))
+        row, v = vals[i], float(value[i])   # an RJpv row carries q = -p; name p
+        raise ConvergenceError((f"RJpv quadrature at {row[:3]} with p = {-row[3]!r}: "
+                                if kind == "RJpv" else f"{kind} quadrature at {row}: ") + (
+            "arguments spread past the node table" if j_hi[i] > _J_HI else
+            f"error estimate {err[i]:.3e} misses the target for value {v:.6e}" if not ok[i]
+            else "value is past the float64 range" if np.isinf(v)
+            else f"value {v!r} is below the normal float64 range"))
+    return list(zip(value.tolist(), err.tolist()))
 
 
 def oracle_with_error(kind: str, args) -> tuple[float, float]:

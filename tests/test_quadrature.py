@@ -31,12 +31,12 @@ def test_unknown_kind():
 
 
 def test_integrand_underflow_is_typed():
-    # at subnormal arguments t + x leaves the normal range near t = 0
+    # RD at the smallest subnormal is past float64: no answer, not inf
     with pytest.raises(ConvergenceError):
-        oracle_batch("RF", [(1e-320, 2e-320, 1)])
+        oracle_batch("RD", [(5e-324, 5e-324, 5e-324)])
     # the error names the integral's p, not the row's q = -p
     with pytest.raises(ConvergenceError, match=r"with p = -1\.0:"):
-        oracle_batch("RJpv", [(1e-320, 2e-320, 1.0, 1.0)])
+        oracle_batch("RJpv", [(1e300, 1e300, 1e300, 1.0)])
 
 
 def test_domain_checks():
@@ -63,7 +63,7 @@ def test_rg_with_zero_argument():
 
 
 # --------------------------------------------------------------------------
-# the batched fixed-node rule and its panel doubling
+# the batched trapezoid rule and its error estimate
 # --------------------------------------------------------------------------
 
 
@@ -107,20 +107,6 @@ def _mp_value(kind, args):
         return float(_MP_REF[kind](*(mp.mpf(a) for a in args)))
 
 
-@pytest.fixture
-def panel_counts(monkeypatch):
-    """Head panel counts of the fixed-node rule runs so far, one per row."""
-    counts = []
-    real = quadrature._fixed_rule
-
-    def recording(head, tail, a, panels):
-        counts.extend([panels] * len(a))
-        return real(head, tail, a, panels)
-
-    monkeypatch.setattr(quadrature, "_fixed_rule", recording)
-    return counts
-
-
 def _assert_honest(kind, args, value, err):
     true = _mp_value(kind, args)
     assert abs(value - true) <= max(4.0 * err, 2e-13 * abs(value)), (kind, args, value, true)
@@ -149,15 +135,15 @@ def _campaign_rows():
     return rows
 
 
-def test_batch_error_estimate_is_honest(panel_counts):
+def test_batch_error_estimate_is_honest():
     rows = _campaign_rows()
     assert set(rows) == set(quadrature.KINDS)
     for kind, batch in rows.items():
         for args, (value, err) in zip(batch, oracle_batch(kind, batch)):
             _assert_honest(kind, args, value, err)
             assert err <= 1e-10 * abs(value)
-    # the campaign rows never need more than the first panel count
-    assert set(panel_counts) == {24}
+            # the estimate is a bound, not only inside the containment slack
+            assert abs(value - _mp_value(kind, args)) <= err, (kind, args, value, err)
 
 
 def test_batch_rows_equal_one_row_calls():
@@ -168,29 +154,28 @@ def test_batch_rows_equal_one_row_calls():
     assert oracle_batch("RF", []) == []
 
 
-def test_sharp_pole_row_is_refined(panel_counts):
-    # the pole of (t + p) at p = 1e-30 is too sharp for the first 24 panels
+def test_sharp_pole_row_is_honest():
+    # the pole of (t + p) at p = 1e-30, thirty decades below the other arguments
     args = (1.0, 2.0, 3.0, 1e-30)
     value, err = oracle_with_error("RJ", args)
     _assert_honest("RJ", args, value, err)
-    assert max(panel_counts) > 24
-    panel_counts.clear()
-    oracle_with_error("RJ", (1.0, 2.0, 3.0, 1e-3))
-    assert panel_counts == [24]
 
 
-def test_batch_mixes_fine_and_refined_rows(panel_counts):
+def test_batch_of_mixed_rows_equals_one_row_calls():
+    # rows on different node spans, integrated together
     rows = [(1.0, 2.0, 4.0, 3.0), (1.0, 2.0, 3.0, 1e-30), (1e-3, 2.0, 5.0, 7.0),
             (8.130592002746585e-08, 2.1530578149271714e-11, 1.2820260685739767e-36,
              5.1496630363401775e-17)]
     batch = oracle_batch("RJ", rows)
-    assert panel_counts[:4] == [24] * 4 and len(panel_counts) > 4
     assert batch == [oracle_with_error("RJ", args) for args in rows]
 
 
 # rows where the quad fallback of the first fixed-node oracle was dishonest,
 # then two whose scale factor s ** 1.5 overflows although the value is in range,
-# then three where the product (t + x)(t + y)(t + z) left the float64 range
+# then three where the product (t + x)(t + y)(t + z) left the float64 range,
+# then four that the Gauss-Legendre panel oracle got wrong (RC: 2.8e-10 off
+# with an estimate of 2.1e-11) or refused (the rescale left a subnormal, or
+# RD's head integrand passed DBL_MAX)
 @pytest.mark.parametrize("kind, args", [
     ("RD", (0.09832583294902476, 1.6380176824183885e-39, 1.1810760391621617e-38)),
     ("RF", (4.501531775713857e-10, 2.2557579298299387e-31, 0.00014519348391965926)),
@@ -201,6 +186,10 @@ def test_batch_mixes_fine_and_refined_rows(panel_counts):
     ("RF", (1.04e-9, 1.20e166, 1.23e-6)),
     ("RF", (1e-300, 2e-300, 1.0)),
     ("RJpv", (1e-300, 2e-300, 1.0, 1.0)),
+    ("RC", (4.847581717359966e+223, 3.36047135371184e-94)),
+    ("RF", (1e-320, 2e-320, 1.0)),
+    ("RJpv", (1e-320, 2e-320, 1.0, 1.0)),
+    ("RD", (3.0292681650559047e+128, 3.03412236785022e-110, 5.394996702091581e-88)),
 ])
 def test_wide_range_rows_are_honest(kind, args):
     _assert_honest(kind, args, *oracle_with_error(kind, args))
@@ -251,7 +240,7 @@ def test_wide_range_sweep_is_honest():
 
 def test_batch_with_failing_row_raises():
     with pytest.raises(ConvergenceError):
-        oracle_batch("RF", [(1.0, 2.0, 4.0), (1e-320, 2e-320, 1.0), (3.0, 2.0, 1.0)])
+        oracle_batch("RD", [(1.0, 2.0, 4.0), (5e-324, 5e-324, 5e-324), (3.0, 2.0, 1.0)])
     # every row is checked before any is integrated
     with pytest.raises(DomainError):
         oracle_batch("RF", [(1e-300, 2e-300, 1.0), (0.0, 0.0, 1.0)])
