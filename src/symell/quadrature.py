@@ -8,18 +8,21 @@ strip |Im s| < pi, so the rule's error falls like exp(-2 pi**2 / h)
 The nodes are one fixed table s = j h, h = 1/4, of normal floats t.  A row
 is scaled by an exact power of 4 that takes its largest argument into
 [1, 4), further up only where its nodes would start below the table, and
-takes the nodes from 80 below the log of its smallest positive argument to
-80 above the log of its largest.  Each integrand is a product of factors
-taken in an order that keeps every partial product inside float64 wherever
-the whole is not negligible.  The value is T(h); its error estimate is
-|T(h) - T(2h)|, T(2h) from every other node, plus a rounding term and the
-integrand at the two end nodes.  A row whose estimate misses the 1e-10
-relative target, whose nodes run past the table or whose value leaves the
-normal float64 range raises ConvergenceError.  Each row's sums take its own
-nodes alone, so they never depend on its batch.  This rule, :func:`quad`,
-is the only integration route.  It also integrates the principal value of
-RJ at p < 0, its pole subtracted off, and the log-derivative integral of
-the identity suite.
+takes the nodes from 40 / e below the log of its smallest positive argument
+to 40 / e' above the log of its largest: t f(t) falls like e**(e s) below
+the arguments and like e**(-e' s) above them, e and e' >= 1/2 the kind's
+tail exponents (e less 1/2 for each zero argument), so where the nodes end
+it has fallen by e**-40, and each cut tail is at most twice its end node.
+Each integrand is a product of factors taken in an order that keeps every
+partial product inside float64 wherever the whole is not negligible.  The
+value is T(h); its error estimate is |T(h) - T(2h)|, T(2h) from every other
+node, plus a rounding term and the integrand at the two end nodes.  A row
+whose estimate misses the 1e-10 relative target, whose nodes run past the
+table or whose value leaves the normal float64 range raises
+ConvergenceError.  Each row's sums take its own nodes alone, so they never
+depend on its batch.  This rule, :func:`quad`, is the only integration
+route.  It also integrates the principal value of RJ at p < 0, its pole
+subtracted off, and the log-derivative integral of the identity suite.
 
 This module intentionally shares no evaluation code with
 :mod:`symell.core`; it is the independent side of every dual-route check.
@@ -43,7 +46,7 @@ __all__ = ["oracle_batch", "oracle_with_error", "KINDS"]
 
 _TARGET_REL = 1e-10
 _H = 0.25                     # node step in s = log t
-_REACH = 80.0                 # a row's nodes run this far past its arguments' logs
+_DECAY = 40.0                 # a row's nodes end where t f(t) has fallen by e**-_DECAY
 _J_LO, _J_HI = -2816, 2836    # the table s = j h: t from e**-704 to e**709
 _T = np.exp(_H * np.arange(_J_LO, _J_HI + 3))   # and two spare nodes
 _CHUNK = 32                   # rows integrated together, in the order of their nodes
@@ -95,7 +98,9 @@ def _rd(t, x, y, z):
 
 
 def _rj(t, x, y, z, p):
-    return _ratio(1.5 * _g(t, x, y, z), t, p)
+    # sqrt(t) / sqrt(t + p) opens the product: alone, g(t) passes DBL_MAX where x, y, z << p
+    r = np.sqrt(t) / np.sqrt(t + p)
+    return _g(t, x, y, z, g=1.5 * r) * r
 
 
 def _rg(t, x, y, z):
@@ -113,14 +118,17 @@ def _rjpv(t, x, y, z, q):
     # t f(t) = 1.5 t (g(t) - g(q) 2q / (t + q)) / (t - q).  Within q / 2 of the
     # pole, with ra = t / (t + a) and sa = sqrt((q + a) / (t + a)), the divided
     # difference t (g(t) - g(q)) / (t - q) is the negative of the positive sum
-    # g(q) (rx / (1 + sx) + sx ry / (1 + sy) + sx sy rz / (1 + sz)): nothing cancels
-    g, gq = _g(t, x, y, z), _g(q, x, y, z)
+    # g(q) (rx / (1 + sx) + sx ry / (1 + sy) + sx sy rz / (1 + sz)): nothing cancels.
+    # Away from it t / |t - q| <= 3, as v = sqrt(t) / sqrt(|t - q|) twice, opens
+    # and closes the product, as in RJ
+    v, gq = np.sqrt(t) / np.sqrt(abs(t - q)), _g(q, x, y, z)
     sx, sy, sz = (np.sqrt(q + a) / np.sqrt(t + a) for a in (x, y, z))
     dd = gq * (t / (t + x) / (1.0 + sx) + t * sx / (t + y) / (1.0 + sy)
                + sx * (t * sy / (t + z)) / (1.0 + sz))
-    near, pole = abs(t - q) < 0.5 * q, 2.0 * q * gq / (t + q)
-    return (1.5 * np.where(near, t * gq / (t + q) - dd, t * (g - pole) / (t - q)),
-            1.5 * np.where(near, t * gq / (t + q) + dd, t * (g + pole) / abs(t - q)))
+    near, pole = abs(t - q) < 0.5 * q, v * v * 2.0 * q * gq / (t + q)
+    gw = _g(t, x, y, z, g=v) * v
+    return (1.5 * np.where(near, t * gq / (t + q) - dd, np.sign(t - q) * (gw - pole)),
+            1.5 * np.where(near, t * gq / (t + q) + dd, gw + pole))
 
 
 def _mlog(t, x, y, z):
@@ -131,31 +139,34 @@ def _mlog(t, x, y, z):
 
 
 # kind -> (argument check: row -> floats, t f(t), degree d: the integral at
-# arguments s * a is s**-d times that at a); an RJpv row (x, y, z, q) has q = -p
+# arguments s * a is s**-d times that at a, and the tail exponents lower and
+# upper of the module docstring); an RJpv row (x, y, z, q) has q = -p
 _KIND = {
-    "RC": (_last_positive("RC", "y"), _rc, 0.5),
-    "RF": (partial(checked, "RF"), _rf, 0.5),
-    "RD": (partial(checked, "RD"), _rd, 1.5),
-    "RJ": (_last_positive("RJ", "p"), _rj, 1.5),
-    "RG": (partial(checked, "RG"), _rg, -0.5),
-    "Rm1": (partial(positive, "Rm1", arity=3), _rm1, 1.0),
-    "RJpv": (partial(positive, "RJpv", arity=4), _rjpv, 1.5),
-    "Mlog": (partial(positive, "Mlog", arity=3), _mlog, 1.5),
+    "RC": (_last_positive("RC", "y"), _rc, 0.5, 1.0, 0.5),
+    "RF": (partial(checked, "RF"), _rf, 0.5, 1.0, 0.5),
+    "RD": (partial(checked, "RD"), _rd, 1.5, 1.0, 1.5),
+    "RJ": (_last_positive("RJ", "p"), _rj, 1.5, 1.0, 1.5),
+    "RG": (partial(checked, "RG"), _rg, -0.5, 2.0, 0.5),
+    "Rm1": (partial(positive, "Rm1", arity=3), _rm1, 1.0, 1.0, 1.0),
+    "RJpv": (partial(positive, "RJpv", arity=4), _rjpv, 1.5, 1.0, 1.0),
+    "Mlog": (partial(positive, "Mlog", arity=3), _mlog, 1.5, 0.5, 0.5),
 }
 
 KINDS = tuple(_KIND)
 
 
-def _place(a):
+def _place(a, lower, upper):
     """(k, j_lo, j_hi) arrays: row i of ``a`` scaled by 4**k[i] runs on the
-    table nodes j_lo[i]..j_hi[i], which may end past the table."""
+    table nodes j_lo[i]..j_hi[i], where t f(t) at the tail exponents ``lower``
+    and ``upper`` has fallen by e**-_DECAY; they may end past the table."""
     top = a.max(axis=1)
     lo = np.log(np.where(a > 0.0, a, np.inf).min(axis=1))
+    below = _DECAY / (lower - 0.5 * (a == 0.0).sum(axis=1))
     k = np.maximum(-((np.frexp(top)[1] - 1) // 2),
-                   np.ceil((_J_LO * _H + _REACH - lo) / np.log(4.0))).astype(int)
+                   np.ceil((_J_LO * _H + below - lo) / np.log(4.0))).astype(int)
     shift = k * np.log(4.0)
-    return (k, np.maximum(_J_LO, np.floor((lo + shift - _REACH) / _H)).astype(int),
-            np.ceil((np.log(top) + shift + _REACH) / _H).astype(int))
+    return (k, np.maximum(_J_LO, np.floor((lo + shift - below) / _H)).astype(int),
+            np.ceil((np.log(top) + shift + _DECAY / upper) / _H).astype(int))
 
 
 def quad(f, a, j_lo, j_hi):
@@ -192,14 +203,14 @@ def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
     raises ConvergenceError.
     """
     try:
-        check, f, degree = _KIND[kind]
+        check, f, degree, lower, upper = _KIND[kind]
     except KeyError:
         raise DomainError(f"unknown oracle kind {kind!r}; expected one of {KINDS}") from None
     vals = [check(args) for args in rows]
     if not vals:
         return []
     a = np.array(vals)
-    k, j_lo, j_hi = _place(a)
+    k, j_lo, j_hi = _place(a, lower, upper)
     value, err = np.full(len(a), np.nan), np.full(len(a), np.nan)
     order = np.lexsort((j_hi, j_lo))
     order = order[j_hi[order] <= _J_HI]

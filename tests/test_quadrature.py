@@ -135,6 +135,11 @@ def _campaign_rows():
     return rows
 
 
+# the kinds the harness judges by its containment slack: the case campaigns'
+# reference kinds and the log-kernel bracket's Rm1
+_CONTAINMENT_KINDS = {"RC", "RF", "RD", "RJ", "RG", "Rm1"}
+
+
 def test_batch_error_estimate_is_honest():
     rows = _campaign_rows()
     assert set(rows) == set(quadrature.KINDS)
@@ -144,6 +149,9 @@ def test_batch_error_estimate_is_honest():
             assert err <= 1e-10 * abs(value)
             # the estimate is a bound, not only inside the containment slack
             assert abs(value - _mp_value(kind, args)) <= err, (kind, args, value, err)
+            if kind in _CONTAINMENT_KINDS:
+                # the 2e-13 floor, not the estimate, sets these rows' slack
+                assert 4.0 * err <= 2e-13 * abs(value), (kind, args, value, err)
 
 
 def test_batch_rows_equal_one_row_calls():
@@ -170,12 +178,39 @@ def test_batch_of_mixed_rows_equals_one_row_calls():
     assert batch == [oracle_with_error("RJ", args) for args in rows]
 
 
+# one row per kind and per count of zero arguments its check allows
+@pytest.mark.parametrize("kind, args", [
+    ("RC", (1.0, 2.0)), ("RC", (0.0, 2.0)), ("RF", (1.0, 2.0, 3.0)), ("RF", (0.0, 2.0, 3.0)),
+    ("RD", (1.0, 2.0, 3.0)), ("RD", (0.0, 2.0, 3.0)), ("RJ", (1.0, 2.0, 3.0, 0.5)),
+    ("RJ", (0.0, 2.0, 3.0, 0.5)), ("RG", (1.0, 2.0, 3.0)), ("RG", (0.0, 2.0, 3.0)),
+    ("RG", (0.0, 0.0, 3.0)), ("Rm1", (1.0, 2.0, 3.0)), ("RJpv", (1.0, 2.0, 3.0, 0.5)),
+    ("Mlog", (1.0, 2.0, 3.0)),
+])
+def test_tail_exponents_match_the_integrands(kind, args):
+    # a row's nodes end where t f(t), falling at the kind's tail exponents, has
+    # fallen by e**-_DECAY; the integrand must fall at least that fast, 40 to 60
+    # past the row's arguments in s = log t, or the cut tails are not negligible
+    check, f, _, lower, upper = quadrature._KIND[kind]
+    a = np.array([check(args)])
+    k, j_lo, j_hi = quadrature._place(a, lower, upper)
+    a = np.ldexp(a, 2 * k[:, None])
+    lo, hi = np.log(a[a > 0.0].min()), np.log(a.max())
+    s = np.array([lo - 60.0, lo - 40.0, hi + 40.0, hi + 60.0])
+    tf = f(np.exp(s), *(a[:, i, None] for i in range(a.shape[1])))
+    tf = np.log(np.abs(tf[0] if isinstance(tf, tuple) else tf))[0]
+    below, above = lo - j_lo[0] * quadrature._H, j_hi[0] * quadrature._H - hi
+    assert (tf[1] - tf[0]) / 20.0 >= quadrature._DECAY / below - 0.05, (tf, below)
+    assert (tf[2] - tf[3]) / 20.0 >= quadrature._DECAY / above - 0.05, (tf, above)
+
+
 # rows where the quad fallback of the first fixed-node oracle was dishonest,
 # then two whose scale factor s ** 1.5 overflows although the value is in range,
 # then three where the product (t + x)(t + y)(t + z) left the float64 range,
 # then four that the Gauss-Legendre panel oracle got wrong (RC: 2.8e-10 off
 # with an estimate of 2.1e-11) or refused (the rescale left a subnormal, or
-# RD's head integrand passed DBL_MAX)
+# RD's head integrand passed DBL_MAX), then one that a reach of 80 for every
+# kind refused (its extra scale took the value within 1e10 of DBL_MIN), then
+# one where x, y and z lie far below p and g(t) alone passed DBL_MAX
 @pytest.mark.parametrize("kind, args", [
     ("RD", (0.09832583294902476, 1.6380176824183885e-39, 1.1810760391621617e-38)),
     ("RF", (4.501531775713857e-10, 2.2557579298299387e-31, 0.00014519348391965926)),
@@ -190,6 +225,10 @@ def test_batch_of_mixed_rows_equals_one_row_calls():
     ("RF", (1e-320, 2e-320, 1.0)),
     ("RJpv", (1e-320, 2e-320, 1.0, 1.0)),
     ("RD", (3.0292681650559047e+128, 3.03412236785022e-110, 5.394996702091581e-88)),
+    ("RJ", (2.7278165896494126e+84, 195500239730.08374, 1.2003448750918282e-291,
+            2.690051083454208e+234)),
+    ("RJ", (9.563282042513753e-226, 1.0775098785394738e-209, 3.1128878064974263e-56,
+            2.6054497642568287e+200)),
 ])
 def test_wide_range_rows_are_honest(kind, args):
     _assert_honest(kind, args, *oracle_with_error(kind, args))
