@@ -28,12 +28,14 @@ entries: _ratio_pass takes that checked tuple and returns a kind's case
 rows whose ratio is in range, grouped by cost, and finds none outside the
 window; _build is enclose for one of those rows, which runs the case's
 gate and the same error boundary but neither the argument checks nor the
-window test again.  A verification campaign looks its case row up once and
-runs it through _sample, _enclose and _theta_window: _sample draws one
-in-regime argument tuple with the ratio pinned, and the other two are
-enclose and theta_window for that row.  Its sampler draws floats of its
-arity, so they skip the argument checks but keep the gate and the window
-test, as the ratios a campaign pins come from the user.
+window test again.  A verification campaign looks its case row up once.
+Per sample, _sample draws one in-regime argument tuple with the ratio
+pinned, floats of the row's arity, so no argument check runs; one _call
+runs the gate, the window test (the ratios a campaign pins come from the
+user) and the formula.  The campaign keeps that formula result:
+_enclosure_of makes the enclosure from it, and _window the symbol window,
+behind _call with the gate and the window test off, so no formula runs
+twice.
 
 Four cases expand about a vanishing argument: J1b and J4b need z = 0,
 J6complete y = 0 and G1b x = 0.  Each such complete case's row records
@@ -108,7 +110,7 @@ class Enclosure(NamedTuple):
 
     def rel_width(self) -> float:
         scale = abs(self.estimate)
-        return self.width / scale if scale > 0.0 else math.inf
+        return (self.hi - self.lo) / scale if scale > 0.0 else math.inf
 
     def contains(self, value: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= value <= self.hi + slack
@@ -928,10 +930,19 @@ def _call(case: _Case, vals, gated: bool, windowed: bool, body, *extra):
 
 
 def _enclosure(case: _Case, vals) -> Enclosure:
+    return _enclosure_of(case, case.formula(*vals))
+
+
+_new = tuple.__new__
+
+
+def _enclosure_of(case: _Case, result) -> Enclosure:
+    """The enclosure of a formula result (sym_lo, sym_hi, terms), built by
+    tuple.__new__, which skips the named tuple's generated constructor."""
     # one unpacking reads the row's fields: a named-tuple field read costs
-    # about 22 ns on Python 3.11, and an enclosure needs four of them
-    tag, _, _, (sl, sh), _, _, _, formula, form, _, _ = case
-    s_lo, s_hi, terms = formula(*vals)
+    # about 22 ns on Python 3.11, and an enclosure needs three of them
+    tag, _, _, (sl, sh), _, _, _, _, form, _, _ = case
+    s_lo, s_hi, terms = result
     value = form.value
     lo, hi = value(terms, s_lo), value(terms, s_hi)
     if hi < lo:
@@ -940,12 +951,12 @@ def _enclosure(case: _Case, vals) -> Enclosure:
     lo, hi = widen_down(lo), widen_up(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(est)):
         raise OverflowError("the enclosure is not finite")
-    return Enclosure(lo, hi, est, tag, sl, sh)
+    return _new(Enclosure, (lo, hi, est, tag, sl, sh))
 
 
 def enclose(tag: str, *args: float) -> Enclosure:
     """Build the certified enclosure of case ``tag`` at ``args``."""
-    return _enclose(*_entry(tag, args))
+    return _call(*_entry(tag, args), True, True, _enclosure)
 
 
 def _build(case: _Case, vals) -> Enclosure:
@@ -960,16 +971,10 @@ def _sample(case: _Case, ratio: float, lu, coin) -> tuple:
     return case.sample(ratio, lu(1e-3, 1e3), lu(0.1, 10.0), lu, coin)
 
 
-def _enclose(case: _Case, vals) -> Enclosure:
-    """enclose for a case row at arguments that are floats of its arity, as
-    its sampler draws them: the gate and the window test, no argument check."""
-    return _call(case, vals, True, True, _enclosure)
-
-
-def _symbol(case: _Case, vals, v: float):
-    """(sym_lo, sym_hi, sigma, terms) of the error symbol at the value ``v``:
-    the body every symbol entry shares, one formula call."""
-    s_lo, s_hi, terms = case.formula(*vals)
+def _symbol(case: _Case, result, v: float):
+    """(sym_lo, sym_hi, sigma, terms) of the error symbol at the value ``v``
+    from a formula result: the body every symbol entry shares."""
+    s_lo, s_hi, terms = result
     if not all(map(math.isfinite, (s_lo, s_hi, *terms))):
         raise OverflowError("the error symbol's bracket or terms are not finite")
     try:
@@ -991,8 +996,9 @@ def _theta(case: _Case, v: float, symbol) -> float:
     return theta
 
 
-def _window(case: _Case, vals, v: float):
-    symbol = _symbol(case, vals, v)
+def _window(case: _Case, vals, v: float, result=None):
+    """theta_window's body; a campaign passes the formula ``result`` it has."""
+    symbol = _symbol(case, case.formula(*vals) if result is None else result, v)
     s_lo, s_hi, sigma, _ = symbol
     width = s_hi - s_lo
     if width <= 0.0 or not math.isfinite(sigma) or sigma > _ILLCOND_FRACTION * width:
@@ -1007,16 +1013,12 @@ def theta_window(tag: str, args, true_value: float) \
     theta_recover gives them; None where that recovery is ill-conditioned:
     sigma is not finite or exceeds 2 % of the bracket width, or the bracket
     is empty."""
-    return _theta_window(*_symbol_entry(tag, args, true_value))
-
-
-def _theta_window(case: _Case, vals, v: float):
-    """theta_window for a case row, as _enclose is enclose for one."""
+    case, vals, v = _symbol_entry(tag, args, true_value)
     return _call(case, vals, True, True, _window, v)
 
 
 def _recovered(case: _Case, vals, v: float) -> tuple[float, float]:
-    symbol = _symbol(case, vals, v)
+    symbol = _symbol(case, case.formula(*vals), v)
     return _theta(case, v, symbol), symbol[2]
 
 

@@ -26,6 +26,10 @@ outside asym's window; a complete case (J1b, J4b, J6complete, G1b) whose
 zero argument is not 0, unbuilt; a case whose enclosure is refused or
 fails in float64 (asym raises RegimeError or ConvergenceError); and an
 enclosure whose upper end is not positive.  What is left out falls through to the reference path.
+Every asym guarantee is a half-width plus the 2e-13 margin, so at a rel_tol
+below that margin no asym step can certify: there ``evaluate`` runs no
+ratio pass and builds no enclosure, one comparison per request, while
+``plan`` still lists those steps.
 
 Guarantee table: elementary closed forms 1e-14; closed forms routed
 through the branchy rc evaluation 1e-13, rc's principal value at RC's
@@ -230,9 +234,10 @@ def _case_args(kind: str, args) -> tuple:
     return args
 
 
-def _walk(req: EvalRequest):
+def _walk(req: EvalRequest, cases: bool = True):
     """(method, case, cost, guarantee, half-width, what answers) per step:
-    the value, the enclosure, or the reference's checked body."""
+    the value, the enclosure, or the reference's checked body; the asym
+    steps only where ``cases``."""
     cf = _closed_form(req.kind, req.args)
     if cf is not None:
         yield "closed_form", None, 0, cf[1], None, cf[0]
@@ -240,9 +245,10 @@ def _walk(req: EvalRequest):
     if reference_first:
         yield "reference", None, 9, guar, None, body
     cargs = _case_args(req.kind, req.args)
-    for cost, cases in (asym or _catalog())._ratio_pass(req.kind, cargs, _RATIO_MAX):
+    classes = (asym or _catalog())._ratio_pass(req.kind, cargs, _RATIO_MAX) if cases else ()
+    for cost, rows in classes:
         steps = []
-        for case in cases:
+        for case in rows:
             try:
                 enc = asym._build(case, cargs)
             except _SKIP:
@@ -265,8 +271,9 @@ def plan(req: EvalRequest) -> list[PlanStep]:
 
 def evaluate(req: EvalRequest) -> EvalReport:
     """Evaluate with the cheapest method whose guarantee meets the tolerance."""
-    for method, case, _, guar, _, got in _walk(req):
-        if guar > req.rel_tol:
+    tol = req.rel_tol
+    for method, case, _, guar, _, got in _walk(req, tol >= _ASYM_MARGIN):
+        if guar > tol:
             continue
         if method == "closed_form":
             return EvalReport(got, method, None, guar)
@@ -274,4 +281,4 @@ def evaluate(req: EvalRequest) -> EvalReport:
             return EvalReport(got.estimate, method, case, guar, got)
         return EvalReport(got(*req.args), method, None, guar)
     raise ToleranceError(
-        f"no method certifies rel_tol={req.rel_tol:g} for {req.kind}{req.args}")
+        f"no method certifies rel_tol={tol:g} for {req.kind}{req.args}")

@@ -8,12 +8,18 @@ slack = max(4 * quadrature error estimate, 2e-13 * |value|), since the
 sharpest enclosures at ratio 1e-7 are narrower than anything float64
 quadrature can resolve.
 
-A campaign looks its case row up in ``asym`` once and runs the row's
-sampler, enclosure and symbol window on it (``asym._sample``, ``_enclose``
-and ``_theta_window``): per sample, the gate and the argument window run,
+A campaign looks its case row up in ``asym`` once and runs each sample
+on it: ``asym._sample`` draws the tuple, floats of the row's arity, and one
+``asym._call`` runs the row's gate, the argument window and its formula,
 but no lookup by tag and no check of the sampler's own arguments.  The
-inequality fuzz does the same with its ``bounds`` row: each drawn tuple,
-positive finite floats of the row's arity, goes straight to
+loop keeps the formula result and the enclosure made from it
+(``asym._enclosure_of``); at THETA_RATIOS the symbol window comes from that
+result too (``asym._window`` behind ``_call`` with the gate and the window
+test off), so a sample's formula runs once.  The true value there is the
+reference route's checked body in ``core``, as ``dispatch._KIND`` holds
+it: every tuple that a case's gate accepts lies in its route's domain.
+The inequality fuzz likewise looks its ``bounds`` row up once: each drawn
+tuple, positive finite floats of the row's arity, goes straight to
 ``bounds._evaluate``, the body that ``bounds.bracket`` runs after its lookup
 and argument check, and the A3/A4 monotonicity check to ``bounds._solve``,
 the body of ``theta_of``.
@@ -282,10 +288,11 @@ def _oracle_values(kind: str, rows) -> list[tuple[float, float]]:
             quad_oracle.oracle_batch(kind, [args for _, args, _ in routes])]
 
 
-def _theta_classify(case, args, report):
+def _theta_classify(case, args, result, report):
     stats = report.theta
-    value = dispatch.case_reference(case.kind, args)
-    window = asym._theta_window(case, args, value)
+    kind, route_args, factor = asym.reference_route(case.kind, args)
+    value = factor * dispatch._KIND[kind][2](*route_args)
+    window = asym._call(case, args, False, False, asym._window, value, result)
     if window is None:
         stats["ill_conditioned"] = stats.get("ill_conditioned", 0) + 1
         return
@@ -301,48 +308,55 @@ def _theta_classify(case, args, report):
                         "bracket": [slo, shi]})
 
 
-def _enclosures(case, campaign: Campaign, report: CampaignReport):
-    """Yield (ratio, args, enclosure) for each in-regime sample of the case
-    row ``case``, drawn by its sampler and enclosed on the row.
-
-    Counts gated and evaluated samples on ``report`` and records the largest
-    finite relative width per ratio.
-    """
+def _streams(case, campaign: Campaign):
+    """(ratio, lu, coin) per ratio of ``campaign``: the draws of the case
+    row's stream at that ratio."""
     index = asym.CASE_TAGS.index(case.tag)
-    sample, enclose = asym._sample, asym._enclose
     for ri, ratio in enumerate(campaign.ratios):
         draws = Draws(_rng(campaign.seed, index, ri))
-        lu, coin = draws.lu, draws.coin
-        wmax = 0.0
-        for _ in range(campaign.samples):
-            args = sample(case, ratio, lu, coin)
-            try:
-                enc = enclose(case, args)
-            except RegimeError:
-                report.gated += 1
-                continue
-            report.evaluated += 1
-            yield ratio, args, enc
-            rw = enc.rel_width()
-            if math.isfinite(rw):
-                wmax = max(wmax, rw)
-        report.max_rel_width[ratio] = wmax
+        yield ratio, draws.lu, draws.coin
+
+
+def _formula_and_enclosure(case, vals):
+    """(formula result, enclosure) of a case row at ``vals``: a body for
+    ``asym._call``, one formula call."""
+    result = case.formula(*vals)
+    return result, asym._enclosure_of(case, result)
 
 
 def run_containment(campaign: Campaign) -> CampaignReport:
-    """Sample in-regime tuples and assert the oracle lies in every enclosure."""
+    """Sample in-regime tuples and assert the oracle lies in every enclosure.
+
+    Counts gated and evaluated samples and records the largest finite
+    relative width per ratio."""
     case = asym._case(campaign.case)
     report = CampaignReport(case.tag, "containment", campaign.seed, campaign.ratios,
                             campaign.samples)
     t0 = time.perf_counter()
-    samples = list(_enclosures(case, campaign, report))
-    values = _oracle_values(case.kind, [args for _, args, _ in samples])
-    for (ratio, args, enc), (value, err) in zip(samples, values):
+    sample, call = asym._sample, asym._call
+    samples = []
+    for ratio, lu, coin in _streams(case, campaign):
+        wmax = 0.0
+        for _ in range(campaign.samples):
+            args = sample(case, ratio, lu, coin)
+            try:
+                result, enc = call(case, args, True, True, _formula_and_enclosure)
+            except RegimeError:
+                report.gated += 1
+                continue
+            samples.append((ratio, args, result, enc))
+            rw = enc.rel_width()
+            if math.isfinite(rw):
+                wmax = max(wmax, rw)
+        report.max_rel_width[ratio] = wmax
+    report.evaluated = len(samples)
+    values = _oracle_values(case.kind, [args for _, args, _, _ in samples])
+    for (ratio, args, result, enc), (value, err) in zip(samples, values):
         if not enc.contains(value, containment_slack(err, value)):
             report.violate({"kind": "containment", "ratio": ratio, "args": list(args),
                             "oracle": value, "lo": enc.lo, "hi": enc.hi})
         if ratio in THETA_RATIOS:
-            _theta_classify(case, args, report)
+            _theta_classify(case, args, result, report)
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -354,8 +368,20 @@ def run_order_fit(case: str, seed: int = 42) -> CampaignReport:
     row = asym._case(case)
     report = CampaignReport(case, "order", seed, _ORDER_RATIOS, _ORDER_SAMPLES)
     t0 = time.perf_counter()
-    for _ in _enclosures(row, Campaign(case, _ORDER_RATIOS, _ORDER_SAMPLES, seed), report):
-        pass
+    sample, call, enclosure = asym._sample, asym._call, asym._enclosure
+    for ratio, lu, coin in _streams(row, Campaign(case, _ORDER_RATIOS, _ORDER_SAMPLES, seed)):
+        wmax = 0.0
+        for _ in range(_ORDER_SAMPLES):
+            try:
+                enc = call(row, sample(row, ratio, lu, coin), True, True, enclosure)
+            except RegimeError:
+                report.gated += 1
+                continue
+            report.evaluated += 1
+            rw = enc.rel_width()
+            if math.isfinite(rw):
+                wmax = max(wmax, rw)
+        report.max_rel_width[ratio] = wmax
     xs, ys = zip(*[(r, w) for r, w in report.max_rel_width.items() if w > 0.0])
     report.slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
     report.expected = row.slope

@@ -308,6 +308,23 @@ class TestLazyWalk:
         assert "J2b" not in built
         assert "asym(J2b)" in labels(plan(req))  # cost 3 and in ratio
 
+    @pytest.mark.parametrize("kind,args,rel_tol,steps", [
+        ("RC", (1.0, 1e-6), 5e-14, ["closed_form", "asym(C2b)", "asym(C2a)", "reference"]),
+        ("RF", (1e-9, 2e-9, 1.0), 1e-13, ["asym(F1d)", "asym(F1c)", "asym(F1a)", "reference"]),
+        ("K", (0.999999,), 1e-13, ["reference", "asym(F1f)", "asym(F1e)"]),
+    ])
+    def test_no_enclosure_below_the_asym_margin(self, built, kind, args, rel_tol, steps):
+        """Every asym guarantee is a half-width plus _ASYM_MARGIN, so below
+        it evaluate builds no enclosure; plan still builds and lists them."""
+        req = EvalRequest(kind, args, rel_tol)
+        with pytest.raises(ToleranceError) as exc:
+            evaluate(req)
+        assert str(exc.value) == f"no method certifies rel_tol={rel_tol:g} for {kind}{args}"
+        assert built == []
+        listed = plan(req)
+        assert labels(listed) == steps
+        assert sorted(built) == sorted(s.case for s in listed if s.method == "asym")
+
     def test_one_argument_check_per_request(self, built, monkeypatch):
         """The request checks its arguments when it is built, by its kind's
         row of _util.KIND_TABLE; the ratio pass and every enclosure run on

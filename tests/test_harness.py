@@ -1,12 +1,22 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from symell import ConvergenceError, DomainError, asym, bounds, core, harness, quadrature
+from symell import (
+    ConvergenceError,
+    DomainError,
+    RegimeError,
+    asym,
+    bounds,
+    core,
+    harness,
+    quadrature,
+)
 from symell._fmt import dumps
-from symell._util import KIND_TABLE
+from symell._util import KIND_TABLE, checked
 from symell.harness import (
     Campaign,
     Draws,
@@ -226,6 +236,45 @@ def test_campaign_looks_its_row_up_once(monkeypatch):
     assert calls == {"_case": 2, "floats": 0}
 
 
+def test_campaigns_call_each_samples_formula_once(monkeypatch):
+    # the enclosure and, at THETA_RATIOS, the symbol window of a sample are
+    # made from one formula result; a gated sample calls no formula
+    calls = []
+
+    def counted(tag):
+        case = asym._CASES[tag]
+        monkeypatch.setitem(asym._CASES, tag, case._replace(
+            formula=lambda *a: calls.append(a) or case.formula(*a)))
+
+    counted("J4a")
+    rep = run_containment(Campaign("J4a", samples=10, seed=42))
+    assert rep.evaluated == 60 and sum(rep.theta.values()) == 40
+    assert len(calls) == 60
+    calls.clear()
+    counted("F1a")
+    rep = run_order_fit("F1a", seed=1)
+    assert rep.evaluated == len(calls) == 500
+
+
+def test_gates_imply_the_reference_rule():
+    # the theta step calls the reference route's checked body, which skips
+    # the public evaluator's rule: every tuple that a case's gate accepts
+    # must lie in its route's domain
+    grid = (-1.0, 0.0, 1e-3, 0.5, 1.0, 3.0, 1e3)
+    for tag in CASE_TAGS:
+        case = asym._case(tag)
+        accepted = 0
+        for vals in itertools.product(grid, repeat=KIND_TABLE[case.kind].arity):
+            try:
+                case.gate(*vals)
+            except (DomainError, RegimeError):
+                continue
+            accepted += 1
+            kind, args, _ = asym.reference_route(case.kind, vals)
+            checked(kind, args)
+        assert accepted, tag
+
+
 def test_containment_small_campaign():
     rep = run_containment(Campaign("F1a", (1e-2, 1e-4), samples=40, seed=11))
     assert rep.violations == 0
@@ -253,14 +302,13 @@ def test_containment_gating_reported():
 
 def test_non_positive_enclosure_is_a_violation(monkeypatch):
     # a case formula that comes out negative is checked against the oracle,
-    # not gated: every integral in the catalog is positive
-    real = asym._enclose
-
-    def negated(case, args):
-        enc = real(case, args)
-        return enc._replace(lo=-enc.hi, hi=-enc.lo, estimate=-enc.estimate)
-
-    monkeypatch.setattr(asym, "_enclose", negated)
+    # not gated: every integral in the catalog is positive.  The row's form
+    # negates the value its enclosure is made of; the symbol recovery, which
+    # reads the form's inverse, is left as it was
+    case = asym._CASES["F1a"]
+    value = case.form.value
+    negated = case.form._replace(value=lambda c, s: -value(c, s))
+    monkeypatch.setitem(asym._CASES, "F1a", case._replace(form=negated))
     rep = run_containment(Campaign("F1a", (1e-3,), samples=10, seed=11))
     assert (rep.evaluated, rep.gated, rep.violations) == (10, 0, 10)
     assert {s["kind"] for s in rep.violation_samples} == {"containment"}
