@@ -15,6 +15,10 @@ bracket endpoints and the coefficients of its form from one call, so what
 they share (a, g, a logarithm, an rc term) is computed once per call.
 Rows with one ratio share its function (C2a/C2b, F1e/F1f/G1c, F2a/D2*/G2
 among them), so the ratio pass computes each ratio once per request.
+A term that takes case arguments the gate has checked calls core's
+checked body (D4's rd, J1a's rf, J4a's and J4c's rc(z, p), J5's rj,
+J6complete's rc(p, z)); a term whose arguments the formula computes calls
+the public evaluator, whose rule checks them.
 Most forms are affine in the error symbol; the C2/F1e/F1f family is affine
 in log(symbol) instead, and J1b is a multiplicative form.  A case's gate
 holds every condition its displayed endpoints need (G1a's upper endpoint
@@ -77,8 +81,9 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from ._util import KIND_TABLE, ag, cbrt, floats, number, widen_down, widen_up, xyz_rule
-from .core import _rf_complete, _rg_complete, rc, rd, rf, rj
+from ._util import KIND_TABLE, ag, cbrt, floats, number, widen_down, widen_up
+from .core import (_rc_body, _rd_body, _rf_body, _rf_complete, _rg_complete, _rj_body,
+                   rc, rj)
 from .errors import ConvergenceError, DomainError, RegimeError
 
 __all__ = [
@@ -517,7 +522,7 @@ def _d4(x, y, z):
     s = math.sqrt(x / a)
     lo, hi = 1.0 / (1.0 + s), (a / g) ** 1.5 * (1.0 + y / a)
     t = 3.0 * math.sqrt(x) / (g * z)
-    return lo, hi, (rd(0.0, y, z) - t, t * (math.pi / 4.0) * s)
+    return lo, hi, (_rd_body(0.0, y, z) - t, t * (math.pi / 4.0) * s)
 
 
 _register("D4", "RD", 2, gate=_d4_gate,
@@ -530,7 +535,10 @@ _register("D4", "RD", 2, gate=_d4_gate,
 
 
 def _rj_dom(x, y, z, p):
-    xyz_rule("rj", (x, y, z))
+    # _util.xyz_rule's test and text on floats that are finite already
+    if x < 0.0 or y < 0.0 or z < 0.0 or (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
+        raise DomainError(f"rj requires x, y, z >= 0, at most one of them 0, "
+                          f"got {(x, y, z)}")
     if not p > 0.0:
         raise DomainError(f"p must be positive (principal values are not approximated), got {p}")
 
@@ -553,7 +561,7 @@ def _j1a(x, y, z, p):
     v = math.sqrt(b / p)
     lo, hi = v / (1.0 + v), 1.5 * u / (1.0 + u)
     c = 3.0 * math.pi / (2.0 * p ** 1.5)
-    return lo, hi, ((3.0 / p) * rf(x, y, z) - c, c)
+    return lo, hi, ((3.0 / p) * _rf_body(x, y, z) - c, c)
 
 
 def _j1a_sample(r, s, w, lu, _):
@@ -669,7 +677,7 @@ def _j4_sample(r, s, w, lu, coin):
 def _j4a(x, y, z, p):
     g = math.sqrt(x * y)
     hi = (x + y) / (2.0 * g)
-    r = rc(z, p)
+    r = _rc_body(z, p)
     return 1.0, hi, ((3.0 / g) * r, -(3.0 / (g - p)) * (rc(z, g) - (p / g) * r))
 
 
@@ -702,7 +710,7 @@ def _j4c(x, y, z, p):
     d = (z + 2.0 * p) / 3.0
     lo = math.sqrt(b) / (1.0 + math.sqrt(b / g))
     hi = (1.5 * a / g) * math.sqrt(d) / (1.0 + math.sqrt(d / g))
-    av = (3.0 / g) * rc(z, p) - (6.0 / (x * y)) * _rg_complete(x, y)
+    av = (3.0 / g) * _rc_body(z, p) - (6.0 / (x * y)) * _rg_complete(x, y)
     return lo, hi, (av, 1.5 * math.pi / (x * y))
 
 
@@ -722,7 +730,7 @@ def _j5(x, y, z, p):
     a, g = ag(y, z)
     lo, hi = math.sqrt(g / a) / (1.0 + math.sqrt(x / a)), a / g + g / p
     t = 3.0 * math.sqrt(x) / (g * p)
-    return lo, hi, (rj(0.0, y, z, p) - t, t * (math.pi / 4.0) * math.sqrt(x / g))
+    return lo, hi, (_rj_body(0.0, y, z, p) - t, t * (math.pi / 4.0) * math.sqrt(x / g))
 
 
 def _j5_sample(r, s, w, lu, _):
@@ -765,7 +773,7 @@ def _j6complete_gate(x, y, z, p):
 
 def _j6complete(x, y, z, p):
     l4 = math.log(4.0 * x / z)
-    r = rc(p, z)
+    r = _rc_body(p, z)
     lo, hi = l4 - 2.0 * math.sqrt(p) * r, math.log(16.0 * x / z) / (1.0 - z / (4.0 * x))
     return lo, hi, ((3.0 / math.sqrt(x * p)) * r, -0.75 / x ** 1.5)
 

@@ -40,7 +40,8 @@ refuse an argument with the same text.  A reference evaluator ``name`` is
 that rule followed by one call to its checked body ``_name_body``, which
 takes the floats the rule returns; the dispatcher has checked a request by
 the same rule when it was built, so its reference and closed-form answers
-call the bodies.  Where float64
+call the bodies, as do asym's case terms at arguments their gates have
+checked.  Where float64
 overflows or underflows inside rf, rd, rj, rg, rc's principal value or
 r_minus1 (arguments near the ends of the range, where an inner call may get
 arguments outside its own domain), or rc's principal value or agm would

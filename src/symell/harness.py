@@ -17,7 +17,9 @@ loop keeps the formula result and the enclosure made from it
 result too (``asym._window`` behind ``_call`` with the gate and the window
 test off), so a sample's formula runs once.  The true value there is the
 reference route's checked body in ``core``, as ``dispatch._KIND`` holds
-it: every tuple that a case's gate accepts lies in its route's domain.
+it: every tuple that a case's gate accepts lies in its route's domain.  It
+passes the quadrature oracle's row check too, so a campaign hands its rows
+to the oracle's body, ``quadrature._oracle_rows``, as one batch unchecked.
 The inequality fuzz likewise looks its ``bounds`` row up once: each drawn
 tuple, positive finite floats of the row's arity, goes straight to
 ``bounds._evaluate``, the body that ``bounds.bracket`` runs after its lookup
@@ -34,7 +36,8 @@ Sample lists are pre-generated from the seed, so reports are reproducible
 regardless of evaluation order.  Campaigns draw in seeded blocks, one numpy
 call per block, with the arithmetic of one scalar draw per value, so their
 reports are those of scalar draws: the containment and order campaigns
-through a buffer per (case, ratio) stream (:class:`Draws`), the inequality
+through a buffer per (case, ratio) stream (:class:`Draws`), whose tables
+stay numpy arrays and are read by index, one slot a draw, the inequality
 fuzz and most identities through :func:`_lu_rows`, the log-kernel bracket
 and the AGM chain through a stream over their generator.  The identities
 that mix in ``rng.integers`` draw one value per numpy call.
@@ -178,24 +181,16 @@ class CampaignReport:
             "ok": self.ok,
         }
 
-    def rows(self) -> list[dict]:
-        """Flat rows matching the report CSV schema."""
+    def rows(self) -> list[list]:
+        """Flat rows of the report CSV, in the order of its columns,
+        _CSV_FIELDS."""
         if not self.ratios:
-            return [{"case": self.case, "ratio": "", "samples": self.samples,
-                     "violations": self.violations, "max_rel_width": "",
-                     "slope": "", "seed": self.seed}]
-        out = []
-        for r in self.ratios:
-            out.append({
-                "case": self.case,
-                "ratio": repr(r),
-                "samples": self.samples,
-                "violations": self.violations,
-                "max_rel_width": repr(self.max_rel_width[r]) if r in self.max_rel_width else "",
-                "slope": "" if self.slope is None else repr(self.slope),
-                "seed": self.seed,
-            })
-        return out
+            return [[self.case, "", self.samples, self.violations, "", "", self.seed]]
+        slope = "" if self.slope is None else repr(self.slope)
+        widths = self.max_rel_width
+        return [[self.case, repr(r), self.samples, self.violations,
+                 repr(widths[r]) if r in widths else "", slope, self.seed]
+                for r in self.ratios]
 
 
 def containment_slack(err_estimate: float, value: float) -> float:
@@ -227,42 +222,53 @@ def _lu_rows(rng, lo, hi, count, k):
 class Draws:
     """A campaign stream: ``coin()`` is the next double of a buffer of
     ``rng.random(_DRAW_BLOCK)``, refilled when used up, and ``lu(lo, hi)``
-    the next slot of exp(log lo + (log hi - log lo) * u) over the whole
-    buffer u, mapped once per (lo, hi) pair a block meets.  The values are
-    those of scalar ``rng.random()`` and :func:`_lu` calls, in order.  A
-    block may draw past the stream's last value, so wrap only a generator
-    that nothing else reads: each campaign stream has its own SeedSequence."""
+    the next slot of a table exp(log lo + (log hi - log lo) * u) over the
+    whole buffer u, made once per (lo, hi) pair a block meets.  The values
+    are those of scalar ``rng.random()`` and :func:`_lu` calls, in order.
 
-    __slots__ = ("_rng", "_u", "_tables", "_next")
+    Each table stays a numpy array, read through a memoryview: indexing one
+    gives the slot as a Python float, so a block converts no more values
+    than its draws read.  The tables are keyed by lo and then by hi, so a
+    draw builds no (lo, hi) tuple, and a pair that a block has not met yet
+    costs one KeyError.  A block may draw past the stream's last value, so
+    wrap only a generator that nothing else reads: each campaign stream has
+    its own SeedSequence."""
+
+    __slots__ = ("_rng", "_u", "_coins", "_tables", "_next")
 
     def __init__(self, rng):
         self._rng = rng
-        self._u = None
-        self._tables = {}
         self._next = _DRAW_BLOCK   # the buffer is used up: the first draw fills it
 
-    def _draw(self, pair):
-        i = self._next
-        if i == _DRAW_BLOCK:
-            self._u = self._rng.random(_DRAW_BLOCK)
-            self._tables = {}
-            i = 0
-        self._next = i + 1
-        table = self._tables.get(pair)
-        if table is None:
-            if pair is None:
-                table = self._u.tolist()
-            else:
-                log_lo = np.log(pair[0])
-                table = np.exp(log_lo + (np.log(pair[1]) - log_lo) * self._u).tolist()
-            self._tables[pair] = table
-        return table[i]
+    def _fill(self) -> int:
+        """Draw the next block; 0, the index of its first slot."""
+        u = self._u = self._rng.random(_DRAW_BLOCK)
+        self._coins = memoryview(u)
+        self._tables = {}
+        return 0
+
+    def _table(self, lo, hi) -> memoryview:
+        log_lo = np.log(lo)
+        table = memoryview(np.exp(log_lo + (np.log(hi) - log_lo) * self._u))
+        self._tables.setdefault(lo, {})[hi] = table
+        return table
 
     def lu(self, lo, hi) -> float:
-        return self._draw((lo, hi))
+        i = self._next
+        if i == _DRAW_BLOCK:
+            i = self._fill()
+        self._next = i + 1
+        try:
+            return self._tables[lo][hi][i]
+        except KeyError:
+            return self._table(lo, hi)[i]
 
     def coin(self) -> float:
-        return self._draw(None)
+        i = self._next
+        if i == _DRAW_BLOCK:
+            i = self._fill()
+        self._next = i + 1
+        return self._coins[i]
 
 
 def sample_args(tag: str, ratio: float, draws: Draws) -> tuple:
@@ -279,13 +285,15 @@ def reference_value(tag: str, args) -> float:
 
 def _oracle_values(kind: str, rows) -> list[tuple[float, float]]:
     """Oracle (value, error estimate) at each of a case's argument rows, as
-    one batch: every row of a case takes its ``kind``'s route."""
+    one batch: every row of a case takes its ``kind``'s route.  The rows
+    have passed the case's gate, which implies the oracle's row check, so
+    they go to the oracle's body unchecked."""
     routes = [asym.reference_route(kind, args) for args in rows]
     if not routes:
         return []
     kind, _, factor = routes[0]
     return [(factor * value, factor * err) for value, err in
-            quad_oracle.oracle_batch(kind, [args for _, args, _ in routes])]
+            quad_oracle._oracle_rows(kind, [args for _, args, _ in routes])]
 
 
 def _theta_classify(case, args, result, report):
@@ -709,8 +717,7 @@ def write_report_json(reports, path) -> None:
 
 def write_report_csv(reports, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(_CSV_FIELDS)
         for rep in reports:
-            for row in rep.rows():
-                writer.writerow(row)
+            writer.writerows(rep.rows())

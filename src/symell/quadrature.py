@@ -30,6 +30,8 @@ It shares the argument checks: an RF, RD or RG row is refused by the
 kind's rule in ``_util.KIND_TABLE``, an RC or RJ row by the kind's rule and
 the oracle's own limit (y > 0, p > 0), and the rows of the other integrals
 by ``_util.positive`` at their arities, with the evaluators' texts.
+``oracle_batch`` is that check and then its body, ``_oracle_rows``, which
+the containment campaigns call at once: a case's gate implies the check.
 """
 
 from __future__ import annotations
@@ -203,12 +205,18 @@ def oracle_batch(kind: str, rows) -> list[tuple[float, float]]:
     raises ConvergenceError.
     """
     try:
-        check, f, degree, lower, upper = _KIND[kind]
+        check = _KIND[kind][0]
     except KeyError:
         raise DomainError(f"unknown oracle kind {kind!r}; expected one of {KINDS}") from None
-    vals = [check(args) for args in rows]
+    return _oracle_rows(kind, [check(args) for args in rows])
+
+
+def _oracle_rows(kind: str, vals: list) -> list[tuple[float, float]]:
+    """oracle_batch at rows that its row check of ``kind`` would pass as
+    they are: tuples of finite floats of the kind's arity, in its domain."""
     if not vals:
         return []
+    _, f, degree, lower, upper = _KIND[kind]
     a = np.array(vals)
     k, j_lo, j_hi = _place(a, lower, upper)
     value, err = np.full(len(a), np.nan), np.full(len(a), np.nan)

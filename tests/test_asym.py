@@ -16,7 +16,7 @@ from symell import (
     enclose,
     theta_recover,
 )
-from symell._util import KIND_TABLE
+from symell._util import KIND_TABLE, xyz_rule
 from symell.asym import CASE_TAGS, Enclosure, case_kind, reference_route, theta_window
 from symell.harness import Draws, containment_slack, sample_args
 from symell.quadrature import oracle_with_error
@@ -502,14 +502,15 @@ def test_only_typed_errors_escape_on_the_whole_float64_range():
 def test_formula_terms_are_computed_once_per_enclosure(monkeypatch):
     calls = []
 
-    def counted(name):
+    def count(name, label):
         real = getattr(asym, name)
-        return lambda *a: calls.append(name) or real(*a)
+        monkeypatch.setattr(asym, name, lambda *a: calls.append(label) or real(*a))
 
-    monkeypatch.setattr(asym, "rj", counted("rj"))
-    monkeypatch.setattr(asym, "rd", counted("rd"))
-    monkeypatch.setattr(asym, "_rg_complete", counted("_rg_complete"))
-    monkeypatch.setattr(asym, "rc", counted("rc"))
+    # a term whose arguments the case's gate has checked calls core's checked
+    # body (J4a's rc(z, p), J6complete's rc(p, z)), counted as the evaluator
+    for name, label in (("rj", "rj"), ("_rj_body", "rj"), ("_rd_body", "rd"),
+                        ("_rg_complete", "_rg_complete"), ("rc", "rc"), ("_rc_body", "rc")):
+        count(name, label)
     # theta_window returns the bracket, sigma and theta from one formula call;
     # D2b's rd(0, x, y) + rd(0, y, x) is one AGM run, as in D2c; J4a's terms
     # take rc(z, p) once and rc(z, g); J6a's and J6complete's bracket and
@@ -525,6 +526,18 @@ def test_formula_terms_are_computed_once_per_enclosure(monkeypatch):
             calls.clear()
             assert call() is not None
             assert calls == expected, (tag, call)
+
+
+def test_rj_gates_refuse_with_the_rule_text():
+    """The RJ gates test x, y and z without _util.xyz_rule's conversions,
+    and refuse with its text."""
+    for xyz in ((-1.0, 1.0, 2.0), (1.0, -1e-300, 2.0), (0.0, 0.0, 2.0), (1.0, -0.0, 0.0)):
+        with pytest.raises(DomainError) as want:
+            xyz_rule("rj", xyz)
+        for tag in asym.kind_cases("RJ"):
+            with pytest.raises(DomainError) as got:
+                enclose(tag, *xyz, 1.0)
+            assert str(got.value) == str(want.value), tag
 
 
 @pytest.mark.parametrize("tag", CASE_TAGS)

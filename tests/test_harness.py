@@ -16,7 +16,7 @@ from symell import (
     quadrature,
 )
 from symell._fmt import dumps
-from symell._util import KIND_TABLE, checked
+from symell._util import KIND_TABLE, checked, rc_rule, rd_rule, rj_rule, xyz_rule
 from symell.harness import (
     Campaign,
     Draws,
@@ -256,10 +256,24 @@ def test_campaigns_call_each_samples_formula_once(monkeypatch):
     assert rep.evaluated == len(calls) == 500
 
 
+# the formula terms that call core's checked bodies: their rules and the
+# arguments each takes from the case's arguments
+_BODY_TERMS = {
+    "D4": (rd_rule, lambda x, y, z: (0.0, y, z)),
+    "J1a": (xyz_rule, lambda x, y, z, p: (x, y, z)),
+    "J4a": (rc_rule, lambda x, y, z, p: (z, p)),
+    "J4c": (rc_rule, lambda x, y, z, p: (z, p)),
+    "J5": (rj_rule, lambda x, y, z, p: (0.0, y, z, p)),
+    "J6complete": (rc_rule, lambda x, y, z, p: (p, z)),
+}
+
+
 def test_gates_imply_the_reference_rule():
-    # the theta step calls the reference route's checked body, which skips
-    # the public evaluator's rule: every tuple that a case's gate accepts
-    # must lie in its route's domain
+    # the theta step calls the reference route's checked body, the
+    # containment oracle skips its row check, and the terms of _BODY_TERMS
+    # skip their evaluators' rules: every tuple that a case's gate accepts
+    # must lie in its route's domain, pass the oracle's row check and give
+    # each such term arguments in its evaluator's domain
     grid = (-1.0, 0.0, 1e-3, 0.5, 1.0, 3.0, 1e3)
     for tag in CASE_TAGS:
         case = asym._case(tag)
@@ -272,6 +286,10 @@ def test_gates_imply_the_reference_rule():
             accepted += 1
             kind, args, _ = asym.reference_route(case.kind, vals)
             checked(kind, args)
+            assert quadrature._KIND[kind][0](args) == args, (tag, vals)
+            if tag in _BODY_TERMS:
+                rule, term_args = _BODY_TERMS[tag]
+                rule(tag, term_args(*vals))
         assert accepted, tag
 
 
@@ -537,6 +555,25 @@ def test_campaign_stream_reproduces_scalar_draws():
     want = [twin.random() if i == len(pairs) else harness._lu(twin, *pairs[i])
             for i in picks.tolist()]
     assert got == want
+
+
+def test_campaign_stream_tables_met_mid_block():
+    # a pair first met partway through a block gets its table then, over the
+    # whole buffer; its draws, and coins on either side of the block
+    # boundary, are those of scalar _lu and rng.random() calls, each a
+    # Python float, not a numpy scalar
+    block = harness._DRAW_BLOCK
+    first, late = (1e-3, 1e3), (0.2, 5.0)
+    plan = [first, None] * 60 + [late] * 3
+    plan += [None] * (block - len(plan)) + [late, None, first] + [None] * 40 \
+        + [(0.01, 1.0), late, None]
+    assert plan[block - 1] is None and plan[block] is late   # a coin, then a new block
+    seq = np.random.SeedSequence([3, 8])
+    draws, twin = Draws(np.random.default_rng(seq)), np.random.default_rng(seq)
+    got = [draws.coin() if pair is None else draws.lu(*pair) for pair in plan]
+    want = [twin.random() if pair is None else harness._lu(twin, *pair) for pair in plan]
+    assert got == want
+    assert {type(v) for v in got} == {float}
 
 
 def test_containment_reruns_are_equal():
