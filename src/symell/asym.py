@@ -79,6 +79,7 @@ so only inside it do their products surely stay in the normal range.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 from ._util import KIND_TABLE, ag, cbrt, floats, number, widen_down, widen_up
@@ -1101,9 +1102,13 @@ def _ratio_pass(kind: str, vals, ratio_max: float) -> list[tuple[int, list[_Case
 def reference_route(kind: str, args) -> tuple[str, tuple, float]:
     """(kind, arguments, factor) of the integral that cases of ``kind``
     approximate at ``args``: a K or E case takes k', so K is RF(0, k'^2, 1)
-    and E is 2 RG(0, k'^2, 1)."""
+    and E is 2 RG(0, k'^2, 1).  Where k'^2 is below the normal range, K is
+    k'^(-1/2) RF(0, k', 1/k') by homogeneity, both arguments normal."""
     if kind == "K":
-        return "RF", (0.0, args[0] * args[0], 1.0), 1.0
+        kp = args[0]
+        if 0.0 < kp and kp * kp < sys.float_info.min:
+            return "RF", (0.0, kp, 1.0 / kp), kp ** -0.5
+        return "RF", (0.0, kp * kp, 1.0), 1.0
     if kind == "E":
         return "RG", (0.0, args[0] * args[0], 1.0), 2.0
     return kind, args, 1.0

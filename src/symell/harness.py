@@ -37,10 +37,9 @@ regardless of evaluation order.  Campaigns draw in seeded blocks, one numpy
 call per block, with the arithmetic of one scalar draw per value, so their
 reports are those of scalar draws: the containment and order campaigns
 through a buffer per (case, ratio) stream (:class:`Draws`), whose tables
-stay numpy arrays and are read by index, one slot a draw, the inequality
-fuzz and most identities through :func:`_lu_rows`, the log-kernel bracket
-and the AGM chain through a stream over their generator.  The identities
-that mix in ``rng.integers`` draw one value per numpy call.
+stay numpy arrays and are read by index, one slot a draw; the inequality
+fuzz and every identity through :func:`_rows`, whose rows are fixed columns
+of log-uniform or uniform draws.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field
-from itertools import repeat, starmap
+from itertools import starmap
 
 import numpy as np
 
@@ -203,20 +202,24 @@ def containment_slack(err_estimate: float, value: float) -> float:
 
 
 def _lu(rng, lo, hi):
+    """One value log-uniform on [lo, hi) by a scalar numpy call: the
+    reference that the block draws, :func:`_rows` and :class:`Draws`,
+    reproduce bit for bit."""
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def _block_sizes(count):
-    return (min(_BLOCK, count - start) for start in range(0, count, _BLOCK))
-
-
-def _lu_rows(rng, lo, hi, count, k):
-    """``count`` rows of ``k`` values drawn as by :func:`_lu`, one numpy call
-    per block.  A block fills row by row with the scalar call's arithmetic,
-    so the rows hold the stream of ``count * k`` scalar ``_lu`` calls.  It
-    draws no more than the rows need, so ``rng`` may serve further draws."""
-    for size in _block_sizes(count):
-        yield from np.exp(rng.uniform(np.log(lo), np.log(hi), (size, k))).tolist()
+def _rows(rng, count, columns):
+    """``count`` rows of one value per column, one ``rng.random`` call per
+    _BLOCK rows: a (lo, hi) column is log-uniform on it, by :func:`_lu`'s
+    arithmetic, and a None column the uniform double itself.  A block fills
+    row by row, so a row holds the next ``len(columns)`` doubles of the
+    stream, each as its scalar draw gives it.  It draws no more than the
+    rows need, so ``rng`` may serve further draws."""
+    lo, hi = np.log([c or (1.0, 1.0) for c in columns]).T
+    uniform = [c is None for c in columns]
+    for start in range(0, count, _BLOCK):
+        u = rng.random((min(_BLOCK, count - start), len(columns)))
+        yield from np.where(uniform, u, np.exp(lo + (hi - lo) * u)).tolist()
 
 
 class Draws:
@@ -285,15 +288,15 @@ def reference_value(tag: str, args) -> float:
 
 def _oracle_values(kind: str, rows) -> list[tuple[float, float]]:
     """Oracle (value, error estimate) at each of a case's argument rows, as
-    one batch: every row of a case takes its ``kind``'s route.  The rows
-    have passed the case's gate, which implies the oracle's row check, so
-    they go to the oracle's body unchecked."""
+    one batch: every row of a case routes to one oracle kind, each row
+    scaled by its own route's factor (K's depends on k').  The rows have
+    passed the case's gate, which implies the oracle's row check, so they
+    go to the oracle's body unchecked."""
     routes = [asym.reference_route(kind, args) for args in rows]
     if not routes:
         return []
-    kind, _, factor = routes[0]
-    return [(factor * value, factor * err) for value, err in
-            quad_oracle._oracle_rows(kind, [args for _, args, _ in routes])]
+    values = quad_oracle._oracle_rows(routes[0][0], [args for _, args, _ in routes])
+    return [(f * value, f * err) for (_, _, f), (value, err) in zip(routes, values)]
 
 
 def _theta_classify(case, args, result, report):
@@ -402,30 +405,13 @@ def run_order_fit(case: str, seed: int = 42) -> CampaignReport:
 # --------------------------------------------------------------------------
 
 
-def _on_rows(k, check):
-    """Identity ``check(*row)`` on rows of ``k`` draws from [1e-3, 1e3]."""
-    return lambda rng, count: starmap(check, _lu_rows(rng, 1e-3, 1e3, count, k))
+def _on_rows(columns, check):
+    """Identity ``check(*row)`` on the rows of :func:`_rows` over ``columns``."""
+    return lambda rng, count: starmap(check, _rows(rng, count, columns))
 
 
-def _on_modulus(check):
-    """Identity ``check(k)`` on moduli drawn uniformly from [0.05, 0.995]."""
-    return lambda rng, count: (check(k) for size in _block_sizes(count)
-                               for k in rng.uniform(0.05, 0.995, size).tolist())
-
-
-def _per_draw(check):
-    """Identity ``check(rng)`` that makes its own draws, one tuple per call."""
-    return lambda rng, count: (check(rng) for _ in range(count))
-
-
-def _on_stream(check):
-    """Identity ``check(draws)`` that makes its own draws, one tuple per call,
-    from a campaign stream over the identity's generator."""
-    return lambda rng, count: map(check, repeat(Draws(rng), count))
-
-
-def _triple(rng):
-    return (_lu(rng, 1e-3, 1e3), _lu(rng, 1e-3, 1e3), _lu(rng, 1e-3, 1e3))
+_WIDE = (1e-3, 1e3)
+_TRIPLE = (_WIDE,) * 3
 
 
 def _rel_err(a, b):
@@ -453,10 +439,7 @@ def _id_perm_symmetry(x, y, z, p):
     return None
 
 
-def _id_homogeneity(rng):
-    x, y, z = _triple(rng)
-    p = _lu(rng, 1e-3, 1e3)
-    lam = _lu(rng, 1e-3, 1e3)
+def _id_homogeneity(x, y, z, p, lam, u):
     checks = [
         (core.rf(lam * x, lam * y, lam * z), lam ** -0.5 * core.rf(x, y, z)),
         (core.rd(lam * x, lam * y, lam * z), lam ** -1.5 * core.rd(x, y, z)),
@@ -468,7 +451,7 @@ def _id_homogeneity(rng):
         if _rel_err(a, b) > 2e-14:
             return f"homogeneity drift {_rel_err(a, b):.2e} at lam={lam}"
     # power-of-four scaling commutes with every duplication step exactly
-    k = int(rng.integers(-4, 5))
+    k = int(9.0 * u) - 4
     lam4 = 4.0 ** k
     if core.rf(lam4 * x, lam4 * y, lam4 * z) != 2.0 ** -k * core.rf(x, y, z):
         return f"exact power-of-four scaling failed at k={k}"
@@ -506,9 +489,8 @@ def _id_rd_cyclic(x, y, z):
     return _off_by("cyclic sum", lhs, rhs, 1e-11)
 
 
-def _id_rg_decomposition(rng):
-    vals = list(_triple(rng))
-    zi = int(rng.integers(0, 3))
+def _id_rg_decomposition(a, b, c, u):
+    vals, zi = (a, b, c), int(3.0 * u)
     z = vals[zi]
     x, y = [v for i, v in enumerate(vals) if i != zi]
     lhs = 2.0 * core.rg(x, y, z)
@@ -517,7 +499,13 @@ def _id_rg_decomposition(rng):
     return _off_by("rg decomposition", lhs, rhs, 1e-11)
 
 
-def _id_legendre_k_minus_e(k):
+def _modulus(u):
+    """k uniform on [0.05, 0.995), as ``rng.uniform(0.05, 0.995)`` maps u."""
+    return 0.05 + (0.995 - 0.05) * u
+
+
+def _id_legendre_k_minus_e(u):
+    k = _modulus(u)
     kk = 1.0 - k * k
     lhs = core.legendre_k(k) - core.legendre_e(k)
     rhs = k * k / 3.0 * core.rd(0.0, kk, 1.0)
@@ -525,7 +513,8 @@ def _id_legendre_k_minus_e(k):
     return miss and f"{miss} at k={k}"
 
 
-def _id_legendre_e_complement(k):
+def _id_legendre_e_complement(u):
+    k = _modulus(u)
     kk = 1.0 - k * k
     lhs = core.legendre_e(k) - kk * core.legendre_k(k)
     rhs = k * k * kk / 3.0 * core.rd(0.0, 1.0, kk)
@@ -543,9 +532,8 @@ def _id_rf_between_rc(x, y, z):
     return None
 
 
-def _id_agm_chain(draws):
-    x, y, _ = (draws.lu(1e-3, 1e3) for _ in range(3))
-    if draws.coin() < 0.1:
+def _id_agm_chain(x, y, _, coin):
+    if coin < 0.1:
         y = x  # equality probes
     a, g = (x + y) / 2.0, math.sqrt(x * y)
     chain = [
@@ -579,12 +567,10 @@ def _id_agm_rf_complete(x, y, _):
 
 def _id_log_kernel_bracket(rng, count):
     """Messages of ``count`` draws; their oracle values come as one batch."""
-    draws = Draws(rng)
     rows, brackets = [], []
-    for _ in range(count):
-        z = draws.lu(1e-3, 1e3)
-        s = 0.01 * z * draws.lu(1e-4, 1.0)
-        x = s * draws.lu(0.01, 1.0)
+    for z, t, w in _rows(rng, count, (_WIDE, (1e-4, 1.0), (0.01, 1.0))):
+        s = 0.01 * z * t
+        x = s * w
         y = s - x if s > x else 0.5 * s
         a, g = (x + y) / 2.0, math.sqrt(x * y)
         level = math.log(2.0 * z / (a + g))
@@ -599,7 +585,7 @@ def _id_log_kernel_bracket(rng, count):
 
 def _id_log_derivative_shift(rng, count):
     """Messages of ``count`` draws; one oracle batch gives M = lhs + log(max) / sqrt(xyz)."""
-    rows = list(_lu_rows(rng, 1e-2, 1e2, count, 3))
+    rows = list(_rows(rng, count, ((1e-2, 1e2),) * 3))
     for (x, y, z), (m, _) in zip(rows, quad_oracle.oracle_batch("Mlog", rows)):
         lhs = m - math.log(max(x, y, z)) * (x * y * z) ** -0.5
         lam = math.sqrt(x * y) + math.sqrt(x * z) + math.sqrt(y * z)
@@ -611,19 +597,19 @@ def _id_log_derivative_shift(rng, count):
 # every identity is fn(rng, count), yielding one message per draw: None
 # when the identity holds, else a description of the miss
 _IDENTITIES = {
-    "perm-symmetry": _on_rows(4, _id_perm_symmetry),
-    "homogeneity": _per_draw(_id_homogeneity),
-    "reduce-rc": _on_rows(3, _id_reduce_rc),
-    "reduce-rd": _on_rows(3, _id_reduce_rd),
-    "rg-three-term": _on_rows(3, _id_rg_three_term),
-    "rg-complete-pair": _on_rows(3, _id_rg_complete_pair),
-    "rd-cyclic": _on_rows(3, _id_rd_cyclic),
-    "rg-decomposition": _per_draw(_id_rg_decomposition),
-    "legendre-k-minus-e": _on_modulus(_id_legendre_k_minus_e),
-    "legendre-e-complement": _on_modulus(_id_legendre_e_complement),
-    "rf-between-rc": _on_rows(3, _id_rf_between_rc),
-    "agm-chain": _on_stream(_id_agm_chain),
-    "agm-rf-complete": _on_rows(3, _id_agm_rf_complete),
+    "perm-symmetry": _on_rows((_WIDE,) * 4, _id_perm_symmetry),
+    "homogeneity": _on_rows((_WIDE,) * 5 + (None,), _id_homogeneity),
+    "reduce-rc": _on_rows(_TRIPLE, _id_reduce_rc),
+    "reduce-rd": _on_rows(_TRIPLE, _id_reduce_rd),
+    "rg-three-term": _on_rows(_TRIPLE, _id_rg_three_term),
+    "rg-complete-pair": _on_rows(_TRIPLE, _id_rg_complete_pair),
+    "rd-cyclic": _on_rows(_TRIPLE, _id_rd_cyclic),
+    "rg-decomposition": _on_rows(_TRIPLE + (None,), _id_rg_decomposition),
+    "legendre-k-minus-e": _on_rows((None,), _id_legendre_k_minus_e),
+    "legendre-e-complement": _on_rows((None,), _id_legendre_e_complement),
+    "rf-between-rc": _on_rows(_TRIPLE, _id_rf_between_rc),
+    "agm-chain": _on_rows(_TRIPLE + (None,), _id_agm_chain),
+    "agm-rf-complete": _on_rows(_TRIPLE, _id_agm_rf_complete),
     "log-kernel-bracket": _id_log_kernel_bracket,
     "log-derivative-shift": _id_log_derivative_shift,
 }
@@ -671,7 +657,7 @@ def run_bounds_fuzz(tag: str, n: int = 100000, seed: int = 42) -> CampaignReport
     t0 = time.perf_counter()
     # each row is t and then the variables: positive finite floats of the
     # row's arity, which is all that bounds._checked would ensure
-    for i, row in enumerate(_lu_rows(rng, 1e-6, 1e6, n, nargs)):
+    for i, row in enumerate(_rows(rng, n, ((1e-6, 1e6),) * nargs)):
         equal_probe = i % 10 == 9
         if equal_probe and nargs >= 3:
             row[2:] = [row[1]] * (nargs - 2) if i % 20 == 19 else [row[1]] + row[3:]

@@ -173,13 +173,37 @@ class TestReferenceRange:
         with pytest.raises(ConvergenceError):
             evaluate(EvalRequest(kind, args, 1e-6))
 
-    def test_negative_enclosure_falls_through(self):
-        # x * y overflows in the D2b formula, whose enclosure came out
-        # negative; mpmath gives rd = 9.5436373562855...e-39 here
-        rep = evaluate(EvalRequest("RD", (2e200, 1e200, 5e-324), 1e-6))
-        assert rep.method == "reference"
-        assert rep.value == pytest.approx(9.543637356285588e-39, rel=1e-12)
-        assert "asym(D2b)" not in labels(plan(EvalRequest("RD", (2e200, 1e200, 5e-324), 1e-6)))
+    def test_negative_enclosure_falls_through(self, monkeypatch):
+        # the walk skips a case whose enclosure is not positive (a cancelled
+        # integral), whose gate refuses or whose formula fails in float64:
+        # RD(1, 1, 1e-8) plans D2a, D2c, D2b and the reference, and each
+        # refusal in turn hands the answer to the next step
+        req = EvalRequest("RD", (1.0, 1.0, 1e-8), 1e-3)
+        assert labels(plan(req)) == ["asym(D2a)", "asym(D2c)", "asym(D2b)", "reference"]
+        d2a = asym._case("D2a").formula
+
+        def negative(*vals):
+            lo, hi, terms = d2a(*vals)
+            return lo, hi, tuple(-t for t in terms)
+
+        def refuse(*vals):
+            raise RegimeError("refused")
+
+        def fail(*vals):
+            raise ZeroDivisionError("float division by zero")
+
+        refusals = [("D2a", "formula", negative, "D2c"), ("D2c", "gate", refuse, "D2b"),
+                    ("D2b", "formula", fail, None)]
+        for n, (tag, field, fn, nxt) in enumerate(refusals, 1):
+            monkeypatch.setitem(asym._KIND_CASES, "RD", tuple(
+                (ratio, tuple((c._replace(**{field: fn}) if c.tag == tag else c, cost)
+                              for c, cost in rows))
+                for ratio, rows in asym._KIND_CASES["RD"]))
+            rep = evaluate(req)
+            assert (rep.method, rep.case) == (("asym", nxt) if nxt else ("reference", None))
+            assert rep.value == pytest.approx(core.rd(1.0, 1.0, 1e-8), rel=1e-3)
+            assert labels(plan(req)) == [f"asym({t})" for t in ("D2c", "D2b")[n - 1:]] \
+                + ["reference"]
 
 
 class TestAsymptoticPath:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -274,7 +275,8 @@ def test_gates_imply_the_reference_rule():
     # skip their evaluators' rules: every tuple that a case's gate accepts
     # must lie in its route's domain, pass the oracle's row check and give
     # each such term arguments in its evaluator's domain
-    grid = (-1.0, 0.0, 1e-3, 0.5, 1.0, 3.0, 1e3)
+    # 1e-170: K's route below k'^2 = DBL_MIN
+    grid = (-1.0, 0.0, 1e-170, 1e-3, 0.5, 1.0, 3.0, 1e3)
     for tag in CASE_TAGS:
         case = asym._case(tag)
         accepted = 0
@@ -299,6 +301,16 @@ def test_containment_small_campaign():
     assert rep.evaluated == 80
     assert rep.max_rel_width[1e-2] > rep.max_rel_width[1e-4]
     assert rep.theta.get("outside", 0) == 0
+
+
+@pytest.mark.parametrize("ratios", [(1e-2, 1e-310), (1e-310, 1e-2)])
+def test_containment_mixes_normal_and_subnormal_kprime_routes(ratios):
+    # K's reference route scales a row by k'^(-1/2) where k'^2 is subnormal
+    # and by 1 elsewhere: one oracle batch holding both kinds of row must
+    # scale each by its own factor, in either ratio order
+    rep = run_containment(Campaign("F1e", ratios, samples=10, seed=1))
+    assert rep.evaluated == 20
+    assert rep.violations == 0
 
 
 def test_containment_reproducible():
@@ -386,6 +398,59 @@ def test_perturbed_evaluator_misses_its_identity(monkeypatch):
     assert len(rep.violation_samples) == harness._MAX_RECORDED
     assert rep.violation_samples[0]["kind"] == "rd-cyclic"
     assert rep.violation_samples[0]["detail"].startswith("cyclic sum off by ")
+
+
+@pytest.mark.parametrize("name, scaled, detail", [
+    # rg plus a constant is no longer homogeneous
+    ("rg", lambda real, *a: real(*a) + 1.0, "homogeneity drift "),
+    # rf drifting 1e-15 per e-fold of x stays within the general-scale
+    # band of 2e-14 over lam in [1e-3, 1e3], but power-of-four scaling is
+    # no longer exact
+    ("rf", lambda real, *a: real(*a) * (1.0 + 1e-15 * math.log(a[0])),
+     "exact power-of-four scaling failed at k="),
+], ids=["drift", "power-of-four"])
+def test_perturbed_evaluator_misses_homogeneity(monkeypatch, name, scaled, detail):
+    real = getattr(core, name)
+    monkeypatch.setattr(core, name, lambda *a: scaled(real, *a))
+    rep = run_identities(seed=1, n=50, which=("homogeneity",))
+    assert rep.evaluated == 50 and rep.violations > 0
+    assert all(s["detail"].startswith(detail) for s in rep.violation_samples)
+
+
+def test_perturbed_evaluator_misses_rg_decomposition(monkeypatch):
+    real = core.rg
+    monkeypatch.setattr(core, "rg", lambda *a: real(*a) * (1.0 + 1e-9))
+    rep = run_identities(seed=1, n=20, which=("rg-decomposition",))
+    assert (rep.evaluated, rep.violations) == (20, 20)
+    assert rep.violation_samples[0]["detail"].startswith("rg decomposition off by ")
+
+
+def test_redrawn_identities_cover_their_integer_draws(monkeypatch):
+    # homogeneity's exponent k and rg-decomposition's index zi of z come
+    # from a uniform column of the block draw; at n = 200 they take every
+    # value, read off the calls: rf(4^k x, 4^k y, 4^k z) beside rf(x, y, z),
+    # and rg(x, y, z) with z the row's value zi
+    rows, calls = [], []
+    real_rows = harness._rows
+    monkeypatch.setattr(harness, "_rows",
+                        lambda *a: (rows.append(r) or r for r in real_rows(*a)))
+    for name in ("rf", "rg"):
+        real = getattr(core, name)
+        monkeypatch.setattr(core, name,
+                            lambda *a, name=name, real=real: calls.append((name, a)) or real(*a))
+
+    def args_of(name):
+        return [a for n, a in calls if n == name]
+
+    run_identities(seed=1, n=200, which=("homogeneity",))
+    rf = args_of("rf")   # per draw: rf at lam x, rf, rf at 4^k x, rf
+    assert len(rf) == 4 * 200
+    assert {round(math.log(rf[i + 2][0] / rf[i + 3][0], 4))
+            for i in range(0, len(rf), 4)} == set(range(-4, 5))
+    rows.clear(), calls.clear()
+    run_identities(seed=1, n=200, which=("rg-decomposition",))
+    assert len(args_of("rg")) == len(rows) == 200
+    assert {row.index(z) for row, (_, _, z) in zip(rows, args_of("rg"))} == {0, 1, 2}
 
 
 def test_expected_slope_table_complete():
@@ -533,13 +598,25 @@ def test_block_draws_reproduce_scalar_stream():
         for lo, hi in ((1e-6, 1e6), (1e-3, 1e3)):
             seq = np.random.SeedSequence([42, k, int(hi)])
             rng_block, rng_scalar = np.random.default_rng(seq), np.random.default_rng(seq)
-            rows = list(harness._lu_rows(rng_block, lo, hi, count, k))
+            rows = list(harness._rows(rng_block, count, ((lo, hi),) * k))
             flat = [v for row in rows for v in row]
             assert len(rows) == count and all(len(row) == k for row in rows)
             assert flat == [harness._lu(rng_scalar, lo, hi) for _ in range(count * k)]
     rng_block, rng_scalar = np.random.default_rng(7), np.random.default_rng(7)
-    moduli = list(harness._on_modulus(lambda k: k)(rng_block, count))
+    moduli = [harness._modulus(u) for u, in harness._rows(rng_block, count, (None,))]
     assert moduli == [float(rng_scalar.uniform(0.05, 0.995)) for _ in range(count)]
+
+
+def test_mixed_block_rows_reproduce_scalar_draws():
+    # log-uniform and uniform columns side by side, as the identities draw
+    # them, across a block boundary: each row is the next scalar _lu and
+    # rng.random() calls on a twin generator, in column order
+    columns = ((1e-3, 1e3), None, (1e-4, 1.0), (0.01, 1.0), None)
+    seq = np.random.SeedSequence([7, 4242])
+    rng_block, twin = np.random.default_rng(seq), np.random.default_rng(seq)
+    rows = list(harness._rows(rng_block, harness._BLOCK + 5, columns))
+    assert rows == [[twin.random() if c is None else harness._lu(twin, *c) for c in columns]
+                    for _ in rows]
 
 
 def test_campaign_stream_reproduces_scalar_draws():
@@ -647,10 +724,10 @@ def test_campaign_validation():
 
 
 def test_identity_streams_reproduce_scalar_draws(monkeypatch):
-    # the log-kernel bracket and the AGM chain draw from a campaign stream
-    # over their identity's generator; the tuples they check are those of
-    # scalar _lu and rng.random() calls on a twin generator, bit for bit,
-    # across block refills
+    # the log-kernel bracket and the AGM chain draw block rows of mixed
+    # columns over their identity's generator; the tuples they check are
+    # those of scalar _lu and rng.random() calls on a twin generator, bit
+    # for bit
     seen = []
     monkeypatch.setattr(quadrature, "oracle_batch",
                         lambda kind, rows: seen.extend(rows) or [(1.0, 0.0)] * len(rows))

@@ -145,7 +145,7 @@ def _campaign_rows():
         x = s * harness._lu(rng, 0.01, 1.0)
         rows.setdefault("Rm1", []).append((x, s - x if s > x else 0.5 * s, z))
     rows["RJpv"] = [tuple(10.0 ** rng.uniform(-1.0, 1.0, 4)) for _ in range(20)]
-    rows["Mlog"] = list(harness._lu_rows(rng, 1e-2, 1e2, 20, 3))
+    rows["Mlog"] = list(harness._rows(rng, 20, ((1e-2, 1e2),) * 3))
     return rows
 
 
