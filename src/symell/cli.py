@@ -416,10 +416,12 @@ def _table_rows(function: str, grid: list[float]) -> tuple[list[str], list[list]
     rows = []
     for kp in grid:
         _check_kprime(kp)
+        # the enclosures first: where one leaves float64 its error names the
+        # case and k', and the reference's would name arguments never given
+        encs = [asym.enclose(tag, kp) for tag in tags]
         ref = dispatch.case_reference(function, (kp,))
         row: list = [kp, ref]
-        for tag in tags:
-            enc = asym.enclose(tag, kp)
+        for tag, enc in zip(tags, encs):
             row += [enc.lo, enc.hi, _theta(tag, (kp,), ref)]
         rows.append(row)
     return header, rows

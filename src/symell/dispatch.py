@@ -3,10 +3,11 @@
 Method ladder: closed forms (exact argument patterns), then asymptotic
 enclosures by cost class, then the reference evaluator, which K and E (one
 AGM run each) try before their cases; twin cases (C2c, F1b) are not walked.
-One lazy walk serves both entry points: it builds enclosures one cost class
-at a time, cheapest first, and orders a class by half-width; ``evaluate``
-stops at the first step that certifies the request, and ``plan`` lists
-every step, in the order ``evaluate`` tries them.
+``evaluate`` climbs this ladder and returns at the first rung that meets
+rel_tol; ``plan`` lists every rung in the same order (each states the
+ladder, and a test checks that they agree).  Both draw the asym rungs from
+one lazy generator, which builds enclosures one cost class at a time,
+cheapest first, and orders a class by half-width.
 The half-width that orders a class is that of the built enclosure itself,
 so "meets tolerance" is a guarantee rather than a heuristic, and the
 narrowest step of a class certifies if any of it does; building the whole
@@ -81,7 +82,7 @@ _GUAR_ELEMENTARY = 1e-14
 _GUAR_RC = 1e-13
 _GUAR_REFERENCE = 1e-12
 
-# kind -> (the reference evaluator's guarantee, whether the walk tries it
+# kind -> (the reference evaluator's guarantee, whether the ladder tries it
 # before the kind's cases: K's and E's is one AGM run, DLMF 19.8(i), cheaper
 # than any of their enclosures, and the evaluator's checked body in core);
 # the arity, the evaluator's name and the domain are _util.KIND_TABLE's, and
@@ -127,6 +128,11 @@ class EvalRequest(NamedTuple("_Request",
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+# builds a report without the named tuple's generated Python __new__, which
+# costs about a fifth of a closed-form answer
+_new = tuple.__new__
 
 
 class PlanStep(NamedTuple):
@@ -234,19 +240,11 @@ def _case_args(kind: str, args) -> tuple:
     return args
 
 
-def _walk(req: EvalRequest, cases: bool = True):
-    """(method, case, cost, guarantee, half-width, what answers) per step:
-    the value, the enclosure, or the reference's checked body; the asym
-    steps only where ``cases``."""
-    cf = _closed_form(req.kind, req.args)
-    if cf is not None:
-        yield "closed_form", None, 0, cf[1], None, cf[0]
-    guar, reference_first, body = _KIND[req.kind]
-    if reference_first:
-        yield "reference", None, 9, guar, None, body
-    cargs = _case_args(req.kind, req.args)
-    classes = (asym or _catalog())._ratio_pass(req.kind, cargs, _RATIO_MAX) if cases else ()
-    for cost, rows in classes:
+def _asym_steps(kind: str, args):
+    """(cost, half-width, enclosure) of each asym step, one cost class at a
+    time, cheapest first, a class in order of half-width and then tag."""
+    cargs = _case_args(kind, args)
+    for cost, rows in (asym or _catalog())._ratio_pass(kind, cargs, _RATIO_MAX):
         steps = []
         for case in rows:
             try:
@@ -258,27 +256,43 @@ def _walk(req: EvalRequest, cases: bool = True):
             hw = 0.5 * enc.rel_width()
             if math.isfinite(hw):
                 steps.append((hw, enc.case, enc))
-        for hw, tag, enc in sorted(steps, key=lambda s: s[:2]):
-            yield "asym", tag, cost, hw + _ASYM_MARGIN, hw, enc
-    if not reference_first:
-        yield "reference", None, 9, guar, None, body
+        steps.sort(key=lambda s: s[:2])
+        for hw, _, enc in steps:
+            yield cost, hw, enc
 
 
 def plan(req: EvalRequest) -> list[PlanStep]:
-    """Every step of the request's walk, in the order evaluate tries them."""
-    return [PlanStep(*s[:5]) for s in _walk(req)]
+    """Every rung of the request's ladder, in the order evaluate tries them."""
+    kind, args, _ = req
+    steps = []
+    cf = _closed_form(kind, args)
+    if cf is not None:
+        steps.append(PlanStep("closed_form", None, 0, cf[1]))
+    guar, reference_first, _ = _KIND[kind]
+    reference = PlanStep("reference", None, 9, guar)
+    if reference_first:
+        steps.append(reference)
+    steps += [PlanStep("asym", enc.case, cost, hw + _ASYM_MARGIN, hw)
+              for cost, hw, enc in _asym_steps(kind, args)]
+    if not reference_first:
+        steps.append(reference)
+    return steps
 
 
 def evaluate(req: EvalRequest) -> EvalReport:
-    """Evaluate with the cheapest method whose guarantee meets the tolerance."""
-    tol = req.rel_tol
-    for method, case, _, guar, _, got in _walk(req, tol >= _ASYM_MARGIN):
-        if guar > tol:
-            continue
-        if method == "closed_form":
-            return EvalReport(got, method, None, guar)
-        if method == "asym":
-            return EvalReport(got.estimate, method, case, guar, got)
-        return EvalReport(got(*req.args), method, None, guar)
-    raise ToleranceError(
-        f"no method certifies rel_tol={tol:g} for {req.kind}{req.args}")
+    """Evaluate at the first rung whose guarantee meets the tolerance."""
+    kind, args, tol = req
+    cf = _closed_form(kind, args)
+    if cf is not None and cf[1] <= tol:
+        return _new(EvalReport, (cf[0], "closed_form", None, cf[1], None))
+    guar, reference_first, body = _KIND[kind]
+    if reference_first and guar <= tol:
+        return _new(EvalReport, (body(*args), "reference", None, guar, None))
+    if tol >= _ASYM_MARGIN:
+        for _, hw, enc in _asym_steps(kind, args):
+            g = hw + _ASYM_MARGIN
+            if g <= tol:
+                return _new(EvalReport, (enc.estimate, "asym", enc.case, g, enc))
+    if guar <= tol:  # a reference-first kind has returned already
+        return _new(EvalReport, (body(*args), "reference", None, guar, None))
+    raise ToleranceError(f"no method certifies rel_tol={tol:g} for {kind}{args}")

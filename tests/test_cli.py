@@ -307,6 +307,16 @@ class TestTable:
         if function == "K" and kp >= 1e-4:
             assert 1.0 <= cells["F1e_theta"] <= 4.0
 
+    # at a subnormal k' a row's enclosure leaves float64 and the reference's
+    # 1/k' overflows; the error is the enclosure's, as `symell asym` gives it,
+    # not one about an rf argument the user never gave
+    @pytest.mark.parametrize("function, tag", [("K", "F1e"), ("E", "G1c")])
+    def test_enclosure_past_float64_names_the_case(self, capsys, function, tag):
+        code, out, err = run(capsys, "table", "--function", function, "--kprime-grid", "1e-310")
+        assert (code, out) == (2, "")
+        assert err == f"error: {tag} at (1e-310,) is past float64: the enclosure is not finite\n"
+        assert run(capsys, "asym", tag, "1e-310") == (2, "", err)
+
     def test_symbol_past_float64_is_an_empty_cell(self, capsys):
         # F1f's symbol overflows at k' = 1e-6; F1e's does not, but its
         # recovery is ill-conditioned there

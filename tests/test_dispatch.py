@@ -469,8 +469,9 @@ class TestContract:
     def test_evaluate_takes_first_certifying_step(self, rng):
         seen = set()
         for kind, args in _mixed_batch(rng, 4):
+            # below 1e-12 only asym steps and closed forms certify, and
             # 1e-14 is beyond every step but the elementary closed forms
-            for tol in (1e-3, 1e-6, 1e-9, 1e-12, 1e-14):
+            for tol in (1e-3, 1e-6, 1e-9, 1e-12, 5e-13, 2e-13, 1e-14):
                 req = EvalRequest(kind, args, tol)
                 first = next((s for s in plan(req) if s.guaranteed_rel_err <= tol), None)
                 if first is None:
@@ -609,14 +610,12 @@ def test_ratio_pass_calls_each_ratio_function_once(kind, args, ratio, tags):
     assert len(calls) == 1
 
 
-def test_answers_are_pinned():
-    """A digest of every answer on a seeded mixed batch, floats as hex: a
-    change to how the walk finds its steps must move no answer.  (Pinned
-    again when the complete integrals moved to the AGM run, and when K and
-    E moved to their reference first.)"""
+def _answers_digest(tols):
+    """sha256 of every answer on a seeded mixed batch at each of ``tols``,
+    floats as hex, refusals as their error type and text."""
     digest = hashlib.sha256()
     for kind, args in _mixed_batch(np.random.default_rng(12), 40):
-        for tol in (1e-3, 1e-6, 1e-9, 1e-12):
+        for tol in tols:
             try:
                 rep = evaluate(EvalRequest(kind, args, tol))
             except (ConvergenceError, DomainError, ToleranceError) as exc:
@@ -627,7 +626,24 @@ def test_answers_are_pinned():
                        enc and (enc.lo.hex(), enc.hi.hex(), enc.estimate.hex(), enc.case,
                                 enc.strict_lo, enc.strict_hi))
             digest.update(repr(got).encode())
-    assert digest.hexdigest() == "fbe29473cfbec28df7b61ea55240f06b64c68e99152907b2657ad203e46fefb6"
+    return digest.hexdigest()
+
+
+def test_answers_are_pinned():
+    """A digest of every answer on a seeded mixed batch: a change to how
+    evaluate finds its rung must move no answer.  (Pinned again when the
+    complete integrals moved to the AGM run, and when K and E moved to their
+    reference first.)"""
+    assert _answers_digest((1e-3, 1e-6, 1e-9, 1e-12)) == \
+        "fbe29473cfbec28df7b61ea55240f06b64c68e99152907b2657ad203e46fefb6"
+
+
+def test_answers_below_the_reference_are_pinned():
+    """The same digest below the reference's 1e-12: K's and E's asym answers
+    where their reference misses, the asym margin's skip at 1e-13 and 1e-14,
+    and the text of every ToleranceError."""
+    assert _answers_digest((5e-13, 2e-13, 1e-13, 1e-14)) == \
+        "43dd91192eed2c116db936764ee137d7ad16deb0035ccb4eff74e3053a17c742"
 
 
 class TestSoundnessMiniFuzz:
